@@ -1,0 +1,99 @@
+package autodiff
+
+import "quickdrop/internal/tensor"
+
+// slabChunk is the number of Value nodes per slab chunk. Chunks are never
+// reallocated, so node pointers stay valid while the slab grows.
+const slabChunk = 256
+
+// Arena recycles everything one training step's graph is made of: the
+// result tensors' storage (a tensor.Arena), the Value nodes themselves (a
+// chunked slab) and the scratch Grad traverses with. Leaves created with
+// Const and Var carry the arena, every op's result node inherits it from
+// its inputs, and Reset — called once the optimizer has consumed the
+// step's gradients — hands all of it to the next step. After the first
+// step of a given shape, building and differentiating the graph allocates
+// no nodes and no float storage.
+//
+// Every Value and tensor reachable from an arena's leaves dies at Reset;
+// whatever must outlive the step (a loss reading, an updated parameter)
+// is copied out first. An arena serves one goroutine. Const, Var and
+// Reset accept a nil receiver, which means "no arena": leaves and their
+// graphs live on the heap, owned by the garbage collector.
+type Arena struct {
+	bufs tensor.Arena
+	slab [][]Value
+	next int // nodes handed out since the last Reset
+	grad gradScratch
+}
+
+// NewArena returns an empty arena.
+func NewArena() *Arena { return &Arena{} }
+
+// Const wraps a tensor as a constant leaf (no gradient flows into it)
+// whose graph is built in the arena.
+func (a *Arena) Const(t *tensor.Tensor) *Value {
+	v := a.constNode()
+	v.Data = t
+	return v
+}
+
+// Var wraps a tensor as a differentiable leaf whose graph is built in the
+// arena.
+func (a *Arena) Var(t *tensor.Tensor) *Value {
+	v := a.node()
+	v.Data, v.op, v.requiresGrad = t, "var", true
+	return v
+}
+
+// Reset ends the step: all nodes and tensor storage handed out since the
+// previous Reset are recycled.
+func (a *Arena) Reset() {
+	if a == nil {
+		return
+	}
+	a.bufs.Reset()
+	a.next = 0
+}
+
+// PoisonOnReset is a test hook; see tensor.Arena.PoisonOnReset.
+func (a *Arena) PoisonOnReset(on bool) { a.bufs.PoisonOnReset(on) }
+
+// node returns a zeroed node tagged with the arena, from the slab — or,
+// without an arena, from the heap.
+func (a *Arena) node() *Value {
+	if a == nil {
+		return &Value{}
+	}
+	if a.next == len(a.slab)*slabChunk {
+		a.slab = append(a.slab, make([]Value, slabChunk))
+	}
+	v := &a.slab[a.next/slabChunk][a.next%slabChunk]
+	a.next++
+	*v = Value{arena: a}
+	return v
+}
+
+// header tags a node's inline tensor header so the kernel that fills it
+// draws storage from the arena.
+func (a *Arena) header(t *tensor.Tensor) *tensor.Tensor {
+	if a == nil {
+		return t
+	}
+	return a.bufs.Header(t)
+}
+
+// constNode returns a constant node with no Data yet: the caller either
+// wraps a tensor or computes one into the node's scratch header.
+func (a *Arena) constNode() *Value {
+	v := a.node()
+	v.op = "const"
+	return v
+}
+
+// full returns a constant node of the given shape with every element x.
+func (a *Arena) full(x float64, shape ...int) *Value {
+	v := a.constNode()
+	v.Data = tensor.FullInto(v.scratch(), x, shape...)
+	return v
+}

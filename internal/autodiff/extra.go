@@ -19,25 +19,27 @@ func ConcatRows(parts ...*Value) *Value {
 		}
 		rows += p.Data.Dim(0)
 	}
-	out := tensor.New(rows, cols)
-	off := 0
-	for _, p := range parts {
-		copy(out.Data()[off:], p.Data.Data())
-		off += p.Data.Len()
-	}
 	starts := make([]int, len(parts))
 	r := 0
 	for i, p := range parts {
 		starts[i] = r
 		r += p.Data.Dim(0)
 	}
-	return newNodeN("concatrows", out, parts, func(n, g *Value) []*Value {
+	v := newNodeN("concatrows", nil, parts, func(n, g *Value) []*Value {
 		grads := make([]*Value, len(parts))
 		for i, p := range parts {
 			grads[i] = SliceRows(g, starts[i], starts[i]+p.Data.Dim(0))
 		}
 		return grads
 	})
+	out := tensor.FullInto(v.scratch(), 0, rows, cols)
+	off := 0
+	for _, p := range parts {
+		copy(out.Data()[off:], p.Data.Data())
+		off += p.Data.Len()
+	}
+	v.Data = out
+	return v
 }
 
 // SliceRows returns rows [lo, hi) of a matrix. The result is a view
@@ -53,11 +55,11 @@ func SliceRows(a *Value, lo, hi int) *Value {
 		// embedded gradient through ConcatRows keeps it differentiable.
 		var parts []*Value
 		if lo > 0 {
-			parts = append(parts, Const(tensor.New(lo, cols)))
+			parts = append(parts, g.arena.full(0, lo, cols))
 		}
 		parts = append(parts, g)
 		if hi < total {
-			parts = append(parts, Const(tensor.New(total-hi, cols)))
+			parts = append(parts, g.arena.full(0, total-hi, cols))
 		}
 		return ConcatRows(parts...)
 	})
@@ -76,12 +78,13 @@ func Tanh(a *Value) *Value {
 // Abs returns |a| with the sign mask treated as a constant (the standard
 // subgradient convention, zero second derivative almost everywhere).
 func Abs(a *Value) *Value {
-	sign := Const(a.Data.Apply(func(v float64) float64 {
+	sign := a.arena.constNode()
+	sign.Data = tensor.ApplyInto(sign.scratch(), a.Data, func(v float64) float64 {
 		if v < 0 {
 			return -1
 		}
 		return 1
-	}))
+	})
 	return Mul(a, sign)
 }
 

@@ -11,7 +11,8 @@ import (
 //
 //   - Ops allocate their node first and compute the result directly into
 //     the node's inline tensor header (v.scratch()), so an interior node
-//     costs one allocation plus its element storage.
+//     costs one allocation plus its element storage — or nothing, when
+//     node and storage come from the step's Arena.
 //   - VJP functions are non-capturing func literals (or named functions):
 //     they read their operands from the node — inputsArr, the c constant,
 //     or the node itself — rather than closing over locals, so Go places
@@ -120,7 +121,9 @@ func ReLU(a *Value) *Value {
 	})
 	v.Data = tensor.ApplyInto(v.scratch(), a.Data, relu)
 	if v.vjp1 != nil {
-		v.inputsArr[1] = Const(a.Data.ReLUMask())
+		mask := v.arena.constNode()
+		mask.Data = tensor.ReLUMaskInto(mask.scratch(), a.Data)
+		v.inputsArr[1] = mask
 	}
 	return v
 }
@@ -130,6 +133,15 @@ func relu(v float64) float64 {
 		return v
 	}
 	return 0
+}
+
+// RowMax returns the row-wise maximum of a matrix [R, C] as a constant of
+// shape [R, 1]: no gradient flows through it, which is exact wherever the
+// result only shifts a shift-invariant expression (log-sum-exp).
+func RowMax(a *Value) *Value {
+	v := a.arena.constNode()
+	v.Data = tensor.MaxRowsInto(v.scratch(), a.Data)
+	return v
 }
 
 // Detach returns a's tensor as a constant, cutting the gradient flow.
@@ -315,9 +327,10 @@ func AddRowVec(a, bias *Value) *Value {
 
 // SumAll reduces a to a scalar of shape [1].
 func SumAll(a *Value) *Value {
-	axes := make([]int, a.Data.Dims())
-	for i := range axes {
-		axes[i] = i
+	var arr [4]int // every tensor here is rank ≤ 4: the axes stay on the stack
+	axes := arr[:0]
+	for i := 0; i < a.Data.Dims(); i++ {
+		axes = append(axes, i)
 	}
 	return Reshape(SumAxes(a, axes...), 1)
 }

@@ -24,7 +24,9 @@ import (
 // read their operands from it instead of capturing them: almost every
 // primitive's VJP is a non-capturing func literal, which Go places in
 // static storage. Building and backpropagating a node therefore costs one
-// allocation for the Value and whatever the eager kernel allocates.
+// allocation for the Value and whatever the eager kernel allocates — and
+// neither when the graph's leaves carry an Arena, which every result node
+// inherits from its inputs.
 type Value struct {
 	// Data holds the node's computed tensor. It must not be mutated after
 	// the node participates in a graph.
@@ -39,7 +41,10 @@ type Value struct {
 	// PowConst, AddConst), letting their VJPs stay non-capturing.
 	c            float64
 	requiresGrad bool
-	inputsArr    [2]*Value
+	// arena is where this node and its result storage came from, and where
+	// the nodes computed from it go; nil means the heap.
+	arena     *Arena
+	inputsArr [2]*Value
 	// dataInline is the storage for Data on interior nodes: ops pass
 	// &dataInline as the destination header to the Into kernels (or the
 	// view constructors), so node + tensor header are one allocation.
@@ -47,18 +52,17 @@ type Value struct {
 }
 
 // scratch returns the node's inline tensor header for an op to compute its
-// result into. Valid only before the node's Data is set.
-func (v *Value) scratch() *tensor.Tensor { return &v.dataInline }
+// result into, tagged with the node's arena. Valid only before the node's
+// Data is set.
+func (v *Value) scratch() *tensor.Tensor { return v.arena.header(&v.dataInline) }
 
-// Const wraps a tensor as a constant leaf (no gradient flows into it).
-func Const(t *tensor.Tensor) *Value {
-	return &Value{Data: t, op: "const"}
-}
+// Const wraps a tensor as a constant leaf (no gradient flows into it) of a
+// heap graph; Arena.Const is the step-scoped form.
+func Const(t *tensor.Tensor) *Value { return (*Arena)(nil).Const(t) }
 
-// Var wraps a tensor as a differentiable leaf.
-func Var(t *tensor.Tensor) *Value {
-	return &Value{Data: t, op: "var", requiresGrad: true}
-}
+// Var wraps a tensor as a differentiable leaf of a heap graph; Arena.Var
+// is the step-scoped form.
+func Var(t *tensor.Tensor) *Value { return (*Arena)(nil).Var(t) }
 
 // Scalar returns a constant scalar node of shape [1].
 func Scalar(v float64) *Value {
@@ -86,10 +90,12 @@ func (v *Value) Item() float64 {
 // from the input; constant subgraphs collapse to leaves so the backward
 // traversal never visits them.
 func newNode1(op string, data *tensor.Tensor, a *Value, vjp func(n, g *Value) *Value) *Value {
+	v := a.arena.node()
+	v.Data, v.op = data, op
 	if !a.requiresGrad {
-		return &Value{Data: data, op: op}
+		return v
 	}
-	v := &Value{Data: data, op: op, vjp1: vjp, requiresGrad: true}
+	v.vjp1, v.requiresGrad = vjp, true
 	v.inputsArr[0] = a
 	v.inputs = v.inputsArr[:1]
 	return v
@@ -104,10 +110,16 @@ func newNode1c(op string, data *tensor.Tensor, a *Value, c float64, vjp func(n, 
 
 // newNode2 constructs a two-input interior node; see newNode1.
 func newNode2(op string, data *tensor.Tensor, a, b *Value, vjp func(n, g *Value) (*Value, *Value)) *Value {
-	if !a.requiresGrad && !b.requiresGrad {
-		return &Value{Data: data, op: op}
+	ar := a.arena
+	if ar == nil {
+		ar = b.arena
 	}
-	v := &Value{Data: data, op: op, vjp2: vjp, requiresGrad: true}
+	v := ar.node()
+	v.Data, v.op = data, op
+	if !a.requiresGrad && !b.requiresGrad {
+		return v
+	}
+	v.vjp2, v.requiresGrad = vjp, true
 	v.inputsArr[0], v.inputsArr[1] = a, b
 	v.inputs = v.inputsArr[:2]
 	return v
@@ -115,17 +127,20 @@ func newNode2(op string, data *tensor.Tensor, a, b *Value, vjp func(n, g *Value)
 
 // newNodeN constructs a variadic-input interior node (ConcatRows).
 func newNodeN(op string, data *tensor.Tensor, inputs []*Value, vjp func(n, g *Value) []*Value) *Value {
+	var ar *Arena
 	rg := false
 	for _, in := range inputs {
-		if in.requiresGrad {
-			rg = true
-			break
+		if ar == nil {
+			ar = in.arena
 		}
+		rg = rg || in.requiresGrad
 	}
-	if !rg {
-		return &Value{Data: data, op: op}
+	v := ar.node()
+	v.Data, v.op = data, op
+	if rg {
+		v.inputs, v.vjpN, v.requiresGrad = inputs, vjp, true
 	}
-	return &Value{Data: data, op: op, inputs: inputs, vjpN: vjp, requiresGrad: true}
+	return v
 }
 
 // Grad computes ∂out/∂wrt[i] for a scalar-valued out. The returned values
@@ -146,10 +161,12 @@ func Grad(out *Value, wrt []*Value) ([]*Value, error) {
 
 	// Topological order of the subgraph reachable from out that requires
 	// gradient, via iterative DFS (models can be deep).
-	order := topoOrder(out)
+	sc := out.arena.gradScratch()
+	defer sc.clear()
+	order := sc.topoOrder(out)
 
-	grads := make(map[*Value]*Value, len(order))
-	grads[out] = Const(tensor.Ones(1))
+	grads := sc.grads
+	grads[out] = out.arena.full(1, 1)
 
 	// Traverse in reverse topological order, accumulating VJPs.
 	for i := len(order) - 1; i >= 0; i-- {
@@ -221,30 +238,59 @@ func MustGrad(out *Value, wrt []*Value) []*Value {
 	return gs
 }
 
+// gradScratch is the working state of one Grad call: the per-node gradient
+// map and the topological sort's visited set, order and DFS stack. A graph
+// built in an arena borrows the arena's, so a step's Grad calls share one
+// set of maps and slices instead of allocating them per call.
+type gradScratch struct {
+	grads   map[*Value]*Value
+	visited map[*Value]bool
+	order   []*Value
+	stack   []dfsFrame
+}
+
+type dfsFrame struct {
+	node *Value
+	next int
+}
+
+// gradScratch returns empty scratch for a Grad call; the caller clears it
+// when done.
+func (a *Arena) gradScratch() *gradScratch {
+	if a == nil {
+		return &gradScratch{grads: make(map[*Value]*Value), visited: make(map[*Value]bool)}
+	}
+	if a.grad.grads == nil {
+		a.grad.grads = make(map[*Value]*Value)
+		a.grad.visited = make(map[*Value]bool)
+	}
+	return &a.grad
+}
+
+func (s *gradScratch) clear() {
+	clear(s.grads)
+	clear(s.visited)
+	s.order, s.stack = s.order[:0], s.stack[:0]
+}
+
 // topoOrder returns nodes reachable from root that require gradients, in
 // topological order (inputs before outputs).
-func topoOrder(root *Value) []*Value {
-	var order []*Value
-	visited := make(map[*Value]bool)
-	type frame struct {
-		node *Value
-		next int
-	}
-	stack := []frame{{node: root}}
-	visited[root] = true
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
+func (s *gradScratch) topoOrder(root *Value) []*Value {
+	s.stack = append(s.stack, dfsFrame{node: root})
+	s.visited[root] = true
+	for len(s.stack) > 0 {
+		f := &s.stack[len(s.stack)-1]
 		if f.next < len(f.node.inputs) {
 			in := f.node.inputs[f.next]
 			f.next++
-			if !visited[in] && in.requiresGrad {
-				visited[in] = true
-				stack = append(stack, frame{node: in})
+			if !s.visited[in] && in.requiresGrad {
+				s.visited[in] = true
+				s.stack = append(s.stack, dfsFrame{node: in})
 			}
 			continue
 		}
-		order = append(order, f.node)
-		stack = stack[:len(stack)-1]
+		s.order = append(s.order, f.node)
+		s.stack = s.stack[:len(s.stack)-1]
 	}
-	return order
+	return s.order
 }

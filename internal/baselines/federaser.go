@@ -8,7 +8,6 @@ import (
 	"quickdrop/internal/data"
 	"quickdrop/internal/eval"
 	"quickdrop/internal/fl"
-	"quickdrop/internal/nn"
 	"quickdrop/internal/optim"
 	"quickdrop/internal/tensor"
 )
@@ -226,12 +225,12 @@ func (f *FedEraser) calibratedRound(recorded map[int][]*tensor.Tensor, retain []
 
 func (f *FedEraser) localCalibration(ds *data.Dataset) {
 	opt := optim.NewSGD(f.cfg.Train.LR)
+	grads := make([]*tensor.Tensor, len(f.model.Params()))
 	for step := 0; step < f.CalibrationSteps; step++ {
 		x, labels := ds.SampleBatch(f.rng, f.cfg.Train.BatchSize)
-		bound := f.model.Bind()
-		loss := nn.CrossEntropy(bound.Forward(adConst(x)), nn.OneHot(labels, f.model.Classes))
-		grads := mustGradTensors(loss, bound)
+		f.model.LossGrads(grads, x, labels)
 		opt.Step(f.model.ParamTensors(), grads)
+		f.model.Arena().Reset()
 		f.counter.AddBatch(len(labels))
 	}
 }

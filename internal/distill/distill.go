@@ -117,7 +117,9 @@ func MatchDistance(gS, gD []*ad.Value, eps float64) *ad.Value {
 		nD := ad.MulSum(d, d, 0)  // [1, C]
 		den := ad.AddConst(ad.Sqrt(ad.Mul(nS, nD)), eps)
 		cos := ad.Div(dot, den)
-		total = ad.Add(total, ad.Sub(ad.Scalar(float64(cols)), ad.SumAll(cos)))
+		// cols − Σcos, as (−Σcos) + cols: the same float, without a heap
+		// constant per parameter.
+		total = ad.Add(total, ad.AddConst(ad.Neg(ad.SumAll(cos)), float64(cols)))
 	}
 	return total
 }
@@ -262,36 +264,29 @@ func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, syn
 		m.matchDistribution(ctx, syn, synIdx, xD, len(batch))
 		return
 	}
-	model := ctx.Model
+	model, arena := ctx.Model, ctx.Model.Arena()
 
-	// Per-step scratch comes from the tensor pool and is reused across all
-	// ς_S iterations: the detached real-gradient buffers and the pixel
-	// update buffer. Each iteration's matching graph dies before the next
-	// CopyFrom, so reusing the buffers never mutates a live graph.
-	gDBufs := make([]*tensor.Tensor, len(model.Params()))
-	for i, p := range model.Params() {
-		gDBufs[i] = tensor.GetLike(p.Data)
-	}
-	gD := make([]*ad.Value, len(gDBufs))
+	// The pixel-update buffer comes from the tensor pool and is reused
+	// across all ς_S iterations. Everything else of an iteration — both
+	// gradient graphs and the matching graph — lives in the model's step
+	// arena until the reset that ends the iteration, so the real gradients
+	// are matched in place, without a detaching copy.
+	gD := make([]*ad.Value, len(model.Params()))
 	var updated *tensor.Tensor
-	defer func() {
-		tensor.PutAll(gDBufs)
-		tensor.Put(updated)
-	}()
+	defer func() { tensor.Put(updated) }()
 
 	for step := 0; step < m.Cfg.Steps; step++ {
-		boundD := model.Bind()
-		lossD := nn.CrossEntropy(boundD.Forward(ad.Const(xD)), nn.OneHot(yD, model.Classes))
-		gDVals := ad.MustGrad(lossD, boundD.ParamVars())
-		for i, g := range gDVals {
-			gD[i] = ad.Const(gDBufs[i].CopyFrom(g.Data))
+		boundD := model.BindStep()
+		lossD := nn.CrossEntropy(boundD.Forward(arena.Const(xD)), nn.OneHot(yD, model.Classes))
+		for i, g := range ad.MustGrad(lossD, boundD.ParamVars()) {
+			gD[i] = arena.Const(g.Data)
 		}
 		m.Counter.AddBatch(len(batch))
 
 		// Synthetic gradient, graph-connected to the synthetic pixels.
 		xS, yS := syn.Batch(synIdx)
-		sVar := ad.Var(xS)
-		boundS := model.Bind()
+		sVar := arena.Var(xS)
+		boundS := model.BindStep()
 		lossS := nn.CrossEntropy(boundS.Forward(sVar), nn.OneHot(yS, model.Classes))
 		gS := ad.MustGrad(lossS, boundS.ParamVars())
 		m.Counter.AddBatch(len(synIdx))
@@ -303,7 +298,7 @@ func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, syn
 			if m.Health.Sample() {
 				gl2, gn, gi = tensor.NormStats(gradS.Data)
 			}
-			m.Health.RecordDistill(float64(m.Counter.GradEvals), dist.Data.Data()[0], gl2, gn+gi)
+			m.Health.RecordDistill(float64(m.Counter.GradEvals), dist.Item(), gl2, gn+gi)
 		}
 
 		// SGD step on the synthetic pixels, written back per sample.
@@ -311,10 +306,8 @@ func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, syn
 			updated = tensor.GetLike(xS)
 		}
 		tensor.AddScaledInto(updated, xS, -m.Cfg.LR, gradS.Data)
-		per := syn.H * syn.W * syn.C
-		for bi, si := range synIdx {
-			copy(syn.X[si].Data(), updated.Data()[bi*per:(bi+1)*per])
-		}
+		writeBack(syn, synIdx, updated)
+		arena.Reset() // the iteration's graphs are dead from here on
 	}
 }
 
@@ -322,29 +315,38 @@ func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, syn
 // update: the synthetic pixels descend on the squared distance between
 // the mean penultimate-layer embeddings of synthetic and real samples.
 func (m *Matcher) matchDistribution(ctx fl.StepContext, syn *data.Dataset, synIdx []int, xD *tensor.Tensor, realCount int) {
-	model := ctx.Model
+	model, arena := ctx.Model, ctx.Model.Arena()
 	embLayer := model.BindFrozen().NumLayers() - 1 // stop before the classifier
 	var updated *tensor.Tensor
 	defer func() { tensor.Put(updated) }()
 	for step := 0; step < m.Cfg.Steps; step++ {
-		embD := flatten2D(model.BindFrozen().ForwardUpTo(ad.Const(xD), embLayer))
+		// The parameters are frozen; the arena-tagged input leaves put
+		// both embedding graphs in the step arena.
+		embD := flatten2D(model.BindFrozen().ForwardUpTo(arena.Const(xD), embLayer))
 		m.Counter.AddBatch(realCount)
 
 		xS, _ := syn.Batch(synIdx)
-		sVar := ad.Var(xS)
+		sVar := arena.Var(xS)
 		embS := flatten2D(model.BindFrozen().ForwardUpTo(sVar, embLayer))
 		m.Counter.AddBatch(len(synIdx))
 
-		dist := distributionDistance(embS, ad.Detach(embD))
+		dist := distributionDistance(embS, embD)
 		gradS := ad.MustGrad(dist, []*ad.Value{sVar})[0]
 		if updated == nil {
 			updated = tensor.GetLike(xS)
 		}
 		tensor.AddScaledInto(updated, xS, -m.Cfg.LR, gradS.Data)
-		per := syn.H * syn.W * syn.C
-		for bi, si := range synIdx {
-			copy(syn.X[si].Data(), updated.Data()[bi*per:(bi+1)*per])
-		}
+		writeBack(syn, synIdx, updated)
+		arena.Reset() // the iteration's graphs are dead from here on
+	}
+}
+
+// writeBack copies the rows of an updated synthetic batch into the
+// per-sample tensors of syn they were gathered from.
+func writeBack(syn *data.Dataset, synIdx []int, updated *tensor.Tensor) {
+	per := syn.H * syn.W * syn.C
+	for bi, si := range synIdx {
+		copy(syn.X[si].Data(), updated.Data()[bi*per:(bi+1)*per])
 	}
 }
 

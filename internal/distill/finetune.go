@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	ad "quickdrop/internal/autodiff"
 	"quickdrop/internal/data"
 	"quickdrop/internal/fl"
 	"quickdrop/internal/nn"
@@ -82,6 +81,7 @@ func FineTune(syn, real *data.Dataset, cfg FineTuneConfig, rng *rand.Rand) (opti
 	for outer := 0; outer < cfg.OuterSteps; outer++ {
 		model := nn.NewConvNetLike(cfg.Arch, rng)
 		opt := optim.NewSGD(cfg.ModelLR)
+		gt := make([]*tensor.Tensor, len(model.Params()))
 		for inner := 0; inner < cfg.InnerSteps; inner++ {
 			// Match synthetic gradients to real gradients at the current θ.
 			matcher.MatchStep(fl.StepContext{
@@ -91,14 +91,9 @@ func FineTune(syn, real *data.Dataset, cfg FineTuneConfig, rng *rand.Rand) (opti
 			// Advance θ by training on the synthetic data so later inner
 			// steps match deeper into the trajectory (Zhao et al.).
 			x, labels := syn.SampleBatch(rng, cfg.Match.RealBatch)
-			bound := model.Bind()
-			loss := nn.CrossEntropy(bound.Forward(ad.Const(x)), nn.OneHot(labels, model.Classes))
-			grads := ad.MustGrad(loss, bound.ParamVars())
-			gt := make([]*tensor.Tensor, len(grads))
-			for i, g := range grads {
-				gt[i] = g.Data
-			}
+			model.LossGrads(gt, x, labels)
 			opt.Step(model.ParamTensors(), gt)
+			model.Arena().Reset()
 		}
 	}
 	counter.Add(matcher.Counter)

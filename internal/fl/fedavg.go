@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"time"
 
-	ad "quickdrop/internal/autodiff"
 	"quickdrop/internal/data"
 	"quickdrop/internal/nn"
 	"quickdrop/internal/optim"
@@ -334,28 +333,26 @@ func runSampledPhase(model *nn.Model, reg ClientRegistry, cfg PhaseConfig, rng *
 }
 
 // runLocalSteps performs cfg.LocalSteps SGD/SGA updates on the client's
-// local model.
+// local model. Each step's graph lives in the model's step arena and is
+// recycled as soon as the optimizer has consumed its gradients.
 //
 //lint:hotpath
 func runLocalSteps(model *nn.Model, client *data.Dataset, cfg PhaseConfig, round, clientID int, rng *rand.Rand) {
 	opt := &optim.SGD{LR: cfg.LR, Dir: cfg.Dir, Health: cfg.Health}
-	gt := make([]*tensor.Tensor, len(model.Params()))
+	arena, params := model.Arena(), model.ParamTensors()
+	gt := make([]*tensor.Tensor, len(params))
 	for step := 0; step < cfg.LocalSteps; step++ {
 		idx := sampleIndices(rng, client.Len(), cfg.BatchSize)
 		x, labels := client.Batch(idx)
-		bound := model.Bind()
-		loss := nn.CrossEntropy(bound.Forward(ad.Const(x)), nn.OneHot(labels, model.Classes))
-		grads := ad.MustGrad(loss, bound.ParamVars())
-		for i, g := range grads {
-			gt[i] = g.Data
-		}
-		opt.Step(model.ParamTensors(), gt)
+		loss := model.LossGrads(gt, x, labels)
+		opt.Step(params, gt)
+		arena.Reset() // the step's graph, gt's tensors included, is dead from here on
 		if cfg.Counter != nil {
 			cfg.Counter.AddBatch(len(idx))
 		}
 		cfg.Telemetry.LocalStep(clientID, len(idx))
-		cfg.Telemetry.RecordLoss(float64(round*cfg.LocalSteps+step), loss.Data.Data()[0])
-		cfg.Health.RecordLoss(float64(round*cfg.LocalSteps+step), loss.Data.Data()[0])
+		cfg.Telemetry.RecordLoss(float64(round*cfg.LocalSteps+step), loss)
+		cfg.Health.RecordLoss(float64(round*cfg.LocalSteps+step), loss)
 		if cfg.Hook != nil {
 			cfg.Hook(StepContext{
 				Round: round, Step: step, ClientID: clientID,

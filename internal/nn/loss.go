@@ -27,22 +27,11 @@ func CrossEntropy(logits *ad.Value, oneHot *tensor.Tensor) *ad.Value {
 	if logits.Data.Dims() != 2 || !oneHot.SameShape(logits.Data) {
 		panic(fmt.Sprintf("nn: CrossEntropy logits %s vs targets %s", logits.Data.ShapeString(), oneHot.ShapeString()))
 	}
-	b, c := logits.Data.Dim(0), logits.Data.Dim(1)
+	b := logits.Data.Dim(0)
 
 	// Row-wise max as a constant: shifting by a constant leaves both the
 	// loss value and its gradients unchanged, so detaching is exact.
-	maxes := tensor.New(b, 1)
-	ld := logits.Data.Data()
-	for i := 0; i < b; i++ {
-		m := ld[i*c]
-		for j := 1; j < c; j++ {
-			if v := ld[i*c+j]; v > m {
-				m = v
-			}
-		}
-		maxes.Set(m, i, 0)
-	}
-	shifted := ad.SubBcast(logits, ad.Const(maxes))
+	shifted := ad.SubBcast(logits, ad.RowMax(logits))
 
 	// lse_i = log Σ_j exp(z_ij), shape [B,1].
 	lse := ad.Log(ad.SumAxes(ad.Exp(shifted), 1))
@@ -51,6 +40,20 @@ func CrossEntropy(logits *ad.Value, oneHot *tensor.Tensor) *ad.Value {
 	picked := ad.MulSum(shifted, ad.Const(oneHot), 1)
 	perSample := ad.Sub(lse, picked)
 	return ad.Scale(ad.SumAll(perSample), 1/float64(b))
+}
+
+// LossGrads runs one supervised forward and backward pass in the model's
+// step arena: it binds the parameters, takes the mean cross-entropy of the
+// batch x against labels, stores ∂loss/∂θ in grads (aligned with Params)
+// and returns the loss. The gradient tensors belong to the step: apply
+// them, then call Arena().Reset().
+func (m *Model) LossGrads(grads []*tensor.Tensor, x *tensor.Tensor, labels []int) float64 {
+	bound := m.BindStep()
+	loss := CrossEntropy(bound.Forward(m.arena.Const(x)), OneHot(labels, m.Classes))
+	for i, g := range ad.MustGrad(loss, bound.ParamVars()) {
+		grads[i] = g.Data
+	}
+	return loss.Item()
 }
 
 // Softmax returns row-wise softmax probabilities for a logits tensor.

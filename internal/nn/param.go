@@ -39,6 +39,9 @@ type Layer interface {
 type Model struct {
 	layers []Layer
 	params []*Param
+	// arena recycles the graph of every training step bound from this
+	// model; see Arena.
+	arena *ad.Arena
 	// InputShape is the per-sample input shape [H, W, C].
 	InputShape []int
 	// Classes is the size of the output layer.
@@ -47,7 +50,7 @@ type Model struct {
 
 // NewModel assembles a model from layers. inputShape is [H, W, C].
 func NewModel(inputShape []int, classes int, layers ...Layer) *Model {
-	m := &Model{layers: layers, InputShape: append([]int(nil), inputShape...), Classes: classes}
+	m := &Model{layers: layers, arena: ad.NewArena(), InputShape: append([]int(nil), inputShape...), Classes: classes}
 	for _, l := range layers {
 		m.params = append(m.params, l.Params()...)
 	}
@@ -56,6 +59,21 @@ func NewModel(inputShape []int, classes int, layers ...Layer) *Model {
 
 // Params returns all trainable parameters in layer order.
 func (m *Model) Params() []*Param { return m.params }
+
+// Arena returns the model's step arena: the allocator behind every graph
+// that starts at BindStep or at an input leaf made with Arena().Const /
+// Var. One optimizer step is its unit of lifetime — bind, forward,
+// backward, apply the gradients, then Arena().Reset(), after which every
+// value and tensor of that step is dead and its memory serves the next
+// step. Whoever takes leaves from the arena owes the Reset: without one
+// the graphs accumulate until the model is garbage. The model's goroutine
+// owns the arena; models never share one.
+func (m *Model) Arena() *ad.Arena { return m.arena }
+
+// DetachArena drops the model's arena, so that BindStep graphs too live
+// on the heap. It exists for the tests that pin arena-backed training
+// bitwise against the allocation path it replaced.
+func (m *Model) DetachArena() { m.arena = nil }
 
 // Layers returns the model's layer stack. Callers must treat it as
 // read-only; it is exposed for structural methods such as FU-MP's
@@ -144,24 +162,34 @@ type Bound struct {
 }
 
 // Bind wraps the current parameter tensors as differentiable variables.
-// Call once per optimization step; the returned Bound shares no graph with
-// previous episodes.
-func (m *Model) Bind() *Bound {
+// The returned Bound shares no graph with previous episodes; its graph
+// lives on the heap and belongs to the garbage collector, so it may be
+// kept as long as needed. Training loops use BindStep instead.
+func (m *Model) Bind() *Bound { return m.bind(nil, false) }
+
+// BindStep is Bind for one optimization step: the variables, and with
+// them everything computed from them, live in the model's step arena and
+// die at the next Arena().Reset(), which the caller owes once the step's
+// gradients are applied.
+func (m *Model) BindStep() *Bound { return m.bind(m.arena, false) }
+
+// bind wraps the parameters as leaves of arena a (nil: the heap),
+// constant when frozen.
+func (m *Model) bind(a *ad.Arena, frozen bool) *Bound {
 	vars := make([]*ad.Value, len(m.params))
 	for i, p := range m.params {
-		vars[i] = ad.Var(p.Data)
+		if frozen {
+			vars[i] = a.Const(p.Data)
+		} else {
+			vars[i] = a.Var(p.Data)
+		}
 	}
 	return &Bound{model: m, vars: vars}
 }
 
 // BindFrozen wraps parameters as constants (inference only, no gradients).
-func (m *Model) BindFrozen() *Bound {
-	vars := make([]*ad.Value, len(m.params))
-	for i, p := range m.params {
-		vars[i] = ad.Const(p.Data)
-	}
-	return &Bound{model: m, vars: vars}
-}
+// Like Bind it builds a heap graph, so a result such as Logits may be kept.
+func (m *Model) BindFrozen() *Bound { return m.bind(nil, true) }
 
 // ParamVars returns the bound parameter variables, aligned with
 // Model.Params.

@@ -179,7 +179,7 @@ func (s *Server) Stats() Stats {
 func (s *Server) submit(req core.Request) (*Ticket, error) {
 	t := newTicket(s.nextID.Add(1), req)
 	if err := s.q.Enqueue(t); err != nil {
-		t.fail(err)
+		t.fail(err, nil)
 		return t, err
 	}
 	s.tmu.Lock()

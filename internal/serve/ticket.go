@@ -117,8 +117,10 @@ func (t *Ticket) coalesce(seq uint64, fset, rset float64) {
 	t.mu.Unlock()
 }
 
-// finish moves the ticket to a terminal state and wakes waiters.
-func (t *Ticket) finish(s State, version uint64, fset, rset float64, err error) {
+// finish moves the ticket to a terminal state, runs record (if any) on
+// the terminal ticket — the worker's audit-trail entry — and only then
+// wakes the waiters: whoever sees Done closed finds the ticket recorded.
+func (t *Ticket) finish(s State, version uint64, fset, rset float64, err error, record func()) {
 	t.mu.Lock()
 	if t.state.Terminal() {
 		t.mu.Unlock()
@@ -130,21 +132,24 @@ func (t *Ticket) finish(s State, version uint64, fset, rset float64, err error) 
 	t.err = err
 	t.done = telemetry.Now()
 	t.mu.Unlock()
+	if record != nil {
+		record()
+	}
 	close(t.doneCh)
 }
 
 // fail terminates the ticket with an error.
-func (t *Ticket) fail(err error) { t.finish(StateFailed, 0, 0, 0, err) }
+func (t *Ticket) fail(err error, record func()) { t.finish(StateFailed, 0, 0, 0, err, record) }
 
 // failWatchdog terminates the ticket with an error and pins the health
 // watchdog verdict that refused the publish.
-func (t *Ticket) failWatchdog(err error, verdict string) {
+func (t *Ticket) failWatchdog(err error, verdict string, record func()) {
 	t.mu.Lock()
 	if !t.state.Terminal() {
 		t.watchdog = verdict
 	}
 	t.mu.Unlock()
-	t.fail(err)
+	t.fail(err, record)
 }
 
 // View is the JSON projection of a ticket.

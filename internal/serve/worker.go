@@ -91,21 +91,22 @@ func (s *Server) runBatch(tickets []*Ticket) {
 			s.metrics.watchdogTrips.Inc()
 			s.sys.Cfg.Health.Reset()
 		}
+		// Totals and audit entry before the ticket's waiters wake: whoever
+		// sees a ticket done must find it counted and audited.
+		s.failed.Add(int64(len(tickets)))
+		s.metrics.failed.Add(int64(len(tickets)))
 		for i, t := range tickets {
+			audit := func() { s.audit(t) }
 			rErr := rejected[i]
 			if rErr == nil {
 				rErr = err
 				if verdict != "" {
-					t.failWatchdog(rErr, verdict)
-					s.audit(t)
+					t.failWatchdog(rErr, verdict, audit)
 					continue
 				}
 			}
-			t.fail(rErr)
-			s.audit(t)
+			t.fail(rErr, audit)
 		}
-		s.failed.Add(int64(len(tickets)))
-		s.metrics.failed.Add(int64(len(tickets)))
 		return
 	}
 
@@ -126,17 +127,17 @@ func (s *Server) runBatch(tickets []*Ticket) {
 	s.metrics.series.Append(s.metrics.sQueue, float64(seq), float64(s.q.Len()))
 
 	for i, t := range tickets {
+		audit := func() { s.audit(t) }
 		if rErr := rejected[i]; rErr != nil {
-			t.fail(rErr)
 			s.failed.Add(1)
 			s.metrics.failed.Inc()
+			t.fail(rErr, audit)
 		} else {
 			fset, rset := s.eval(t.Req)
-			t.finish(StatePublished, version, fset, rset, nil)
 			s.published.Add(1)
 			s.metrics.published.Inc()
+			t.finish(StatePublished, version, fset, rset, nil, audit)
 		}
-		s.audit(t)
 	}
 }
 

@@ -1,0 +1,104 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+)
+
+func TestArenaRecyclesStorageBySize(t *testing.T) {
+	var a Arena
+	x, y := Ones(2, 3), Ones(2, 3)
+
+	var h1, h2 Tensor
+	AddInto(a.Header(&h1), x, y)
+	ScaleInto(a.Header(&h2), x, 3)
+	if sharesData(&h1, &h2) {
+		t.Fatal("two live headers share one buffer")
+	}
+	first, second := &h1.data[0], &h2.data[0]
+	a.Reset()
+
+	// Same sizes after the reset: the step's buffers come back and no new
+	// storage is made.
+	var h3, h4, h5 Tensor
+	allocs := testing.AllocsPerRun(1, func() {
+		h3, h4 = Tensor{}, Tensor{}
+		MulInto(a.Header(&h3), x, y)
+		SubInto(a.Header(&h4), x, y)
+		a.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm arena step allocated %v objects", allocs)
+	}
+	got3, got4 := &h3.data[0], &h4.data[0]
+	if !(got3 == first && got4 == second) && !(got3 == second && got4 == first) {
+		t.Fatal("reset buffers were not reused")
+	}
+	// A different element count is a different size class.
+	ScaleInto(a.Header(&h5), Ones(4), 2)
+	if &h5.data[0] == first || &h5.data[0] == second || len(h5.data) != 4 {
+		t.Fatal("size classes are mixed up")
+	}
+}
+
+func TestArenaUntaggedHeaderStaysOnHeap(t *testing.T) {
+	var a Arena
+	var h Tensor
+	AddInto(&h, Ones(3), Ones(3))
+	if len(a.used) != 0 {
+		t.Fatal("an untagged header drew from the arena")
+	}
+}
+
+// Recycled buffers are handed out uncleared; with the poison hook on they
+// come back full of NaN, and every kernel must still produce the result it
+// produces into fresh storage.
+func TestKernelsDoNotRelyOnClearedDestination(t *testing.T) {
+	g := ConvGeom{Kernel: 3, Stride: 1, Pad: 1, InH: 4, InW: 4, Channel: 2}
+	x := New(2, 4, 4, 2)
+	for i := range x.data {
+		x.data[i] = float64(i%7) - 3
+	}
+	m := x.View(8, 8)
+	small := New(2, 1, 1, 2)
+	small.data = []float64{1, -2, 3, 0.5}
+
+	kernels := map[string]func(dst *Tensor) *Tensor{
+		"Add":         func(d *Tensor) *Tensor { return AddInto(d, x, x) },
+		"Apply":       func(d *Tensor) *Tensor { return ApplyInto(d, x, math.Abs) },
+		"ReLUMask":    func(d *Tensor) *Tensor { return ReLUMaskInto(d, x) },
+		"Full":        func(d *Tensor) *Tensor { return FullInto(d, 2, 3, 3) },
+		"MaxRows":     func(d *Tensor) *Tensor { return MaxRowsInto(d, m) },
+		"Transpose":   func(d *Tensor) *Tensor { return TransposeInto(d, m) },
+		"SumAxes":     func(d *Tensor) *Tensor { return SumAxesInto(d, x, 1, 2) },
+		"BroadcastTo": func(d *Tensor) *Tensor { return BroadcastToInto(d, small, 2, 4, 4, 2) },
+		"MulBcast":    func(d *Tensor) *Tensor { return MulBcastInto(d, x, small) },
+		"SubBcast":    func(d *Tensor) *Tensor { return SubBcastInto(d, x, small) },
+		"MulSum":      func(d *Tensor) *Tensor { return MulSumInto(d, x, x, 1, 2) },
+		"AddRow":      func(d *Tensor) *Tensor { return AddRowInto(d, m, Ones(8)) },
+		"MatMul":      func(d *Tensor) *Tensor { return MatMulInto(d, m, m) },
+		"MatMulNT":    func(d *Tensor) *Tensor { return MatMulNTInto(d, m, m) },
+		"MatMulTN":    func(d *Tensor) *Tensor { return MatMulTNInto(d, m, m) },
+		"Im2col":      func(d *Tensor) *Tensor { return Im2colInto(d, x, g) },
+		"Col2im":      func(d *Tensor) *Tensor { return Col2imInto(d, Im2col(x, g), 2, g) },
+	}
+	for name, k := range kernels {
+		var a Arena
+		a.PoisonOnReset(true)
+		want := k(nil)
+		k(a.Header(&Tensor{})) // warm the size class
+		a.Reset()              // ... and poison it
+		got := k(a.Header(&Tensor{}))
+		if len(a.used) != 1 || len(a.free[len(got.data)]) != 0 {
+			t.Fatalf("%s: the poisoned buffer was not the one reused", name)
+		}
+		if !got.SameShape(want) {
+			t.Fatalf("%s: shape %v, want %v", name, got.shape, want.shape)
+		}
+		for i, v := range want.data {
+			if got.data[i] != v {
+				t.Fatalf("%s: elem %d = %v into a poisoned buffer, %v into fresh storage", name, i, got.data[i], v)
+			}
+		}
+	}
+}

@@ -98,9 +98,10 @@ func BenchmarkConv2DForwardBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bound := model.Bind()
-		loss := nn.CrossEntropy(bound.Forward(ad.Const(x)), oneHot)
+		bound := model.BindStep()
+		loss := nn.CrossEntropy(bound.Forward(model.Arena().Const(x)), oneHot)
 		_ = ad.MustGrad(loss, bound.ParamVars())
+		model.Arena().Reset()
 	}
 }
 

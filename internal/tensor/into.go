@@ -33,8 +33,9 @@ func sharesData(a, b *Tensor) bool {
 
 // prepDst validates or allocates the destination for a result of the given
 // shape. A nil destination allocates a fresh tensor; a zero-valued header
-// (no storage yet — e.g. a node's inline tensor) gets fresh storage of the
-// result size; otherwise the destination must hold exactly the result's
+// (no storage yet — e.g. a node's inline tensor) gets storage of the
+// result size, uncleared from its arena when it is tagged with one
+// (Arena.Header) and fresh from the heap otherwise; otherwise the destination must hold exactly the result's
 // element count and adopts the result shape, so pooled buffers can be
 // reused across results of equal size but different shape.
 func prepDst(dst *Tensor, shape []int, op string) *Tensor {
@@ -44,7 +45,11 @@ func prepDst(dst *Tensor, shape []int, op string) *Tensor {
 	if dst.data == nil {
 		n := checkShape(shape)
 		dst.setShape(shape)
-		dst.data = make([]float64, n)
+		if dst.arena != nil {
+			dst.data = dst.arena.get(n)
+		} else {
+			dst.data = make([]float64, n)
+		}
 		return dst
 	}
 	if len(dst.data) != prod(shape) {
@@ -134,6 +139,30 @@ func ApplyInto(dst, a *Tensor, f func(float64) float64) *Tensor {
 	return dst
 }
 
+// ReLUMaskInto computes dst[i] = 1 where a[i] > 0 and 0 elsewhere — the
+// derivative of the rectifier. dst may alias a.
+func ReLUMaskInto(dst, a *Tensor) *Tensor {
+	dst = prepDst(dst, a.shape, "ReLUMaskInto")
+	for i, v := range a.data {
+		if v > 0 {
+			dst.data[i] = 1
+		} else {
+			dst.data[i] = 0
+		}
+	}
+	return dst
+}
+
+// FullInto sets dst to a tensor of the given shape with every element v.
+// It reads no tensor, so there is nothing for dst to alias.
+func FullInto(dst *Tensor, v float64, shape ...int) *Tensor {
+	dst = prepDst(dst, shape, "FullInto")
+	for i := range dst.data {
+		dst.data[i] = v
+	}
+	return dst
+}
+
 // AddConstInto computes dst = a + c elementwise. dst may alias a.
 func AddConstInto(dst, a *Tensor, c float64) *Tensor {
 	dst = prepDst(dst, a.shape, "AddConstInto")
@@ -170,6 +199,28 @@ func AddRowInto(dst, a, row *Tensor) *Tensor {
 		for c, v := range ar {
 			dr[c] = v + rd[c]
 		}
+	}
+	return dst
+}
+
+// MaxRowsInto treats a as [R, C] and writes each row's maximum into dst,
+// shape [R, 1]. dst must not alias a.
+func MaxRowsInto(dst, a *Tensor) *Tensor {
+	if len(a.shape) != 2 {
+		panic(fmt.Sprintf("tensor: MaxRowsInto requires a matrix, got %v", a.shape))
+	}
+	rows, cols := a.shape[0], a.shape[1]
+	dst = prepDst(dst, []int{rows, 1}, "MaxRowsInto")
+	mustNoAlias(dst, "MaxRowsInto", a)
+	for r := 0; r < rows; r++ {
+		row := a.data[r*cols : (r+1)*cols]
+		m := row[0]
+		for _, v := range row[1:] {
+			if v > m {
+				m = v
+			}
+		}
+		dst.data[r] = m
 	}
 	return dst
 }

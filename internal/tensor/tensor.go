@@ -21,8 +21,11 @@ const maxInlineRank = 4
 // Tensor is a dense row-major float64 array with an explicit shape.
 // The zero value is an empty tensor; use New or the constructors below.
 type Tensor struct {
-	shape    []int
-	data     []float64
+	shape []int
+	data  []float64
+	// arena, set by Arena.Header on a header with no storage yet, is where
+	// prepDst takes that storage from; nil means the heap.
+	arena    *Arena
 	shapeArr [maxInlineRank]int
 }
 
@@ -61,13 +64,7 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 }
 
 // Full returns a tensor with every element set to v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
-	return t
-}
+func Full(v float64, shape ...int) *Tensor { return FullInto(nil, v, shape...) }
 
 // Ones returns a tensor of ones.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
@@ -328,14 +325,7 @@ func (t *Tensor) ReLU() *Tensor {
 }
 
 // ReLUMask returns a tensor of 1s where t > 0 and 0s elsewhere.
-func (t *Tensor) ReLUMask() *Tensor {
-	return t.Apply(func(v float64) float64 {
-		if v > 0 {
-			return 1
-		}
-		return 0
-	})
-}
+func (t *Tensor) ReLUMask() *Tensor { return ReLUMaskInto(nil, t) }
 
 // --- reductions and broadcasting ---
 
