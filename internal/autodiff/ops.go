@@ -119,20 +119,15 @@ func ReLU(a *Value) *Value {
 	v := newNode1("relu", nil, a, func(n, g *Value) *Value {
 		return Mul(g, n.inputsArr[1])
 	})
-	v.Data = tensor.ApplyInto(v.scratch(), a.Data, relu)
+	var mask *tensor.Tensor // stays nil, and the mask uncomputed, when nothing will differentiate v
 	if v.vjp1 != nil {
-		mask := v.arena.constNode()
-		mask.Data = tensor.ReLUMaskInto(mask.scratch(), a.Data)
-		v.inputsArr[1] = mask
+		m := v.arena.constNode()
+		mask = m.scratch()
+		m.Data = mask
+		v.inputsArr[1] = m
 	}
+	v.Data = tensor.ReLUInto(v.scratch(), mask, a.Data)
 	return v
-}
-
-func relu(v float64) float64 {
-	if v > 0 {
-		return v
-	}
-	return 0
 }
 
 // RowMax returns the row-wise maximum of a matrix [R, C] as a constant of

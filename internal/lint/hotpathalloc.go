@@ -41,8 +41,8 @@ var allocTensorMethods = map[string]string{
 	"Pow":         "use PowInto with a pooled or hoisted destination",
 	"Exp":         "use ApplyInto with a pooled or hoisted destination",
 	"Log":         "use ApplyInto with a pooled or hoisted destination",
-	"ReLU":        "use ApplyInto with a pooled or hoisted destination",
-	"ReLUMask":    "use ApplyInto with a pooled or hoisted destination",
+	"ReLU":        "use ReLUInto with a pooled or hoisted destination",
+	"ReLUMask":    "use ReLUInto with a pooled or hoisted destination and mask",
 	"MatMul":      "use MatMulInto with a pooled or hoisted destination",
 	"Transpose":   "use TransposeInto, or the NT/TN matmul forms",
 	"SumAxes":     "use SumAxesInto with a pooled or hoisted destination",

@@ -1048,6 +1048,11 @@ func (c *shapeCtx) evalTensorCall(pkg *Package, e *env, call *ast.CallExpr, fn *
 		a := arg(1)
 		c.prepDst(pos, fn.Name(), arg(0), a.shape)
 		return tensorV(a.shape)
+	case "ReLUInto":
+		a := arg(2)
+		c.prepDst(pos, "ReLUInto", arg(0), a.shape)
+		c.prepDst(pos, "ReLUInto mask", arg(1), a.shape)
+		return tensorV(a.shape)
 	case "AddRowInto":
 		a, row := arg(1), arg(2)
 		ar := c.requireRank(pos, a.shape, 2, "AddRowInto requires a matrix, got")

@@ -27,6 +27,10 @@ func AddInto(dst, a, b *Tensor) *Tensor { _, _ = a, b; return dst }
 // MatMulInto writes the matrix product a·b into dst.
 func MatMulInto(dst, a, b *Tensor) *Tensor { _, _ = a, b; return dst }
 
+// ReLUInto writes max(a, 0) into dst and, when mask is non-nil, its
+// derivative into mask.
+func ReLUInto(dst, mask, a *Tensor) *Tensor { _, _ = mask, a; return dst }
+
 // AddBcastInto writes a+broadcast(b) into dst.
 func AddBcastInto(dst, a, b *Tensor) *Tensor { _, _ = a, b; return dst }
 

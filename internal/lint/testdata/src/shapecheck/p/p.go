@@ -23,6 +23,13 @@ func addDst() {
 	tensor.AddInto(dst, a, a) // want `AddInto destination \[2 2\] cannot hold result \[2 3\]`
 }
 
+func reluDsts() {
+	a := tensor.New(2, 3)
+	tensor.ReLUInto(tensor.New(6), nil, a)              // ok: equal element count, no mask wanted
+	tensor.ReLUInto(tensor.New(2, 2), nil, a)           // want `ReLUInto destination \[2 2\] cannot hold result \[2 3\]`
+	tensor.ReLUInto(tensor.New(2, 3), tensor.New(3), a) // want `ReLUInto mask destination \[3\] cannot hold result \[2 3\]`
+}
+
 func addMismatch() {
 	a := tensor.New(2, 3)
 	b := tensor.New(3, 2)

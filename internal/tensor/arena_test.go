@@ -63,10 +63,20 @@ func TestKernelsDoNotRelyOnClearedDestination(t *testing.T) {
 	small := New(2, 1, 1, 2)
 	small.data = []float64{1, -2, 3, 0.5}
 
+	// ReLUInto's second destination, which a nil does not allocate.
+	reluMask := func(mask *Tensor) *Tensor {
+		if mask == nil {
+			mask = NewLike(x)
+		}
+		ReLUInto(nil, mask, x)
+		return mask
+	}
+
 	kernels := map[string]func(dst *Tensor) *Tensor{
 		"Add":         func(d *Tensor) *Tensor { return AddInto(d, x, x) },
 		"Apply":       func(d *Tensor) *Tensor { return ApplyInto(d, x, math.Abs) },
-		"ReLUMask":    func(d *Tensor) *Tensor { return ReLUMaskInto(d, x) },
+		"ReLU":        func(d *Tensor) *Tensor { return ReLUInto(d, nil, x) },
+		"ReLUMask":    reluMask,
 		"Full":        func(d *Tensor) *Tensor { return FullInto(d, 2, 3, 3) },
 		"MaxRows":     func(d *Tensor) *Tensor { return MaxRowsInto(d, m) },
 		"Transpose":   func(d *Tensor) *Tensor { return TransposeInto(d, m) },

@@ -57,6 +57,55 @@ func BenchmarkMatMulParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulSubstrate times the three products at the shapes a
+// batch-16 step of the benchmark substrate's ConvNet (8×8×1 input, width 8,
+// depth 2, 10 classes) runs: conv block 0, conv block 1 and the classifier,
+// each as its forward product (NN) and the two its backward adds (NT for
+// the input gradient, TN for the weight gradient).
+func BenchmarkMatMulSubstrate(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	type product struct{ a, w, c, dA, dW *tensor.Tensor }
+	var ps []product
+	for _, s := range [][3]int{{1024, 9, 8}, {256, 72, 8}, {16, 32, 10}} {
+		m, k, n := s[0], s[1], s[2]
+		ps = append(ps, product{
+			a: tensor.Randn(rng, 1, m, k), w: tensor.Randn(rng, 1, k, n), c: tensor.Randn(rng, 1, m, n),
+			dA: tensor.New(m, k), dW: tensor.New(k, n),
+		})
+	}
+	kernels := []struct {
+		name string
+		run  func(p product)
+	}{
+		{"NN", func(p product) { tensor.MatMulInto(p.c, p.a, p.w) }},
+		{"NT", func(p product) { tensor.MatMulNTInto(p.dA, p.c, p.w) }},
+		{"TN", func(p product) { tensor.MatMulTNInto(p.dW, p.a, p.c) }},
+	}
+	for _, kn := range kernels {
+		b.Run(kn.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range ps {
+					kn.run(p)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReLU times the rectifier with its derivative mask on block 0's
+// activation of a batch-16 substrate step, the largest one a step rectifies.
+func BenchmarkReLU(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := tensor.Randn(rng, 1, 16, 8, 8, 8)
+	dst, mask := tensor.NewLike(x), tensor.NewLike(x)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.ReLUInto(dst, mask, x)
+	}
+}
+
 func benchGeom() tensor.ConvGeom {
 	return tensor.ConvGeom{Kernel: 3, Stride: 1, Pad: 1, InH: 16, InW: 16, Channel: 8}
 }

@@ -13,9 +13,9 @@ import (
 // Aliasing rules:
 //
 //   - Elementwise kernels (AddInto, SubInto, MulInto, ScaleInto, ApplyInto,
-//     AddScaledInto, AddRowInto) compute dst[i] from position i of their
-//     inputs only, so dst may alias either input exactly (same backing
-//     array).
+//     ReLUInto, AddScaledInto, AddRowInto) compute dst[i] from position i
+//     of their inputs only, so dst may alias either input exactly (same
+//     backing array).
 //   - Gather/scatter and contraction kernels (MatMulInto, MatMulNTInto,
 //     MatMulTNInto, TransposeInto, SumAxesInto, BroadcastToInto,
 //     Im2colInto, Col2imInto) read inputs after writing dst; dst must not
@@ -139,18 +139,48 @@ func ApplyInto(dst, a *Tensor, f func(float64) float64) *Tensor {
 	return dst
 }
 
-// ReLUMaskInto computes dst[i] = 1 where a[i] > 0 and 0 elsewhere — the
-// derivative of the rectifier. dst may alias a.
-func ReLUMaskInto(dst, a *Tensor) *Tensor {
-	dst = prepDst(dst, a.shape, "ReLUMaskInto")
-	for i, v := range a.data {
-		if v > 0 {
-			dst.data[i] = 1
-		} else {
-			dst.data[i] = 0
+// ReLUInto computes the rectifier and, when mask is non-nil, its derivative
+// in one pass: dst[i] = a[i] where a[i] > 0 and +0 elsewhere, mask[i] = 1
+// where a[i] > 0 and 0 elsewhere. A nil mask skips the derivative (a forward
+// pass nothing will differentiate); a non-nil mask is prepared like dst.
+// dst and mask may each alias a; dst must not alias mask.
+func ReLUInto(dst, mask, a *Tensor) *Tensor {
+	dst = prepDst(dst, a.shape, "ReLUInto")
+	dd := dst.data[:len(a.data)]
+	if mask == nil {
+		for i, v := range a.data {
+			bits := math.Float64bits(v)
+			dd[i] = math.Float64frombits(bits & positive(bits))
 		}
+		return dst
+	}
+	mask = prepDst(mask, a.shape, "ReLUInto")
+	if sharesData(dst, mask) {
+		panic("tensor: ReLUInto destination must not alias the mask")
+	}
+	md := mask.data[:len(a.data)]
+	const one = 0x3FF0000000000000 // math.Float64bits(1)
+	for i, v := range a.data {
+		bits := math.Float64bits(v)
+		keep := positive(bits)
+		dd[i] = math.Float64frombits(bits & keep)
+		md[i] = math.Float64frombits(one & keep)
 	}
 	return dst
+}
+
+// positive returns all ones when the float64 with the given bit pattern is
+// > 0 and zero otherwise. Testing the pattern instead of the float lets the
+// compiler select the result without a data-dependent branch
+// (pre-activation signs are close to a coin flip): the patterns of the
+// positive values are exactly 1 … +Inf, so bits-1 < bits(+Inf) unsigned —
+// zero wraps around, negatives and NaNs lie above.
+func positive(bits uint64) uint64 {
+	const posInf = 0x7FF0000000000000
+	if bits-1 < posInf {
+		return ^uint64(0)
+	}
+	return 0
 }
 
 // FullInto sets dst to a tensor of the given shape with every element v.
@@ -525,7 +555,7 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := matMulDims(a, b, false, false)
 	dst = prepDst(dst, []int{m, n}, "MatMulInto")
 	mustNoAlias(dst, "MatMulInto", a, b)
-	shardRows(m, m*n*k, func(lo, hi int) { matMulRows(dst, a, b, lo, hi) })
+	shardRows(m, m*n*k, func(lo, hi int) { matMulRows(dst, a, b, false, lo, hi) })
 	return dst
 }
 
@@ -545,7 +575,7 @@ func MatMulTNInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := matMulDims(a, b, true, false)
 	dst = prepDst(dst, []int{m, n}, "MatMulTNInto")
 	mustNoAlias(dst, "MatMulTNInto", a, b)
-	shardRows(m, m*n*k, func(lo, hi int) { matMulTNRows(dst, a, b, lo, hi) })
+	shardRows(m, m*n*k, func(lo, hi int) { matMulRows(dst, a, b, true, lo, hi) })
 	return dst
 }
 
@@ -569,63 +599,91 @@ func matMulDims(a, b *Tensor, ta, tb bool) (m, k, n int) {
 	return m, k, nb
 }
 
-// matMulRows computes output rows [lo, hi) of dst = a·b sequentially.
-func matMulRows(dst, a, b *Tensor, lo, hi int) {
-	k, n := a.shape[1], b.shape[1]
-	for i := lo; i < hi; i++ {
-		ai := a.data[i*k : (i+1)*k]
-		di := dst.data[i*n : (i+1)*n]
-		for j := range di {
-			di[j] = 0
-		}
-		// ikj loop order keeps the inner loop contiguous in both b and dst.
-		for kk := 0; kk < k; kk++ {
-			v := ai[kk]
-			if v == 0 {
-				continue
-			}
-			bj := b.data[kk*n : (kk+1)*n]
-			for j, bv := range bj {
-				di[j] += v * bv
-			}
-		}
-	}
-}
+// The row kernels below share one contract: every dst[i][j] starts from +0
+// and accumulates its products over the contraction index in ascending
+// order, and matMulRows skips a contraction step whose a-side factor is
+// zero. That is exactly what the textbook loops do (kept as the oracles of
+// TestMatMulKernelsMatchNaiveLoops), so the results are bit-identical to
+// them — the kernels differ only in holding a tile of output columns in
+// registers across the whole contraction, where the naive loops
+// read-modify-write dst once per product.
 
-// matMulNTRows computes output rows [lo, hi) of dst = a·bᵀ sequentially.
-func matMulNTRows(dst, a, b *Tensor, lo, hi int) {
-	k, n := a.shape[1], b.shape[0]
+// matMulRows computes output rows [lo, hi) of dst = a·b (ta false, a is
+// [M,K]) or of dst = aᵀ·b (ta true, a is [K,M]) sequentially, eight output
+// columns at a time. The two products differ only in how a is walked.
+func matMulRows(dst, a, b *Tensor, ta bool, lo, hi int) {
+	k, rowStep, kStep := a.shape[1], a.shape[1], 1
+	if ta {
+		k, rowStep, kStep = a.shape[0], 1, a.shape[1]
+	}
+	n := b.shape[1]
+	ad, bd := a.data, b.data
 	for i := lo; i < hi; i++ {
-		ai := a.data[i*k : (i+1)*k]
 		di := dst.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b.data[j*k : (j+1)*k]
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			for kk, p := 0, i*rowStep; kk < k; kk, p = kk+1, p+kStep {
+				v := ad[p]
+				if v == 0 {
+					continue
+				}
+				bj := bd[kk*n+j : kk*n+j+8 : kk*n+j+8]
+				s0 += v * bj[0]
+				s1 += v * bj[1]
+				s2 += v * bj[2]
+				s3 += v * bj[3]
+				s4 += v * bj[4]
+				s5 += v * bj[5]
+				s6 += v * bj[6]
+				s7 += v * bj[7]
+			}
+			dj := di[j : j+8 : j+8]
+			dj[0], dj[1], dj[2], dj[3] = s0, s1, s2, s3
+			dj[4], dj[5], dj[6], dj[7] = s4, s5, s6, s7
+		}
+		for ; j < n; j++ {
 			s := 0.0
-			for kk, v := range ai {
-				s += v * bj[kk]
+			for kk, p := 0, i*rowStep; kk < k; kk, p = kk+1, p+kStep {
+				if v := ad[p]; v != 0 {
+					s += v * bd[kk*n+j]
+				}
 			}
 			di[j] = s
 		}
 	}
 }
 
-// matMulTNRows computes output rows [lo, hi) of dst = aᵀ·b sequentially.
-func matMulTNRows(dst, a, b *Tensor, lo, hi int) {
-	rows, m, n := a.shape[0], a.shape[1], b.shape[1]
+// matMulNTRows computes output rows [lo, hi) of dst = a·bᵀ sequentially:
+// four dot products against consecutive rows of b run side by side.
+func matMulNTRows(dst, a, b *Tensor, lo, hi int) {
+	k, n := a.shape[1], b.shape[0]
+	bd := b.data
 	for i := lo; i < hi; i++ {
+		ai := a.data[i*k : (i+1)*k]
 		di := dst.data[i*n : (i+1)*n]
-		for j := range di {
-			di[j] = 0
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := bd[j*k : (j+1)*k : (j+1)*k]
+			b1 := bd[(j+1)*k : (j+2)*k : (j+2)*k]
+			b2 := bd[(j+2)*k : (j+3)*k : (j+3)*k]
+			b3 := bd[(j+3)*k : (j+4)*k : (j+4)*k]
+			var s0, s1, s2, s3 float64
+			for kk, v := range ai {
+				s0 += v * b0[kk]
+				s1 += v * b1[kk]
+				s2 += v * b2[kk]
+				s3 += v * b3[kk]
+			}
+			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
 		}
-		for r := 0; r < rows; r++ {
-			v := a.data[r*m+i]
-			if v == 0 {
-				continue
+		for ; j < n; j++ {
+			bj := bd[j*k : (j+1)*k]
+			s := 0.0
+			for kk, v := range ai {
+				s += v * bj[kk]
 			}
-			br := b.data[r*n : (r+1)*n]
-			for j, bv := range br {
-				di[j] += v * bv
-			}
+			di[j] = s
 		}
 	}
 }

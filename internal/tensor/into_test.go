@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -148,6 +149,12 @@ func TestIntoKernels(t *testing.T) {
 			name:    "ApplyInto",
 			inputs:  []*Tensor{a},
 			run:     func(d *Tensor, in []*Tensor) *Tensor { return ApplyInto(d, in[0], math.Exp) },
+			aliasOK: []int{0},
+		},
+		{
+			name:    "ReLUInto",
+			inputs:  []*Tensor{a},
+			run:     func(d *Tensor, in []*Tensor) *Tensor { return ReLUInto(d, nil, in[0]) },
 			aliasOK: []int{0},
 		},
 		{
@@ -317,32 +324,202 @@ func TestBcastSpansFallback(t *testing.T) {
 		full.SumAxes(1, 3))
 }
 
-// TestParallelMatMulDeterminism is the determinism guard required by the
-// compute-backbone design: the row-sharded parallel MatMul must be bitwise
-// identical to the sequential kernel, because each output row is produced
-// by exactly one goroutine running the same code path. The matrices are
-// large enough (64·96·80 scalar ops) to clear the parallelism threshold.
-func TestParallelMatMulDeterminism(t *testing.T) {
-	if parallelWork > 64*96*80 {
-		t.Fatalf("test matrices no longer clear parallelWork=%d", parallelWork)
+// TestReLUIntoMatchesComparison pins ReLUInto's bit-pattern test to the
+// float comparison it stands for, a[i] > 0, on every class of value: the
+// rectified output and the mask must equal the branchy definition bit for
+// bit (so −0, NaN and −x all give +0, never −0). It also covers the mask
+// aliasing the input and the one forbidden sharing, dst with mask.
+func TestReLUIntoMatchesComparison(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{0, negZero, 1, -1, 0.5, -2.5, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Copysign(math.NaN(), -1),
+		math.Float64frombits(0x7FF0000000000001), // signalling NaN, just above +Inf
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	a := FromSlice(vals, len(vals))
+	want, wantMask := New(len(vals)), New(len(vals))
+	for i, v := range vals {
+		if v > 0 {
+			want.data[i], wantMask.data[i] = v, 1
+		}
 	}
+
+	sameBits(t, "ReLUInto without a mask", ReLUInto(nil, nil, a), want)
+	mask := FullInto(nil, math.NaN(), len(vals))
+	sameBits(t, "ReLUInto", ReLUInto(FullInto(nil, math.NaN(), len(vals)), mask, a), want)
+	sameBits(t, "ReLUInto mask", mask, wantMask)
+	sameBits(t, "ReLU", a.ReLU(), want)
+	sameBits(t, "ReLUMask", a.ReLUMask(), wantMask)
+
+	in := a.Clone()
+	sameBits(t, "ReLUInto, mask aliasing a", ReLUInto(nil, in, in), want)
+	sameBits(t, "mask aliasing a", in, wantMask)
+
+	var hdr Tensor
+	ReLUInto(nil, &hdr, a)
+	sameBits(t, "zero-header mask", &hdr, wantMask)
+
+	shared := New(len(vals))
+	mustPanic(t, "dst aliasing mask", func() { ReLUInto(shared, shared, a) })
+	mustPanic(t, "wrong-size mask", func() { ReLUInto(nil, New(len(vals)+1), a) })
+}
+
+// The three textbook loops the row kernels replaced, kept as the oracle
+// that pins the summation order: every dst[i][j] starts from +0 and adds
+// its products in ascending contraction order, and the NN and TN forms skip
+// a step whose a-side factor is zero.
+
+func naiveMatMul(dst, a, b *Tensor) {
+	m, k, n := a.shape[0], a.shape[1], b.shape[1]
+	for i := 0; i < m; i++ {
+		di := dst.data[i*n : (i+1)*n]
+		for j := range di {
+			di[j] = 0
+		}
+		for kk := 0; kk < k; kk++ {
+			v := a.data[i*k+kk]
+			if v == 0 {
+				continue
+			}
+			for j, bv := range b.data[kk*n : (kk+1)*n] {
+				di[j] += v * bv
+			}
+		}
+	}
+}
+
+func naiveMatMulNT(dst, a, b *Tensor) {
+	m, k, n := a.shape[0], a.shape[1], b.shape[0]
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for kk := 0; kk < k; kk++ {
+				s += a.data[i*k+kk] * b.data[j*k+kk]
+			}
+			dst.data[i*n+j] = s
+		}
+	}
+}
+
+func naiveMatMulTN(dst, a, b *Tensor) {
+	rows, m, n := a.shape[0], a.shape[1], b.shape[1]
+	for i := 0; i < m; i++ {
+		di := dst.data[i*n : (i+1)*n]
+		for j := range di {
+			di[j] = 0
+		}
+		for r := 0; r < rows; r++ {
+			v := a.data[r*m+i]
+			if v == 0 {
+				continue
+			}
+			for j, bv := range b.data[r*n : (r+1)*n] {
+				di[j] += v * bv
+			}
+		}
+	}
+}
+
+// sameBits compares two results bit for bit, so −0 ≠ +0 and a value one ulp
+// off fails. Two NaNs count as equal whatever their payload: which operand's
+// payload a NaN·NaN or NaN+NaN keeps depends on the operand order the
+// compiler picks for a commutative instruction, not on the summation order.
+func sameBits(t *testing.T, name string, got, want *Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v, want %v", name, got.shape, want.shape)
+	}
+	for i, w := range want.data {
+		g := got.data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)",
+				name, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// TestMatMulKernelsMatchNaiveLoops pins the register-tiled row kernels to
+// the naive loops bit for bit. n sweeps across the 8-wide, 4-wide and scalar
+// tails; the salted variant zeroes one contraction index of a (alternating
+// +0 and −0) and fills the slice of b it multiplies with NaN and ±Inf, so an
+// NN or TN kernel that stopped skipping zeros turns every output to NaN.
+// Each kernel runs inline through its Into form and sharded through
+// shardRows, into a NaN-filled destination.
+func TestMatMulKernelsMatchNaiveLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	poison := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	negZero := math.Copysign(0, -1)
+	zeros := [2]float64{0, negZero}
+	nanFilled := func(shape ...int) *Tensor { return FullInto(nil, math.NaN(), shape...) }
+
+	for n := 1; n <= 17; n++ {
+		for _, m := range []int{1, 3, 5} {
+			for _, k := range []int{1, 2, 9} {
+				for _, salted := range []bool{false, true} {
+					// a·b, aᵀ·b and a·bᵀ all contract over k: a is [m,k], its
+					// transpose at is [k,m], b is [k,n] and bt is [n,k].
+					a, b := randT(rng, m, k), randT(rng, k, n)
+					b.data[rng.Intn(k*n)] = negZero
+					a.data[rng.Intn(m*k)] = 0
+					if salted {
+						kk := k - 1
+						for i := 0; i < m; i++ {
+							a.data[i*k+kk] = zeros[i%2]
+						}
+						for j := 0; j < n; j++ {
+							b.data[kk*n+j] = poison[j%len(poison)]
+						}
+					}
+					at, bt := a.Transpose(), b.Transpose()
+					name := fmt.Sprintf("m=%d k=%d n=%d salted=%v", m, k, n, salted)
+
+					want := New(m, n)
+					naiveMatMul(want, a, b)
+					if salted && math.IsNaN(want.Sum()) {
+						t.Fatalf("%s: the oracle itself does not skip zeros", name)
+					}
+					sameBits(t, name+" MatMulInto", MatMulInto(nanFilled(m, n), a, b), want)
+					got := nanFilled(m, n)
+					shardRows(m, parallelWork, func(lo, hi int) { matMulRows(got, a, b, false, lo, hi) })
+					sameBits(t, name+" sharded NN", got, want)
+
+					naiveMatMulTN(want, at, b)
+					sameBits(t, name+" MatMulTNInto", MatMulTNInto(nanFilled(m, n), at, b), want)
+					got = nanFilled(m, n)
+					shardRows(m, parallelWork, func(lo, hi int) { matMulRows(got, at, b, true, lo, hi) })
+					sameBits(t, name+" sharded TN", got, want)
+
+					naiveMatMulNT(want, a, bt)
+					sameBits(t, name+" MatMulNTInto", MatMulNTInto(nanFilled(m, n), a, bt), want)
+					got = nanFilled(m, n)
+					shardRows(m, parallelWork, func(lo, hi int) { matMulNTRows(got, a, bt, lo, hi) })
+					sameBits(t, name+" sharded NT", got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelMatMulDeterminism is the determinism guard required by the
+// compute-backbone design: a product large enough for its Into form to shard
+// its rows across goroutines is bitwise identical to the sequential naive
+// loop, because each output row is produced by exactly one goroutine. The
+// row count is derived from parallelWork, so the products clear the
+// threshold wherever the constant is set (the sharded branch needs
+// GOMAXPROCS ≥ 2; scripts/check.sh runs the suite at 1 as well).
+func TestParallelMatMulDeterminism(t *testing.T) {
+	const k, n = 24, 17
+	m := parallelWork/(k*n) + 3
 	rng := rand.New(rand.NewSource(11))
-	a := randT(rng, 64, 96)
-	b := randT(rng, 96, 80)
+	a, b := randT(rng, m, k), randT(rng, k, n)
+	at, bt := a.Transpose(), b.Transpose()
 
-	seq := New(64, 80)
-	matMulRows(seq, a, b, 0, 64) // whole-range sequential kernel
-	equalTensors(t, "parallel vs sequential MatMul", MatMulInto(nil, a, b), seq)
-
-	seqNT := New(64, 64)
-	bt := randT(rng, 64, 96)
-	matMulNTRows(seqNT, a, bt, 0, 64)
-	equalTensors(t, "parallel vs sequential MatMulNT", MatMulNTInto(nil, a, bt), seqNT)
-
-	seqTN := New(96, 96)
-	at := randT(rng, 64, 96)
-	matMulTNRows(seqTN, at, a, 0, 96)
-	equalTensors(t, "parallel vs sequential MatMulTN", MatMulTNInto(nil, at, a), seqTN)
+	want := New(m, n)
+	naiveMatMul(want, a, b)
+	sameBits(t, "MatMulInto", MatMulInto(nil, a, b), want)
+	naiveMatMulNT(want, a, bt)
+	sameBits(t, "MatMulNTInto", MatMulNTInto(nil, a, bt), want)
+	naiveMatMulTN(want, at, b)
+	sameBits(t, "MatMulTNInto", MatMulTNInto(nil, at, b), want)
 }
 
 // TestParallelIm2colDeterminism pins the sharded im2col/col2im pair to the

@@ -315,17 +315,14 @@ func (t *Tensor) Exp() *Tensor { return t.Apply(math.Exp) }
 func (t *Tensor) Log() *Tensor { return t.Apply(math.Log) }
 
 // ReLU returns elementwise max(t, 0).
-func (t *Tensor) ReLU() *Tensor {
-	return t.Apply(func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	})
-}
+func (t *Tensor) ReLU() *Tensor { return ReLUInto(nil, nil, t) }
 
 // ReLUMask returns a tensor of 1s where t > 0 and 0s elsewhere.
-func (t *Tensor) ReLUMask() *Tensor { return ReLUMaskInto(nil, t) }
+func (t *Tensor) ReLUMask() *Tensor {
+	mask := NewLike(t)
+	ReLUInto(nil, mask, t)
+	return mask
+}
 
 // --- reductions and broadcasting ---
 

@@ -33,4 +33,10 @@ go test -race $(go list ./... | grep -v 'internal/core$')
 echo "==> go test -race -short ./internal/core (e2e train cycles skipped)"
 go test -race -short ./internal/core
 
+# The matmul and im2col kernels shard their rows only when GOMAXPROCS >= 2
+# and the product clears tensor.parallelWork, so on a multi-core runner the
+# runs above gate the sharded branch and this one the inline branch.
+echo "==> GOMAXPROCS=1 go test (tensor, autodiff, nn)"
+GOMAXPROCS=1 go test -count=1 ./internal/tensor ./internal/autodiff ./internal/nn
+
 echo "check.sh: all clean"
