@@ -23,20 +23,19 @@ check:
 lint:
 	$(GO) run ./cmd/quickdroplint ./...
 
-# Headline benchmarks (gradient-matching step, FedAvg round, sampled
-# million-client round, unlearn+recover), written to BENCH_<stamp>.json.
-# BENCHTIME=10x for
-# more iterations; the full tensor-kernel suite stays available via
-# `go test -bench . ./internal/tensor/`.
+# The repository benchmark (BENCHMARK.json, bench/README.md): every
+# workload's end-to-end metrics, untraced, ~30 s each. The per-layer
+# Benchmark* functions stay available via `go test -bench . ./internal/...`.
 bench:
-	sh scripts/bench.sh
+	for w in train_distill unlearn_class retrain_baseline serve_mixed; do \
+		bash bench/run.sh --workload $$w --seed 7 --seconds 20 --trace 0 || exit 1; \
+	done
 
-# Regression gate: runs the headline benchmarks, then diffs the fresh
-# BENCH_*.json against the committed baseline and fails when any gated
-# metric regresses past its per-benchmark threshold (bench_compare.sh).
+# The benchmark's acceptance check: two interleaved sets of ten runs per
+# workload on this build must agree within BENCHMARK.json's bounds, with
+# quality metrics bit-identical per seed (~35 min).
 bench-check:
-	sh scripts/bench.sh
-	sh scripts/bench_compare.sh
+	bash bench/run.sh -agree 10
 
 fmt:
 	gofmt -w .

@@ -16,6 +16,9 @@
 //
 //	fedsim -lazy -clients 1000000 -sample-k 64 -per-client 64 -rounds 5
 //
+// Clients train one after another by default; -workers N trains them on
+// a pool of N workers (0 = GOMAXPROCS) with bit-identical results.
+//
 // With -telemetry-addr, fedsim serves Prometheus metrics on
 // /metrics, the live flight-recorder dashboard on /dashboard, series
 // JSON on /api/series, expvar on /debug/vars and pprof on /debug/pprof
@@ -47,26 +50,25 @@ import (
 
 func main() {
 	var (
-		dataset    = flag.String("dataset", "mnistlike", "dataset: mnistlike|cifarlike|svhnlike")
-		clients    = flag.Int("clients", 10, "number of FL clients")
-		alpha      = flag.Float64("alpha", 0.1, "Dirichlet concentration (0 = IID)")
-		rounds     = flag.Int("rounds", 20, "global FL rounds")
-		steps      = flag.Int("steps", 5, "local steps per round (T)")
-		batch      = flag.Int("batch", 16, "minibatch size")
-		lr         = flag.Float64("lr", 0.1, "learning rate")
-		partic     = flag.Float64("participation", 1, "client participation fraction per round")
-		sampleK    = flag.Int("sample-k", 0, "sample K clients per round from the registry (0 = use -participation)")
-		workers    = flag.Int("workers", 0, "bounded worker pool size for -concurrent (0 = GOMAXPROCS)")
-		lazy       = flag.Bool("lazy", false, "derive client shards on demand instead of materializing the partition")
-		perClient  = flag.Int("per-client", 64, "samples per client in -lazy mode")
-		scaleName  = flag.String("scale", "quick", "substrate scale preset")
-		seed       = flag.Int64("seed", 1, "random seed")
-		every      = flag.Int("eval-every", 5, "evaluate every N rounds")
-		concurrent = flag.Bool("concurrent", false, "use the bounded-pool concurrent runtime")
-		memStats   = flag.Bool("memstats", false, "print heap statistics after training (for scale smoke tests)")
-		telAddr    = flag.String("telemetry-addr", "", "serve /metrics, /dashboard, /api/series, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
-		telLinger  = flag.Duration("telemetry-linger", 0, "keep the telemetry endpoint up this long after training")
-		ledgerDir  = flag.String("ledger", "", "write a run manifest into this directory (e.g. runs/)")
+		dataset   = flag.String("dataset", "mnistlike", "dataset: mnistlike|cifarlike|svhnlike")
+		clients   = flag.Int("clients", 10, "number of FL clients")
+		alpha     = flag.Float64("alpha", 0.1, "Dirichlet concentration (0 = IID)")
+		rounds    = flag.Int("rounds", 20, "global FL rounds")
+		steps     = flag.Int("steps", 5, "local steps per round (T)")
+		batch     = flag.Int("batch", 16, "minibatch size")
+		lr        = flag.Float64("lr", 0.1, "learning rate")
+		partic    = flag.Float64("participation", 1, "client participation fraction per round")
+		sampleK   = flag.Int("sample-k", 0, "sample K clients per round from the registry (0 = use -participation)")
+		workers   = flag.Int("workers", 1, "clients trained in parallel: 1 trains them in turn, any other value runs a worker pool of that size (0 = GOMAXPROCS)")
+		lazy      = flag.Bool("lazy", false, "derive client shards on demand instead of materializing the partition")
+		perClient = flag.Int("per-client", 64, "samples per client in -lazy mode")
+		scaleName = flag.String("scale", "quick", "substrate scale preset")
+		seed      = flag.Int64("seed", 1, "random seed")
+		every     = flag.Int("eval-every", 5, "evaluate every N rounds")
+		memStats  = flag.Bool("memstats", false, "print heap statistics after training (for scale smoke tests)")
+		telAddr   = flag.String("telemetry-addr", "", "serve /metrics, /dashboard, /api/series, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
+		telLinger = flag.Duration("telemetry-linger", 0, "keep the telemetry endpoint up this long after training")
+		ledgerDir = flag.String("ledger", "", "write a run manifest into this directory (e.g. runs/)")
 
 		healthOn    = flag.Bool("health", false, "enable the numerics health monitor and divergence watchdog")
 		healthEvery = flag.Int("health-sample-every", 0, "sample per-layer gradient statistics every N optimizer steps (0 = default 16)")
@@ -82,45 +84,20 @@ func main() {
 	}
 	sc.Seed = *seed
 
-	// Assemble the cohort: either the eager slice-backed setup or a lazy
-	// recipe-backed registry that never materializes the full partition.
-	var (
-		reg  fl.ClientRegistry
-		test *data.Dataset
-		arch nn.ConvNetConfig
-		het  string
-	)
+	var setup *experiments.Setup
 	if *lazy {
-		spec, err := data.SpecByName(*dataset, sc.ImageSize, sc.PerClass)
-		if err != nil {
-			fatal(err)
-		}
-		_, test = data.Generate(spec, *seed)
-		pspec := data.PartitionSpec{
-			Data: spec, Clients: *clients, SamplesPerClient: *perClient,
-			Seed: *seed + 1, Scheme: data.SchemeIID,
-		}
-		if *alpha > 0 {
-			pspec.Scheme, pspec.Alpha = data.SchemeDirichlet, *alpha
-		}
-		lc, err := data.NewLazyCohort(pspec)
-		if err != nil {
-			fatal(err)
-		}
-		reg = lc
-		arch = nn.ConvNetConfig{
-			InputH: spec.H, InputW: spec.W, InputC: spec.C,
-			Classes: spec.Classes, Width: sc.Width, Depth: sc.Depth,
-		}
-		// The heterogeneity statistic enumerates every shard — O(N) work
-		// that would defeat the lazy cohort, so it is not computed here.
-		het = "lazy"
+		setup, err = experiments.NewLazySetup(*dataset, *clients, *perClient, *alpha, sc)
 	} else {
-		setup, err := experiments.NewSetup(*dataset, *clients, *alpha, sc)
-		if err != nil {
-			fatal(err)
-		}
-		reg, test, arch = setup.Cohort, setup.Test, setup.Arch
+		setup, err = experiments.NewSetup(*dataset, *clients, *alpha, sc)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	reg, test, arch := setup.Cohort, setup.Test, setup.Arch
+	// The heterogeneity statistic enumerates every shard — O(N) work that
+	// would defeat the lazy cohort, so it is not computed there.
+	het := "lazy"
+	if !*lazy {
 		het = fmt.Sprintf("%.3f", data.HeterogeneityStat(setup.Clients))
 	}
 
@@ -175,10 +152,10 @@ func main() {
 			Counter: &counter, Telemetry: pipe, Health: mon, Phase: "train",
 		}
 		var err error
-		if *concurrent {
-			_, err = fl.RunPhaseConcurrentRegistry(context.Background(), model, factory, reg, cfg, rng)
-		} else {
+		if *workers == 1 {
 			_, err = fl.RunPhaseRegistry(model, reg, cfg, rng)
+		} else {
+			_, err = fl.RunPhaseConcurrentRegistry(context.Background(), model, factory, reg, cfg, rng)
 		}
 		if err != nil {
 			fatal(err)

@@ -39,10 +39,8 @@ import (
 	"time"
 
 	"quickdrop/internal/core"
-	"quickdrop/internal/data"
 	"quickdrop/internal/eval"
 	"quickdrop/internal/experiments"
-	"quickdrop/internal/fl"
 	"quickdrop/internal/nn"
 	"quickdrop/internal/serve"
 	"quickdrop/internal/telemetry"
@@ -89,51 +87,17 @@ func run() error {
 	}
 	sc.Seed = *seed
 
-	// Cohort assembly mirrors fedsim: eager materialized shards by
-	// default, a recipe-backed lazy registry for registry-scale cohorts.
-	var (
-		reg  fl.ClientRegistry
-		test *data.Dataset
-		arch nn.ConvNetConfig
-		cfg  core.Config
-	)
+	var setup *experiments.Setup
 	if *lazy {
-		spec, err := data.SpecByName(*dataset, sc.ImageSize, sc.PerClass)
-		if err != nil {
-			return err
-		}
-		_, test = data.Generate(spec, *seed)
-		pspec := data.PartitionSpec{
-			Data: spec, Clients: *clients, SamplesPerClient: *perClient,
-			Seed: *seed + 1, Scheme: data.SchemeIID,
-		}
-		if *alpha > 0 {
-			pspec.Scheme, pspec.Alpha = data.SchemeDirichlet, *alpha
-		}
-		lc, err := data.NewLazyCohort(pspec)
-		if err != nil {
-			return err
-		}
-		reg = lc
-		arch = nn.ConvNetConfig{
-			InputH: spec.H, InputW: spec.W, InputC: spec.C,
-			Classes: spec.Classes, Width: sc.Width, Depth: sc.Depth,
-		}
-		cfg = core.DefaultConfig(arch)
-		cfg.Train = core.PhaseParams{Rounds: sc.TrainRound, LocalSteps: sc.LocalSteps,
-			BatchSize: sc.BatchSize, LR: 0.1}
-		cfg.Unlearn.LocalSteps, cfg.Unlearn.BatchSize = sc.LocalSteps, sc.BatchSize
-		cfg.Recover.LocalSteps, cfg.Recover.BatchSize = sc.LocalSteps, sc.BatchSize
-		cfg.Relearn.LocalSteps, cfg.Relearn.BatchSize = sc.LocalSteps, sc.BatchSize
-		cfg.Seed = *seed
+		setup, err = experiments.NewLazySetup(*dataset, *clients, *perClient, *alpha, sc)
 	} else {
-		setup, err := experiments.NewSetup(*dataset, *clients, *alpha, sc)
-		if err != nil {
-			return err
-		}
-		reg, test, arch = setup.Cohort, setup.Test, setup.Arch
-		cfg = setup.CoreConfig()
+		setup, err = experiments.NewSetup(*dataset, *clients, *alpha, sc)
 	}
+	if err != nil {
+		return err
+	}
+	reg, test, arch := setup.Cohort, setup.Test, setup.Arch
+	cfg := setup.CoreConfig()
 	cfg.Distill.Scale = *distillScale
 	cfg.Train.SampleK = *sampleK
 	if *rounds > 0 {

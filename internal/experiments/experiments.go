@@ -13,6 +13,7 @@ import (
 	"quickdrop/internal/core"
 	"quickdrop/internal/data"
 	"quickdrop/internal/eval"
+	"quickdrop/internal/fl"
 	"quickdrop/internal/nn"
 	"quickdrop/internal/telemetry"
 )
@@ -89,11 +90,12 @@ func ScaleByName(name string) (Scale, error) {
 // partitioned across clients, plus the architecture matched to it.
 type Setup struct {
 	Dataset string
+	// Clients is the materialized partition; nil for a lazy setup.
 	Clients []*data.Dataset
-	// Cohort wraps Clients behind the registry interface the FL stack and
-	// all method constructors consume. It shares the same shard pointers,
-	// so behavior is identical to passing the slice directly.
-	Cohort *data.Cohort
+	// Cohort is the registry the FL stack and all method constructors
+	// consume: a data.Cohort sharing Clients' shard pointers (so behavior
+	// is identical to passing the slice directly), or a data.LazyCohort.
+	Cohort fl.ClientRegistry
 	Test   *data.Dataset
 	Arch   nn.ConvNetConfig
 	Scale  Scale
@@ -104,29 +106,57 @@ type Setup struct {
 // NewSetup generates the dataset and partitions it. alpha ≤ 0 selects IID
 // partitioning; otherwise Dirichlet(alpha) non-IID (paper default 0.1).
 func NewSetup(dataset string, nClients int, alpha float64, sc Scale) (*Setup, error) {
-	spec, err := data.SpecByName(dataset, sc.ImageSize, sc.PerClass)
+	s, _, train, err := generate(dataset, alpha, sc)
 	if err != nil {
 		return nil, err
 	}
-	train, test := data.Generate(spec, sc.Seed)
 	rng := rand.New(rand.NewSource(sc.Seed + 1))
-	var parts []*data.Dataset
 	if alpha <= 0 {
-		parts = data.PartitionIID(train, nClients, rng)
+		s.Clients = data.PartitionIID(train, nClients, rng)
 	} else {
-		parts = data.PartitionDirichlet(train, nClients, alpha, rng)
+		s.Clients = data.PartitionDirichlet(train, nClients, alpha, rng)
 	}
+	s.Cohort = data.NewCohort(s.Clients)
+	return s, nil
+}
+
+// NewLazySetup is NewSetup for registry-scale cohorts: nothing is
+// partitioned up front. Cohort is a data.LazyCohort that derives any
+// client's perClient-sample shard on demand from (seed, client ID), so
+// nClients can be a million; Clients is nil.
+func NewLazySetup(dataset string, nClients, perClient int, alpha float64, sc Scale) (*Setup, error) {
+	s, spec, _, err := generate(dataset, alpha, sc)
+	if err != nil {
+		return nil, err
+	}
+	pspec := data.PartitionSpec{
+		Data: spec, Clients: nClients, SamplesPerClient: perClient,
+		Seed: sc.Seed + 1, Scheme: data.SchemeIID,
+	}
+	if alpha > 0 {
+		pspec.Scheme, pspec.Alpha = data.SchemeDirichlet, alpha
+	}
+	if s.Cohort, err = data.NewLazyCohort(pspec); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// generate builds what both setups share — the dataset, its test split
+// and the architecture matched to it — leaving the cohort to the caller.
+func generate(dataset string, alpha float64, sc Scale) (s *Setup, spec data.Spec, train *data.Dataset, err error) {
+	if spec, err = data.SpecByName(dataset, sc.ImageSize, sc.PerClass); err != nil {
+		return nil, spec, nil, err
+	}
+	train, test := data.Generate(spec, sc.Seed)
 	arch := nn.ConvNetConfig{
 		InputH: spec.H, InputW: spec.W, InputC: spec.C,
 		Classes: spec.Classes, Width: sc.Width, Depth: sc.Depth,
 	}
 	if err := arch.Validate(); err != nil {
-		return nil, err
+		return nil, spec, nil, err
 	}
-	return &Setup{
-		Dataset: dataset, Clients: parts, Cohort: data.NewCohort(parts),
-		Test: test, Arch: arch, Scale: sc, Alpha: alpha,
-	}, nil
+	return &Setup{Dataset: dataset, Test: test, Arch: arch, Scale: sc, Alpha: alpha}, spec, train, nil
 }
 
 // CoreConfig builds the QuickDrop configuration for this setup. The paper

@@ -12,8 +12,8 @@ import (
 // collect-then-average loop — acc += w·params per update, then one
 // scale by 1/Σw — performed incrementally; folding updates in the same
 // order yields bit-identical results (floating-point addition is
-// deterministic for a fixed order, which is why the runners fold in
-// ascending client-ID order).
+// deterministic for a fixed order, which is why every phase folds in
+// selection order).
 //
 // The accumulator is allocated once at construction and reused across
 // rounds via Reset: Fold and Finish allocate nothing.

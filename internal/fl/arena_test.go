@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	ad "quickdrop/internal/autodiff"
+	"quickdrop/internal/data"
 	"quickdrop/internal/nn"
 	"quickdrop/internal/tensor"
 )
@@ -104,7 +105,7 @@ func TestArenaDoesNotPerturbTraining(t *testing.T) {
 				prepare(m)
 				return m
 			}
-			_, err = RunPhaseConcurrent(context.Background(), model, prepared, parts, c, rand.New(rand.NewSource(84)))
+			_, err = RunPhaseConcurrentRegistry(context.Background(), model, prepared, data.NewCohort(parts), c, rand.New(rand.NewSource(84)))
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -12,8 +12,7 @@ import (
 // scale: K=64 participants drawn from a million-client lazy cohort,
 // folded through the streaming aggregator. The per-op figure is the
 // tentpole's scaling claim in benchmark form — it must not grow with
-// the cohort size, only with K and the model. Tracked by
-// scripts/bench.sh and gated by scripts/bench_compare.sh.
+// the cohort size, only with K and the model.
 func BenchmarkSampledRound(b *testing.B) {
 	reg, err := data.NewLazyCohort(data.PartitionSpec{
 		Data:             data.MNISTLike(8, 4),
@@ -41,8 +40,7 @@ func BenchmarkSampledRound(b *testing.B) {
 
 // BenchmarkFedAvgRound measures one full FedAvg round — broadcast,
 // local steps on every client, weighted aggregation — on the small
-// test substrate. This is the headline wall-time figure scripts/bench.sh
-// tracks for the FL layer.
+// test substrate: the FL layer's wall-time figure.
 func BenchmarkFedAvgRound(b *testing.B) {
 	spec := data.MNISTLike(8, 12)
 	train, _ := data.Generate(spec, 1)

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
+	"sync"
 
-	"quickdrop/internal/data"
 	"quickdrop/internal/nn"
 	"quickdrop/internal/tensor"
 )
@@ -18,231 +17,118 @@ import (
 type ModelFactory func() *nn.Model
 
 // clientTask is the server's order to a pool worker: run one client's
-// local steps for one round. global is a shared read-only snapshot
-// (SetParams copies out of it); rng is the client's private stream.
+// local steps for one round of ph.
 type clientTask struct {
+	ph       *phase
 	round    int
 	clientID int
-	rng      *rand.Rand
-	global   []*tensor.Tensor
 }
 
 // clientUpdate is the message a worker sends back to the server after
 // finishing a client's local steps.
 type clientUpdate struct {
 	clientID int
-	round    int
 	params   []*tensor.Tensor
-	weight   float64
 	samples  int
 	err      error
 }
 
-// RunPhaseConcurrent executes the same FedAvg phase as RunPhase with a
-// bounded worker pool — the slice-shaped convenience wrapper over
-// RunPhaseConcurrentRegistry.
-func RunPhaseConcurrent(ctx context.Context, model *nn.Model, factory ModelFactory,
-	clients []*data.Dataset, cfg PhaseConfig, rng *rand.Rand) (PhaseResult, error) {
-	return RunPhaseConcurrentRegistry(ctx, model, factory, data.NewCohort(clients), cfg, rng)
-}
-
-// RunPhaseConcurrentRegistry executes a FedAvg phase over a client
-// registry with cfg.Workers pool workers (GOMAXPROCS when 0), each
-// owning one private model reused across every client it serves — so
-// concurrent memory is O(workers · model), not O(clients · model) as
-// with the previous goroutine-per-client runner. Updates are folded
-// into a streaming aggregator in ascending client-ID order regardless
-// of arrival order, so the result is bit-for-bit identical to the
-// sequential runner under the same config (with full participation in
-// legacy mode, and unconditionally in sampled mode) and independent of
-// the pool size.
+// RunPhaseConcurrentRegistry executes the same FedAvg phase as
+// RunPhaseRegistry with cfg.Workers pool workers (GOMAXPROCS when 0),
+// each owning one private model reused across every client it serves —
+// so concurrent memory is O(workers · model), not O(clients · model).
+// Updates are folded in selection order regardless of arrival order, so
+// the result is bit-for-bit identical to RunPhaseRegistry under the same
+// config and independent of the pool size.
 //
-// cfg.Hook and cfg.UpdateHook must be nil or safe for concurrent use
-// (UpdateHook itself is invoked serially on the server, in fold order);
-// cfg.WeightFn and cfg.DropoutProb are honoured. ctx cancels mid-phase.
-// The registry's Shard must be safe for concurrent calls with distinct
-// IDs, which both data.Cohort and data.LazyCohort are.
+// cfg.Hook must be nil or safe for concurrent use; cfg.UpdateHook and
+// cfg.WeightFn are invoked serially on the server, in fold order. ctx
+// cancels mid-phase. The registry's Shard must be safe for concurrent
+// calls with distinct IDs, which both data.Cohort and data.LazyCohort
+// are.
 func RunPhaseConcurrentRegistry(ctx context.Context, model *nn.Model, factory ModelFactory,
 	reg ClientRegistry, cfg PhaseConfig, rng *rand.Rand) (PhaseResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return PhaseResult{}, err
-	}
 	if factory == nil {
-		return PhaseResult{}, fmt.Errorf("fl: RunPhaseConcurrent needs a model factory")
+		return PhaseResult{}, fmt.Errorf("fl: RunPhaseConcurrentRegistry needs a model factory")
 	}
-	if reg == nil || reg.NumClients() == 0 {
-		return PhaseResult{}, errNoData()
-	}
-	sampled := cfg.SampleK > 0
-	var eligible []int
-	if !sampled {
-		eligible = make([]int, 0, reg.NumClients())
-		for i := 0; i < reg.NumClients(); i++ {
-			if reg.ShardLen(i) > 0 {
-				eligible = append(eligible, i)
-			}
-		}
-		if len(eligible) == 0 {
-			return PhaseResult{}, errNoData()
-		}
-	}
-
-	res := PhaseResult{Rounds: cfg.Rounds}
-	pt := cfg.Telemetry.StartPhase(cfg.phaseName())
-	cfg.Health.BeginPhase(cfg.phaseName())
-
-	// Mirror the sequential runners' RNG layout exactly so trajectories
-	// coincide: legacy mode pre-seeds one stream per registered client,
-	// sampled mode derives streams from one phase seed.
-	var clientRngs []*rand.Rand
-	var phaseSeed int64
-	if sampled {
-		phaseSeed = rng.Int63()
-	} else {
-		clientRngs = make([]*rand.Rand, reg.NumClients())
-		for i := range clientRngs {
-			clientRngs[i] = rand.New(rand.NewSource(rng.Int63()))
-		}
-	}
-
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	tasks := make(chan clientTask)
-	updates := make(chan clientUpdate, workers)
-	workerCtx, cancel := context.WithCancel(ctx)
+	// The workers are stopped and waited for on every exit, so no client
+	// trains, and no hook or telemetry call fires, after the phase returns.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	tasks := make(chan clientTask)
+	// One slot per worker: a finished worker never waits on the server.
+	updates := make(chan clientUpdate, workers)
 	for w := 0; w < workers; w++ {
-		go poolWorker(workerCtx, factory, reg, cfg, tasks, updates)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			poolWorker(ctx, factory, tasks, updates)
+		}()
 	}
+	return runPhase(model, reg, cfg, rng, func(ph *phase, round int, selected []int) error {
+		return trainPooled(ctx, tasks, updates, ph, round, selected)
+	})
+}
 
-	// One reusable global snapshot: workers only read it (SetParams
-	// copies), and the server rewrites it only between rounds, when no
-	// task is in flight.
-	global := model.CloneParams()
-	agg := NewStreamAggregator(global)
-	for round := 0; round < cfg.Rounds; round++ {
-		var selected []int
-		if sampled {
-			selected = sampleClientIDs(reg, cfg.SampleK, rng)
-			if len(selected) == 0 {
-				return res, errNoData()
+// trainPooled is the pool executor: it dispatches the round's clients
+// to the workers and folds their updates as the frontier of selection
+// order completes, whatever order they finish in.
+func trainPooled(ctx context.Context, tasks chan<- clientTask, updates <-chan clientUpdate,
+	ph *phase, round int, selected []int) error {
+	pending := make(map[int]clientUpdate, cap(updates))
+	for sent, next := 0, 0; next < len(selected); {
+		var sendCh chan<- clientTask // nil once every task is out, which disables the send case
+		var task clientTask
+		if sent < len(selected) {
+			sendCh, task = tasks, clientTask{ph: ph, round: round, clientID: selected[sent]}
+		}
+		select {
+		case sendCh <- task:
+			sent++
+		case u := <-updates:
+			if u.err != nil {
+				return fmt.Errorf("fl: client %d round %d: %w", u.clientID, round, u.err)
 			}
-		} else {
-			selected = selectClients(eligible, cfg.Participation, rng)
-		}
-		res.ClientsPerRnd = append(res.ClientsPerRnd, len(selected))
-		rs := cfg.Telemetry.StartRound(round)
-		for i, p := range model.ParamTensors() {
-			global[i].CopyFrom(p)
-		}
-		agg.Reset()
-
-		// Fold frontier: ascending client IDs, whatever order tasks are
-		// dispatched or completed in. Legacy partial participation
-		// dispatches in selection order but folds sorted, exactly like
-		// the previous runner's sort-then-aggregate.
-		order := selected
-		if !sort.IntsAreSorted(order) {
-			order = append([]int(nil), selected...)
-			sort.Ints(order)
-		}
-		pending := make(map[int]clientUpdate, workers)
-		sent, next := 0, 0
-		for next < len(order) {
-			var sendCh chan clientTask
-			var task clientTask
-			if sent < len(selected) {
-				ci := selected[sent]
-				task = clientTask{round: round, clientID: ci, global: global}
-				if sampled {
-					task.rng = rand.New(rand.NewSource(data.DeriveSeed(phaseSeed, int64(round), int64(ci))))
-				} else {
-					task.rng = clientRngs[ci]
+			pending[u.clientID] = u
+			for ; next < len(selected); next++ {
+				ready, ok := pending[selected[next]]
+				if !ok {
+					break
 				}
-				sendCh = tasks // nil channel (no task left) disables this case
+				delete(pending, selected[next])
+				ph.fold(round, ready.clientID, ready.params, ready.samples)
 			}
-			select {
-			case sendCh <- task:
-				sent++
-			case u := <-updates:
-				if u.err != nil {
-					return res, fmt.Errorf("fl: client %d round %d: %w", u.clientID, u.round, u.err)
-				}
-				pending[u.clientID] = u
-				for next < len(order) {
-					ready, ok := pending[order[next]]
-					if !ok {
-						break
-					}
-					delete(pending, order[next])
-					next++
-					if cfg.DropoutProb > 0 && rng.Float64() < cfg.DropoutProb {
-						res.Dropped++
-						cfg.Telemetry.DropUpdate()
-						continue
-					}
-					if cfg.UpdateHook != nil {
-						cfg.UpdateHook(ready.round, ready.clientID, cloneAll(global), cloneAll(ready.params))
-					}
-					w := ready.weight
-					if cfg.WeightFn != nil {
-						w = cfg.WeightFn(ready.clientID, ready.samples)
-					}
-					if w <= 0 {
-						continue
-					}
-					res.SamplesUsed += ready.samples
-					agg.Fold(ready.params, w)
-				}
-			case <-ctx.Done():
-				return res, ctx.Err()
-			}
-		}
-		if agg.TotalWeight() == 0 {
-			if cfg.DropoutProb > 0 {
-				cfg.Telemetry.EndRound(rs, len(selected))
-				continue
-			}
-			return res, fmt.Errorf("fl: round %d aggregated zero weight", round)
-		}
-		model.SetParams(agg.Finish())
-		cfg.Telemetry.EndRound(rs, len(selected))
-		if err := healthRound(cfg, round, model); err != nil {
-			res.WallTime = pt.Stop()
-			return res, err
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
-	res.WallTime = pt.Stop()
-	return res, nil
+	return nil
 }
 
 // poolWorker serves client tasks until the phase ends. It owns one
 // private model for its whole lifetime; shards are materialized from
 // the registry per task and released after the update ships.
-func poolWorker(ctx context.Context, factory ModelFactory, reg ClientRegistry, cfg PhaseConfig,
-	tasks <-chan clientTask, updates chan<- clientUpdate) {
+func poolWorker(ctx context.Context, factory ModelFactory, tasks <-chan clientTask, updates chan<- clientUpdate) {
 	local := factory()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case t := <-tasks:
-			u := clientUpdate{clientID: t.clientID, round: t.round}
+			u := clientUpdate{clientID: t.clientID}
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
 						u.err = fmt.Errorf("client panic: %v", r)
 					}
 				}()
-				shard := reg.Shard(t.clientID)
-				u.weight = float64(shard.Len())
-				u.samples = shard.Len()
-				local.SetParams(t.global)
-				cs := cfg.Telemetry.StartClient(t.round, t.clientID)
-				runLocalSteps(local, shard, cfg, t.round, t.clientID, t.rng)
-				cfg.Telemetry.EndClient(cs)
+				u.samples = t.ph.train(local, t.round, t.clientID)
 				u.params = local.CloneParams()
 			}()
 			select {

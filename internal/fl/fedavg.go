@@ -62,9 +62,9 @@ type PhaseConfig struct {
 	// exclusive with Participation. SampleK of 0 keeps the legacy
 	// participation-fraction semantics bit for bit.
 	SampleK int
-	// Workers bounds the concurrent runner's worker pool; 0 selects
+	// Workers bounds RunPhaseConcurrentRegistry's worker pool; 0 selects
 	// GOMAXPROCS. The pool size never affects numerics: aggregation
-	// folds in ascending client-ID order regardless of arrival order.
+	// folds in selection order regardless of arrival order.
 	Workers int
 	// Hook, if set, runs after every local step.
 	Hook LocalStepHook
@@ -155,7 +155,8 @@ func RunPhase(model *nn.Model, clients []*data.Dataset, cfg PhaseConfig, rng *ra
 }
 
 // RunPhaseRegistry executes FedAvg over a client registry, mutating
-// model in place. With cfg.SampleK == 0 it replicates the historical
+// model in place and training the selected clients one after another on
+// model itself. With cfg.SampleK == 0 it replicates the historical
 // slice-based RunPhase exactly — same RNG consumption, same fold order,
 // same floats — over whatever the registry materializes. With SampleK >
 // 0 it runs in sampled mode: per-round participant sets are drawn from
@@ -163,173 +164,172 @@ func RunPhase(model *nn.Model, clients []*data.Dataset, cfg PhaseConfig, rng *ra
 // are derived from (phase seed, round, client ID), and per-round cost
 // is O(K·shard + model) regardless of NumClients.
 func RunPhaseRegistry(model *nn.Model, reg ClientRegistry, cfg PhaseConfig, rng *rand.Rand) (PhaseResult, error) {
+	return runPhase(model, reg, cfg, rng, trainInline)
+}
+
+// phase is one running FedAvg phase: what its executor reads (registry,
+// config, the round's global snapshot, the clients' RNG layout) and
+// what the server's fold step accumulates.
+type phase struct {
+	model *nn.Model
+	reg   ClientRegistry
+	cfg   PhaseConfig
+	rng   *rand.Rand // the server's stream: selection and dropout draws
+	// global is the round's snapshot every selected client starts from.
+	// It is rewritten only between rounds, when no client is training.
+	global []*tensor.Tensor
+	// Legacy mode pre-seeds one stream per registered client — O(N),
+	// acceptable for the slice-scale cohorts it exists for — because
+	// that is exactly what the historical runner consumed from rng.
+	// Sampled mode (clientRngs nil) derives a client's stream from
+	// (phaseSeed, round, ID), so it never depends on who else was drawn.
+	clientRngs []*rand.Rand
+	phaseSeed  int64
+	agg        *StreamAggregator
+	res        PhaseResult
+}
+
+// executor trains one round's selected clients, each from ph.global,
+// and hands every finished update to ph.fold in selection order.
+type executor func(ph *phase, round int, selected []int) error
+
+// runPhase is the one FedAvg round loop behind every runner; exec only
+// decides where the selected clients train. Every exit after the phase
+// starts closes the phase span, and every exit inside a round closes
+// the round span.
+func runPhase(model *nn.Model, reg ClientRegistry, cfg PhaseConfig, rng *rand.Rand, exec executor) (PhaseResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return PhaseResult{}, err
 	}
 	if reg == nil || reg.NumClients() == 0 {
 		return PhaseResult{}, errNoData()
 	}
-	if cfg.SampleK > 0 {
-		return runSampledPhase(model, reg, cfg, rng)
-	}
-	eligible := make([]int, 0, reg.NumClients())
-	for i := 0; i < reg.NumClients(); i++ {
-		if reg.ShardLen(i) > 0 {
-			eligible = append(eligible, i)
+	sampled := cfg.SampleK > 0
+	var eligible []int
+	if !sampled {
+		eligible = make([]int, 0, reg.NumClients())
+		for i := 0; i < reg.NumClients(); i++ {
+			if reg.ShardLen(i) > 0 {
+				eligible = append(eligible, i)
+			}
+		}
+		if len(eligible) == 0 {
+			return PhaseResult{}, errNoData()
 		}
 	}
-	if len(eligible) == 0 {
-		return PhaseResult{}, errNoData()
-	}
 
-	res := PhaseResult{Rounds: cfg.Rounds}
-	// The phase timer replaces ad-hoc time.Now accounting: it measures
-	// wall time whether or not a telemetry pipeline is attached, and the
-	// reading flows only into PhaseResult/eval.Cost — never the numerics.
+	// The phase timer measures wall time whether or not a telemetry
+	// pipeline is attached; the reading flows only into
+	// PhaseResult/eval.Cost — never the numerics.
 	pt := cfg.Telemetry.StartPhase(cfg.phaseName())
 	cfg.Health.BeginPhase(cfg.phaseName())
-	// Per-client RNG streams keep client behaviour independent of the
-	// participation schedule. Legacy mode seeds one stream per
-	// registered client — O(N), acceptable for the slice-scale cohorts
-	// this mode exists for — because that is exactly what the historical
-	// runner consumed from rng.
-	clientRngs := make([]*rand.Rand, reg.NumClients())
-	for i := range clientRngs {
-		clientRngs[i] = rand.New(rand.NewSource(rng.Int63()))
+	ph := &phase{model: model, reg: reg, cfg: cfg, rng: rng, res: PhaseResult{Rounds: cfg.Rounds}}
+	if sampled {
+		ph.phaseSeed = rng.Int63()
+	} else {
+		ph.clientRngs = make([]*rand.Rand, reg.NumClients())
+		for i := range ph.clientRngs {
+			ph.clientRngs[i] = rand.New(rand.NewSource(rng.Int63()))
+		}
 	}
-
 	// Snapshot and aggregation buffers are allocated once and reused
 	// across rounds: parameter shapes never change mid-phase.
-	global := model.CloneParams()
-	agg := NewStreamAggregator(global)
-	for round := 0; round < cfg.Rounds; round++ {
-		selected := selectClients(eligible, cfg.Participation, rng)
-		res.ClientsPerRnd = append(res.ClientsPerRnd, len(selected))
-		rs := cfg.Telemetry.StartRound(round)
+	ph.global = model.CloneParams()
+	ph.agg = NewStreamAggregator(ph.global)
 
+	var err error
+	for round := 0; round < cfg.Rounds && err == nil; round++ {
+		var selected []int
+		if sampled {
+			selected = sampleClientIDs(reg, cfg.SampleK, rng)
+		} else {
+			selected = selectClients(eligible, cfg.Participation, rng)
+		}
+		if len(selected) == 0 {
+			err = errNoData()
+			break
+		}
+		ph.res.ClientsPerRnd = append(ph.res.ClientsPerRnd, len(selected))
+		rs := cfg.Telemetry.StartRound(round)
 		for i, p := range model.ParamTensors() {
-			global[i].CopyFrom(p)
+			ph.global[i].CopyFrom(p)
 		}
-		agg.Reset()
-		for _, ci := range selected {
-			// Materialize once per selection: a lazy registry re-renders
-			// the shard on every Shard call.
-			shard := reg.Shard(ci)
-			model.SetParams(global)
-			cs := cfg.Telemetry.StartClient(round, ci)
-			runLocalSteps(model, shard, cfg, round, ci, clientRngs[ci])
-			cfg.Telemetry.EndClient(cs)
-			if cfg.DropoutProb > 0 && rng.Float64() < cfg.DropoutProb {
-				res.Dropped++
-				cfg.Telemetry.DropUpdate()
-				continue // the client crashed; its update is lost
+		ph.agg.Reset()
+		err = exec(ph, round, selected)
+		aggregated := err == nil && ph.agg.TotalWeight() > 0
+		if aggregated {
+			model.SetParams(ph.agg.Finish())
+		} else if err == nil {
+			// No update carried weight: the server keeps the previous
+			// global model. Under dropout that is a round where every
+			// participant failed, and the server proceeds.
+			model.SetParams(ph.global)
+			if cfg.DropoutProb == 0 {
+				err = fmt.Errorf("fl: round %d aggregated zero weight", round)
 			}
-			if cfg.UpdateHook != nil {
-				cfg.UpdateHook(round, ci, cloneAll(global), model.CloneParams())
-			}
-			w := float64(shard.Len())
-			if cfg.WeightFn != nil {
-				w = cfg.WeightFn(ci, shard.Len())
-			}
-			if w <= 0 {
-				continue
-			}
-			res.SamplesUsed += shard.Len()
-			agg.Fold(model.ParamTensors(), w)
 		}
-		if agg.TotalWeight() == 0 {
-			if cfg.DropoutProb > 0 {
-				// Every participant failed this round; the server keeps
-				// the previous global model and proceeds.
-				model.SetParams(global)
-				cfg.Telemetry.EndRound(rs, len(selected))
-				continue
-			}
-			return res, fmt.Errorf("fl: round %d aggregated zero weight", round)
-		}
-		model.SetParams(agg.Finish())
 		cfg.Telemetry.EndRound(rs, len(selected))
-		if err := healthRound(cfg, round, model); err != nil {
-			res.WallTime = pt.Stop()
-			return res, err
+		if aggregated {
+			err = healthRound(cfg, round, model)
 		}
 	}
-	res.WallTime = pt.Stop()
-	return res, nil
+	ph.res.WallTime = pt.Stop()
+	return ph.res, err
 }
 
-// runSampledPhase is the SampleK > 0 runner: no eligibility scan, no
-// per-client RNG array, no per-round allocation proportional to the
-// cohort. Per-client streams are derived as DeriveSeed(phaseSeed,
-// round, clientID) so a client's local noise depends on its identity
-// and the round, never on which other clients were sampled — the
-// property that lets the concurrent runner reproduce this trajectory
-// bit for bit from any worker schedule.
-func runSampledPhase(model *nn.Model, reg ClientRegistry, cfg PhaseConfig, rng *rand.Rand) (PhaseResult, error) {
-	res := PhaseResult{Rounds: cfg.Rounds}
-	pt := cfg.Telemetry.StartPhase(cfg.phaseName())
-	cfg.Health.BeginPhase(cfg.phaseName())
-	phaseSeed := rng.Int63()
-
-	global := model.CloneParams()
-	agg := NewStreamAggregator(global)
-	for round := 0; round < cfg.Rounds; round++ {
-		// Ascending client-ID order: local steps, dropout draws and
-		// aggregation folds all walk this order, which pins the server
-		// RNG stream and the float fold order for both runners.
-		selected := sampleClientIDs(reg, cfg.SampleK, rng)
-		if len(selected) == 0 {
-			return res, errNoData()
-		}
-		res.ClientsPerRnd = append(res.ClientsPerRnd, len(selected))
-		rs := cfg.Telemetry.StartRound(round)
-
-		for i, p := range model.ParamTensors() {
-			global[i].CopyFrom(p)
-		}
-		agg.Reset()
-		for _, ci := range selected {
-			shard := reg.Shard(ci)
-			crng := rand.New(rand.NewSource(data.DeriveSeed(phaseSeed, int64(round), int64(ci))))
-			model.SetParams(global)
-			cs := cfg.Telemetry.StartClient(round, ci)
-			runLocalSteps(model, shard, cfg, round, ci, crng)
-			cfg.Telemetry.EndClient(cs)
-			if cfg.DropoutProb > 0 && rng.Float64() < cfg.DropoutProb {
-				res.Dropped++
-				cfg.Telemetry.DropUpdate()
-				continue
-			}
-			if cfg.UpdateHook != nil {
-				cfg.UpdateHook(round, ci, cloneAll(global), model.CloneParams())
-			}
-			w := float64(shard.Len())
-			if cfg.WeightFn != nil {
-				w = cfg.WeightFn(ci, shard.Len())
-			}
-			if w <= 0 {
-				continue
-			}
-			res.SamplesUsed += shard.Len()
-			agg.Fold(model.ParamTensors(), w)
-		}
-		if agg.TotalWeight() == 0 {
-			if cfg.DropoutProb > 0 {
-				model.SetParams(global)
-				cfg.Telemetry.EndRound(rs, len(selected))
-				continue
-			}
-			return res, fmt.Errorf("fl: round %d aggregated zero weight", round)
-		}
-		model.SetParams(agg.Finish())
-		cfg.Telemetry.EndRound(rs, len(selected))
-		if err := healthRound(cfg, round, model); err != nil {
-			res.WallTime = pt.Stop()
-			return res, err
-		}
+// trainInline is the sequential executor: each client trains on the
+// caller's model in turn and is folded straight from its parameters —
+// no clone, goroutine or channel per client.
+func trainInline(ph *phase, round int, selected []int) error {
+	for _, id := range selected {
+		n := ph.train(ph.model, round, id)
+		ph.fold(round, id, ph.model.ParamTensors(), n)
 	}
-	res.WallTime = pt.Stop()
-	return res, nil
+	return nil
+}
+
+// train runs client id's local steps for round on m, starting from the
+// round's global snapshot, and returns the client's sample count.
+func (ph *phase) train(m *nn.Model, round, id int) int {
+	// Materialize once per selection: a lazy registry re-renders the
+	// shard on every Shard call.
+	shard := ph.reg.Shard(id)
+	var crng *rand.Rand
+	if ph.clientRngs != nil {
+		crng = ph.clientRngs[id]
+	} else {
+		crng = rand.New(rand.NewSource(data.DeriveSeed(ph.phaseSeed, int64(round), int64(id))))
+	}
+	m.SetParams(ph.global)
+	cs := ph.cfg.Telemetry.StartClient(round, id)
+	runLocalSteps(m, shard, ph.cfg, round, id, crng)
+	ph.cfg.Telemetry.EndClient(cs)
+	return shard.Len()
+}
+
+// fold is the server's one fold step, called for each finished client
+// update in selection order: draw the injected dropout, report the
+// update, weigh it and fold it into the round's aggregate. Folding in
+// selection order pins both the server RNG stream and the float sum, so
+// every executor produces the same trajectory.
+func (ph *phase) fold(round, id int, params []*tensor.Tensor, samples int) {
+	cfg := &ph.cfg
+	if cfg.DropoutProb > 0 && ph.rng.Float64() < cfg.DropoutProb {
+		ph.res.Dropped++
+		cfg.Telemetry.DropUpdate()
+		return // the client crashed; its update is lost
+	}
+	if cfg.UpdateHook != nil {
+		cfg.UpdateHook(round, id, cloneAll(ph.global), cloneAll(params))
+	}
+	w := float64(samples)
+	if cfg.WeightFn != nil {
+		w = cfg.WeightFn(id, samples)
+	}
+	if w > 0 {
+		ph.res.SamplesUsed += samples
+		ph.agg.Fold(params, w)
+	}
 }
 
 // runLocalSteps performs cfg.LocalSteps SGD/SGA updates on the client's

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"quickdrop/internal/data"
 	"quickdrop/internal/telemetry/health"
 )
 
@@ -26,7 +27,7 @@ func TestHealthDoesNotPerturbTraining(t *testing.T) {
 		c.Health = mon
 		var err error
 		if concurrent {
-			_, err = RunPhaseConcurrent(context.Background(), model, factory, parts, c,
+			_, err = RunPhaseConcurrentRegistry(context.Background(), model, factory, data.NewCohort(parts), c,
 				rand.New(rand.NewSource(84)))
 		} else {
 			_, err = RunPhase(model, parts, c, rand.New(rand.NewSource(84)))
@@ -71,7 +72,7 @@ func TestHealthWatchdogAbortsPhase(t *testing.T) {
 		c.Health = health.New(health.Config{}, nil)
 		var err error
 		if concurrent {
-			_, err = RunPhaseConcurrent(context.Background(), model, factory, parts, c,
+			_, err = RunPhaseConcurrentRegistry(context.Background(), model, factory, data.NewCohort(parts), c,
 				rand.New(rand.NewSource(85)))
 		} else {
 			_, err = RunPhase(model, parts, c, rand.New(rand.NewSource(85)))

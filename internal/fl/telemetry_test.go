@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"quickdrop/internal/data"
 	"quickdrop/internal/telemetry"
 )
 
@@ -16,28 +18,39 @@ func testPipeline(clients int) *telemetry.Pipeline {
 
 // TestConcurrentHookCancelsMidRound cancels the phase from inside a
 // local-step hook — mid-round, with client workers in flight — and
-// checks the server unwinds cleanly with the context error.
+// checks the server unwinds cleanly with the context error, closing the
+// phase span on the way out: the phase is counted and timed.
 func TestConcurrentHookCancelsMidRound(t *testing.T) {
 	_, parts, _ := testSetup(t, 3, 0)
 	factory, model := testFactory()
+	pipe := testPipeline(len(parts))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	var steps atomic.Int64
 	cfg := PhaseConfig{
-		Rounds: 10000, LocalSteps: 5, BatchSize: 8, LR: 0.05,
+		Rounds: 10000, LocalSteps: 5, BatchSize: 8, LR: 0.05, Telemetry: pipe,
 		Hook: func(StepContext) {
 			if steps.Add(1) == 4 {
 				cancel()
 			}
 		},
 	}
-	_, err := RunPhaseConcurrent(ctx, model, factory, parts, cfg, rand.New(rand.NewSource(80)))
+	res, err := RunPhaseConcurrentRegistry(ctx, model, factory, data.NewCohort(parts), cfg, rand.New(rand.NewSource(80)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if steps.Load() < 4 {
 		t.Fatalf("hook ran %d steps before cancellation, want ≥4", steps.Load())
+	}
+	if got := pipe.Phases.Value(); got != 1 {
+		t.Fatalf("Phases counter = %d, want 1", got)
+	}
+	if got := pipe.PhaseSeconds.At(slices.Index(telemetry.PhaseNames, "fedavg")).Count(); got != 1 {
+		t.Fatalf("PhaseSeconds count = %d, want 1", got)
+	}
+	if res.WallTime <= 0 {
+		t.Fatalf("WallTime = %v after cancellation, want > 0", res.WallTime)
 	}
 }
 
@@ -51,7 +64,7 @@ func TestConcurrentDropoutRecordsDrops(t *testing.T) {
 	pipe := testPipeline(len(parts))
 
 	rounds := 8
-	res, err := RunPhaseConcurrent(context.Background(), model, factory, parts, PhaseConfig{
+	res, err := RunPhaseConcurrentRegistry(context.Background(), model, factory, data.NewCohort(parts), PhaseConfig{
 		Rounds: rounds, LocalSteps: 2, BatchSize: 8, LR: 0.05,
 		DropoutProb: 0.5, Telemetry: pipe,
 	}, rand.New(rand.NewSource(81)))
@@ -81,7 +94,7 @@ func TestConcurrentTelemetryCounts(t *testing.T) {
 	pipe := testPipeline(len(parts))
 
 	rounds, localSteps := 3, 4
-	if _, err := RunPhaseConcurrent(context.Background(), model, factory, parts, PhaseConfig{
+	if _, err := RunPhaseConcurrentRegistry(context.Background(), model, factory, data.NewCohort(parts), PhaseConfig{
 		Rounds: rounds, LocalSteps: localSteps, BatchSize: 8, LR: 0.05,
 		Telemetry: pipe,
 	}, rand.New(rand.NewSource(82))); err != nil {
@@ -122,7 +135,7 @@ func TestTelemetryDoesNotPerturbTraining(t *testing.T) {
 		c.Telemetry = pipe
 		var err error
 		if concurrent {
-			_, err = RunPhaseConcurrent(context.Background(), model, factory, parts, c,
+			_, err = RunPhaseConcurrentRegistry(context.Background(), model, factory, data.NewCohort(parts), c,
 				rand.New(rand.NewSource(83)))
 		} else {
 			_, err = RunPhase(model, parts, c, rand.New(rand.NewSource(83)))

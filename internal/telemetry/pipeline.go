@@ -167,8 +167,8 @@ func phaseIndex(name string) int {
 // Pipeline bundles the pre-registered instruments and span plumbing
 // for the FL / distillation / unlearning pipelines. One Pipeline is
 // shared by every phase of a run; all record methods are safe for
-// concurrent use (RunPhaseConcurrent's client workers record through
-// the same handles) and are no-ops on a nil receiver.
+// concurrent use (RunPhaseConcurrentRegistry's client workers record
+// through the same handles) and are no-ops on a nil receiver.
 type Pipeline struct {
 	Registry *Registry
 	Tracer   *Tracer
