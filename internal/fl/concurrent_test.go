@@ -20,6 +20,33 @@ func testFactory() (ModelFactory, *nn.Model) {
 	return factory, nn.NewConvNet(cfg, rand.New(rand.NewSource(3)))
 }
 
+// TestConcurrentMatchesSequentialExactly: the slice-based sequential
+// runner and the worker pool over the same clients give bitwise
+// identical models.
+func TestConcurrentMatchesSequentialExactly(t *testing.T) {
+	_, parts, _ := testSetup(t, 3, 0)
+	factory, seqModel := testFactory()
+	conModel := factory() // distinct instance…
+	conModel.SetParams(seqModel.CloneParams())
+
+	cfg := PhaseConfig{Rounds: 4, LocalSteps: 3, BatchSize: 8, LR: 0.05}
+	if _, err := RunPhase(seqModel, parts, cfg, rand.New(rand.NewSource(70))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunPhaseConcurrentRegistry(context.Background(), conModel, factory, data.NewCohort(parts), cfg,
+		rand.New(rand.NewSource(70))); err != nil {
+		t.Fatal(err)
+	}
+	p1, p2 := seqModel.ParamTensors(), conModel.ParamTensors()
+	for i := range p1 {
+		for j := range p1[i].Data() {
+			if p1[i].Data()[j] != p2[i].Data()[j] {
+				t.Fatalf("param %d elem %d differs: %g vs %g", i, j, p1[i].Data()[j], p2[i].Data()[j])
+			}
+		}
+	}
+}
+
 // TestPoolMatchesSequentialExactly is the executor-equivalence table:
 // both executors run the same round loop and fold in selection order,
 // so the pool reproduces the inline trajectory bit for bit at any

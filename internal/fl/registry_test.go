@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -149,6 +150,39 @@ func TestSampleKValidation(t *testing.T) {
 	ok.SampleK, ok.Workers = 4, 2
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSampledSequentialMatchesConcurrent: a sampled phase is bitwise
+// identical whether run inline or on the worker pool, at any width.
+func TestSampledSequentialMatchesConcurrent(t *testing.T) {
+	_, parts, _ := testSetup(t, 10, 0)
+	reg := data.NewCohort(parts)
+	factory, seqModel := testFactory()
+	cfg := PhaseConfig{Rounds: 3, LocalSteps: 2, BatchSize: 8, LR: 0.05, SampleK: 4}
+	if _, err := RunPhaseRegistry(seqModel, reg, cfg, rand.New(rand.NewSource(70))); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3, 8} {
+		conModel := factory()
+		conModel.SetParams(nn.NewConvNet(nn.ConvNetConfig{
+			InputH: 8, InputW: 8, InputC: 1, Classes: 10, Width: 8, Depth: 2,
+		}, rand.New(rand.NewSource(3))).CloneParams())
+		wcfg := cfg
+		wcfg.Workers = workers
+		if _, err := RunPhaseConcurrentRegistry(context.Background(), conModel, factory, reg, wcfg,
+			rand.New(rand.NewSource(70))); err != nil {
+			t.Fatal(err)
+		}
+		p1, p2 := seqModel.ParamTensors(), conModel.ParamTensors()
+		for i := range p1 {
+			d1, d2 := p1[i].Data(), p2[i].Data()
+			for j := range d1 {
+				if d1[j] != d2[j] {
+					t.Fatalf("workers=%d: param %d elem %d differs: %g vs %g", workers, i, j, d1[j], d2[j])
+				}
+			}
+		}
 	}
 }
 
