@@ -17,7 +17,9 @@ const slabChunk = 256
 //
 // Every Value and tensor reachable from an arena's leaves dies at Reset;
 // whatever must outlive the step (a loss reading, an updated parameter)
-// is copied out first. An arena serves one goroutine. Const, Var and
+// is copied out first. A scope nested inside a step — an inference pass —
+// takes a Mark and Rewinds to it, which recycles only what the scope
+// built. An arena serves one goroutine. Const, Var and
 // Reset accept a nil receiver, which means "no arena": leaves and their
 // graphs live on the heap, owned by the garbage collector.
 type Arena struct {
@@ -46,15 +48,35 @@ func (a *Arena) Var(t *tensor.Tensor) *Value {
 	return v
 }
 
-// Reset ends the step: all nodes and tensor storage handed out since the
-// previous Reset are recycled.
-func (a *Arena) Reset() {
+// Mark is a position in an arena: the nodes and tensor storage handed out
+// before it. The zero Mark is the empty arena, and the only position of a
+// nil one.
+type Mark struct {
+	bufs tensor.Mark
+	next int
+}
+
+// Mark returns the arena's current position, for a later Rewind.
+func (a *Arena) Mark() Mark {
+	if a == nil {
+		return Mark{}
+	}
+	return Mark{bufs: a.bufs.Mark(), next: a.next}
+}
+
+// Rewind recycles every node and all tensor storage handed out since m,
+// and leaves what was built before m live; see tensor.Arena.Rewind.
+func (a *Arena) Rewind(m Mark) {
 	if a == nil {
 		return
 	}
-	a.bufs.Reset()
-	a.next = 0
+	a.bufs.Rewind(m.bufs)
+	a.next = m.next
 }
+
+// Reset ends the step: it rewinds to the empty mark, recycling all nodes
+// and tensor storage.
+func (a *Arena) Reset() { a.Rewind(Mark{}) }
 
 // PoisonOnReset is a test hook; see tensor.Arena.PoisonOnReset.
 func (a *Arena) PoisonOnReset(on bool) { a.bufs.PoisonOnReset(on) }

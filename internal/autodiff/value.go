@@ -69,6 +69,10 @@ func Scalar(v float64) *Value {
 	return Const(tensor.FromSlice([]float64{v}, 1))
 }
 
+// Arena returns the arena the node was built in (nil: the heap), where a
+// constant leaf joining its graph belongs.
+func (v *Value) Arena() *Arena { return v.arena }
+
 // RequiresGrad reports whether gradients flow into this node.
 func (v *Value) RequiresGrad() bool { return v.requiresGrad }
 

@@ -316,18 +316,19 @@ func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, syn
 // the mean penultimate-layer embeddings of synthetic and real samples.
 func (m *Matcher) matchDistribution(ctx fl.StepContext, syn *data.Dataset, synIdx []int, xD *tensor.Tensor, realCount int) {
 	model, arena := ctx.Model, ctx.Model.Arena()
-	embLayer := model.BindFrozen().NumLayers() - 1 // stop before the classifier
+	embLayer := len(model.Layers()) - 1 // stop before the classifier
 	var updated *tensor.Tensor
 	defer func() { tensor.Put(updated) }()
 	for step := 0; step < m.Cfg.Steps; step++ {
-		// The parameters are frozen; the arena-tagged input leaves put
-		// both embedding graphs in the step arena.
-		embD := flatten2D(model.BindFrozen().ForwardUpTo(arena.Const(xD), embLayer))
+		// One frozen bind serves both embedding graphs; it and the input
+		// leaves live in the step arena.
+		bound := model.BindFrozen()
+		embD := flatten2D(bound.ForwardUpTo(arena.Const(xD), embLayer))
 		m.Counter.AddBatch(realCount)
 
 		xS, _ := syn.Batch(synIdx)
 		sVar := arena.Var(xS)
-		embS := flatten2D(model.BindFrozen().ForwardUpTo(sVar, embLayer))
+		embS := flatten2D(bound.ForwardUpTo(sVar, embLayer))
 		m.Counter.AddBatch(len(synIdx))
 
 		dist := distributionDistance(embS, embD)

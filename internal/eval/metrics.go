@@ -15,29 +15,34 @@ import (
 // batchSize bounds memory use during evaluation.
 const batchSize = 64
 
+// predictBatches runs m over ds in order, batchSize samples at a time, and
+// hands each batch's predictions and labels to visit. One index slice
+// serves every batch.
+func predictBatches(m *nn.Model, ds *data.Dataset, visit func(pred, labels []int)) {
+	idx := make([]int, 0, batchSize)
+	for lo := 0; lo < ds.Len(); lo += batchSize {
+		idx = idx[:0]
+		for i := lo; i < min(lo+batchSize, ds.Len()); i++ {
+			idx = append(idx, i)
+		}
+		x, labels := ds.Batch(idx)
+		visit(m.Predict(x), labels)
+	}
+}
+
 // Accuracy returns the model's top-1 accuracy on ds.
 func Accuracy(m *nn.Model, ds *data.Dataset) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
 	correct := 0
-	for lo := 0; lo < ds.Len(); lo += batchSize {
-		hi := lo + batchSize
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		x, labels := ds.Batch(idx)
-		pred := m.Predict(x)
+	predictBatches(m, ds, func(pred, labels []int) {
 		for i, p := range pred {
 			if p == labels[i] {
 				correct++
 			}
 		}
-	}
+	})
 	return float64(correct) / float64(ds.Len())
 }
 
@@ -47,24 +52,14 @@ func PerClassAccuracy(m *nn.Model, ds *data.Dataset) (acc []float64, count []int
 	acc = make([]float64, ds.Classes)
 	count = make([]int, ds.Classes)
 	correct := make([]int, ds.Classes)
-	for lo := 0; lo < ds.Len(); lo += batchSize {
-		hi := lo + batchSize
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		x, labels := ds.Batch(idx)
-		pred := m.Predict(x)
+	predictBatches(m, ds, func(pred, labels []int) {
 		for i, p := range pred {
 			count[labels[i]]++
 			if p == labels[i] {
 				correct[labels[i]]++
 			}
 		}
-	}
+	})
 	for c := range acc {
 		if count[c] > 0 {
 			acc[c] = float64(correct[c]) / float64(count[c])
@@ -93,21 +88,11 @@ func ConfusionMatrix(m *nn.Model, ds *data.Dataset) [][]int {
 	for i := range cm {
 		cm[i] = make([]int, ds.Classes)
 	}
-	for lo := 0; lo < ds.Len(); lo += batchSize {
-		hi := lo + batchSize
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		x, labels := ds.Batch(idx)
-		pred := m.Predict(x)
+	predictBatches(m, ds, func(pred, labels []int) {
 		for i, p := range pred {
 			cm[labels[i]][p]++
 		}
-	}
+	})
 	return cm
 }
 

@@ -54,7 +54,7 @@ func (p *MaxPool) Forward(x *ad.Value, _ []*ad.Value) *ad.Value {
 			md[(r*k2+best)*g.Channel+c] = 1
 		}
 	}
-	picked := ad.SumAxes(ad.Mul(grouped, ad.Const(mask)), 1) // [rows,1,C]
+	picked := ad.SumAxes(ad.Mul(grouped, x.Arena().Const(mask)), 1) // [rows,1,C]
 	return ad.Reshape(picked, b, g.OutH(), g.OutW(), g.Channel)
 }
 
@@ -117,11 +117,11 @@ func NewMLP(cfg MLPConfig, rng *rand.Rand) *Model {
 	return NewModel(cfg.InputShape, cfg.Classes, layers...)
 }
 
-// L2Penalty returns λ·Σ‖W‖² over the bound parameter variables, for
-// weight-decay regularized training objectives.
+// L2Penalty returns λ·Σ‖W‖² over the bound parameter variables (at least
+// one), for weight-decay regularized training objectives.
 func L2Penalty(params []*ad.Value, lambda float64) *ad.Value {
-	total := ad.Scalar(0)
-	for _, p := range params {
+	total := ad.SumAll(ad.Mul(params[0], params[0]))
+	for _, p := range params[1:] {
 		total = ad.Add(total, ad.SumAll(ad.Mul(p, p)))
 	}
 	return ad.Scale(total, lambda)

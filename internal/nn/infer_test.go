@@ -1,0 +1,171 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	ad "quickdrop/internal/autodiff"
+	"quickdrop/internal/tensor"
+)
+
+// inferenceArchs are the stacks the inference tests run, all on 8×8×1
+// inputs: the paper's ConvNet with and without InstanceNorm, a
+// max-pooling stack, and MLPs with saturating activations.
+var inferenceArchs = []struct {
+	name  string
+	build func(rng *rand.Rand) *Model
+}{
+	{"convnet", func(rng *rand.Rand) *Model {
+		return NewConvNet(ConvNetConfig{InputH: 8, InputW: 8, InputC: 1, Classes: 4, Width: 4, Depth: 2}, rng)
+	}},
+	{"convnet-nonorm", func(rng *rand.Rand) *Model {
+		return NewConvNet(ConvNetConfig{InputH: 8, InputW: 8, InputC: 1, Classes: 4, Width: 4, Depth: 2, NoNorm: true}, rng)
+	}},
+	{"maxpool", func(rng *rand.Rand) *Model {
+		conv := NewConv2D("c", rng, tensor.ConvGeom{Kernel: 3, Stride: 1, Pad: 1, InH: 8, InW: 8, Channel: 1}, 4)
+		pool := NewMaxPool(tensor.ConvGeom{Kernel: 2, Stride: 2, Pad: 0, InH: 8, InW: 8, Channel: 4})
+		return NewModel([]int{8, 8, 1}, 4, conv, ReLULayer{}, pool, Flatten{}, NewDense("d", rng, 4*4*4, 4))
+	}},
+	{"mlp-sigmoid", func(rng *rand.Rand) *Model {
+		return NewMLP(MLPConfig{InputShape: []int{8, 8, 1}, Hidden: []int{16, 8}, Classes: 4, Activation: "sigmoid"}, rng)
+	}},
+	{"mlp-tanh", func(rng *rand.Rand) *Model {
+		return NewMLP(MLPConfig{InputShape: []int{8, 8, 1}, Hidden: []int{16, 8}, Classes: 4, Activation: "tanh"}, rng)
+	}},
+}
+
+// requireSameBits fails unless got has want's shape and, element by
+// element, its float64 bit pattern.
+func requireSameBits(t *testing.T, what string, want, got *tensor.Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %s, want %s", what, got.ShapeString(), want.ShapeString())
+	}
+	for i, w := range want.Data() {
+		if g := got.Data()[i]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: element %d is %v on the arena, %v on the heap", what, i, g, w)
+		}
+	}
+}
+
+// Inference on the model's arena computes bit for bit what it computes on
+// the heap, call after call. The batch size changes between calls, so the
+// poisoned buffers one shape gave back serve the next, and every call
+// must leave the arena where it found it.
+func TestInferenceOnArenaMatchesHeap(t *testing.T) {
+	for _, arch := range inferenceArchs {
+		onArena, onHeap := arch.build(rand.New(rand.NewSource(71))), arch.build(rand.New(rand.NewSource(71)))
+		onArena.Arena().PoisonOnReset(true)
+		onHeap.DetachArena()
+		rng := rand.New(rand.NewSource(72))
+		for _, batch := range []int{64, 50, 8, 2, 1, 64} {
+			x := tensor.Randn(rng, 1, batch, 8, 8, 1)
+			what := fmt.Sprintf("%s, batch %d", arch.name, batch)
+			mark := onArena.Arena().Mark()
+
+			requireSameBits(t, what+": Logits", onHeap.Logits(x), onArena.Logits(x))
+			want, got := onHeap.Predict(x), onArena.Predict(x)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: Predict[%d] = %d on the arena, %d on the heap", what, i, got[i], want[i])
+				}
+			}
+			for n := 0; n <= len(onArena.Layers()); n++ {
+				requireSameBits(t, fmt.Sprintf("%s: ForwardLayers(%d)", what, n), onHeap.ForwardLayers(x, n), onArena.ForwardLayers(x, n))
+			}
+			if onArena.Arena().Mark() != mark {
+				t.Fatalf("%s: inference did not rewind the arena to where it found it", what)
+			}
+		}
+	}
+}
+
+// Inference between a training step's forward and its backward rewinds
+// only its own pass: the step's loss and gradients come out bit for bit
+// as they do with no inference in between. A Reset in place of the
+// rewind would hand the step's nodes and poisoned buffers to the pass.
+func TestInferenceMidStepLeavesTheStepIntact(t *testing.T) {
+	for _, arch := range inferenceArchs {
+		m := arch.build(rand.New(rand.NewSource(73)))
+		m.Arena().PoisonOnReset(true)
+		rng := rand.New(rand.NewSource(74))
+		x, probe := tensor.Randn(rng, 1, 16, 8, 8, 1), tensor.Randn(rng, 1, 50, 8, 8, 1)
+		labels := make([]int, x.Dim(0))
+		for i := range labels {
+			labels[i] = i % m.Classes
+		}
+		step := func(between func()) []float64 {
+			bound := m.BindStep()
+			loss := CrossEntropy(bound.Forward(m.Arena().Const(x)), OneHot(labels, m.Classes))
+			between()
+			out := []float64{loss.Item()}
+			for _, g := range ad.MustGrad(loss, bound.ParamVars()) {
+				out = append(out, g.Data.Data()...)
+			}
+			m.Arena().Reset()
+			return out
+		}
+		want := step(func() {})
+		got := step(func() {
+			m.Predict(probe)
+			m.Logits(x)
+			m.ForwardLayers(probe, 2)
+		})
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: value %d of the step is %v with inference mid-step, %v without", arch.name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// heapPerCall returns the heap objects and bytes one call of f allocates,
+// averaged over runs calls after one warm-up call. Like
+// testing.AllocsPerRun it measures at GOMAXPROCS(1), where the kernels
+// run inline and add no goroutine fan-out of their own.
+func heapPerCall(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// After one warm-up call at a shape, inference takes its graph's nodes
+// and storage from the model's arena and gives them back. The float
+// storage a call still allocates is what it returns — none for Predict,
+// whose labels are ints, and the [B, classes] copy for Logits — beside a
+// few small objects: the Bound and the kernels' closures.
+func TestInferenceSteadyStateAllocations(t *testing.T) {
+	m := NewConvNet(DefaultConvNetConfig(8, 8, 1, 4), rand.New(rand.NewSource(75)))
+	const batch = 64 // the evaluation batch
+	x := tensor.Randn(rand.New(rand.NewSource(76)), 1, batch, 8, 8, 1)
+
+	objects, bytes := heapPerCall(20, func() { m.Predict(x) })
+	_, logitsBytes := heapPerCall(20, func() { m.Logits(x) })
+	t.Logf("warm Predict: %.0f objects, %.0f bytes; warm Logits: %.0f bytes", objects, bytes, logitsBytes)
+	if extra := bytes - batch*8; extra >= 2<<10 {
+		t.Errorf("a warm Predict allocated %.0f bytes beyond its %d labels, want < 2 KiB", extra, batch)
+	}
+	if extra := logitsBytes - batch*4*8; extra >= 2<<10 {
+		t.Errorf("a warm Logits allocated %.0f bytes beyond its [%d, 4] copy, want < 2 KiB", extra, batch)
+	}
+	if objects > 24 { // measured 19, +20 %
+		t.Errorf("a warm Predict allocated %.0f objects, want ≤ 24", objects)
+	}
+
+	m.DetachArena()
+	_, heapBytes := heapPerCall(5, func() { m.Predict(x) })
+	t.Logf("Predict on the heap path: %.0f bytes", heapBytes)
+	if heapBytes < 20*bytes {
+		t.Errorf("without the arena a Predict allocates %.0f bytes, with it %.0f: is the arena in use?", heapBytes, bytes)
+	}
+}

@@ -37,7 +37,7 @@ func CrossEntropy(logits *ad.Value, oneHot *tensor.Tensor) *ad.Value {
 	lse := ad.Log(ad.SumAxes(ad.Exp(shifted), 1))
 	// picked_i = Σ_j z_ij · onehot_ij, shape [B,1], with the product
 	// reduced in one fused pass.
-	picked := ad.MulSum(shifted, ad.Const(oneHot), 1)
+	picked := ad.MulSum(shifted, logits.Arena().Const(oneHot), 1)
 	perSample := ad.Sub(lse, picked)
 	return ad.Scale(ad.SumAll(perSample), 1/float64(b))
 }

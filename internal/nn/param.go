@@ -61,18 +61,21 @@ func NewModel(inputShape []int, classes int, layers ...Layer) *Model {
 func (m *Model) Params() []*Param { return m.params }
 
 // Arena returns the model's step arena: the allocator behind every graph
-// that starts at BindStep or at an input leaf made with Arena().Const /
-// Var. One optimizer step is its unit of lifetime — bind, forward,
-// backward, apply the gradients, then Arena().Reset(), after which every
-// value and tensor of that step is dead and its memory serves the next
-// step. Whoever takes leaves from the arena owes the Reset: without one
-// the graphs accumulate until the model is garbage. The model's goroutine
-// owns the arena; models never share one.
+// that starts at BindStep, at BindFrozen or at an input leaf made with
+// Arena().Const / Var. One optimizer step is its unit of lifetime — bind,
+// forward, backward, apply the gradients, then Arena().Reset(), after
+// which every value and tensor of that step is dead and its memory serves
+// the next step. Whoever takes leaves from the arena owes the Reset:
+// without one the graphs accumulate until the model is garbage. Inference
+// (Logits, Predict, ForwardLayers) runs here too, between a Mark and the
+// Rewind to it, so it leaves the arena where it found it, mid-step
+// included. The model's goroutine owns the arena; models never share one.
 func (m *Model) Arena() *ad.Arena { return m.arena }
 
-// DetachArena drops the model's arena, so that BindStep graphs too live
-// on the heap. It exists for the tests that pin arena-backed training
-// bitwise against the allocation path it replaced.
+// DetachArena drops the model's arena, so that BindStep, BindFrozen and
+// inference graphs too live on the heap. It exists for the tests that pin
+// the arena-backed paths bitwise against the allocation path they
+// replaced.
 func (m *Model) DetachArena() { m.arena = nil }
 
 // Layers returns the model's layer stack. Callers must treat it as
@@ -81,27 +84,11 @@ func (m *Model) DetachArena() { m.arena = nil }
 func (m *Model) Layers() []Layer { return m.layers }
 
 // ForwardLayers runs only the first n layers on x with frozen parameters
-// and returns the intermediate activation tensor — used to probe channel
-// activations for model-pruning baselines.
+// and returns a copy of the intermediate activation — used to probe
+// channel activations for model-pruning baselines.
 func (m *Model) ForwardLayers(x *tensor.Tensor, n int) *tensor.Tensor {
-	if n < 0 || n > len(m.layers) {
-		panic(fmt.Sprintf("nn: ForwardLayers n=%d out of range [0,%d]", n, len(m.layers)))
-	}
-	v := ad.Const(x)
-	off := 0
-	for i, l := range m.layers {
-		np := len(l.Params())
-		if i >= n {
-			break
-		}
-		ps := make([]*ad.Value, np)
-		for j := 0; j < np; j++ {
-			ps[j] = ad.Const(m.params[off+j].Data)
-		}
-		v = l.Forward(v, ps)
-		off += np
-	}
-	return v.Data
+	defer m.arena.Rewind(m.arena.Mark())
+	return m.infer(x, n).Clone()
 }
 
 // NumParams returns the total number of scalar parameters.
@@ -164,7 +151,8 @@ type Bound struct {
 // Bind wraps the current parameter tensors as differentiable variables.
 // The returned Bound shares no graph with previous episodes; its graph
 // lives on the heap and belongs to the garbage collector, so it may be
-// kept as long as needed. Training loops use BindStep instead.
+// kept as long as needed. It is the only bind that builds a heap graph;
+// training loops use BindStep instead.
 func (m *Model) Bind() *Bound { return m.bind(nil, false) }
 
 // BindStep is Bind for one optimization step: the variables, and with
@@ -187,9 +175,12 @@ func (m *Model) bind(a *ad.Arena, frozen bool) *Bound {
 	return &Bound{model: m, vars: vars}
 }
 
-// BindFrozen wraps parameters as constants (inference only, no gradients).
-// Like Bind it builds a heap graph, so a result such as Logits may be kept.
-func (m *Model) BindFrozen() *Bound { return m.bind(nil, true) }
+// BindFrozen wraps the parameters as constants of the model's arena, for
+// graphs whose gradients never reach the parameters: inference, and the
+// embeddings distribution matching differentiates with respect to its
+// input. Like BindStep's, the graph dies at the next Arena().Reset() or at
+// the Rewind to a mark taken before it, which the caller owes.
+func (m *Model) BindFrozen() *Bound { return m.bind(m.arena, true) }
 
 // ParamVars returns the bound parameter variables, aligned with
 // Model.Params.
@@ -223,15 +214,28 @@ func (b *Bound) ForwardUpTo(x *ad.Value, n int) *ad.Value {
 // NumLayers returns the layer count (for partial forwards).
 func (b *Bound) NumLayers() int { return len(b.model.layers) }
 
-// Logits is a convenience for inference on raw tensors: it binds frozen
-// parameters and returns the logits tensor.
+// Logits runs the model on the raw batch x with frozen parameters and
+// returns a copy of the [B, classes] logits.
 func (m *Model) Logits(x *tensor.Tensor) *tensor.Tensor {
-	return m.BindFrozen().Forward(ad.Const(x)).Data
+	defer m.arena.Rewind(m.arena.Mark())
+	return m.infer(x, len(m.layers)).Clone()
 }
 
 // Predict returns the argmax class per sample.
 func (m *Model) Predict(x *tensor.Tensor) []int {
-	return m.Logits(x).ArgMaxRows()
+	defer m.arena.Rewind(m.arena.Mark())
+	return m.infer(x, len(m.layers)).ArgMaxRows()
+}
+
+// infer runs the first n layers on x with frozen parameters, in the
+// model's arena, and returns the activation, which lives there. Its
+// callers mark the arena on entry (a deferred call's arguments are
+// evaluated when it is deferred) and rewind to that mark on the way out,
+// after copying out what they return: the rewind releases this pass's
+// graph and nothing older, so inference between a step's forward and its
+// backward leaves the step intact, and the next call reuses the memory.
+func (m *Model) infer(x *tensor.Tensor, n int) *tensor.Tensor {
+	return m.BindFrozen().ForwardUpTo(m.arena.Const(x), n).Data
 }
 
 // WriteTo serializes all parameter tensors in order.

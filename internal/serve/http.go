@@ -113,6 +113,12 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// retryAfter is the Retry-After, in seconds, of a load-shedding reply. A
+// full queue (429) empties at the worker's next drain, which takes the
+// whole backlog as one batch; a draining daemon (503) is going down and
+// a retry reaches whatever replaces it.
+const retryAfter = "1"
+
 func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {
 	var body ForgetRequest
 	dec := json.NewDecoder(r.Body)
@@ -129,9 +135,11 @@ func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {
 	t, err := s.submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull):
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrQueueClosed):
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 
 	"quickdrop/internal/core"
 	"quickdrop/internal/nn"
+	"quickdrop/internal/tensor"
 )
 
 // slowEval widens the per-ticket state windows (accuracy evaluation
@@ -236,5 +238,126 @@ func TestPredictReleasesSnapshotOnPanic(t *testing.T) {
 	// superseded version the panicking handler held.
 	if live := s.Store().Live(); live != 1 {
 		t.Fatalf("Live = %d after the storm, want 1 — a handler exit path leaked its snapshot", live)
+	}
+}
+
+// TestPredictBesideWorkerMatchesHeapPath runs /v1/predict on the pooled
+// models while the worker evaluates and unlearns a coalesced batch on the
+// system's model, each model on its own arena. Every prediction must
+// equal what a model with no arena predicts from the snapshot version the
+// reply names, and no snapshot may stay pinned after drain.
+// scripts/check.sh runs it ten times under -race.
+func TestPredictBesideWorkerMatchesHeapPath(t *testing.T) {
+	s, ts := newTestServer(t, tinyConfig(17), Config{})
+	rng := rand.New(rand.NewSource(18))
+	inputs := make([][]float64, 8)
+	x := tensor.New(len(inputs), 6, 6, 1)
+	for i := range inputs {
+		inputs[i] = make([]float64, 6*6)
+		for j := range inputs[i] {
+			inputs[i][j] = rng.NormFloat64()
+		}
+		copy(x.Data()[i*6*6:], inputs[i])
+	}
+	body, err := json.Marshal(predictBody{Inputs: inputs})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// heapPredictions[v] is what a model with no arena predicts from
+	// version v's parameters.
+	heapPredictions := map[uint64][]int{}
+	recordHeap := func() {
+		snap := s.Store().Acquire()
+		defer snap.Release()
+		m := nn.NewConvNet(tinyArch(), rand.New(rand.NewSource(1)))
+		m.DetachArena()
+		m.SetParams(snap.Params())
+		heapPredictions[snap.Version()] = m.Predict(x)
+	}
+	recordHeap()
+
+	var ids []uint64
+	for _, b := range []string{`{"kind":"class","class":1}`, `{"kind":"class","class":2}`, `{"kind":"client","client":0}`} {
+		code, v := postForget(t, ts.URL, b)
+		if code != http.StatusAccepted {
+			t.Fatalf("post %s: status %d, want 202", b, code)
+		}
+		ids = append(ids, v.ID)
+	}
+
+	type reply struct {
+		Version     uint64 `json:"version"`
+		Predictions []int  `json:"predictions"`
+	}
+	h := s.Handler()
+	predict := func() (reply, error) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+		var r reply
+		if rec.Code != http.StatusOK {
+			return r, fmt.Errorf("predict: status %d: %s", rec.Code, rec.Body)
+		}
+		return r, json.NewDecoder(rec.Body).Decode(&r)
+	}
+
+	var (
+		mu      sync.Mutex
+		replies []reply
+		wg      sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	stopReaders := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopReaders()
+	const readers = 3
+	wg.Add(readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rep, err := predict()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				replies = append(replies, rep)
+				mu.Unlock()
+			}
+		}()
+	}
+	s.Start()
+	waitTerminal(t, s, ids...)
+	stopReaders()
+	recordHeap()
+	last, err := predict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies = append(replies, last)
+	s.Drain()
+
+	if len(heapPredictions) != 2 {
+		t.Fatalf("%d versions recorded, want 2: the initial one and the coalesced batch's", len(heapPredictions))
+	}
+	for i, rep := range replies {
+		want, ok := heapPredictions[rep.Version]
+		if !ok {
+			t.Fatalf("reply %d names version %d, which was never published", i, rep.Version)
+		}
+		if fmt.Sprint(rep.Predictions) != fmt.Sprint(want) {
+			t.Fatalf("reply %d (version %d) predicted %v on the arena, %v on the heap", i, rep.Version, rep.Predictions, want)
+		}
+	}
+	if live := s.Store().Live(); live != 1 {
+		t.Fatalf("Live = %d after drain, want 1", live)
 	}
 }

@@ -94,6 +94,18 @@ func postForget(t testing.TB, url string, body string) (int, View) {
 	return resp.StatusCode, v
 }
 
+// postForgetRetryAfter posts a forget request and returns the reply's
+// status and Retry-After header.
+func postForgetRetryAfter(t testing.TB, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/forget", "application/json", bytes.NewBufferString(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get("Retry-After")
+}
+
 func getJSON(t testing.TB, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -413,8 +425,8 @@ func TestServerQueueFullTicketsNotRetained(t *testing.T) {
 		t.Fatalf("first post: status %d, want 202", code)
 	}
 	for i := 0; i < 5; i++ {
-		if code, _ := postForget(t, ts.URL, `{"kind":"class","class":2}`); code != http.StatusTooManyRequests {
-			t.Fatalf("post %d into full queue: status %d, want 429", i, code)
+		if code, retry := postForgetRetryAfter(t, ts.URL, `{"kind":"class","class":2}`); code != http.StatusTooManyRequests || retry != retryAfter {
+			t.Fatalf("post %d into full queue: status %d, Retry-After %q, want 429 with %q", i, code, retry, retryAfter)
 		}
 	}
 	views := s.views()
@@ -511,8 +523,8 @@ func TestServerDrain(t *testing.T) {
 	waitTerminal(t, s, v.ID)
 
 	s.Drain()
-	if code, _ := postForget(t, ts.URL, `{"kind":"class","class":2}`); code != http.StatusServiceUnavailable {
-		t.Fatalf("post after drain: status %d, want 503", code)
+	if code, retry := postForgetRetryAfter(t, ts.URL, `{"kind":"class","class":2}`); code != http.StatusServiceUnavailable || retry != retryAfter {
+		t.Fatalf("post after drain: status %d, Retry-After %q, want 503 with %q", code, retry, retryAfter)
 	}
 	var st Stats
 	if code := getJSON(t, ts.URL+"/v1/status", &st); code != http.StatusOK {

@@ -17,8 +17,9 @@ import "math"
 // Ownership rules (see DESIGN.md, "Step arena"):
 //
 //   - An arena belongs to one goroutine; it is not safe for concurrent use.
-//   - Every tensor backed by the arena dies at Reset. Anything that must
-//     outlive the step is copied out first.
+//   - Every tensor backed by the arena dies at Reset, or at the Rewind to
+//     a mark taken before it. Anything that must outlive the step is
+//     copied out first.
 //   - Without a Reset the buffers handed out accumulate until the arena
 //     itself is garbage, so a caller that builds graphs in a loop resets
 //     once per iteration.
@@ -52,14 +53,28 @@ func (a *Arena) get(n int) []float64 {
 	return buf
 }
 
-// Reset ends the step: every buffer handed out since the previous Reset
-// goes back on its free list, and every tensor that was backed by one is
-// dead.
-func (a *Arena) Reset() {
+// Mark is a position in an arena's allocation history: the buffers handed
+// out before it. The zero Mark is the empty arena.
+type Mark struct{ used int }
+
+// Mark returns the arena's current position, for a later Rewind.
+func (a *Arena) Mark() Mark { return Mark{used: len(a.used)} }
+
+// Rewind releases everything handed out since m: those buffers go back on
+// their free lists and every tensor backed by one is dead, while what was
+// handed out before m stays live. A scope nested inside a step (an
+// inference pass between a forward and its backward) marks on entry and
+// rewinds on exit, leaving the step's tensors alone. A mark beyond the
+// arena's position — taken before an earlier Rewind or Reset to a lower
+// one — panics.
+func (a *Arena) Rewind(m Mark) {
+	if m.used > len(a.used) {
+		panic("tensor: Rewind to a mark past the arena's position")
+	}
 	if a.free == nil {
 		a.free = make(map[int][][]float64)
 	}
-	for _, buf := range a.used {
+	for _, buf := range a.used[m.used:] {
 		if a.poison {
 			for j := range buf {
 				buf[j] = math.NaN()
@@ -67,8 +82,12 @@ func (a *Arena) Reset() {
 		}
 		a.free[len(buf)] = append(a.free[len(buf)], buf)
 	}
-	a.used = a.used[:0]
+	a.used = a.used[:m.used]
 }
+
+// Reset ends the step: it rewinds to the empty mark, so every buffer
+// handed out goes back on its free list.
+func (a *Arena) Reset() { a.Rewind(Mark{}) }
 
 // PoisonOnReset is a test hook: when on, Reset fills every recycled buffer
 // with NaN, so a tensor read after its step ended, or a kernel relying on

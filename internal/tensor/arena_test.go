@@ -41,6 +41,45 @@ func TestArenaRecyclesStorageBySize(t *testing.T) {
 	}
 }
 
+// Rewind releases only what was handed out after the mark: the buffer
+// handed out before it stays live and unpoisoned, the one after it serves
+// the next request of its size, and a mark the arena has been rewound
+// past panics. Reset is the rewind to the empty mark.
+func TestArenaRewindReleasesOnlyAfterTheMark(t *testing.T) {
+	var a Arena
+	a.PoisonOnReset(true)
+	x := Ones(2, 3)
+	var kept, scoped Tensor
+	AddInto(a.Header(&kept), x, x)
+	m := a.Mark()
+	ScaleInto(a.Header(&scoped), x, 3)
+	released := &scoped.data[0]
+	a.Rewind(m)
+	if a.Mark() != m {
+		t.Fatal("Rewind did not return the arena to the mark")
+	}
+	for _, v := range kept.data {
+		if v != 2 {
+			t.Fatalf("a buffer handed out before the mark was recycled: %v", kept.data)
+		}
+	}
+	var next Tensor
+	MulInto(a.Header(&next), x, x)
+	if &next.data[0] != released {
+		t.Fatal("the buffer Rewind released was not reused")
+	}
+	a.Reset()
+	if a.Mark() != (Mark{}) {
+		t.Fatal("Reset did not rewind to the empty mark")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Rewind to a mark past the arena's position must panic")
+		}
+	}()
+	a.Rewind(m)
+}
+
 func TestArenaUntaggedHeaderStaysOnHeap(t *testing.T) {
 	var a Arena
 	var h Tensor

@@ -36,7 +36,13 @@ go test -race -short ./internal/core
 # The matmul and im2col kernels shard their rows only when GOMAXPROCS >= 2
 # and the product clears tensor.parallelWork, so on a multi-core runner the
 # runs above gate the sharded branch and this one the inline branch.
-echo "==> GOMAXPROCS=1 go test (tensor, autodiff, nn)"
-GOMAXPROCS=1 go test -count=1 ./internal/tensor ./internal/autodiff ./internal/nn
+echo "==> GOMAXPROCS=1 go test (tensor, autodiff, nn, eval)"
+GOMAXPROCS=1 go test -count=1 ./internal/tensor ./internal/autodiff ./internal/nn ./internal/eval
+
+# The predict path beside the worker: pooled /v1/predict models and the
+# worker's model each run inference on their own arena. Repeated, because
+# a race shows only in the interleavings a run happens to hit.
+echo "==> go test -race -count=10 (predict beside the worker)"
+go test -race -count=10 -run '^TestPredictBesideWorkerMatchesHeapPath$' ./internal/serve
 
 echo "check.sh: all clean"
