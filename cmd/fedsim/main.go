@@ -30,7 +30,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -151,13 +150,10 @@ func main() {
 			Participation: participation, SampleK: *sampleK, Workers: *workers,
 			Counter: &counter, Telemetry: pipe, Health: mon, Phase: "train",
 		}
-		var err error
-		if *workers == 1 {
-			_, err = fl.RunPhaseRegistry(model, reg, cfg, rng)
-		} else {
-			_, err = fl.RunPhaseConcurrentRegistry(context.Background(), model, factory, reg, cfg, rng)
+		if *workers != 1 {
+			cfg.Factory = factory
 		}
-		if err != nil {
+		if _, err := fl.RunPhaseRegistry(model, reg, cfg, rng); err != nil {
 			fatal(err)
 		}
 		done += step

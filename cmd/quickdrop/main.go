@@ -103,7 +103,7 @@ func run() error {
 		if _, err := sys.Train(); err != nil {
 			return err
 		}
-		fmt.Printf("trained in %s; test accuracy %.2f%%; distillation overhead %s\n",
+		fmt.Printf("trained in %s; test accuracy %.2f%%; distillation time %s summed over clients\n",
 			time.Since(start).Round(time.Millisecond),
 			100*eval.Accuracy(sys.Model, setup.Test),
 			sys.Matcher.DDTime.Round(time.Millisecond))

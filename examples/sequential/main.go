@@ -33,12 +33,13 @@ func main() {
 	}
 
 	start := time.Now()
-	if _, err := sys.Train(); err != nil {
+	res, err := sys.Train()
+	if err != nil {
 		log.Fatal(err)
 	}
 	trainTime := time.Since(start)
-	fmt.Printf("one-time training + distillation: %s (distillation share %s)\n",
-		trainTime.Round(time.Millisecond), sys.Matcher.DDTime.Round(time.Millisecond))
+	fmt.Printf("one-time training + distillation: %s (distillation %.0f%% of the clients' training time)\n",
+		trainTime.Round(time.Millisecond), 100*float64(sys.Matcher.DDTime)/float64(res.ClientTime))
 
 	// A mixed stream of requests, as they might arrive in production:
 	// classes retracted by the operator and clients exercising their

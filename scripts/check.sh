@@ -45,4 +45,10 @@ GOMAXPROCS=1 go test -count=1 ./internal/tensor ./internal/autodiff ./internal/n
 echo "==> go test -race -count=10 (predict beside the worker)"
 go test -race -count=10 -run '^TestPredictBesideWorkerMatchesHeapPath$' ./internal/serve
 
+# Train's clients distill side by side on the worker pool, sharing the
+# matcher's counters and the telemetry/health observers; the pooled
+# phase must stay bit-identical to the inline one at 1, 2 and 3 workers.
+echo "==> go test -race -count=5 (pooled Train matches inline)"
+go test -race -count=5 -run '^TestTrainPooledMatchesInline$' ./internal/core
+
 echo "check.sh: all clean"
