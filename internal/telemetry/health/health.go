@@ -7,9 +7,10 @@
 // The design splits hot from warm:
 //
 //   - Record* methods run on training/unlearning hot paths. They are
-//     nil-receiver-safe, allocation-free (proven by AllocsPerRun tests
-//     and the quickdroplint telemetry rule), and only LATCH a verdict —
-//     they never format, emit, or construct errors.
+//     nil-receiver-safe, allocation-free on the monitor itself (proven
+//     by AllocsPerRun tests and the quickdroplint telemetry rule; a
+//     Fork's buffer grows by amortized appends), and only LATCH a
+//     verdict — they never format, emit, or construct errors.
 //   - Check runs on warm per-round paths. It surfaces the latched
 //     verdict as an *UnhealthyError (unwrapping to ErrUnhealthy), emits
 //     the JSONL trip event, and flips the quickdrop_health gauge.
@@ -19,6 +20,11 @@
 // steady-state overhead is a counter increment. The hard NaN/Inf
 // tripwire on losses is exercised on every recorded step — a scalar
 // self-comparison costs nothing.
+//
+// Clients that train side by side record through a Fork each: the fork
+// buffers its client's observations with its own sampling cadence, and
+// Join replays them into the monitor. Joining in a fixed client order
+// makes the verdict independent of how the clients were scheduled.
 //
 // Everything here is read-only with respect to the model: a run with
 // the monitor attached is bitwise identical to one without.
@@ -135,7 +141,9 @@ const ewmaWarmup = 8
 
 // Monitor is the numerics health monitor. All methods are safe for
 // concurrent use and no-ops on a nil receiver, matching the telemetry
-// handles it feeds.
+// handles it feeds. A Fork is the exception: it belongs to the one
+// goroutine that trains its client, and only Sample and the Record*
+// calls a client makes are meaningful on it.
 type Monitor struct {
 	cfg    Config
 	pipe   *telemetry.Pipeline
@@ -173,7 +181,32 @@ type Monitor struct {
 	nanEvents int64
 	maxGrad   float64
 	maxRatio  float64
+
+	// forked marks a Fork: its Record* calls append to obs instead of
+	// latching, and Join replays them.
+	forked bool
+	obs    []observation
 }
+
+// observation is one Record* call buffered by a fork.
+type observation struct {
+	kind  obsKind
+	layer int
+	x     float64
+	a     float64 // loss | matching distance | gradient norm
+	b     float64 // pixel-gradient norm | update norm
+	c     float64 // parameter norm
+	n     int     // non-finite gradient elements
+	np    int     // non-finite parameter elements
+}
+
+type obsKind uint8
+
+const (
+	obsLoss obsKind = iota
+	obsLayer
+	obsDistill
+)
 
 // New builds a monitor recording through pipe (nil for a detached
 // monitor that only watchdogs).
@@ -251,6 +284,44 @@ func (m *Monitor) Sample() bool {
 	return m.tick.Add(1)%uint64(m.cfg.SampleEvery) == 0
 }
 
+// Fork returns a recorder for one client's local steps (nil on a nil
+// monitor). It takes the same Sample and Record* calls as the monitor
+// but only buffers them, so forks for distinct clients may record
+// concurrently without touching the monitor. A fork samples its first
+// call and every SampleEvery-th after it, so every client's round is
+// watched however few steps it runs, and the choice never depends on
+// other clients. Hand the fork to Join once the client is done.
+func (m *Monitor) Fork() *Monitor {
+	if m == nil {
+		return nil
+	}
+	f := &Monitor{cfg: m.cfg, forked: true}
+	f.tick.Store(uint64(m.cfg.SampleEvery - 1))
+	return f
+}
+
+// Join replays a fork's buffered observations into m, in the order they
+// were recorded, as if they had been recorded on m directly. Call it
+// for the forks of a round in a fixed client order: the EWMA spike
+// detector and the first latched verdict then come out the same however
+// the clients were scheduled. A nil fork is a no-op.
+func (m *Monitor) Join(f *Monitor) {
+	if m == nil || f == nil {
+		return
+	}
+	for _, o := range f.obs {
+		switch o.kind {
+		case obsLoss:
+			m.RecordLoss(o.x, o.a)
+		case obsLayer:
+			m.RecordLayer(o.layer, o.x, o.a, o.n, o.b, o.c, o.np)
+		case obsDistill:
+			m.RecordDistill(o.x, o.a, o.b, o.n)
+		}
+	}
+	f.obs = f.obs[:0]
+}
+
 // latch records the first verdict of the current trip window. Called
 // with m.mu held; everything stored is a plain value, so the hot path
 // never allocates.
@@ -276,6 +347,10 @@ func (m *Monitor) latch(reason, layer string, value, threshold, step float64) {
 // and the EWMA spike detector. Hot path: call on every local step.
 func (m *Monitor) RecordLoss(x, loss float64) {
 	if m == nil {
+		return
+	}
+	if m.forked {
+		m.obs = append(m.obs, observation{kind: obsLoss, x: x, a: loss})
 		return
 	}
 	m.mu.Lock()
@@ -319,6 +394,11 @@ func (m *Monitor) RecordLoss(x, loss float64) {
 // count). Hot path; callers gate it behind Sample().
 func (m *Monitor) RecordLayer(layer int, x, gradNorm float64, gradNonFinite int, updNorm, paramNorm float64, paramNonFinite int) {
 	if m == nil {
+		return
+	}
+	if m.forked {
+		m.obs = append(m.obs, observation{kind: obsLayer, layer: layer, x: x,
+			a: gradNorm, b: updNorm, c: paramNorm, n: gradNonFinite, np: paramNonFinite})
 		return
 	}
 	ratio := 0.0
@@ -366,6 +446,10 @@ func (m *Monitor) RecordLayer(layer int, x, gradNorm float64, gradNonFinite int,
 // was not sampled.
 func (m *Monitor) RecordDistill(x, dist, gradNorm float64, nonFinite int) {
 	if m == nil {
+		return
+	}
+	if m.forked {
+		m.obs = append(m.obs, observation{kind: obsDistill, x: x, a: dist, b: gradNorm, n: nonFinite})
 		return
 	}
 	m.mu.Lock()

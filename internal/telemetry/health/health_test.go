@@ -256,6 +256,75 @@ func TestSampleCadence(t *testing.T) {
 	}
 }
 
+// TestForkJoinReplaysInOrder: a fork samples its first call and every
+// SampleEvery-th after it, latches nothing while it records, and the
+// verdict follows the order forks are joined in, not the order they
+// recorded in.
+func TestForkJoinReplaysInOrder(t *testing.T) {
+	var nilMon *Monitor
+	if nilMon.Fork() != nil {
+		t.Fatal("a nil monitor's fork should be nil")
+	}
+	nilMon.Join(nil)
+
+	cfg := Config{SampleEvery: 4, LossSpikeFactor: 3, GradNormMax: 9.5}
+	var hits []int
+	f := New(cfg, nil).Fork()
+	for i := 1; i <= 9; i++ {
+		if f.Sample() {
+			hits = append(hits, i)
+		}
+	}
+	if len(hits) != 3 || hits[0] != 1 || hits[1] != 5 || hits[2] != 9 {
+		t.Fatalf("fork sampled calls %v, want [1 5 9]", hits)
+	}
+
+	// Client c's distill gradient norm reaches GradNormMax at step 10,
+	// and its losses grow c²-fold: client 2 spikes at step 8.
+	record := func(m *Monitor, client int) {
+		for step := 0; step < 12; step++ {
+			x := float64(client*100 + step)
+			if m.Sample() {
+				m.RecordLayer(client, x, float64(step), 0, 0.1, 1, 0)
+			}
+			m.RecordDistill(x, 0.5, float64(step), 0)
+			m.RecordLoss(x, 1+float64(step*client*client))
+		}
+	}
+	run := func(recordOrder []int) (*Monitor, Verdict) {
+		m := New(cfg, nil)
+		m.BindLayers([]string{"a", "b", "c"})
+		m.BeginPhase("train")
+		forks := make([]*Monitor, 3)
+		for _, c := range recordOrder {
+			forks[c] = m.Fork()
+			record(forks[c], c)
+		}
+		if m.Tripped() || forks[2].Tripped() {
+			t.Fatal("recording on a fork latched a verdict")
+		}
+		for _, fork := range forks {
+			m.Join(fork)
+		}
+		var uh *UnhealthyError
+		if !errors.As(m.Check(), &uh) {
+			t.Fatal("joined forks did not trip the watchdog")
+		}
+		return m, uh.Verdict
+	}
+	fwd, want := run([]int{0, 1, 2})
+	if want.Reason != "grad_norm" || want.Layer != "distill" || want.Step != 10 {
+		t.Fatalf("verdict %+v, want client 0's distill grad_norm at step 10", want)
+	}
+	rev, got := run([]int{2, 1, 0})
+	if got != want {
+		t.Fatalf("forks recorded in reverse: verdict %+v, want %+v", got, want)
+	}
+	if gs, ws := rev.Summary(), fwd.Summary(); *gs != *ws {
+		t.Fatalf("forks recorded in reverse: summary %+v, want %+v", gs, ws)
+	}
+}
+
 func TestHealthStatusSeries(t *testing.T) {
 	m, pipe := testMonitor(Config{})
 	if err := m.Check(); err != nil {

@@ -190,8 +190,7 @@ func benchMatcher() (*distill.Matcher, fl.StepContext) {
 // the gap to the plain step is the monitor's overhead.
 func BenchmarkGradientMatchingStepHealth(b *testing.B) {
 	m, ctx := benchMatcher()
-	mon := health.New(health.Config{}, nil)
-	m.Health = mon
+	ctx.Health = health.New(health.Config{}, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
