@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"quickdrop/internal/experiments"
@@ -36,7 +37,7 @@ func main() {
 	id := flag.String("id", "all", "experiment id (tableN, figN, ablation-*, ext-sample, all)")
 	scaleName := flag.String("scale", "quick", "scale preset: quick|standard|large")
 	repeats := flag.Int("repeats", 1, "average method tables and ablations over this many seeds (paper: 5)")
-	telAddr := flag.String("telemetry-addr", "", "serve /metrics, /dashboard, /api/series, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
+	telAddr := flag.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
 	eventsOut := flag.String("events", "", "append JSONL cost events to this file")
 	ledgerDir := flag.String("ledger", "", "write a run manifest into this directory (e.g. runs/)")
 	flag.Parse()
@@ -58,7 +59,7 @@ func main() {
 			fatal(err)
 		}
 		defer func() { _ = srv.Close() }()
-		fmt.Printf("telemetry: serving on http://%s/metrics (dashboard: /dashboard)\n", srv.Addr())
+		fmt.Printf("telemetry: serving on http://%s/metrics\n", srv.Addr())
 	}
 	if *eventsOut != "" {
 		f, err := os.Create(*eventsOut)
@@ -154,12 +155,14 @@ func report(args []string) {
 		for k, v := range m.Config {
 			fmt.Printf("  config %s=%s\n", k, v)
 		}
-		for _, name := range sortedKeys(m.Final) {
-			fmt.Printf("  final %s=%.6f (%d samples)\n", name, m.Final[name], m.SeriesTotal[name])
+		for _, name := range sortedKeys(m.Metrics) {
+			if strings.HasSuffix(name, "_accuracy") {
+				fmt.Printf("  %s=%.6f\n", name, m.Metrics[name].Sum)
+			}
 		}
-		if m.RoundLatency.Count > 0 {
-			fmt.Printf("  round latency: n=%d p50=%s p95=%s p99=%s\n",
-				m.RoundLatency.Count, m.RoundLatency.P50, m.RoundLatency.P95, m.RoundLatency.P99)
+		if r := m.Metrics["quickdrop_fl_round_seconds"]; r.Count > 0 {
+			fmt.Printf("  round latency: n=%d mean=%s\n",
+				r.Count, time.Duration(r.Sum/float64(r.Count)*float64(time.Second)))
 		}
 		if h := m.Health; h != nil {
 			status := "healthy"
@@ -172,7 +175,7 @@ func report(args []string) {
 	}
 }
 
-func sortedKeys(m map[string]float64) []string {
+func sortedKeys(m map[string]telemetry.MetricSummary) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -19,14 +19,13 @@
 // Clients train one after another by default; -workers N trains them on
 // a pool of N workers (0 = GOMAXPROCS) with bit-identical results.
 //
-// With -telemetry-addr, fedsim serves Prometheus metrics on
-// /metrics, the live flight-recorder dashboard on /dashboard, series
-// JSON on /api/series, expvar on /debug/vars and pprof on /debug/pprof
-// while training (use ":0" for an ephemeral port; the bound address is
-// printed). -telemetry-linger keeps the endpoint up after training so
-// scrapers can collect the final state. -ledger writes a run manifest
-// (config, seed, metric summaries, quantiles) into the given directory
-// for `experiments report -diff`.
+// With -telemetry-addr, fedsim serves Prometheus metrics on /metrics,
+// expvar on /debug/vars and pprof on /debug/pprof while training (use
+// ":0" for an ephemeral port; the bound address is printed).
+// -telemetry-linger keeps the endpoint up after training so scrapers
+// can collect the final state. -ledger writes a run manifest (config,
+// seed, metric summaries) into the given directory for
+// `experiments report -diff`.
 package main
 
 import (
@@ -65,7 +64,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		every     = flag.Int("eval-every", 5, "evaluate every N rounds")
 		memStats  = flag.Bool("memstats", false, "print heap statistics after training (for scale smoke tests)")
-		telAddr   = flag.String("telemetry-addr", "", "serve /metrics, /dashboard, /api/series, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
+		telAddr   = flag.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
 		telLinger = flag.Duration("telemetry-linger", 0, "keep the telemetry endpoint up this long after training")
 		ledgerDir = flag.String("ledger", "", "write a run manifest into this directory (e.g. runs/)")
 
@@ -114,7 +113,7 @@ func main() {
 			fatal(err)
 		}
 		defer func() { _ = srv.Close() }()
-		fmt.Printf("telemetry: serving on http://%s/metrics (dashboard: /dashboard)\n", srv.Addr())
+		fmt.Printf("telemetry: serving on http://%s/metrics\n", srv.Addr())
 	}
 
 	var mon *health.Monitor
@@ -158,7 +157,7 @@ func main() {
 		}
 		done += step
 		acc := eval.Accuracy(model, test)
-		pipe.RecordAccuracy(float64(done), acc)
+		pipe.RecordAccuracy(acc)
 		fmt.Printf("round %3d: test accuracy %.2f%% (%s elapsed, %d grad evals)\n",
 			done, 100*acc, start.Elapsed().Round(time.Millisecond), counter.GradEvals)
 	}

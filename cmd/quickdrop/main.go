@@ -46,7 +46,7 @@ func run() error {
 		saveState     = flag.String("save", "", "persist full system state (model + synthetic sets + forget ledger) to this file")
 		loadState     = flag.String("load", "", "restore system state instead of training")
 		seed          = flag.Int64("seed", 1, "random seed")
-		telAddr       = flag.String("telemetry-addr", "", "serve /metrics, /dashboard, /api/series, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
+		telAddr       = flag.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
 		eventsOut     = flag.String("events", "", "append JSONL telemetry events (spans) to this file")
 		ledgerDir     = flag.String("ledger", "", "write a run manifest into this directory (e.g. runs/)")
 	)
@@ -74,7 +74,7 @@ func run() error {
 				return err
 			}
 			defer func() { _ = srv.Close() }()
-			fmt.Printf("telemetry: serving on http://%s/metrics (dashboard: /dashboard)\n", srv.Addr())
+			fmt.Printf("telemetry: serving on http://%s/metrics\n", srv.Addr())
 		}
 	}
 
@@ -94,8 +94,9 @@ func run() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("restored state from %s; test accuracy %.2f%%\n",
-			*loadState, 100*eval.Accuracy(sys.Model, setup.Test))
+		acc := eval.Accuracy(sys.Model, setup.Test)
+		cfg.Telemetry.RecordAccuracy(acc)
+		fmt.Printf("restored state from %s; test accuracy %.2f%%\n", *loadState, 100*acc)
 	} else {
 		fmt.Printf("training %d clients on %s (alpha=%.2g, %d rounds)...\n",
 			*clients, *dataset, *alpha, cfg.Train.Rounds)
@@ -103,9 +104,10 @@ func run() error {
 		if _, err := sys.Train(); err != nil {
 			return err
 		}
+		acc := eval.Accuracy(sys.Model, setup.Test)
+		cfg.Telemetry.RecordAccuracy(acc)
 		fmt.Printf("trained in %s; test accuracy %.2f%%; distillation time %s summed over clients\n",
-			time.Since(start).Round(time.Millisecond),
-			100*eval.Accuracy(sys.Model, setup.Test),
+			time.Since(start).Round(time.Millisecond), 100*acc,
 			sys.Matcher.DDTime.Round(time.Millisecond))
 	}
 

@@ -20,10 +20,10 @@
 //	POST /v1/predict       {"inputs":[[...H*W*C floats...]]}
 //	GET  /v1/status        queue depth, batches, versions, drain state
 //
-// The telemetry surface (/metrics, /dashboard, /api/series,
-// /debug/pprof) is mounted on the same mux. On SIGINT/SIGTERM the
-// daemon drains: queued requests finish (still coalesced), then the
-// ledger manifest — including the audit trail — is written.
+// The telemetry surface (/metrics, /debug/vars, /debug/pprof) is
+// mounted on the same mux. On SIGINT/SIGTERM the daemon drains: queued
+// requests finish (still coalesced), then the ledger manifest —
+// including the audit trail — is written.
 package main
 
 import (
@@ -158,7 +158,7 @@ func run() error {
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	srv.Start()
 	// The smoke scripts grep this line for the bound address.
-	fmt.Printf("quickdropd: serving on http://%s (dashboard: /dashboard)\n", ln.Addr())
+	fmt.Printf("quickdropd: serving on http://%s\n", ln.Addr())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

@@ -8,7 +8,6 @@ package fl
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -398,7 +397,6 @@ func runLocalSteps(model *nn.Model, client *data.Dataset, cfg PhaseConfig, round
 		cost.AddBatch(len(idx))
 		cfg.Telemetry.LocalStep(clientID, len(idx))
 		at := round*cfg.LocalSteps + step
-		cfg.Telemetry.RecordLoss(float64(at), loss)
 		cfg.Health.RecordLoss(float64(at), loss)
 		if cfg.Hook != nil {
 			cfg.Hook(StepContext{
@@ -411,21 +409,20 @@ func runLocalSteps(model *nn.Model, client *data.Dataset, cfg PhaseConfig, round
 	return cost
 }
 
-// healthRound feeds the aggregated global model's parameter L2 norm
-// into the health monitor after one round and gates the phase on the
-// divergence watchdog. Warm path: one blocked pass over the parameters
-// per round, and only when a monitor is attached.
+// healthRound feeds the aggregated global model's non-finite parameter
+// count into the health monitor after one round and gates the phase on
+// the divergence watchdog. Warm path: one blocked pass over the
+// parameters per round, and only when a monitor is attached.
 func healthRound(cfg PhaseConfig, round int, model *nn.Model) error {
 	if cfg.Health == nil {
 		return nil
 	}
-	sumsq, bad := 0.0, 0
+	bad := 0
 	for _, p := range model.ParamTensors() {
-		l2, nans, infs := tensor.NormStats(p)
-		sumsq += l2 * l2
+		_, nans, infs := tensor.NormStats(p)
 		bad += nans + infs
 	}
-	cfg.Health.RecordRound(float64(round), math.Sqrt(sumsq), bad)
+	cfg.Health.RecordRound(float64(round), bad)
 	return cfg.Health.Check()
 }
 

@@ -13,7 +13,7 @@ import (
 
 // LockOrder builds a whole-program lock-acquisition graph and reports
 // cycles as potential deadlocks. Locks are grouped into classes — a
-// mutex field of a named struct type ("telemetry.SeriesStore.mu") or a
+// mutex field of a named struct type ("telemetry.Tracer.mu") or a
 // package-level mutex variable ("lint.stdImporter") — because two
 // goroutines deadlock by taking two *instances* of the same classes in
 // opposite orders just as surely as two globals.

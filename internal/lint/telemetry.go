@@ -36,10 +36,6 @@ var recordSafeTelemetry = map[string]bool{
 	"StartClient": true, "EndClient": true,
 	"StartDistill": true, "EndDistill": true,
 	"DropUpdate": true, "Request": true,
-	// flight-recorder record paths (series appends and the pipeline
-	// wrappers over them, plus the streaming quantile fold)
-	"Append": true, "RecordLoss": true, "RecordAccuracy": true,
-	"RecordSplitAccuracy": true,
 }
 
 // recordSafeHealth are the internal/telemetry/health methods proven

@@ -39,8 +39,8 @@ func (m *Monitor) RecordDistill(x, dist, gradNorm float64, bad int) {
 	}
 }
 
-// RecordRound latches a round-boundary parameter norm (record path).
-func (m *Monitor) RecordRound(x, paramNorm float64, bad int) {
+// RecordRound latches a round-boundary non-finite count (record path).
+func (m *Monitor) RecordRound(x float64, bad int) {
 	if m != nil && bad > 0 {
 		m.tripped = true
 	}

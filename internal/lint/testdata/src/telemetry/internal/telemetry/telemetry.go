@@ -43,38 +43,31 @@ func (t *Tracer) Snapshot() []uint64 {
 	return out
 }
 
-// SeriesID addresses one pre-registered series.
-type SeriesID int32
+// Gauge is an atomically settable value.
+type Gauge struct{ v float64 }
 
-// SeriesStore is the flight recorder's bounded series log.
-type SeriesStore struct{ rings [][]float64 }
+// Set is a record path (allocation-free).
+func (g *Gauge) Set(v float64) { g.v = v }
 
-// Register adds a series — setup-time only (allocates the ring).
-func (s *SeriesStore) Register(name string, capacity int) SeriesID {
-	s.rings = append(s.rings, make([]float64, capacity))
-	return SeriesID(len(s.rings) - 1)
-}
-
-// Append writes one ring slot (record path, allocation-free).
-func (s *SeriesStore) Append(id SeriesID, x, y float64) {
-	s.rings[id][0] = y
-}
-
-// Points copies the retained samples out — reporting only.
-func (s *SeriesStore) Points(id SeriesID) []float64 {
-	out := make([]float64, len(s.rings[id]))
-	copy(out, s.rings[id])
+// Summaries reduces every registered metric — reporting only.
+func (r *Registry) Summaries() map[string]int64 {
+	out := make(map[string]int64, len(r.names))
+	for _, n := range r.names {
+		out[n] = 0
+	}
 	return out
 }
 
 // Pipeline bundles record handles.
-type Pipeline struct{ s *SeriesStore }
+type Pipeline struct{ acc *Gauge }
 
-// RecordLoss appends one loss sample (record path).
-func (p *Pipeline) RecordLoss(x, loss float64) { p.s.Append(0, x, loss) }
+// LocalStep counts one client-local step (record path).
+func (p *Pipeline) LocalStep(client, batch int) {}
 
-// Downsample reduces a series for plotting — reporting only.
-func Downsample(pts []float64, threshold int) []float64 {
-	out := make([]float64, 0, threshold)
-	return append(out, pts...)
-}
+// RecordAccuracy sets the accuracy gauge — called per evaluation, not
+// per step.
+func (p *Pipeline) RecordAccuracy(acc float64) { p.acc.Set(acc) }
+
+// BuildManifest snapshots the registry for the run ledger — reporting
+// only.
+func BuildManifest(r *Registry) map[string]int64 { return r.Summaries() }

@@ -19,8 +19,8 @@ func trainStep(m *health.Monitor, loss float64) {
 }
 
 func watchdog(m *health.Monitor) {
-	m.RecordRound(1, 3, 0) // ok: latch-only observation
-	if m.Tripped() {       // ok: atomic verdict read
+	m.RecordRound(1, 0) // ok: latch-only observation
+	if m.Tripped() {    // ok: atomic verdict read
 		_ = m.Check() // want "health call Check on the hot path of watchdog"
 		m.Reset()     // want "health call Reset on the hot path of watchdog"
 	}

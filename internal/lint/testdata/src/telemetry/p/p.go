@@ -32,22 +32,23 @@ func warm(r *telemetry.Registry) {
 	c.Inc()
 }
 
-// record drives the flight recorder from the loop body: the ring-slot
-// appends pass, the read-side snapshot and downsample calls are
-// flagged.
+// record drives the metrics from the loop body: the step counter and
+// gauge writes pass; the per-evaluation gauge wrapper and the reporting
+// reads are flagged.
 //
 //lint:hotpath
-func record(p *telemetry.Pipeline, s *telemetry.SeriesStore, id telemetry.SeriesID) {
-	p.RecordLoss(1, 0.5) // ok: record path
-	s.Append(id, 1, 2)   // ok: ring-slot write
-	readBack(s, id)
+func record(p *telemetry.Pipeline, g *telemetry.Gauge, r *telemetry.Registry) {
+	p.LocalStep(1, 32)    // ok: record path
+	g.Set(0.5)            // ok: atomic store
+	p.RecordAccuracy(0.9) // want "telemetry call RecordAccuracy on the hot path of record"
+	readBack(r)
 }
 
-func readBack(s *telemetry.SeriesStore, id telemetry.SeriesID) {
-	pts := s.Points(id)               // want "telemetry call Points on the hot path of readBack"
-	_ = telemetry.Downsample(pts, 10) // want "telemetry call Downsample on the hot path of readBack"
+func readBack(r *telemetry.Registry) {
+	_ = r.Summaries()              // want "telemetry call Summaries on the hot path of readBack"
+	_ = telemetry.BuildManifest(r) // want "telemetry call BuildManifest on the hot path of readBack"
 }
 
-func plot(s *telemetry.SeriesStore) telemetry.SeriesID {
-	return s.Register("loss", 64) // ok: not hot-reachable
+func report(r *telemetry.Registry) map[string]int64 {
+	return telemetry.BuildManifest(r) // ok: not hot-reachable
 }

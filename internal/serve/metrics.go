@@ -14,25 +14,16 @@ type serveMetrics struct {
 	failed         *telemetry.Counter   // quickdropd_requests_failed_total
 	watchdogTrips  *telemetry.Counter   // quickdropd_watchdog_trips_total
 	modelVersion   *telemetry.Gauge     // quickdropd_model_version
-
-	// Flight-recorder series for the dashboard.
-	series   *telemetry.SeriesStore
-	sVersion telemetry.SeriesID
-	sBatch   telemetry.SeriesID
-	sPublish telemetry.SeriesID
-	sQueue   telemetry.SeriesID
 }
 
 // newServeMetrics registers the daemon's instrument catalogue on the
-// pipeline's registry and series store (both optional).
+// pipeline's registry (optional).
 func newServeMetrics(p *telemetry.Pipeline) *serveMetrics {
 	var reg *telemetry.Registry
-	var series *telemetry.SeriesStore
 	if p != nil {
 		reg = p.Registry
-		series = p.Series
 	}
-	m := &serveMetrics{
+	return &serveMetrics{
 		queueDepth: reg.Gauge("quickdropd_queue_depth", "Forget requests waiting to be coalesced."),
 		batches:    reg.Counter("quickdropd_batches_total", "Coalesced unlearning batches executed."),
 		batchRequests: reg.Histogram("quickdropd_batch_requests",
@@ -46,15 +37,5 @@ func newServeMetrics(p *telemetry.Pipeline) *serveMetrics {
 		watchdogTrips: reg.Counter("quickdropd_watchdog_trips_total",
 			"Batches refused publication by the numerics health watchdog."),
 		modelVersion: reg.Gauge("quickdropd_model_version", "Latest published model version."),
-		series:       series,
 	}
-	if series != nil {
-		m.sVersion = series.Register("model_version", "Published model version (x: batch sequence).", 0)
-		m.sBatch = series.Register("batch_requests", "Requests coalesced per batch (x: batch sequence).", 0)
-		m.sPublish = series.Register("publish_seconds", "Snapshot publish wall time (x: batch sequence).", 0)
-		m.sQueue = series.Register("queue_depth", "Queue depth after each drain (x: batch sequence).", 0)
-	} else {
-		m.sVersion, m.sBatch, m.sPublish, m.sQueue = -1, -1, -1, -1
-	}
-	return m
 }

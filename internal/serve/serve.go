@@ -47,7 +47,7 @@ type Config struct {
 	// Sequential disables coalescing: one request per batch, in order.
 	// The zero value — coalescing on — is the point of the daemon.
 	Sequential bool
-	// Telemetry, if set, receives the daemon's metrics, series, and the
+	// Telemetry, if set, receives the daemon's metrics and the
 	// per-request audit log folded into the run ledger.
 	Telemetry *telemetry.Pipeline
 }
@@ -113,7 +113,7 @@ func New(cfg Config) *Server {
 }
 
 // Handler returns the server's HTTP handler: the /v1 API plus the
-// telemetry surface (/metrics, /dashboard, /api/series, /debug/*).
+// telemetry surface (/metrics, /debug/vars, /debug/pprof).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Store exposes the snapshot store (tests and embedding callers).

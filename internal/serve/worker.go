@@ -59,7 +59,6 @@ func (s *Server) runBatch(tickets []*Ticket) {
 		reqs[i] = t.Req
 	}
 	s.metrics.batchRequests.Observe(float64(len(tickets)))
-	s.metrics.series.Append(s.metrics.sBatch, float64(seq), float64(len(tickets)))
 
 	for _, t := range tickets {
 		t.setState(StateUnlearning)
@@ -118,13 +117,9 @@ func (s *Server) runBatch(tickets []*Ticket) {
 
 	sw := telemetry.StartTimer()
 	version := s.store.Publish(s.sys.Model.CloneParams())
-	d := sw.Elapsed().Seconds()
-	s.metrics.publishSeconds.Observe(d)
+	s.metrics.publishSeconds.Observe(sw.Elapsed().Seconds())
 	s.metrics.modelVersion.Set(float64(version))
 	s.metrics.batches.Inc()
-	s.metrics.series.Append(s.metrics.sPublish, float64(seq), d)
-	s.metrics.series.Append(s.metrics.sVersion, float64(seq), float64(version))
-	s.metrics.series.Append(s.metrics.sQueue, float64(seq), float64(s.q.Len()))
 
 	for i, t := range tickets {
 		audit := func() { s.audit(t) }

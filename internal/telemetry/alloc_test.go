@@ -30,11 +30,8 @@ func TestRecordPathsDoNotAllocate(t *testing.T) {
 		{"Span.StartEnd", func() { tr.Start(SpanClientStep, "client", 1, 0, 3).End() }},
 		{"Pipeline.ClientSpan", func() { p.EndClient(p.StartClient(0, 3)) }},
 		{"Stopwatch", func() { _ = StartTimer().Elapsed() }},
-		{"SeriesStore.Append", func() { p.Series.Append(p.sLoss, 1, 0.5) }},
-		{"Pipeline.RecordLoss", func() { p.RecordLoss(2, 0.25) }},
-		{"Pipeline.RecordAccuracy", func() { p.RecordAccuracy(3, 0.9) }},
+		{"Pipeline.RecordAccuracy", func() { p.RecordAccuracy(0.9) }},
 		{"Pipeline.RecordSplitAccuracy", func() { p.RecordSplitAccuracy(0.1, 0.8) }},
-		{"Quantiles.Observe", func() { h.Quantiles().Observe(0.02) }},
 	}
 	for _, tc := range cases {
 		tc.fn() // warm up (first ring append etc.)
@@ -49,9 +46,6 @@ func TestDisabledRecordPathsDoNotAllocate(t *testing.T) {
 	var c *Counter
 	var h *Histogram
 	var tr *Tracer
-	var s *SeriesStore
-	var q *Quantiles
-	live := NewSeriesStore()
 
 	cases := []struct {
 		name string
@@ -63,12 +57,8 @@ func TestDisabledRecordPathsDoNotAllocate(t *testing.T) {
 		{"nil Tracer span", func() { tr.Start(SpanClientStep, "client", 0, 0, 0).End() }},
 		{"nil Pipeline client span", func() { p.EndClient(p.StartClient(0, 0)) }},
 		{"nil Pipeline distill span", func() { p.EndDistill(p.StartDistill(0, 0), 0) }},
-		{"nil SeriesStore.Append", func() { s.Append(0, 1, 1) }},
-		{"invalid SeriesID Append", func() { live.Append(-1, 1, 1) }},
-		{"nil Pipeline.RecordLoss", func() { p.RecordLoss(1, 1) }},
-		{"nil Pipeline.RecordAccuracy", func() { p.RecordAccuracy(1, 1) }},
+		{"nil Pipeline.RecordAccuracy", func() { p.RecordAccuracy(1) }},
 		{"nil Pipeline.RecordSplitAccuracy", func() { p.RecordSplitAccuracy(0, 1) }},
-		{"nil Quantiles.Observe", func() { q.Observe(1) }},
 	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {

@@ -145,9 +145,7 @@ const ewmaWarmup = 8
 // goroutine that trains its client, and only Sample and the Record*
 // calls a client makes are meaningful on it.
 type Monitor struct {
-	cfg    Config
-	pipe   *telemetry.Pipeline
-	series *telemetry.SeriesStore
+	cfg Config
 
 	// Instruments (nil-safe handles when the pipeline has no registry).
 	gHealth  *telemetry.Gauge   // quickdrop_health (1 healthy, 0 tripped)
@@ -155,18 +153,9 @@ type Monitor struct {
 	cTrips   *telemetry.Counter // quickdrop_health_watchdog_trips_total
 	gMaxGrad *telemetry.Gauge   // quickdrop_health_max_grad_norm
 
-	// Flight-recorder series (silent-drop IDs without a series store).
-	sStatus    telemetry.SeriesID
-	sLossEWMA  telemetry.SeriesID
-	sParamNorm telemetry.SeriesID
-	sNaN       telemetry.SeriesID
-	sGrad      []telemetry.SeriesID // per layer, after BindLayers
-	sRatio     []telemetry.SeriesID
-	layers     []string
+	layers []string // verdict layer names, after BindLayers
 
-	tick  atomic.Uint64 // Sample() cadence counter
-	loss  atomic.Uint64 // RecordLoss cadence for the EWMA series
-	check atomic.Uint64 // Check sequence (x of the status series)
+	tick atomic.Uint64 // Sample() cadence counter
 
 	mu        sync.Mutex
 	phase     string
@@ -212,50 +201,29 @@ const (
 // monitor that only watchdogs).
 func New(cfg Config, pipe *telemetry.Pipeline) *Monitor {
 	cfg = cfg.withDefaults()
-	m := &Monitor{cfg: cfg, pipe: pipe}
-	if pipe != nil {
-		m.series = pipe.Series
-	}
-	m.sStatus, m.sLossEWMA, m.sParamNorm, m.sNaN = -1, -1, -1, -1
+	m := &Monitor{cfg: cfg}
 	if pipe != nil {
 		reg := pipe.Registry
 		m.gHealth = reg.Gauge("quickdrop_health", "Numerics health: 1 healthy, 0 watchdog tripped.")
 		m.cNaN = reg.Counter("quickdrop_health_nan_events_total", "Non-finite (NaN/Inf) observations.")
 		m.cTrips = reg.Counter("quickdrop_health_watchdog_trips_total", "Divergence watchdog trips.")
 		m.gMaxGrad = reg.Gauge("quickdrop_health_max_grad_norm", "Largest sampled per-layer gradient L2 norm.")
-		if pipe.Series != nil {
-			m.sStatus = pipe.Series.Register("health_status", "Watchdog status (x: check sequence; 1 healthy, 0 tripped).", 0)
-			m.sLossEWMA = pipe.Series.Register("health_loss_ewma", "Loss EWMA under the spike detector (x: caller's step).", 0)
-			m.sParamNorm = pipe.Series.Register("health_param_norm", "Aggregate parameter L2 norm per round (x: round).", 0)
-			m.sNaN = pipe.Series.Register("health_nan_events", "Cumulative non-finite observations (x: check sequence).", 0)
-		}
 	}
 	m.gHealth.Set(1)
 	return m
 }
 
-// BindLayers pre-registers the per-layer gradient-norm and update-ratio
-// series for the named parameters (in layer order), so RecordLayer is a
-// slice-indexed append with no name lookup. Call once after the model
-// is built; unbound layers record norms but no series.
+// BindLayers names the parameters (in layer order) that RecordLayer's
+// layer index addresses, so a per-layer verdict carries the layer's
+// name with no lookup on the hot path. Call once after the model is
+// built; a trip on an unbound layer carries no name.
 func (m *Monitor) BindLayers(names []string) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.layers = append([]string(nil), names...)
-	m.sGrad = make([]telemetry.SeriesID, len(names))
-	m.sRatio = make([]telemetry.SeriesID, len(names))
-	for i, name := range names {
-		m.sGrad[i], m.sRatio[i] = -1, -1
-		if m.series != nil {
-			m.sGrad[i] = m.series.Register("health_grad_norm_"+name,
-				"Sampled gradient L2 norm of one parameter (x: optimizer step).", 0)
-			m.sRatio[i] = m.series.Register("health_update_ratio_"+name,
-				"Sampled update-norm / param-norm ratio of one parameter (x: optimizer step).", 0)
-		}
-	}
+	m.mu.Unlock()
 }
 
 // BeginPhase re-baselines the loss-spike detector for a new pipeline
@@ -379,13 +347,7 @@ func (m *Monitor) RecordLoss(x, loss float64) {
 		}
 		m.ewma += m.cfg.EWMAAlpha * (loss - m.ewma)
 	}
-	ewma := m.ewma
 	m.mu.Unlock()
-	// The EWMA series records on the sampling cadence so the flight
-	// recorder isn't dominated by per-step smoothing noise.
-	if m.loss.Add(1)%uint64(m.cfg.SampleEvery) == 0 {
-		m.series.Append(m.sLossEWMA, x, ewma)
-	}
 }
 
 // RecordLayer feeds one sampled per-layer observation from the
@@ -434,10 +396,6 @@ func (m *Monitor) RecordLayer(layer int, x, gradNorm float64, gradNonFinite int,
 		m.maxRatio = ratio
 	}
 	m.mu.Unlock()
-	if layer >= 0 && layer < len(m.sGrad) {
-		m.series.Append(m.sGrad[layer], x, gradNorm)
-		m.series.Append(m.sRatio[layer], x, ratio)
-	}
 }
 
 // RecordDistill feeds one sampled gradient-matching observation: the
@@ -473,9 +431,9 @@ func (m *Monitor) RecordDistill(x, dist, gradNorm float64, nonFinite int) {
 	m.mu.Unlock()
 }
 
-// RecordRound feeds the aggregated global model's parameter L2 norm
-// after one FedAvg round. Warm path (once per round).
-func (m *Monitor) RecordRound(x, paramNorm float64, nonFinite int) {
+// RecordRound feeds the aggregated global model's non-finite parameter
+// count after one FedAvg round. Warm path (once per round).
+func (m *Monitor) RecordRound(x float64, nonFinite int) {
 	if m == nil {
 		return
 	}
@@ -486,7 +444,6 @@ func (m *Monitor) RecordRound(x, paramNorm float64, nonFinite int) {
 		m.latch("nonfinite_param", "aggregate", float64(nonFinite), 0, x)
 	}
 	m.mu.Unlock()
-	m.series.Append(m.sParamNorm, x, paramNorm)
 }
 
 // finiteOrZero maps NaN/±Inf to 0 for JSON encoding.
@@ -518,32 +475,24 @@ func (m *Monitor) Check() error {
 	}
 	m.mu.Lock()
 	if !m.tripped {
-		nan := m.nanEvents
 		m.mu.Unlock()
-		seq := float64(m.check.Add(1))
 		m.gHealth.Set(1)
-		m.series.Append(m.sStatus, seq, 1)
-		m.series.Append(m.sNaN, seq, float64(nan))
 		return nil
 	}
 	v := m.verdict
 	emit := !m.emitted
 	m.emitted = true
-	nan := m.nanEvents
 	m.mu.Unlock()
 	if emit {
-		seq := float64(m.check.Add(1))
 		m.gHealth.Set(0)
 		// encoding/json rejects non-finite numbers, and a NaN trip's
-		// Value IS non-finite: zero it like the ledger's nanToZero (the
-		// reason field already says what the value was).
+		// Value IS non-finite: zero it (the reason field already says
+		// what the value was).
 		m.cfg.Events.Emit(tripEvent{
 			Event: "health_trip", Reason: v.Reason, Phase: v.Phase,
 			Layer: v.Layer, Value: finiteOrZero(v.Value),
 			Threshold: finiteOrZero(v.Threshold), Step: v.Step,
 		})
-		m.series.Append(m.sStatus, seq, 0)
-		m.series.Append(m.sNaN, seq, float64(nan))
 	}
 	return &UnhealthyError{Verdict: v}
 }

@@ -25,7 +25,7 @@ func TestNilMonitorIsInert(t *testing.T) {
 	m.RecordLoss(1, math.NaN())
 	m.RecordLayer(0, 1, 1e9, 3, 1, 1, 0)
 	m.RecordDistill(1, math.NaN(), 1e9, 1)
-	m.RecordRound(1, 1, 1)
+	m.RecordRound(1, 1)
 	m.BindLayers([]string{"w"})
 	m.Reset()
 	if err := m.Check(); err != nil {
@@ -147,11 +147,11 @@ func TestRecordLayerThresholds(t *testing.T) {
 
 func TestRecordRoundAndDistillTripwires(t *testing.T) {
 	m, _ := testMonitor(Config{})
-	m.RecordRound(1, 10, 0)
+	m.RecordRound(1, 0)
 	if m.Tripped() {
 		t.Fatal("finite round norm should not trip")
 	}
-	m.RecordRound(2, 10, 4)
+	m.RecordRound(2, 4)
 	var uh *UnhealthyError
 	if err := m.Check(); !errors.As(err, &uh) || uh.Verdict.Reason != "nonfinite_param" {
 		t.Fatalf("Check = %v, want nonfinite_param", err)
@@ -327,18 +327,22 @@ func TestForkJoinReplaysInOrder(t *testing.T) {
 
 func TestHealthStatusSeries(t *testing.T) {
 	m, pipe := testMonitor(Config{})
+	status := func() float64 {
+		s, ok := pipe.Registry.Summaries()["quickdrop_health"]
+		if !ok {
+			t.Fatal("quickdrop_health gauge not registered")
+		}
+		return s.Sum
+	}
 	if err := m.Check(); err != nil {
 		t.Fatal(err)
 	}
+	got := []float64{status()}
 	m.RecordLoss(1, math.NaN())
 	_ = m.Check()
-	id, ok := pipe.Series.ID("health_status")
-	if !ok {
-		t.Fatal("health_status series not registered")
-	}
-	pts := pipe.Series.Points(id)
-	if len(pts) != 2 || pts[0].Y != 1 || pts[1].Y != 0 {
-		t.Fatalf("health_status points = %v, want [1, 0]", pts)
+	got = append(got, status())
+	if got[0] != 1 || got[1] != 0 {
+		t.Fatalf("quickdrop_health after each Check = %v, want [1, 0]", got)
 	}
 }
 
@@ -363,7 +367,7 @@ func TestRecordPathsDoNotAllocate(t *testing.T) {
 			{"RecordLoss", func() { m.RecordLoss(1, 0.5) }},
 			{"RecordLayer", func() { m.RecordLayer(0, 1, 2, 0, 0.01, 1, 0) }},
 			{"RecordDistill", func() { m.RecordDistill(1, 0.5, 2, 0) }},
-			{"RecordRound", func() { m.RecordRound(1, 3, 0) }},
+			{"RecordRound", func() { m.RecordRound(1, 0) }},
 			{"BeginPhase", func() { m.BeginPhase("train") }},
 		}
 		for _, c := range cases {

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,15 +11,11 @@ import (
 )
 
 // MetricSummary is the point-in-time reduction of one instrument for
-// the run manifest: counters carry Count, gauges Sum, histograms all
-// five fields. Quantiles are zeroed (not NaN) before the first
-// observation so the manifest always round-trips through JSON.
+// the run manifest: counters carry Count, gauges Sum (the gauge's
+// value), histograms both.
 type MetricSummary struct {
 	Count int64   `json:"count"`
 	Sum   float64 `json:"sum"`
-	P50   float64 `json:"p50,omitempty"`
-	P95   float64 `json:"p95,omitempty"`
-	P99   float64 `json:"p99,omitempty"`
 }
 
 // Manifest is one run's ledger entry: enough provenance to reproduce
@@ -32,15 +27,10 @@ type Manifest struct {
 	Seed      int64             `json:"seed"`
 	Config    map[string]string `json:"config,omitempty"`
 	// Metrics summarizes every registry family series under its
-	// exposition name (label value appended as name{label=value}).
+	// exposition name (label value appended as name{label=value}),
+	// including the quickdrop_*_accuracy gauges regression diffing
+	// compares.
 	Metrics map[string]MetricSummary `json:"metrics,omitempty"`
-	// Final holds the last sample of each flight-recorder series —
-	// the values regression diffing compares (final accuracy, final
-	// loss, …).
-	Final map[string]float64 `json:"final,omitempty"`
-	// SeriesTotal is how many points each series ever recorded.
-	SeriesTotal  map[string]uint64 `json:"series_total,omitempty"`
-	RoundLatency LatencySummary    `json:"round_latency"`
 	// Audit is the deletion-request audit trail (one entry per served
 	// forget request, with before/after forget-set accuracy). Empty for
 	// batch tools; quickdropd's shutdown manifest carries the full run.
@@ -85,13 +75,6 @@ func NewStamp() string {
 	return t.Format("20060102T150405.000000000Z")
 }
 
-func nanToZero(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
-}
-
 // Summaries reduces every registered family to MetricSummary entries,
 // keyed by exposition name (plus `{label="value"}` for vec series).
 func (r *Registry) Summaries() map[string]MetricSummary {
@@ -108,12 +91,7 @@ func (r *Registry) Summaries() map[string]MetricSummary {
 			case kindGauge:
 				out[key] = MetricSummary{Sum: s.g.Value()}
 			case kindHistogram:
-				ms := MetricSummary{Count: s.h.Count(), Sum: s.h.Sum()}
-				if s.h.Quantiles().Count() > 0 {
-					p50, p95, p99 := s.h.Quantiles().Values()
-					ms.P50, ms.P95, ms.P99 = nanToZero(p50), nanToZero(p95), nanToZero(p99)
-				}
-				out[key] = ms
+				out[key] = MetricSummary{Count: s.h.Count(), Sum: s.h.Sum()}
 			}
 		}
 	}
@@ -140,22 +118,6 @@ func BuildManifest(p *Pipeline, tool string, seed int64, config map[string]strin
 		return m
 	}
 	m.Metrics = p.Registry.Summaries()
-	if names := p.Series.Names(); len(names) > 0 {
-		m.Final = make(map[string]float64)
-		m.SeriesTotal = make(map[string]uint64)
-		for _, name := range names {
-			id, _ := p.Series.ID(name)
-			pts := p.Series.Points(id)
-			if len(pts) == 0 {
-				continue
-			}
-			m.Final[name] = nanToZero(pts[len(pts)-1].Y)
-			m.SeriesTotal[name] = p.Series.Total(id)
-		}
-	}
-	if an := p.Tracer.Analyze(); an.RoundLatency.Count > 0 {
-		m.RoundLatency = an.RoundLatency
-	}
 	m.Audit = p.Audit.Entries()
 	return m
 }
@@ -193,10 +155,10 @@ func ReadManifest(path string) (*Manifest, error) {
 // DiffOptions are the regression thresholds. Zero values select the
 // defaults.
 type DiffOptions struct {
-	// AccuracyDrop is the tolerated absolute drop in any *accuracy
-	// series final value (default 0.05). The forget-set series is
-	// inverted: unlearning WANTS fset accuracy low, so a RISE beyond
-	// the threshold is the regression.
+	// AccuracyDrop is the tolerated absolute drop in any *_accuracy
+	// gauge (default 0.05). The forget-set gauge is inverted:
+	// unlearning WANTS fset accuracy low, so a RISE beyond the
+	// threshold is the regression.
 	AccuracyDrop float64
 	// TimeGrowPct is the tolerated percentage growth in any *_seconds
 	// histogram sum (default 25).
@@ -246,57 +208,52 @@ func baseName(s string) string {
 	return s
 }
 
+// fsetAccuracy is the one accuracy gauge whose rise is the regression.
+const fsetAccuracy = "quickdrop_fset_accuracy"
+
 // Diff compares two manifests (old → new). It returns every compared
-// metric plus whether any crossed its regression threshold: accuracy
-// finals may not drop (forget-set: may not rise) beyond AccuracyDrop,
+// metric plus whether any crossed its regression threshold: *_accuracy
+// gauges may not drop (forget-set: may not rise) beyond AccuracyDrop,
 // and *_seconds histogram sums may not grow beyond TimeGrowPct — but
 // only where both runs actually observed the metric.
 func Diff(oldM, newM *Manifest, opts DiffOptions) (entries []DiffEntry, regressed bool) {
 	opts = opts.withDefaults()
-	names := make([]string, 0, len(oldM.Final))
-	for name := range oldM.Final {
-		if _, ok := newM.Final[name]; ok {
+	names := make([]string, 0, len(oldM.Metrics))
+	for name := range oldM.Metrics {
+		if _, ok := newM.Metrics[name]; ok {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		o, n := oldM.Final[name], newM.Final[name]
-		e := DiffEntry{Metric: "final:" + name, Old: o, New: n, Delta: n - o}
-		if hasSuffix(name, "accuracy") {
-			if name == "fset_accuracy" {
+		o, n := oldM.Metrics[name], newM.Metrics[name]
+		var e DiffEntry
+		switch base := baseName(name); {
+		case hasSuffix(base, "_accuracy"):
+			e = DiffEntry{Metric: "gauge:" + name, Old: o.Sum, New: n.Sum, Delta: n.Sum - o.Sum}
+			if base == fsetAccuracy {
 				// Inverted: the unlearned model regaining forget-set
 				// accuracy means the unlearning regressed.
-				if n > o+opts.AccuracyDrop {
+				if e.Delta > opts.AccuracyDrop {
 					e.Regression = true
-					e.Reason = fmt.Sprintf("forget-set accuracy rose %.4f > %.4f threshold", n-o, opts.AccuracyDrop)
+					e.Reason = fmt.Sprintf("forget-set accuracy rose %.4f > %.4f threshold", e.Delta, opts.AccuracyDrop)
 				}
-			} else if n < o-opts.AccuracyDrop {
+			} else if -e.Delta > opts.AccuracyDrop {
 				e.Regression = true
-				e.Reason = fmt.Sprintf("accuracy dropped %.4f > %.4f threshold", o-n, opts.AccuracyDrop)
+				e.Reason = fmt.Sprintf("accuracy dropped %.4f > %.4f threshold", -e.Delta, opts.AccuracyDrop)
 			}
-		}
-		entries = append(entries, e)
-		regressed = regressed || e.Regression
-	}
-
-	mnames := make([]string, 0, len(oldM.Metrics))
-	for name := range oldM.Metrics {
-		if _, ok := newM.Metrics[name]; ok && hasSuffix(baseName(name), "_seconds") {
-			mnames = append(mnames, name)
-		}
-	}
-	sort.Strings(mnames)
-	for _, name := range mnames {
-		o, n := oldM.Metrics[name], newM.Metrics[name]
-		if o.Count == 0 || n.Count == 0 || o.Sum <= 0 {
+		case hasSuffix(base, "_seconds"):
+			if o.Count == 0 || n.Count == 0 || o.Sum <= 0 {
+				continue
+			}
+			e = DiffEntry{Metric: "sum:" + name, Old: o.Sum, New: n.Sum, Delta: n.Sum - o.Sum}
+			growPct := (n.Sum - o.Sum) / o.Sum * 100
+			if growPct > opts.TimeGrowPct {
+				e.Regression = true
+				e.Reason = fmt.Sprintf("wall time grew %.1f%% > %.1f%% threshold", growPct, opts.TimeGrowPct)
+			}
+		default:
 			continue
-		}
-		e := DiffEntry{Metric: "sum:" + name, Old: o.Sum, New: n.Sum, Delta: n.Sum - o.Sum}
-		growPct := (n.Sum - o.Sum) / o.Sum * 100
-		if growPct > opts.TimeGrowPct {
-			e.Regression = true
-			e.Reason = fmt.Sprintf("wall time grew %.1f%% > %.1f%% threshold", growPct, opts.TimeGrowPct)
 		}
 		entries = append(entries, e)
 		regressed = regressed || e.Regression

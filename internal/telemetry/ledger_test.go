@@ -12,7 +12,7 @@ func testManifest(t *testing.T, accuracy, fset float64, roundSum float64) *Manif
 	restore := SetClockForTesting(func() int64 { return 1754400000e9 })
 	defer restore()
 	p := NewPipeline(NewRegistry(), NewTracer(0), 2)
-	p.RecordAccuracy(1, accuracy)
+	p.RecordAccuracy(accuracy)
 	p.RecordSplitAccuracy(fset, accuracy)
 	p.RoundSeconds.Observe(roundSum)
 	return BuildManifest(p, "test", 42, map[string]string{"scale": "quick"})
@@ -35,8 +35,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Final["eval_accuracy"] != 0.9 || got.Final["fset_accuracy"] != 0.1 {
-		t.Errorf("finals = %+v", got.Final)
+	if got.Metrics["quickdrop_eval_accuracy"].Sum != 0.9 || got.Metrics["quickdrop_fset_accuracy"].Sum != 0.1 {
+		t.Errorf("accuracy gauges = %+v", got.Metrics)
 	}
 	if got.Metrics["quickdrop_fl_round_seconds"].Count != 1 {
 		t.Errorf("metrics = %+v", got.Metrics["quickdrop_fl_round_seconds"])
@@ -67,10 +67,10 @@ func TestDiffAccuracyRegression(t *testing.T) {
 	}
 	found := false
 	for _, e := range entries {
-		if e.Metric == "final:eval_accuracy" && e.Regression {
+		if e.Metric == "gauge:quickdrop_eval_accuracy" && e.Regression {
 			found = true
 		}
-		if e.Metric == "final:rset_accuracy" && e.Regression {
+		if e.Metric == "gauge:quickdrop_rset_accuracy" && e.Regression {
 			// rset also dropped 0.10 here; fine that it flags too.
 			continue
 		}
@@ -123,7 +123,7 @@ func TestBuildManifestNilPipeline(t *testing.T) {
 	if m.Tool != "bare" || m.GoVersion == "" {
 		t.Errorf("manifest = %+v", m)
 	}
-	if len(m.Final) != 0 || len(m.Metrics) != 0 {
+	if len(m.Metrics) != 0 || len(m.Audit) != 0 {
 		t.Error("nil pipeline should yield provenance-only manifest")
 	}
 }

@@ -77,7 +77,6 @@ type Histogram struct {
 	counts []atomic.Int64 // len(upper)+1
 	sum    Gauge
 	count  atomic.Int64
-	quant  *Quantiles // streaming p50/p95/p99 alongside the buckets
 }
 
 // DefBuckets are the default duration buckets in seconds (the
@@ -92,7 +91,7 @@ func newHistogram(buckets []float64) *Histogram {
 	}
 	upper := append([]float64(nil), buckets...)
 	sort.Float64s(upper)
-	return &Histogram{upper: upper, counts: make([]atomic.Int64, len(upper)+1), quant: NewQuantiles()}
+	return &Histogram{upper: upper, counts: make([]atomic.Int64, len(upper)+1)}
 }
 
 // Observe records one value.
@@ -107,7 +106,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
-	h.quant.Observe(v)
 }
 
 // ObserveDuration records a duration in seconds.
@@ -127,15 +125,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return h.sum.Value()
-}
-
-// Quantiles returns the histogram's streaming p50/p95/p99 estimator
-// (nil for a nil histogram, which Values() handles as all-NaN).
-func (h *Histogram) Quantiles() *Quantiles {
-	if h == nil {
-		return nil
-	}
-	return h.quant
 }
 
 // CounterVec is a pre-registered family of counters over a fixed label

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -162,5 +163,78 @@ func TestWritePrometheus(t *testing.T) {
 	// Families must appear in name order for deterministic scrapes.
 	if i, j := strings.Index(out, "quickdrop_test_by_client_total"), strings.Index(out, "quickdrop_test_gauge"); i > j {
 		t.Error("families not sorted by name")
+	}
+}
+
+// TestPrometheusHistogramShape parses the exposition of a plain
+// histogram and a labelled histogram vec and checks the histogram
+// family contract: only _bucket{…le=…}, _sum and _count samples, with
+// cumulative buckets whose le="+Inf" equals _count.
+func TestPrometheusHistogramShape(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("shape_seconds", "Plain.", []float64{0.1, 1})
+	hv := reg.HistogramVec("shape_phase_seconds", "Labelled.", "phase", []string{"a", "b"}, []float64{0.5, 2})
+	for _, v := range []float64{0.05, 0.5, 0.7, 3, 10} {
+		h.Observe(v)
+		hv.At(0).Observe(v)
+	}
+	hv.At(1).Observe(1)
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	family := ""
+	last := map[string]int64{} // series (labels minus le) → previous bucket count
+	inf := map[string]int64{}
+	counts := map[string]int64{}
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(f, " ")
+			family = ""
+			if kind == "histogram" {
+				family = name
+			}
+			continue
+		}
+		if family == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sample, val, _ := strings.Cut(line, " ")
+		name, labels, _ := strings.Cut(sample, "{")
+		n, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q: %v", line, err)
+		}
+		series := strings.TrimSuffix(labels, "}")
+		if i := strings.Index(series, "le="); i >= 0 {
+			series = strings.TrimSuffix(series[:i], ",")
+		}
+		switch name {
+		case family + "_bucket":
+			if !strings.Contains(labels, `le="`) {
+				t.Errorf("bucket sample without le label: %q", line)
+			}
+			if int64(n) < last[series] {
+				t.Errorf("buckets of %s{%s} not cumulative at %q", family, series, line)
+			}
+			last[series] = int64(n)
+			if strings.Contains(labels, `le="+Inf"`) {
+				inf[series] = int64(n)
+			}
+		case family + "_count":
+			counts[series] = int64(n)
+		case family + "_sum":
+		default:
+			t.Errorf("sample %q under histogram family %s is not _bucket, _sum or _count", line, family)
+		}
+	}
+	if len(counts) != 3 {
+		t.Fatalf("parsed %d histogram series, want 3: %v", len(counts), counts)
+	}
+	for series, c := range counts {
+		if inf[series] != c {
+			t.Errorf("series {%s}: le=\"+Inf\" = %d, _count = %d", series, inf[series], c)
+		}
 	}
 }

@@ -1,149 +1,15 @@
 package telemetry
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// MaxClientSeries bounds how many fl_client_<i>_seconds series a
-// pipeline keeps. Cohorts up to this size get one eagerly registered
-// series per client (the original behavior); larger cohorts share a
-// bounded slot table so telemetry memory stays O(MaxClientSeries) no
-// matter how many clients are registered.
+// MaxClientSeries caps the client label space of the per-client
+// LocalSteps counter vector: cohorts up to this size get one series per
+// client, and higher client IDs fall into the vector's silent-drop
+// range, so a registry-scale cohort keeps the exposition O(1) in N.
 const MaxClientSeries = 64
-
-// StragglerTopK is how many slots of the bounded table are shielded
-// from eviction because they hold the largest per-round durations seen
-// so far. Stragglers are exactly the clients worth keeping series for,
-// and they are also the ones a recency-only policy would evict first
-// (a slow client reports rarely).
-const StragglerTopK = 8
-
-// clientSlots maps an unbounded client-ID space onto MaxClientSeries
-// series. Slots are claimed on first observation; once full, a new
-// client evicts deterministically: among the slots NOT protected by
-// StragglerTopK (largest max duration, slot index breaking ties), the
-// victim is the slot with the smallest last-observed round, then the
-// smaller max duration, then the larger owner ID.
-type clientSlots struct {
-	mu    sync.Mutex
-	store *SeriesStore
-	ids   []SeriesID // slot → series ID (-1 until claimed)
-	owner []int      // slot → client ID owning the slot
-	last  []float64  // slot → most recent x (round) observed
-	maxY  []float64  // slot → largest duration observed
-	slots map[int]int
-}
-
-func newClientSlots(store *SeriesStore, n int) *clientSlots {
-	cs := &clientSlots{
-		store: store,
-		ids:   make([]SeriesID, 0, n),
-		owner: make([]int, 0, n),
-		last:  make([]float64, 0, n),
-		maxY:  make([]float64, 0, n),
-		slots: make(map[int]int, n),
-	}
-	return cs
-}
-
-const clientSeriesHelp = "Per-round local-steps wall time for one client (x: round)."
-
-func clientSeriesName(client int) string {
-	return fmt.Sprintf("fl_client_%d_seconds", client)
-}
-
-// append records one (round, duration) sample for a client, claiming or
-// recycling a slot as needed.
-func (cs *clientSlots) append(client int, x, y float64) {
-	cs.mu.Lock()
-	slot, ok := cs.slots[client]
-	if !ok {
-		if len(cs.ids) < cap(cs.ids) {
-			slot = len(cs.ids)
-			cs.ids = append(cs.ids, cs.store.Register(clientSeriesName(client), clientSeriesHelp, 0))
-			cs.owner = append(cs.owner, client)
-			cs.last = append(cs.last, x)
-			cs.maxY = append(cs.maxY, y)
-			cs.slots[client] = slot
-		} else {
-			slot = cs.evict()
-			if slot < 0 { // every slot is straggler-protected: drop the point
-				cs.mu.Unlock()
-				return
-			}
-			delete(cs.slots, cs.owner[slot])
-			cs.store.Recycle(cs.ids[slot], clientSeriesName(client), clientSeriesHelp)
-			cs.owner[slot], cs.last[slot], cs.maxY[slot] = client, x, y
-			cs.slots[client] = slot
-		}
-	} else {
-		cs.last[slot] = x
-		if y > cs.maxY[slot] {
-			cs.maxY[slot] = y
-		}
-	}
-	id := cs.ids[slot]
-	cs.mu.Unlock()
-	cs.store.Append(id, x, y)
-}
-
-// evict picks the victim slot under the deterministic policy, or -1 if
-// every slot is protected. Called with cs.mu held.
-func (cs *clientSlots) evict() int {
-	protected := cs.stragglers()
-	victim := -1
-	for s := range cs.ids {
-		if protected[s] {
-			continue
-		}
-		if victim < 0 {
-			victim = s
-			continue
-		}
-		switch {
-		case cs.last[s] != cs.last[victim]:
-			if cs.last[s] < cs.last[victim] {
-				victim = s
-			}
-		case cs.maxY[s] != cs.maxY[victim]:
-			if cs.maxY[s] < cs.maxY[victim] {
-				victim = s
-			}
-		case cs.owner[s] > cs.owner[victim]:
-			victim = s
-		}
-	}
-	return victim
-}
-
-// stragglers marks the StragglerTopK slots with the largest max
-// durations (ties to the lower slot index). Called with cs.mu held.
-func (cs *clientSlots) stragglers() map[int]bool {
-	k := StragglerTopK
-	if k >= len(cs.ids) {
-		k = len(cs.ids) - 1 // always leave at least one evictable slot
-	}
-	out := make(map[int]bool, k)
-	for picked := 0; picked < k; picked++ {
-		best := -1
-		for s := range cs.ids {
-			if out[s] {
-				continue
-			}
-			if best < 0 || cs.maxY[s] > cs.maxY[best] {
-				best = s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out[best] = true
-	}
-	return out
-}
 
 // PhaseNames are the pre-registered phase label values. Phase timers
 // started under any other name fold into "other".
@@ -172,7 +38,6 @@ func phaseIndex(name string) int {
 type Pipeline struct {
 	Registry *Registry
 	Tracer   *Tracer
-	Series   *SeriesStore
 	// Audit is the deletion-request audit trail; the serving layer
 	// appends one entry per forget request and BuildManifest folds the
 	// log into the run ledger.
@@ -196,24 +61,14 @@ type Pipeline struct {
 	// Unlearning workflow.
 	UnlearnRequests *CounterVec // quickdrop_unlearn_requests_total{kind}
 
+	// Latest evaluations (RecordAccuracy, RecordSplitAccuracy).
+	evalAccuracy *Gauge // quickdrop_eval_accuracy
+	fsetAccuracy *Gauge // quickdrop_fset_accuracy
+	rsetAccuracy *Gauge // quickdrop_rset_accuracy
+
 	exp      Span
 	curPhase atomic.Uint64
 	curRound atomic.Uint64
-	evalSeq  atomic.Uint64
-
-	// Flight-recorder series IDs, resolved once at construction so the
-	// record paths are slice-indexed appends with no name lookups.
-	sRound    SeriesID
-	sPhase    SeriesID
-	sAccuracy SeriesID
-	sFSet     SeriesID
-	sRSet     SeriesID
-	sLoss     SeriesID
-	sDistill  SeriesID
-	sClient   []SeriesID // per-client round durations, indexed by client ID
-	// slots replaces sClient for cohorts above MaxClientSeries: a bounded
-	// table shared by all client IDs with straggler-protective eviction.
-	slots *clientSlots
 }
 
 // RequestKindNames are the label values of UnlearnRequests, aligned
@@ -221,14 +76,11 @@ type Pipeline struct {
 var RequestKindNames = []string{"class", "client", "sample"}
 
 // NewPipeline registers the instrument catalogue on reg, opens the
-// experiment root span on tr, and pre-registers per-client series for
-// client IDs [0, clients). Either argument may be nil (metrics-only or
-// spans-only operation); NewPipeline(nil, nil, …) returns a pipeline
-// that still provides working phase stopwatches.
+// experiment root span on tr, and pre-registers the LocalSteps series
+// of client IDs [0, min(clients, MaxClientSeries)). Either argument may
+// be nil (metrics-only or spans-only operation); NewPipeline(nil, nil,
+// …) returns a pipeline that still provides working phase stopwatches.
 func NewPipeline(reg *Registry, tr *Tracer, clients int) *Pipeline {
-	// The per-client counter vector is capped like the series table:
-	// above MaxClientSeries its label space stops growing with N and
-	// higher client IDs fall into the CounterVec's silent-drop range.
 	vecClients := clients
 	if vecClients > MaxClientSeries {
 		vecClients = MaxClientSeries
@@ -257,37 +109,12 @@ func NewPipeline(reg *Registry, tr *Tracer, clients int) *Pipeline {
 
 		UnlearnRequests: reg.CounterVec("quickdrop_unlearn_requests_total",
 			"Unlearning requests served.", "kind", RequestKindNames),
+
+		evalAccuracy: reg.Gauge("quickdrop_eval_accuracy", "Global model accuracy at the latest evaluation."),
+		fsetAccuracy: reg.Gauge("quickdrop_fset_accuracy", "Forget-set accuracy at the latest split evaluation."),
+		rsetAccuracy: reg.Gauge("quickdrop_rset_accuracy", "Retain-set accuracy at the latest split evaluation."),
 	}
 	p.exp = tr.Start(SpanExperiment, "experiment", 0, -1, -1)
-
-	// The flight recorder: bounded per-run time series behind the same
-	// instruments. Registered only when metrics are on (reg != nil) so a
-	// fully disabled pipeline stays handle-free; every ID degrades to the
-	// silent-drop invalid ID on a nil store.
-	if reg != nil {
-		s := NewSeriesStore()
-		p.Series = s
-		p.sRound = s.Register("fl_round_seconds", "FedAvg round wall time (x: cumulative round).", 0)
-		p.sPhase = s.Register("phase_seconds", "Phase wall time (x: phase sequence).", 0)
-		p.sAccuracy = s.Register("eval_accuracy", "Global model accuracy (x: caller's round).", 0)
-		p.sFSet = s.Register("fset_accuracy", "Accuracy on the forget set (x: eval sequence).", 0)
-		p.sRSet = s.Register("rset_accuracy", "Accuracy on the retain set (x: eval sequence).", 0)
-		p.sLoss = s.Register("train_loss", "Client-local training loss (x: cumulative local step).", 0)
-		p.sDistill = s.Register("distill_step_seconds", "Gradient-matching update wall time (x: cumulative step).", 0)
-		if clients <= MaxClientSeries {
-			p.sClient = make([]SeriesID, clients)
-			for i := range p.sClient {
-				p.sClient[i] = s.Register(clientSeriesName(i), clientSeriesHelp, 0)
-			}
-		} else {
-			// Registry-scale cohort: per-client series would grow O(N).
-			// A bounded slot table keeps the sampled participants plus the
-			// top stragglers instead.
-			p.slots = newClientSlots(s, MaxClientSeries)
-		}
-	} else {
-		p.sRound, p.sPhase, p.sAccuracy, p.sFSet, p.sRSet, p.sLoss, p.sDistill = -1, -1, -1, -1, -1, -1, -1
-	}
 	return p
 }
 
@@ -329,7 +156,6 @@ func (t PhaseTimer) Stop() time.Duration {
 		t.span.End()
 		t.p.Phases.Inc()
 		t.p.PhaseSeconds.At(phaseIndex(t.name)).Observe(d.Seconds())
-		t.p.Series.Append(t.p.sPhase, float64(t.p.Phases.Value()), d.Seconds())
 	}
 	return d
 }
@@ -353,7 +179,6 @@ func (p *Pipeline) EndRound(sp Span, participants int) {
 	p.Rounds.Inc()
 	p.RoundSeconds.Observe(d.Seconds())
 	p.Participants.Set(float64(participants))
-	p.Series.Append(p.sRound, float64(p.Rounds.Value()), d.Seconds())
 }
 
 // StartClient opens a client-step span under the current round. Safe
@@ -365,24 +190,8 @@ func (p *Pipeline) StartClient(round, client int) Span {
 	return p.Tracer.Start(SpanClientStep, "client", p.curRound.Load(), round, client)
 }
 
-// EndClient closes a client-step span and feeds the client's series.
-// The sp.tr guard matters: with a nil tracer StartClient hands back the
-// zero Span, whose round/client fields would otherwise append a bogus
-// (0,0) point to client 0's series.
-func (p *Pipeline) EndClient(sp Span) {
-	if p == nil {
-		return
-	}
-	d := sp.End()
-	if sp.tr == nil {
-		return
-	}
-	if c := int(sp.client); c >= 0 && c < len(p.sClient) {
-		p.Series.Append(p.sClient[c], float64(sp.round), d.Seconds())
-	} else if c >= 0 && p.slots != nil {
-		p.slots.append(c, float64(sp.round), d.Seconds())
-	}
-}
+// EndClient closes a client-step span.
+func (p *Pipeline) EndClient(sp Span) { sp.End() }
 
 // LocalStep records one client-local update step. This sits on the
 // training hot path (//lint:hotpath): two atomic adds, no allocation.
@@ -421,7 +230,6 @@ func (p *Pipeline) EndDistill(sp Span, d time.Duration) {
 	p.DistillSteps.Inc()
 	p.DistillStepSeconds.Observe(d.Seconds())
 	p.DistillSecondsSum.Add(d.Seconds())
-	p.Series.Append(p.sDistill, float64(p.DistillSteps.Value()), d.Seconds())
 }
 
 // Request records one unlearning request of the given kind index
@@ -433,33 +241,20 @@ func (p *Pipeline) Request(kindIndex int) {
 	p.UnlearnRequests.At(kindIndex).Inc()
 }
 
-// RecordAccuracy appends one global-accuracy sample at the caller's x
-// coordinate (typically the round index).
-func (p *Pipeline) RecordAccuracy(x, acc float64) {
+// RecordAccuracy sets the global-accuracy gauge.
+func (p *Pipeline) RecordAccuracy(acc float64) {
 	if p == nil {
 		return
 	}
-	p.Series.Append(p.sAccuracy, x, acc)
+	p.evalAccuracy.Set(acc)
 }
 
-// RecordSplitAccuracy appends one (forget-set, retain-set) accuracy
-// pair at an internally sequenced x coordinate, so evaluation sites
-// need no shared counter of their own.
+// RecordSplitAccuracy sets the forget-set and retain-set accuracy
+// gauges.
 func (p *Pipeline) RecordSplitAccuracy(fset, rset float64) {
 	if p == nil {
 		return
 	}
-	x := float64(p.evalSeq.Add(1))
-	p.Series.Append(p.sFSet, x, fset)
-	p.Series.Append(p.sRSet, x, rset)
-}
-
-// RecordLoss appends one client-local training-loss sample. This sits
-// on the training hot path (//lint:hotpath): one ring-slot write under
-// the series mutex, no allocation.
-func (p *Pipeline) RecordLoss(x, loss float64) {
-	if p == nil {
-		return
-	}
-	p.Series.Append(p.sLoss, x, loss)
+	p.fsetAccuracy.Set(fset)
+	p.rsetAccuracy.Set(rset)
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -119,5 +120,47 @@ func TestStopwatch(t *testing.T) {
 	}
 	if got := Now(); got != int64(42*time.Millisecond) {
 		t.Fatalf("Now = %d, want %d", got, int64(42*time.Millisecond))
+	}
+}
+
+// TestPipelineCapsClientSeries: a cohort above MaxClientSeries must not
+// register per-client series eagerly; the exposition stays bounded no
+// matter how many distinct clients report.
+func TestPipelineCapsClientSeries(t *testing.T) {
+	exposition := func(p *Pipeline) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := p.Registry.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	baseline := strings.Count(exposition(NewPipeline(NewRegistry(), NewTracer(0), MaxClientSeries)), "\n")
+	p := NewPipeline(NewRegistry(), NewTracer(0), 1_000_000)
+	// Far more distinct clients than series report one round each.
+	for c := 0; c < 10*MaxClientSeries; c++ {
+		p.EndClient(p.StartClient(1, c*1000))
+		p.LocalStep(c*1000, 8)
+	}
+	out := exposition(p)
+	if n := strings.Count(out, "quickdrop_fl_local_steps_total{client="); n != MaxClientSeries {
+		t.Fatalf("%d client series exposed, cap is %d", n, MaxClientSeries)
+	}
+	if n := strings.Count(out, "\n"); n != baseline {
+		t.Fatalf("exposition grew to %d lines (baseline %d): not bounded", n, baseline)
+	}
+}
+
+// TestSmallCohortKeepsEagerSeries pins the compatibility contract: at or
+// below the cap, every client gets its eagerly registered series.
+func TestSmallCohortKeepsEagerSeries(t *testing.T) {
+	p := NewPipeline(NewRegistry(), NewTracer(0), MaxClientSeries)
+	for c := 0; c < MaxClientSeries; c++ {
+		if p.LocalSteps.At(c) == nil {
+			t.Fatalf("client %d series not pre-registered for a small cohort", c)
+		}
+	}
+	if p.LocalSteps.At(MaxClientSeries) != nil {
+		t.Fatal("a cohort of MaxClientSeries must register exactly that many series")
 	}
 }

@@ -59,15 +59,6 @@ func promBucketLabel(label, value, le string) string {
 	return `{` + label + `="` + value + `",le="` + le + `"}`
 }
 
-// promQuantileLabel renders the {quantile="..."} label set, merging an
-// optional series label.
-func promQuantileLabel(label, value, q string) string {
-	if label == "" {
-		return `{quantile="` + q + `"}`
-	}
-	return `{` + label + `="` + value + `",quantile="` + q + `"}`
-}
-
 // promFloat formats a float the way Prometheus expects (shortest
 // round-trip representation; +Inf/-Inf/NaN spelled out).
 func promFloat(v float64) string {
@@ -92,16 +83,6 @@ func writePromHistogram(w io.Writer, name, label, value string, h *Histogram) {
 	}
 	cum += h.counts[len(h.upper)].Load()
 	fmt.Fprintf(w, "%s_bucket%s %d\n", name, promBucketLabel(label, value, "+Inf"), cum)
-	// Streaming P² quantiles ride alongside the buckets (a summary-style
-	// convenience; scrapers that only understand histogram series ignore
-	// the quantile lines). Omitted until the first observation so the
-	// exposition never carries NaN.
-	if h.Quantiles().Count() > 0 {
-		p50, p95, p99 := h.Quantiles().Values()
-		fmt.Fprintf(w, "%s%s %s\n", name, promQuantileLabel(label, value, "0.5"), promFloat(p50))
-		fmt.Fprintf(w, "%s%s %s\n", name, promQuantileLabel(label, value, "0.95"), promFloat(p95))
-		fmt.Fprintf(w, "%s%s %s\n", name, promQuantileLabel(label, value, "0.99"), promFloat(p99))
-	}
 	fmt.Fprintf(w, "%s_sum%s %s\n", name, promLabel(label, value), promFloat(h.Sum()))
 	fmt.Fprintf(w, "%s_count%s %d\n", name, promLabel(label, value), h.Count())
 }

@@ -5,13 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// publishOnce guards the process-global expvar name: expvar.Publish
-// panics on duplicates, and tests (or repeated Serve calls) may start
-// several servers in one process.
-var publishOnce sync.Once
 
 // Server is a live telemetry HTTP endpoint.
 type Server struct {
@@ -22,37 +16,23 @@ type Server struct {
 // Register mounts the telemetry endpoints on an existing mux:
 //
 //	/metrics     Prometheus text exposition of the pipeline's registry
-//	/dashboard   self-contained live HTML+SVG flight-recorder view
-//	/api/series  flight-recorder series as JSON (?n= downsamples)
-//	/debug/vars  expvar (plus a "quickdrop_spans" variable: span counts)
+//	/debug/vars  expvar (the standard library's memstats and cmdline)
 //	/debug/pprof net/http/pprof profiles
 //
 // Serve uses it on a fresh mux; servers with routes of their own (the
 // quickdropd ops console) mount the same handlers next to theirs. The
-// pipeline may be nil or partially populated — every handler degrades
-// to an empty view.
+// pipeline may be nil or partially populated — /metrics then serves an
+// empty exposition.
 func Register(mux *http.ServeMux, p *Pipeline) {
 	var reg *Registry
-	var tr *Tracer
 	if p != nil {
-		reg, tr = p.Registry, p.Tracer
+		reg = p.Registry
 	}
-	publishOnce.Do(func() {
-		expvar.Publish("quickdrop_spans", expvar.Func(func() any {
-			return map[string]any{"retained": tr.Len(), "total": tr.Total()}
-		}))
-	})
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		// A write error means the scraper hung up; nothing to report to.
 		_ = reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/dashboard", func(w http.ResponseWriter, _ *http.Request) {
-		writeDashboard(w, p)
-	})
-	mux.HandleFunc("/api/series", func(w http.ResponseWriter, r *http.Request) {
-		writeSeriesJSON(w, r, p)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

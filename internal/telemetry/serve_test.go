@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -17,7 +16,7 @@ func TestServeEndpoints(t *testing.T) {
 	p.EndClient(p.StartClient(0, 0))
 	p.EndRound(rs, 1)
 	pt.Stop()
-	p.RecordAccuracy(1, 0.5)
+	p.RecordAccuracy(0.5)
 
 	s, err := Serve("127.0.0.1:0", p)
 	if err != nil {
@@ -49,58 +48,18 @@ func TestServeEndpoints(t *testing.T) {
 	if !strings.Contains(metrics, "# TYPE quickdrop_serve_test_total counter") {
 		t.Error("/metrics missing TYPE line")
 	}
-	if !strings.Contains(metrics, `quickdrop_fl_round_seconds{quantile="0.5"}`) {
-		t.Errorf("/metrics missing quantile line:\n%s", metrics)
+	if !strings.Contains(metrics, "\nquickdrop_eval_accuracy 0.5\n") {
+		t.Errorf("/metrics missing accuracy gauge:\n%s", metrics)
 	}
-
-	dash := get("/dashboard")
-	for _, want := range []string{"<!DOCTYPE html>", "flight recorder", "<svg", "eval_accuracy"} {
-		if !strings.Contains(dash, want) {
-			t.Errorf("/dashboard missing %q", want)
-		}
-	}
-	if strings.Contains(dash, "src=") || strings.Contains(dash, "href=") {
-		t.Error("/dashboard must be self-contained (no external assets)")
-	}
-
-	var payload struct {
-		Series []seriesJSON `json:"series"`
-	}
-	if err := json.Unmarshal([]byte(get("/api/series")), &payload); err != nil {
-		t.Fatalf("/api/series not JSON: %v", err)
-	}
-	found := false
-	for _, sr := range payload.Series {
-		if sr.Name == "eval_accuracy" {
-			found = true
-			if len(sr.Points) != 1 || sr.Points[0].Y != 0.5 {
-				t.Errorf("eval_accuracy points = %+v", sr.Points)
-			}
-		}
-	}
-	if !found {
-		t.Error("/api/series missing eval_accuracy")
-	}
-
-	var one seriesJSON
-	if err := json.Unmarshal([]byte(get("/api/series?name=fl_round_seconds&n=5")), &one); err != nil {
-		t.Fatalf("/api/series?name= not JSON: %v", err)
-	}
-	if one.Name != "fl_round_seconds" || one.Total != 1 {
-		t.Errorf("single-series payload = %+v", one)
-	}
-	if resp, err := http.Get("http://" + s.Addr() + "/api/series?name=nope"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("unknown series: status %d, want 404", resp.StatusCode)
-		}
+	if strings.Contains(metrics, "quantile=") {
+		t.Errorf("/metrics carries summary quantiles inside a histogram family:\n%s", metrics)
 	}
 
 	vars := get("/debug/vars")
-	if !strings.Contains(vars, "quickdrop_spans") {
-		t.Errorf("/debug/vars missing span stats:\n%s", vars)
+	for _, want := range []string{`"cmdline"`, `"memstats"`} {
+		if !strings.Contains(vars, want) {
+			t.Errorf("/debug/vars missing %s:\n%s", want, vars)
+		}
 	}
 
 	if pprofIdx := get("/debug/pprof/"); !strings.Contains(pprofIdx, "profile") {
@@ -108,7 +67,7 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
-// TestServeNilPipeline proves every handler degrades to an empty view
+// TestServeNilPipeline proves the handlers serve an empty view
 // rather than panicking when the pipeline is nil.
 func TestServeNilPipeline(t *testing.T) {
 	s, err := Serve("127.0.0.1:0", nil)
@@ -116,7 +75,7 @@ func TestServeNilPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, path := range []string{"/metrics", "/dashboard", "/api/series"} {
+	for _, path := range []string{"/metrics", "/debug/vars"} {
 		resp, err := http.Get("http://" + s.Addr() + path)
 		if err != nil {
 			t.Fatal(err)

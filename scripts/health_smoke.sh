@@ -115,9 +115,16 @@ if ! grep -q '^quickdropd_watchdog_trips_total 1$' "$work/metrics"; then
 	grep '^quickdropd_watchdog_trips_total' "$work/metrics" >&2 || true
 	status=1
 fi
-curl -fsS "http://$addr/dashboard" >"$work/dashboard"
-if ! grep -qF 'numerics health' "$work/dashboard"; then
-	echo "dashboard has no numerics health stat" >&2
+# The monitor tripped exactly once; the server then rewound the model
+# and re-armed the monitor, so the health gauge reads healthy again.
+if ! grep -q '^quickdrop_health_watchdog_trips_total 1$' "$work/metrics"; then
+	echo "quickdrop_health_watchdog_trips_total != 1:" >&2
+	grep '^quickdrop_health_watchdog_trips_total' "$work/metrics" >&2 || true
+	status=1
+fi
+if ! grep -q '^quickdrop_health 1$' "$work/metrics"; then
+	echo "quickdrop_health != 1 after the rewind re-armed the monitor:" >&2
+	grep '^quickdrop_health ' "$work/metrics" >&2 || true
 	status=1
 fi
 

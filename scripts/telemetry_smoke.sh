@@ -1,12 +1,12 @@
 #!/usr/bin/env sh
 # telemetry_smoke.sh — end-to-end check of the telemetry endpoint: runs
-# a short fedsim training with -telemetry-addr, scrapes /metrics,
-# /dashboard and /api/series after training finishes (the
-# -telemetry-linger window keeps the endpoint up), asserts the
-# round/client/distill series are exposed, and exercises the run
-# ledger: fedsim -ledger writes a manifest, `experiments report -diff`
-# accepts it against itself and rejects a synthetic accuracy
-# regression. Run standalone or via the CI telemetry-endpoint-smoke
+# a short fedsim training with -telemetry-addr, scrapes /metrics after
+# training finishes (the -telemetry-linger window keeps the endpoint
+# up), asserts the round/client/distill series and the accuracy gauges
+# are exposed, and exercises the run ledger: fedsim -ledger writes a
+# manifest whose metrics block carries the same gauges, and
+# `experiments report -diff` accepts it against itself and rejects a
+# synthetic accuracy regression. Run standalone or via the CI telemetry-endpoint-smoke
 # job. RUNS_DIR overrides where the ledger manifest lands (CI points it
 # at the workspace to upload it as an artifact).
 set -eu
@@ -78,34 +78,26 @@ if ! grep -q '^quickdrop_fl_rounds_total 2$' "$work/metrics"; then
 	grep '^quickdrop_fl_rounds_total' "$work/metrics" >&2 || true
 	status=1
 fi
-# The P² quantile lines ride alongside the histogram buckets.
-if ! grep -q 'quickdrop_fl_round_seconds{quantile="0.5"}' "$work/metrics"; then
-	echo "missing quantile line for quickdrop_fl_round_seconds" >&2
+# Histogram families carry only _bucket/_sum/_count samples.
+if grep -q 'quantile=' "$work/metrics"; then
+	echo "quantile lines inside a histogram family:" >&2
+	grep 'quantile=' "$work/metrics" >&2
 	status=1
 fi
-
-echo "==> scrape http://$addr/dashboard"
-curl -fsS "http://$addr/dashboard" >"$work/dashboard"
-for want in '<!DOCTYPE html>' 'flight recorder' '<svg' 'fl_round_seconds'; do
-	if ! grep -qF "$want" "$work/dashboard"; then
-		echo "dashboard missing: $want" >&2
+# The accuracy gauges: all three exposed, and eval accuracy equal to
+# the last test accuracy fedsim printed.
+for gauge in quickdrop_eval_accuracy quickdrop_fset_accuracy quickdrop_rset_accuracy; do
+	if ! grep -qE "^$gauge [0-9.eE+-]+$" "$work/metrics"; then
+		echo "missing gauge: $gauge" >&2
 		status=1
 	fi
 done
-# Self-contained means no external assets of any kind.
-if grep -qE 'src=|href=' "$work/dashboard"; then
-	echo "dashboard references external assets" >&2
+eval_acc=$(sed -n 's/^quickdrop_eval_accuracy //p' "$work/metrics")
+printed=$(sed -n 's/^round .*test accuracy \([0-9.]*\)%.*/\1/p' "$work/log" | tail -n 1)
+if [ -z "$printed" ] || [ "$(awk -v a="$eval_acc" 'BEGIN { printf "%.2f", 100 * a }')" != "$printed" ]; then
+	echo "quickdrop_eval_accuracy $eval_acc does not match the printed test accuracy ${printed:-<none>}%" >&2
 	status=1
 fi
-
-echo "==> scrape http://$addr/api/series"
-curl -fsS "http://$addr/api/series?n=50" >"$work/series.json"
-for want in '"name":"fl_round_seconds"' '"name":"eval_accuracy"' '"points":['; do
-	if ! grep -qF "$want" "$work/series.json"; then
-		echo "/api/series missing: $want" >&2
-		status=1
-	fi
-done
 
 echo "==> check the run-ledger manifest"
 manifest=$(sed -n 's/^ledger: manifest written to \(.*\)$/\1/p' "$work/log" | head -n 1)
@@ -113,12 +105,22 @@ if [ -z "$manifest" ] || [ ! -f "$manifest" ]; then
 	echo "fedsim did not write a ledger manifest (RUNS_DIR=$RUNS_DIR)" >&2
 	status=1
 else
-	for want in '"go_version"' '"eval_accuracy"' '"quickdrop_fl_round_seconds"'; do
+	for want in '"go_version"' '"quickdrop_fl_round_seconds"'; do
 		if ! grep -qF "$want" "$manifest"; then
 			echo "manifest missing: $want" >&2
 			status=1
 		fi
 	done
+	# The manifest's metrics block carries the three gauges, eval
+	# accuracy at the value /metrics served.
+	python3 - "$manifest" "$eval_acc" <<'EOF' || status=1
+import json, sys
+m = json.load(open(sys.argv[1]))["metrics"]
+for g in ("quickdrop_eval_accuracy", "quickdrop_fset_accuracy", "quickdrop_rset_accuracy"):
+    assert g in m, f"manifest metrics missing {g}"
+got = m["quickdrop_eval_accuracy"]["sum"]
+assert got == float(sys.argv[2]), f"manifest eval accuracy {got} != /metrics {sys.argv[2]}"
+EOF
 
 	echo "==> report -diff: a manifest against itself must pass"
 	if ! "$work/experiments" report -diff "$manifest" "$manifest" >"$work/diff_ok"; then
@@ -128,19 +130,23 @@ else
 	fi
 
 	echo "==> report -diff: a synthetic accuracy regression must fail"
-	# Scope the perturbation to the "final" block: the same key also
-	# appears under "series_total", where a float would break parsing.
-	sed '/"final"/,/}/ s/"eval_accuracy": [0-9.eE+-]*/"eval_accuracy": -1.0/' "$manifest" >"$work/regressed.json"
+	# Scope the perturbation to the gauge's entry in the metrics block:
+	# every other entry has a "sum" field too.
+	sed '/"quickdrop_eval_accuracy": {/,/}/ s/"sum": [0-9.eE+-]*/"sum": -1.0/' "$manifest" >"$work/regressed.json"
+	if cmp -s "$manifest" "$work/regressed.json"; then
+		echo "synthetic regression left the manifest unchanged" >&2
+		status=1
+	fi
 	if "$work/experiments" report -diff "$manifest" "$work/regressed.json" >"$work/diff_bad" 2>&1; then
 		echo "report -diff accepted a synthetic accuracy regression:" >&2
 		cat "$work/diff_bad" >&2
 		status=1
-	elif ! grep -q 'REGRESSION' "$work/diff_bad"; then
+	elif ! grep -q 'REGRESSION' "$work/diff_bad" || ! grep -q 'gauge:quickdrop_eval_accuracy' "$work/diff_bad"; then
 		echo "report -diff failed without naming the regression:" >&2
 		cat "$work/diff_bad" >&2
 		status=1
 	fi
 fi
 
-[ "$status" -eq 0 ] && echo "telemetry_smoke.sh: all endpoints and the ledger round-trip are healthy"
+[ "$status" -eq 0 ] && echo "telemetry_smoke.sh: /metrics and the ledger round-trip are healthy"
 exit "$status"
