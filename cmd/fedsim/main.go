@@ -146,11 +146,8 @@ func main() {
 		}
 		cfg := fl.PhaseConfig{
 			Rounds: step, LocalSteps: *steps, BatchSize: *batch, LR: *lr,
-			Participation: participation, SampleK: *sampleK, Workers: *workers,
+			Participation: participation, SampleK: *sampleK, Factory: factory, Workers: *workers,
 			Counter: &counter, Telemetry: pipe, Health: mon, Phase: "train",
-		}
-		if *workers != 1 {
-			cfg.Factory = factory
 		}
 		if _, err := fl.RunPhaseRegistry(model, reg, cfg, rng); err != nil {
 			fatal(err)

@@ -146,9 +146,10 @@ func (b *base) numClients() int           { return b.clients.NumClients() }
 func (b *base) shard(i int) *data.Dataset { return b.clients.Shard(i) }
 
 // phaseConfig converts core.PhaseParams into an fl.PhaseConfig named
-// phase for telemetry.
-func phaseConfig(p core.PhaseParams, dir optim.Direction, counter *optim.Counter,
-	tel *telemetry.Pipeline, phase string) fl.PhaseConfig {
+// phase for telemetry. Like every QuickDrop phase, it trains the clients
+// side by side on fl's worker pool (GOMAXPROCS workers), so the cost
+// columns compare methods on the same executor.
+func (b *base) phaseConfig(p core.PhaseParams, dir optim.Direction, phase string) fl.PhaseConfig {
 	return fl.PhaseConfig{
 		Rounds:        p.Rounds,
 		LocalSteps:    p.LocalSteps,
@@ -156,8 +157,9 @@ func phaseConfig(p core.PhaseParams, dir optim.Direction, counter *optim.Counter
 		LR:            p.LR,
 		Dir:           dir,
 		Participation: p.Participation,
-		Counter:       counter,
-		Telemetry:     tel,
+		Factory:       core.WorkerModels(b.cfg.Arch),
+		Counter:       &b.counter,
+		Telemetry:     b.cfg.Telemetry,
 		Phase:         phase,
 	}
 }
@@ -167,7 +169,7 @@ func (b *base) trainInitial(extra func(*fl.PhaseConfig)) error {
 	if b.prepared {
 		return fmt.Errorf("baselines: already prepared")
 	}
-	cfg := phaseConfig(b.cfg.Train, optim.Descend, &b.counter, b.cfg.Telemetry, "train")
+	cfg := b.phaseConfig(b.cfg.Train, optim.Descend, "train")
 	if extra != nil {
 		extra(&cfg)
 	}
@@ -261,7 +263,7 @@ func (b *base) retainShards() []*data.Dataset {
 // runPhase executes one FedAvg phase over shards and returns its cost.
 // The wall time comes from the telemetry phase timer inside RunPhase.
 func (b *base) runPhase(shards []*data.Dataset, p core.PhaseParams, dir optim.Direction, phase string) (eval.Cost, error) {
-	res, err := fl.RunPhase(b.model, shards, phaseConfig(p, dir, &b.counter, b.cfg.Telemetry, phase), b.rng)
+	res, err := fl.RunPhase(b.model, shards, b.phaseConfig(p, dir, phase), b.rng)
 	if err != nil {
 		return eval.Cost{}, err
 	}

@@ -1,11 +1,14 @@
 package baselines
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"quickdrop/internal/core"
 	"quickdrop/internal/fl"
 	"quickdrop/internal/telemetry"
+	"quickdrop/internal/tensor"
 )
 
 // newMethod constructs one baseline by name from fresh config and data.
@@ -98,5 +101,110 @@ func TestBaselinesBitwiseDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// baseOf returns a method's shared state.
+func baseOf(t *testing.T, m Method) *base {
+	t.Helper()
+	switch m := m.(type) {
+	case *RetrainOr:
+		return m.base
+	case *SGAOr:
+		return m.base
+	case *FedEraser:
+		return m.base
+	case *FUMP:
+		return m.base
+	case *S2U:
+		return m.base
+	}
+	t.Fatalf("unknown method %T", m)
+	return nil
+}
+
+// TestBaselinesPooledMatchInline: every baseline trains its clients on
+// fl's worker pool, as QuickDrop does, and the pool must not move a
+// float. Prepare, Unlearn and (where supported) Relearn run at
+// GOMAXPROCS 1, where each pool would have one worker and the phases
+// train inline, and at 2 and 3, on the pool; parameters, the cost
+// counter and FedEraser's stored updates must agree bit for bit.
+func TestBaselinesPooledMatchInline(t *testing.T) {
+	clients, _ := testClients(t, 3, 4, 7)
+	cfg := testConfig()
+	cfg.Train.Rounds = 3
+	cfg.RetrainRounds = 3
+	cases := []struct {
+		name string
+		req  core.Request
+	}{
+		{"Retrain-Or", core.Request{Kind: core.ClassLevel, Class: 1}},
+		{"SGA-Or", core.Request{Kind: core.ClassLevel, Class: 1}},
+		{"FedEraser", core.Request{Kind: core.ClassLevel, Class: 1}},
+		{"FU-MP", core.Request{Kind: core.ClassLevel, Class: 1}},
+		{"S2U", core.Request{Kind: core.ClientLevel, Client: 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(procs int) Method {
+				t.Helper()
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				m := newMethod(t, c.name, cfg, clients)
+				if err := m.Prepare(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Unlearn(c.req); err != nil {
+					t.Fatal(err)
+				}
+				if m.Capabilities().Relearn {
+					if _, err := m.Relearn(c.req); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return m
+			}
+			inline := run(1)
+			for _, procs := range []int{2, 3} {
+				pooled := run(procs)
+				requireSameTensors(t, "parameters", inline.Model().ParamTensors(), pooled.Model().ParamTensors())
+				if got, want := baseOf(t, pooled).counter, baseOf(t, inline).counter; got != want {
+					t.Fatalf("GOMAXPROCS=%d: counter %+v, inline %+v", procs, got, want)
+				}
+				if f, ok := inline.(*FedEraser); ok {
+					g := pooled.(*FedEraser)
+					if len(g.history) != len(f.history) || g.StoredFloats != f.StoredFloats {
+						t.Fatalf("GOMAXPROCS=%d: %d rounds / %d floats of history, inline %d / %d",
+							procs, len(g.history), g.StoredFloats, len(f.history), f.StoredFloats)
+					}
+					for k, round := range f.history {
+						if len(g.history[k]) != len(round) {
+							t.Fatalf("GOMAXPROCS=%d: round %d recorded %d clients, inline %d", procs, k, len(g.history[k]), len(round))
+						}
+						for id, delta := range round {
+							requireSameTensors(t, "stored update", delta, g.history[k][id])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// requireSameTensors fails unless want and got hold the same bits.
+func requireSameTensors(t *testing.T, what string, want, got []*tensor.Tensor) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d vs %d tensors", what, len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i].Data(), got[i].Data()
+		if len(w) != len(g) {
+			t.Fatalf("%s %d: %d vs %d values", what, i, len(g), len(w))
+		}
+		for j := range w {
+			if math.Float64bits(w[j]) != math.Float64bits(g[j]) {
+				t.Fatalf("%s %d: element %d is %g, want %g", what, i, j, g[j], w[j])
+			}
+		}
 	}
 }

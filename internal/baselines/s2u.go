@@ -74,7 +74,7 @@ func (s *S2U) Unlearn(req core.Request) (Result, error) {
 		samples += shards[i].Len()
 	}
 
-	cfg := phaseConfig(s.cfg.Train, optim.Descend, &s.counter, s.cfg.Telemetry, "scale")
+	cfg := s.phaseConfig(s.cfg.Train, optim.Descend, "scale")
 	cfg.Rounds = s.Rounds
 	cfg.WeightFn = func(clientID, size int) float64 {
 		if clientID == target {

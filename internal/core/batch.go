@@ -129,17 +129,7 @@ func (s *System) unlearnBatchLocked(reqs []Request) (BatchReport, error) {
 	}
 
 	s.poison("unlearn")
-	uRes, err := fl.RunPhase(s.Model, merged, fl.PhaseConfig{
-		Rounds:     s.Cfg.Unlearn.Rounds,
-		LocalSteps: s.Cfg.Unlearn.LocalSteps,
-		BatchSize:  s.Cfg.Unlearn.BatchSize,
-		LR:         s.Cfg.Unlearn.LR,
-		Dir:        optim.Ascend,
-		Counter:    &s.Counter,
-		Telemetry:  s.Cfg.Telemetry,
-		Health:     s.Cfg.Health,
-		Phase:      "unlearn",
-	}, s.rng)
+	uRes, err := fl.RunPhase(s.Model, merged, s.phaseConfig(s.Cfg.Unlearn, optim.Ascend, "unlearn"), s.rng)
 	if err != nil {
 		// The model may be partially ascended, but the forget ledger can
 		// still be restored so a retry resolves the same shards.
@@ -157,17 +147,7 @@ func (s *System) unlearnBatchLocked(reqs []Request) (BatchReport, error) {
 		s.observe("recover")
 		return br, nil
 	}
-	rRes, err := fl.RunPhase(s.Model, retain, fl.PhaseConfig{
-		Rounds:        s.Cfg.Recover.Rounds,
-		LocalSteps:    s.Cfg.Recover.LocalSteps,
-		BatchSize:     s.Cfg.Recover.BatchSize,
-		LR:            s.Cfg.Recover.LR,
-		Participation: s.Cfg.Recover.Participation,
-		Counter:       &s.Counter,
-		Telemetry:     s.Cfg.Telemetry,
-		Health:        s.Cfg.Health,
-		Phase:         "recover",
-	}, s.rng)
+	rRes, err := fl.RunPhase(s.Model, retain, s.phaseConfig(s.Cfg.Recover, optim.Descend, "recover"), s.rng)
 	if err != nil {
 		// The model is ascended but not recovered. Restore the ledger so
 		// the failure is retryable end to end — keeping the marks would

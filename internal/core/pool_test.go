@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -194,5 +195,170 @@ func TestFineTuneIsDeterministic(t *testing.T) {
 		if got.Counter != want.Counter {
 			t.Fatalf("run %d: counter %+v, want %+v", run, got.Counter, want.Counter)
 		}
+	}
+}
+
+// phaseCases are the request scripts TestPhasesPooledMatchInline runs
+// on a trained tiny system: every phase besides Train, at every request
+// granularity.
+var phaseCases = []struct {
+	name string
+	run  func(*System) error
+}{
+	{"unlearn-class", func(s *System) error { _, err := s.Unlearn(Request{Kind: ClassLevel, Class: 1}); return err }},
+	{"unlearn-client", func(s *System) error { _, err := s.Unlearn(Request{Kind: ClientLevel, Client: 2}); return err }},
+	{"unlearn-sample", func(s *System) error {
+		_, err := s.Unlearn(Request{Kind: SampleLevel, Client: 0, Samples: []int{0, 1}})
+		return err
+	}},
+	{"unlearn-batch4", func(s *System) error {
+		_, err := s.UnlearnBatch([]Request{
+			{Kind: ClassLevel, Class: 1}, {Kind: ClientLevel, Client: 2},
+			{Kind: SampleLevel, Client: 0, Samples: []int{0}}, {Kind: ClassLevel, Class: 3},
+		})
+		return err
+	}},
+	{"recover2-relearn", func(s *System) error {
+		req := Request{Kind: ClassLevel, Class: 2}
+		if _, err := s.Unlearn(req); err != nil {
+			return err
+		}
+		if _, err := s.Recover(2); err != nil {
+			return err
+		}
+		_, err := s.Relearn(req)
+		return err
+	}},
+}
+
+// phaseState is a trained tiny system with sub-class groups (so
+// sample-level requests resolve), saved once so every run below starts
+// from the same bytes.
+func phaseState(t *testing.T) (Config, *data.Cohort, []byte) {
+	t.Helper()
+	cfg, clients := tinyConfig(13), tinyCohort()
+	cfg.Distill.Groups = 2
+	cfg.Workers = 1
+	sys, err := NewSystem(cfg, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Train(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, clients, buf.Bytes()
+}
+
+// runPhases restores state into a system with the given pool size, a
+// monitor with hc and a telemetry pipeline, and runs script on it.
+func runPhases(t *testing.T, cfg Config, clients *data.Cohort, state []byte, hc health.Config,
+	workers int, script func(*System) error) (*System, error) {
+	t.Helper()
+	cfg.Workers = workers
+	cfg.Telemetry = telemetry.NewPipeline(telemetry.NewRegistry(), telemetry.NewTracer(0), clients.NumClients())
+	cfg.Health = health.New(hc, cfg.Telemetry)
+	sys, err := NewSystem(cfg, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadState(bytes.NewReader(state)); err != nil {
+		t.Fatal(err)
+	}
+	return sys, script(sys)
+}
+
+// TestPhasesPooledMatchInline extends TestTrainPooledMatchesInline to
+// every other phase: unlearning of each granularity, a mixed batch,
+// extra recovery rounds and relearning, on the pool (Workers 0 at
+// GOMAXPROCS 1, 2 and 3) against the inline phases (Workers 1), bit for
+// bit in parameters, the cost counter and the health summary, and with
+// the same verdict when the watchdog trips. scripts/check.sh runs it
+// repeatedly under -race.
+func TestPhasesPooledMatchInline(t *testing.T) {
+	cfg, clients, state := phaseState(t)
+	hc := health.Config{SampleEvery: 3}
+	for _, c := range phaseCases {
+		t.Run(c.name, func(t *testing.T) {
+			inline, err := runPhases(t, cfg, clients, state, hc, 1, c.run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := inline.Cfg.Health.Summary()
+			if want.MaxGradNorm <= 0 {
+				t.Fatalf("inline run sampled nothing: %+v", want)
+			}
+			tripping := hc
+			tripping.GradNormMax = want.MaxGradNorm / 2
+			tripped, tripErr := runPhases(t, cfg, clients, state, tripping, 1, c.run)
+			var wantVerdict *health.UnhealthyError
+			if !errors.As(tripErr, &wantVerdict) {
+				t.Fatalf("inline run with GradNormMax %g: err %v, want a watchdog verdict", tripping.GradNormMax, tripErr)
+			}
+
+			for _, procs := range []int{1, 2, 3} {
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					sys, err := runPhases(t, cfg, clients, state, hc, 0, c.run)
+					if err != nil {
+						t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+					}
+					requireSameBits(t, "parameters", flat(inline.Model), flat(sys.Model))
+					if sys.Counter != inline.Counter {
+						t.Fatalf("GOMAXPROCS=%d: counter %+v, inline %+v", procs, sys.Counter, inline.Counter)
+					}
+					if got := sys.Cfg.Health.Summary(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("GOMAXPROCS=%d: health %+v, inline %+v", procs, got, want)
+					}
+
+					sys, err = runPhases(t, cfg, clients, state, tripping, 0, c.run)
+					var verdict *health.UnhealthyError
+					if !errors.As(err, &verdict) || verdict.Verdict != wantVerdict.Verdict {
+						t.Fatalf("GOMAXPROCS=%d: err %v, inline %v", procs, err, tripErr)
+					}
+					if got, want := sys.Cfg.Health.Summary(), tripped.Cfg.Health.Summary(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("GOMAXPROCS=%d: tripped health %+v, inline %+v", procs, got, want)
+					}
+					requireSameBits(t, "tripped parameters", flat(tripped.Model), flat(sys.Model))
+				}()
+			}
+		})
+	}
+}
+
+// TestRelearnHonoursParticipation: every phase's config comes from the
+// same builder, so Relearn samples Participation of the clients per
+// round like Recover does. At one sample per step, the relearn phase's
+// gradient evaluations count the clients it trains, and 0.5 halves
+// them on the four clients that hold the class.
+func TestRelearnHonoursParticipation(t *testing.T) {
+	cfg, clients, state := phaseState(t)
+	req := Request{Kind: ClassLevel, Class: 1}
+	relearnEvals := func(participation float64) int {
+		t.Helper()
+		c := cfg
+		c.Relearn.Participation = participation
+		c.Relearn.BatchSize = 1
+		evals := 0
+		_, err := runPhases(t, c, clients, state, health.Config{}, 1, func(s *System) error {
+			if _, err := s.Unlearn(req); err != nil {
+				return err
+			}
+			before := s.Counter.GradEvals
+			_, err := s.Relearn(req)
+			evals = s.Counter.GradEvals - before
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evals
+	}
+	full, half := relearnEvals(0), relearnEvals(0.5)
+	if full == 0 || 2*half != full {
+		t.Fatalf("relearn gradient evaluations: %d at participation 0.5, %d at 1; want half", half, full)
 	}
 }

@@ -142,7 +142,15 @@ type Config struct {
 	// model's first parameter immediately before that phase runs. Never
 	// set in production; see scripts/health_smoke.sh.
 	PoisonPhase string
-	Seed        int64
+	// Workers is the number of clients a phase trains side by side on
+	// fl's worker pool, every phase (Train, unlearning, recovery,
+	// relearning) alike: 0 means GOMAXPROCS and 1 trains them in turn.
+	// The pool never starts more workers than a round can select, and
+	// the numerics are bitwise identical at every value. serve.New
+	// resolves 0 to max(1, GOMAXPROCS−1), so one core stays with its
+	// HTTP readers.
+	Workers int
+	Seed    int64
 }
 
 // DefaultConfig returns a configuration for the given architecture that
@@ -210,6 +218,9 @@ func NewSystem(cfg Config, clients fl.ClientRegistry) (*System, error) {
 	if err := cfg.Distill.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("core: workers %d must be non-negative", cfg.Workers)
+	}
 	if clients == nil || clients.NumClients() == 0 {
 		return nil, fmt.Errorf("core: no clients")
 	}
@@ -236,9 +247,9 @@ func NewSystem(cfg Config, clients fl.ClientRegistry) (*System, error) {
 // Train runs steps 1 and 2 of the workflow: FL training with in-situ
 // distillation, then augmentation and optional fine-tuning of the
 // synthetic sets. As in the paper, each client distills on its own
-// device: the training phase runs the clients side by side on fl's
-// worker pool (GOMAXPROCS workers, at most one per client a round
-// selects), bit-identical to training them in turn.
+// device: like every phase, training runs the clients side by side on
+// fl's worker pool (Config.Workers), bit-identical to training them in
+// turn.
 func (s *System) Train() (fl.PhaseResult, error) {
 	if err := s.acquire("Train"); err != nil {
 		return fl.PhaseResult{}, err
@@ -252,20 +263,10 @@ func (s *System) Train() (fl.PhaseResult, error) {
 	if s.Cfg.DistillDistance != nil {
 		s.Matcher.Distance = s.Cfg.DistillDistance
 	}
-	res, err := fl.RunPhaseRegistry(s.Model, s.Clients, fl.PhaseConfig{
-		Rounds:        s.Cfg.Train.Rounds,
-		LocalSteps:    s.Cfg.Train.LocalSteps,
-		BatchSize:     s.Cfg.Train.BatchSize,
-		LR:            s.Cfg.Train.LR,
-		Participation: s.Cfg.Train.Participation,
-		SampleK:       s.Cfg.Train.SampleK,
-		Factory:       s.workerModel,
-		Hook:          s.Matcher.Hook(),
-		Counter:       &s.Counter,
-		Telemetry:     s.Cfg.Telemetry,
-		Health:        s.Cfg.Health,
-		Phase:         "train",
-	}, s.rng)
+	cfg := s.phaseConfig(s.Cfg.Train, optim.Descend, "train")
+	cfg.SampleK = s.Cfg.Train.SampleK
+	cfg.Hook = s.Matcher.Hook()
+	res, err := fl.RunPhaseRegistry(s.Model, s.Clients, cfg, s.rng)
 	if err != nil {
 		return res, err
 	}
@@ -279,12 +280,33 @@ func (s *System) Train() (fl.PhaseResult, error) {
 	return res, nil
 }
 
-// workerModel builds a pool worker's private model. SetParams overwrites
-// its weights before every client, so the initialisation draws from a
-// fixed private source: drawing from s.rng would shift every later
-// trajectory.
-func (s *System) workerModel() *nn.Model {
-	return nn.NewConvNet(s.Cfg.Arch, rand.New(rand.NewSource(0)))
+// phaseConfig is the fl.PhaseConfig of one of the system's phases: p's
+// schedule in direction dir, on the worker pool, charged to s.Counter
+// and observed by the system's telemetry and health monitor.
+func (s *System) phaseConfig(p PhaseParams, dir optim.Direction, name string) fl.PhaseConfig {
+	return fl.PhaseConfig{
+		Rounds:        p.Rounds,
+		LocalSteps:    p.LocalSteps,
+		BatchSize:     p.BatchSize,
+		LR:            p.LR,
+		Dir:           dir,
+		Participation: p.Participation,
+		Factory:       WorkerModels(s.Cfg.Arch),
+		Workers:       s.Cfg.Workers,
+		Counter:       &s.Counter,
+		Telemetry:     s.Cfg.Telemetry,
+		Health:        s.Cfg.Health,
+		Phase:         name,
+	}
+}
+
+// WorkerModels is the fl.ModelFactory of arch's pool workers, for the
+// system's phases and the baselines' alike. A worker's weights are
+// overwritten before every client, so the initialisation draws from a
+// fixed private source: drawing from the caller's RNG would shift every
+// later trajectory.
+func WorkerModels(arch nn.ConvNetConfig) fl.ModelFactory {
+	return func() *nn.Model { return nn.NewConvNet(arch, rand.New(rand.NewSource(0))) }
 }
 
 // fineTuneAll refines every client's synthetic set in ascending client
@@ -562,17 +584,9 @@ func (s *System) Recover(rounds int) (eval.Cost, error) {
 		return eval.Cost{}, fmt.Errorf("core: Recover needs rounds ≥ 1")
 	}
 	retain := s.retainShards()
-	res, err := fl.RunPhase(s.Model, retain, fl.PhaseConfig{
-		Rounds:        rounds,
-		LocalSteps:    s.Cfg.Recover.LocalSteps,
-		BatchSize:     s.Cfg.Recover.BatchSize,
-		LR:            s.Cfg.Recover.LR,
-		Participation: s.Cfg.Recover.Participation,
-		Counter:       &s.Counter,
-		Telemetry:     s.Cfg.Telemetry,
-		Health:        s.Cfg.Health,
-		Phase:         "recover",
-	}, s.rng)
+	cfg := s.phaseConfig(s.Cfg.Recover, optim.Descend, "recover")
+	cfg.Rounds = rounds
+	res, err := fl.RunPhase(s.Model, retain, cfg, s.rng)
 	if err != nil {
 		return eval.Cost{}, err
 	}
@@ -604,16 +618,7 @@ func (s *System) Relearn(req Request) (Report, error) {
 		return Report{}, err
 	}
 	rep := Report{Request: req}
-	res, err := fl.RunPhase(s.Model, forget, fl.PhaseConfig{
-		Rounds:     s.Cfg.Relearn.Rounds,
-		LocalSteps: s.Cfg.Relearn.LocalSteps,
-		BatchSize:  s.Cfg.Relearn.BatchSize,
-		LR:         s.Cfg.Relearn.LR,
-		Counter:    &s.Counter,
-		Telemetry:  s.Cfg.Telemetry,
-		Health:     s.Cfg.Health,
-		Phase:      "relearn",
-	}, s.rng)
+	res, err := fl.RunPhase(s.Model, forget, s.phaseConfig(s.Cfg.Relearn, optim.Descend, "relearn"), s.rng)
 	if err != nil {
 		return rep, fmt.Errorf("core: relearning phase: %w", err)
 	}

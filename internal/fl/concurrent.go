@@ -55,23 +55,15 @@ func RunPhaseConcurrentRegistry(ctx context.Context, model *nn.Model, factory Mo
 	return runPooled(ctx.Done(), ctx.Err, model, reg, cfg, rng)
 }
 
-// runPooled runs the phase on cfg.Workers pool workers (GOMAXPROCS when
-// 0, and never more than a round can select), each owning one private cfg.Factory model reused across every
-// client it serves — so concurrent memory is O(workers · model), not
-// O(clients · model). cfg.Hook runs on the workers; cfg.UpdateHook and
-// cfg.WeightFn run serially on the server, in fold order. A receive on
-// cancel (nil: never) aborts the phase with cause().
+// runPooled runs the phase on poolSize(reg, cfg) workers, each owning
+// one private cfg.Factory model reused across every client it serves —
+// so concurrent memory is O(workers · model), not O(clients · model).
+// cfg.Hook runs on the workers; cfg.UpdateHook and cfg.WeightFn run
+// serially on the server, in fold order. A receive on cancel (nil:
+// never) aborts the phase with cause().
 func runPooled(cancel <-chan struct{}, cause func() error, model *nn.Model,
 	reg ClientRegistry, cfg PhaseConfig, rng *rand.Rand) (PhaseResult, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// A round never trains more clients than the registry holds (or K in
-	// sampled mode), so further workers would only hold idle models.
-	if most := maxSelected(reg, cfg); workers > most {
-		workers = most
-	}
+	workers := poolSize(reg, cfg)
 	// The workers are stopped and waited for on every exit, so no client
 	// trains, and no hook or telemetry call fires, after the phase returns.
 	var wg sync.WaitGroup
@@ -93,14 +85,39 @@ func runPooled(cancel <-chan struct{}, cause func() error, model *nn.Model,
 	})
 }
 
-// maxSelected bounds the number of clients one round of the phase can
-// select (at least 1).
-func maxSelected(reg ClientRegistry, cfg PhaseConfig) int {
-	n := reg.NumClients()
-	if cfg.SampleK > 0 && cfg.SampleK < n {
-		n = cfg.SampleK
+// poolSize is the number of workers a pool for the phase starts:
+// cfg.Workers (GOMAXPROCS when 0), but never more than one round can
+// select, since further workers would only hold idle models. It is at
+// least 1.
+func poolSize(reg ClientRegistry, cfg PhaseConfig) int {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return max(n, 1)
+	return max(1, min(workers, maxSelected(reg, cfg)))
+}
+
+// maxSelected bounds the number of clients one round of the phase can
+// select: K in sampled mode, otherwise the eligible clients — those
+// with data — or the participation fraction of them.
+func maxSelected(reg ClientRegistry, cfg PhaseConfig) int {
+	if reg == nil {
+		return 0
+	}
+	n := reg.NumClients()
+	if cfg.SampleK > 0 {
+		return min(n, cfg.SampleK)
+	}
+	eligible := 0
+	for id := 0; id < n; id++ {
+		if reg.ShardLen(id) > 0 {
+			eligible++
+		}
+	}
+	if p := cfg.Participation; p > 0 && p < 1 {
+		return max(1, int(p*float64(eligible)))
+	}
+	return eligible
 }
 
 // trainPooled is the pool executor: it dispatches the round's clients

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -200,24 +201,41 @@ func TestPoolCountsCostOnServer(t *testing.T) {
 }
 
 // TestPoolCapsWorkersAtSelectable: a round never trains more clients
-// than the registry holds, or K in sampled mode, so the pool builds no
-// worker model beyond that however many workers it is allowed.
+// than the registry holds eligible, the participation fraction of them,
+// or K in sampled mode, so the pool builds no worker model beyond that
+// however many workers it is allowed. A pool that would have one worker
+// is not started at all: the phase trains inline, with no factory call.
 func TestPoolCapsWorkersAtSelectable(t *testing.T) {
 	_, parts, _ := testSetup(t, 3, 0)
-	reg := data.NewCohort(parts)
+	full := data.NewCohort(parts)
+	// One non-empty shard of four: a client- or sample-level SGA phase.
+	single := data.NewCohort([]*data.Dataset{nil, parts[1], nil, parts[1].Subset(nil)})
 	factory, _ := testFactory()
-	for _, tc := range []struct{ workers, sampleK, want int }{
-		{8, 0, 3}, {2, 0, 2}, {8, 2, 2}, {0, 1, 1},
+	for _, tc := range []struct {
+		reg                          *data.Cohort
+		gomaxprocs, workers, sampleK int
+		participation                float64
+		want                         int
+	}{
+		{full, 0, 8, 0, 0, 3}, {full, 0, 2, 0, 0, 2}, {full, 0, 8, 2, 0, 2}, {full, 0, 8, 0, 0.7, 2},
+		{full, 0, 0, 1, 0, 0}, {full, 0, 1, 0, 0, 0}, {full, 1, 0, 0, 0, 0}, {full, 2, 0, 0, 0, 2},
+		{single, 0, 8, 0, 0, 0}, {single, 0, 0, 0, 0, 0},
 	} {
 		var built atomic.Int32
 		cfg := PhaseConfig{Rounds: 2, LocalSteps: 1, BatchSize: 8, LR: 0.05,
-			Workers: tc.workers, SampleK: tc.sampleK,
+			Workers: tc.workers, SampleK: tc.sampleK, Participation: tc.participation,
 			Factory: func() *nn.Model { built.Add(1); return factory() }}
-		if _, err := RunPhaseRegistry(factory(), reg, cfg, rand.New(rand.NewSource(5))); err != nil {
-			t.Fatal(err)
-		}
+		func() {
+			if tc.gomaxprocs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.gomaxprocs))
+			}
+			if _, err := RunPhaseRegistry(factory(), tc.reg, cfg, rand.New(rand.NewSource(5))); err != nil {
+				t.Fatal(err)
+			}
+		}()
 		if got := int(built.Load()); got != tc.want {
-			t.Errorf("workers=%d sampleK=%d: built %d worker models, want %d", tc.workers, tc.sampleK, got, tc.want)
+			t.Errorf("%d clients, GOMAXPROCS=%d workers=%d sampleK=%d participation=%g: built %d worker models, want %d",
+				tc.reg.NumClients(), tc.gomaxprocs, tc.workers, tc.sampleK, tc.participation, got, tc.want)
 		}
 	}
 }

@@ -68,14 +68,19 @@ type PhaseConfig struct {
 	// exclusive with Participation. SampleK of 0 keeps the legacy
 	// participation-fraction semantics bit for bit.
 	SampleK int
-	// Factory, if set, runs the phase's clients on a bounded pool of
-	// workers, each owning one private model built by Factory and reused
-	// across every client it serves. Nil trains the clients one after
-	// another on the caller's model. The executor never affects numerics:
-	// updates fold in selection order regardless of arrival order.
+	// Factory, if set, lets the phase run its clients on a bounded pool
+	// of workers, each owning one private model built by Factory and
+	// reused across every client it serves. Factory's initial weights
+	// never matter (the worker sets the round's global parameters before
+	// each client), but building a model must not draw from a stream the
+	// caller's trajectory depends on. Nil, or a pool that would have one
+	// worker, trains the clients one after another on the caller's model.
+	// The executor never affects numerics: updates fold in selection
+	// order regardless of arrival order.
 	Factory ModelFactory
-	// Workers bounds the pool Factory enables; 0 selects GOMAXPROCS.
-	// The pool never starts more workers than a round can select.
+	// Workers bounds the pool Factory enables; 0 selects GOMAXPROCS and
+	// 1 trains the clients in turn. The pool never starts more workers
+	// than a round can select.
 	Workers int
 	// Hook, if set, runs after every local step, on the goroutine that
 	// trains the client, with that client's model and RNG. On the pool
@@ -181,8 +186,8 @@ func RunPhase(model *nn.Model, clients []*data.Dataset, cfg PhaseConfig, rng *ra
 
 // RunPhaseRegistry executes FedAvg over a client registry, mutating
 // model in place. It trains the selected clients one after another on
-// model itself, or on cfg.Factory's worker pool when that is set; both
-// give the same floats. With cfg.SampleK == 0 it replicates the historical
+// model itself, or on cfg.Factory's worker pool when that is set and
+// the pool would have more than one worker; both give the same floats. With cfg.SampleK == 0 it replicates the historical
 // slice-based RunPhase exactly — same RNG consumption, same fold order,
 // same floats — over whatever the registry materializes. With SampleK >
 // 0 it runs in sampled mode: per-round participant sets are drawn from
@@ -190,7 +195,7 @@ func RunPhase(model *nn.Model, clients []*data.Dataset, cfg PhaseConfig, rng *ra
 // are derived from (phase seed, round, client ID), and per-round cost
 // is O(K·shard + model) regardless of NumClients.
 func RunPhaseRegistry(model *nn.Model, reg ClientRegistry, cfg PhaseConfig, rng *rand.Rand) (PhaseResult, error) {
-	if cfg.Factory != nil {
+	if cfg.Factory != nil && poolSize(reg, cfg) > 1 {
 		return runPooled(nil, nil, model, reg, cfg, rng)
 	}
 	return runPhase(model, reg, cfg, rng, trainInline)

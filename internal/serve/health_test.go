@@ -92,3 +92,41 @@ func TestServerWatchdogRefusesPublish(t *testing.T) {
 		t.Fatalf("manifest health summary %+v: trip history must survive, current state healthy", h)
 	}
 }
+
+// TestHealthTripRewindPooledMatchesInline runs the watchdog's refuse,
+// rewind and re-arm path of TestServerWatchdogRefusesPublish on a system
+// whose phases train on a pool of two workers, and on one that trains
+// its clients in turn: the rewound model, the model the clean
+// resubmission publishes and every audit field must agree.
+func TestHealthTripRewindPooledMatchesInline(t *testing.T) {
+	run := func(workers int) (rewound, published []float64, audit []telemetry.AuditEntry) {
+		t.Helper()
+		pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 3)
+		cfg := tinyConfig(123)
+		cfg.Workers = workers
+		cfg.Health = health.New(health.Config{}, pipe)
+		cfg.PoisonPhase = "unlearn"
+		s, ts := newTestServer(t, cfg, Config{Telemetry: pipe})
+		_, v1 := postForget(t, ts.URL, `{"kind":"class","class":1}`)
+		_, v2 := postForget(t, ts.URL, `{"kind":"class","class":2}`)
+		s.Start()
+		waitTerminal(t, s, v1.ID, v2.ID)
+		if st := s.Stats(); st.Failed != 2 || st.ModelVersion != 1 {
+			t.Fatalf("workers=%d: stats %+v, want 2 failed and version 1", workers, st)
+		}
+		for _, p := range s.sys.Model.ParamTensors() {
+			rewound = append(rewound, p.Data()...)
+		}
+		s.sys.Cfg.PoisonPhase = ""
+		_, v3 := postForget(t, ts.URL, `{"kind":"class","class":1}`)
+		waitTerminal(t, s, v3.ID)
+		if st := s.Stats(); st.Published != 1 || st.ModelVersion != 2 {
+			t.Fatalf("workers=%d: stats %+v, want the resubmission published in version 2", workers, st)
+		}
+		return rewound, servedParams(s), auditFields(pipe)
+	}
+	inlineRewound, inline, inlineAudit := run(1)
+	pooledRewound, pooled, pooledAudit := run(2)
+	requirePoolInvisible(t, "rewound", inlineRewound, pooledRewound, nil, nil)
+	requirePoolInvisible(t, "published", inline, pooled, inlineAudit, pooledAudit)
+}

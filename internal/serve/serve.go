@@ -12,6 +12,7 @@ package serve
 
 import (
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,6 +31,7 @@ type Config struct {
 	// System is the trained QuickDrop system the worker mutates. The
 	// server owns it exclusively once Start is called — concurrent
 	// callers going around the queue are rejected with core.ErrBusy.
+	// New resolves its Cfg.Workers of 0 to max(1, GOMAXPROCS−1).
 	System *core.System
 	// Evaluator measures per-request forget/retain accuracy for the
 	// audit trail. Nil disables accuracy audit fields (they report 0).
@@ -88,10 +90,16 @@ type Server struct {
 }
 
 // New assembles a server around a trained system and publishes the
-// current model as snapshot version 1.
+// current model as snapshot version 1. A system left at Workers 0
+// (GOMAXPROCS) gets every core but one, and at least 1: the worker's
+// phases would otherwise take every core, and /v1/predict would wait
+// for a CPU behind them.
 func New(cfg Config) *Server {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = DefaultQueueCap
+	}
+	if cfg.System.Cfg.Workers == 0 {
+		cfg.System.Cfg.Workers = max(1, runtime.GOMAXPROCS(0)-1)
 	}
 	s := &Server{
 		cfg:     cfg,

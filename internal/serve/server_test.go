@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -576,4 +579,93 @@ func TestRequestBodyRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v → %v", req, back)
 		}
 	}
+}
+
+// TestServerReservesReaderCore: a system left at Workers 0 would train
+// each phase's clients on every core, and /v1/predict would wait for a
+// CPU behind them, so New keeps one core for the readers. A caller's
+// explicit pool size stands.
+func TestServerReservesReaderCore(t *testing.T) {
+	sys, _ := tinySystem(t, tinyConfig(31))
+	for _, tc := range []struct{ procs, workers, want int }{
+		{1, 0, 1}, {2, 0, 1}, {3, 0, 2}, {4, 0, 3}, {2, 2, 2}, {3, 1, 1},
+	} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			sys.Cfg.Workers = tc.workers
+			New(Config{System: sys})
+			if sys.Cfg.Workers != tc.want {
+				t.Fatalf("GOMAXPROCS=%d Workers=%d: New set %d, want %d", tc.procs, tc.workers, sys.Cfg.Workers, tc.want)
+			}
+		}()
+	}
+}
+
+// servedParams flattens the parameters of the server's current snapshot.
+func servedParams(s *Server) []float64 {
+	snap := s.Store().Acquire()
+	defer snap.Release()
+	var flat []float64
+	for _, p := range snap.Params() {
+		flat = append(flat, p.Data()...)
+	}
+	return flat
+}
+
+// auditFields returns the pipeline's audit trail without completion
+// stamps, the one field that reads a clock.
+func auditFields(pipe *telemetry.Pipeline) []telemetry.AuditEntry {
+	entries := pipe.Audit.Entries()
+	for i := range entries {
+		entries[i].Stamp = 0
+	}
+	return entries
+}
+
+// requirePoolInvisible fails unless two runs published the same bits
+// and wrote the same audit trail.
+func requirePoolInvisible(t *testing.T, what string, inline, pooled []float64, inlineAudit, pooledAudit []telemetry.AuditEntry) {
+	t.Helper()
+	if len(inline) != len(pooled) {
+		t.Fatalf("%s: %d vs %d parameters", what, len(pooled), len(inline))
+	}
+	for i := range inline {
+		if math.Float64bits(inline[i]) != math.Float64bits(pooled[i]) {
+			t.Fatalf("%s: param %d is %v on the pool, %v inline", what, i, pooled[i], inline[i])
+		}
+	}
+	if !reflect.DeepEqual(inlineAudit, pooledAudit) {
+		t.Fatalf("%s: audit trail on the pool %+v, inline %+v", what, pooledAudit, inlineAudit)
+	}
+}
+
+// TestServerPooledWorkerPublishesSameModel: the worker's phases train
+// their clients side by side when the system's Workers allows, and a
+// coalesced batch must publish the same parameters and audit fields as
+// on a system that trains them in turn.
+func TestServerPooledWorkerPublishesSameModel(t *testing.T) {
+	run := func(workers int) ([]float64, []telemetry.AuditEntry) {
+		t.Helper()
+		pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 3)
+		cfg := tinyConfig(33)
+		cfg.Workers = workers
+		s, ts := newTestServer(t, cfg, Config{Telemetry: pipe})
+		var ids []uint64
+		for _, body := range []string{`{"kind":"class","class":1}`, `{"kind":"client","client":2}`, `{"kind":"class","class":3}`} {
+			code, v := postForget(t, ts.URL, body)
+			if code != http.StatusAccepted {
+				t.Fatalf("post %s: status %d", body, code)
+			}
+			ids = append(ids, v.ID)
+		}
+		s.Start()
+		waitTerminal(t, s, ids...)
+		if st := s.Stats(); st.Published != 3 || st.ModelVersion != 2 {
+			t.Fatalf("workers=%d: stats %+v, want 3 published in version 2", workers, st)
+		}
+		return servedParams(s), auditFields(pipe)
+	}
+	inline, inlineAudit := run(1)
+	pooled, pooledAudit := run(2)
+	requirePoolInvisible(t, "published", inline, pooled, inlineAudit, pooledAudit)
 }

@@ -45,10 +45,11 @@ GOMAXPROCS=1 go test -count=1 ./internal/tensor ./internal/autodiff ./internal/n
 echo "==> go test -race -count=10 (predict beside the worker)"
 go test -race -count=10 -run '^TestPredictBesideWorkerMatchesHeapPath$' ./internal/serve
 
-# Train's clients distill side by side on the worker pool, sharing the
-# matcher's counters and the telemetry/health observers; the pooled
-# phase must stay bit-identical to the inline one at 1, 2 and 3 workers.
-echo "==> go test -race -count=5 (pooled Train matches inline)"
-go test -race -count=5 -run '^TestTrainPooledMatchesInline$' ./internal/core
+# Every phase trains its clients side by side on the worker pool —
+# Train's clients distill there too, sharing the matcher's counters —
+# with the telemetry/health observers shared; each pooled phase must
+# stay bit-identical to the inline one at 1, 2 and 3 workers.
+echo "==> go test -race -count=5 (pooled phases match inline)"
+go test -race -count=5 -run '^(TestTrainPooledMatchesInline|TestPhasesPooledMatchInline)$' ./internal/core
 
 echo "check.sh: all clean"
