@@ -83,8 +83,8 @@ func TestValidateRequest(t *testing.T) {
 // contract: a batch of one request produces bit-for-bit the same model
 // as Unlearn on that request, because Unlearn IS a batch of one.
 func TestUnlearnBatchSingleIsUnlearn(t *testing.T) {
-	sysA, _ := trainedSystem(t, 7)
-	sysB, _ := trainedSystem(t, 7)
+	sysA, _ := trainedSystem(t)
+	sysB, _ := trainedSystem(t)
 	req := Request{Kind: ClassLevel, Class: 3}
 
 	repA, err := sysA.Unlearn(req)
@@ -119,7 +119,7 @@ func TestUnlearnBatchSingleIsUnlearn(t *testing.T) {
 // rejected without poisoning the batch, and the forget ledger ends in
 // the same state sequential submission would produce.
 func TestUnlearnBatchCoalesced(t *testing.T) {
-	sys, test := trainedSystem(t, 11)
+	sys, test := trainedSystem(t)
 	reqs := []Request{
 		{Kind: ClassLevel, Class: 1},
 		{Kind: ClassLevel, Class: 2},
@@ -170,7 +170,7 @@ func TestUnlearnBatchCoalesced(t *testing.T) {
 // ledger is restored to its pre-call state so the same requests can
 // be resubmitted once the fault is fixed.
 func TestUnlearnBatchPhaseFailureRollsBackLedger(t *testing.T) {
-	sys, _ := trainedSystem(t, 17)
+	sys, _ := trainedSystem(t)
 	goodUnlearnLR, goodRecoverLR := sys.Cfg.Unlearn.LR, sys.Cfg.Recover.LR
 	reqs := []Request{{Kind: ClassLevel, Class: 1}, {Kind: ClassLevel, Class: 2}}
 
@@ -207,7 +207,7 @@ func TestUnlearnBatchPhaseFailureRollsBackLedger(t *testing.T) {
 // TestUnlearnBatchAllRejected checks that a batch with no executable
 // request reports an error and leaves the ledger untouched.
 func TestUnlearnBatchAllRejected(t *testing.T) {
-	sys, _ := trainedSystem(t, 13)
+	sys, _ := trainedSystem(t)
 	if _, err := sys.Unlearn(Request{Kind: ClassLevel, Class: 4}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"quickdrop/internal/data"
@@ -33,21 +35,82 @@ func skipE2EInShort(t *testing.T) {
 	}
 }
 
-func trainedSystem(t *testing.T, seed int64) (*System, *data.Dataset) {
+// fixture trains one system per (seed, config) for the whole package
+// and hands every test its own copy, restored from the trained system's
+// saved state. A restored system's RNG restarts from cfg.Seed rather
+// than continuing from where Train left it. Tests of SaveState/LoadState
+// itself take fresh instead, so they compare Train's own output with
+// its restore.
+type fixture struct {
+	setup func(t *testing.T) (*data.Cohort, *data.Dataset, Config)
+	once  sync.Once
+	state []byte
+	err   error
+}
+
+// train builds and trains a new system from the fixture's setup.
+func (f *fixture) train(t *testing.T) (*System, *data.Dataset, error) {
+	clients, test, cfg := f.setup(t)
+	sys, err := NewSystem(cfg, clients)
+	if err == nil {
+		_, err = sys.Train()
+	}
+	return sys, test, err
+}
+
+// fresh returns a newly trained system that has not been through
+// SaveState/LoadState, and the held-out test set.
+func (f *fixture) fresh(t *testing.T) (*System, *data.Dataset) {
 	t.Helper()
 	skipE2EInShort(t)
-	clients, test := testClients(t, 4, 12, seed)
-	cfg := DefaultConfig(testArch())
-	cfg.Seed = seed
-	cfg.Distill.Scale = 3 // keep a few synthetic samples per class on tiny shards
+	sys, test, err := f.train(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, test
+}
+
+// system returns a fresh copy of the fixture's trained system, training
+// it on first use, and the held-out test set.
+func (f *fixture) system(t *testing.T) (*System, *data.Dataset) {
+	t.Helper()
+	skipE2EInShort(t)
+	f.once.Do(func() {
+		sys, _, err := f.train(t)
+		var buf bytes.Buffer
+		if err == nil {
+			err = sys.SaveState(&buf)
+		}
+		f.state, f.err = buf.Bytes(), err
+	})
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	clients, test, cfg := f.setup(t)
 	sys, err := NewSystem(cfg, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Train(); err != nil {
+	if err := sys.LoadState(bytes.NewReader(f.state)); err != nil {
 		t.Fatal(err)
 	}
 	return sys, test
+}
+
+// trained is the package's class- and client-level fixture: 4 clients,
+// 12 samples per class.
+var trained = &fixture{setup: func(t *testing.T) (*data.Cohort, *data.Dataset, Config) {
+	clients, test := testClients(t, 4, 12, 7)
+	cfg := DefaultConfig(testArch())
+	cfg.Seed = 7
+	cfg.Distill.Scale = 3 // keep a few synthetic samples per class on tiny shards
+	return clients, test, cfg
+}}
+
+// trainedSystem returns a copy of the trained fixture.
+func trainedSystem(t *testing.T) (*System, *data.Dataset) {
+	t.Helper()
+	return trained.system(t)
 }
 
 func TestNewSystemValidation(t *testing.T) {
@@ -81,7 +144,7 @@ func TestUnlearnBeforeTrainFails(t *testing.T) {
 }
 
 func TestDoubleTrainFails(t *testing.T) {
-	sys, _ := trainedSystem(t, 3)
+	sys, _ := trainedSystem(t)
 	if _, err := sys.Train(); err == nil {
 		t.Fatal("expected error on second Train")
 	}
@@ -91,7 +154,7 @@ func TestDoubleTrainFails(t *testing.T) {
 // collapses F-Set accuracy while recovery restores the R-Set, then
 // relearning restores the class.
 func TestClassUnlearnRecoverRelearn(t *testing.T) {
-	sys, test := trainedSystem(t, 4)
+	sys, test := trainedSystem(t)
 	target := 3
 	fBefore, rBefore := eval.ClassSplit(sys.Model, test, target)
 	if fBefore < 0.5 || rBefore < 0.5 {
@@ -135,7 +198,7 @@ func TestClassUnlearnRecoverRelearn(t *testing.T) {
 }
 
 func TestClientUnlearn(t *testing.T) {
-	sys, test := trainedSystem(t, 5)
+	sys, test := trainedSystem(t)
 	target := 1
 	rep, err := sys.Unlearn(Request{Kind: ClientLevel, Client: target})
 	if err != nil {
@@ -157,7 +220,7 @@ func TestClientUnlearn(t *testing.T) {
 }
 
 func TestSequentialClassRequests(t *testing.T) {
-	sys, test := trainedSystem(t, 6)
+	sys, test := trainedSystem(t)
 	for _, target := range []int{2, 5} {
 		if _, err := sys.Unlearn(Request{Kind: ClassLevel, Class: target}); err != nil {
 			t.Fatal(err)
@@ -189,7 +252,7 @@ func TestSequentialClassRequests(t *testing.T) {
 }
 
 func TestUnlearnErrors(t *testing.T) {
-	sys, _ := trainedSystem(t, 7)
+	sys, _ := trainedSystem(t)
 	if _, err := sys.Unlearn(Request{Kind: ClassLevel, Class: 99}); err == nil {
 		t.Fatal("expected out-of-range class error")
 	}
@@ -211,7 +274,7 @@ func TestUnlearnErrors(t *testing.T) {
 }
 
 func TestSyntheticSizesFollowScale(t *testing.T) {
-	sys, _ := trainedSystem(t, 8)
+	sys, _ := trainedSystem(t)
 	for i := 0; i < sys.Clients.NumClients(); i++ {
 		c := sys.Clients.Shard(i)
 		syn := sys.Synthetic(i)

@@ -8,27 +8,25 @@ import (
 	"quickdrop/internal/mia"
 )
 
-// sampleSystem builds a trained system with sub-class grouping enabled.
-func sampleSystem(t *testing.T, seed int64) (*System, *data.Dataset) {
-	t.Helper()
-	skipE2EInShort(t)
-	clients, test := testClients(t, 3, 16, seed)
+// sampled is the sample-level fixture: 3 clients with sub-class
+// grouping enabled.
+var sampled = &fixture{setup: func(t *testing.T) (*data.Cohort, *data.Dataset, Config) {
+	clients, test := testClients(t, 3, 16, 21)
 	cfg := DefaultConfig(testArch())
-	cfg.Seed = seed
+	cfg.Seed = 21
 	cfg.Distill.Scale = 2
 	cfg.Distill.Groups = 3
-	sys, err := NewSystem(cfg, clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Train(); err != nil {
-		t.Fatal(err)
-	}
-	return sys, test
+	return clients, test, cfg
+}}
+
+// sampleSystem returns a copy of the sample-level fixture.
+func sampleSystem(t *testing.T) (*System, *data.Dataset) {
+	t.Helper()
+	return sampled.system(t)
 }
 
 func TestSampleLevelUnlearnAndRelearn(t *testing.T) {
-	sys, test := sampleSystem(t, 21)
+	sys, test := sampleSystem(t)
 	client := 1
 	// Forget the first few samples of the client.
 	req := Request{Kind: SampleLevel, Client: client, Samples: []int{0, 1, 2}}
@@ -73,7 +71,7 @@ func TestSampleLevelUnlearnAndRelearn(t *testing.T) {
 }
 
 func TestSampleLevelValidation(t *testing.T) {
-	sys, _ := sampleSystem(t, 22)
+	sys, _ := sampleSystem(t)
 	cases := []Request{
 		{Kind: SampleLevel, Client: 99, Samples: []int{0}},
 		{Kind: SampleLevel, Client: 0, Samples: nil},
@@ -91,7 +89,7 @@ func TestSampleLevelValidation(t *testing.T) {
 }
 
 func TestSampleLevelExpandsToGroups(t *testing.T) {
-	sys, _ := sampleSystem(t, 23)
+	sys, _ := sampleSystem(t)
 	client := 0
 	req := Request{Kind: SampleLevel, Client: client, Samples: []int{0}}
 	groups, expanded, err := sys.resolveSampleGroups(req)
@@ -117,7 +115,7 @@ func TestSampleLevelExpandsToGroups(t *testing.T) {
 }
 
 func TestSampleLevelRecoveryExcludesForgottenGroups(t *testing.T) {
-	sys, _ := sampleSystem(t, 24)
+	sys, _ := sampleSystem(t)
 	client := 2
 	req := Request{Kind: SampleLevel, Client: client, Samples: []int{0, 3}}
 	if _, err := sys.Unlearn(req); err != nil {
@@ -133,7 +131,7 @@ func TestSampleLevelRecoveryExcludesForgottenGroups(t *testing.T) {
 }
 
 func TestSampleLevelMIAMemberRateDrops(t *testing.T) {
-	sys, test := sampleSystem(t, 25)
+	sys, test := sampleSystem(t)
 	client := 0
 	clientData := sys.Clients.Shard(client)
 	// Forget half the client's samples.

@@ -8,8 +8,12 @@ import (
 	"quickdrop/internal/eval"
 )
 
+// TestStateRoundTripPreservesModelAndSynthetic trains its own system
+// rather than taking a fixture copy: a copy has already been through
+// SaveState/LoadState, so a field the save dropped would be missing on
+// both sides of the comparison.
 func TestStateRoundTripPreservesModelAndSynthetic(t *testing.T) {
-	sys, test := trainedSystem(t, 30)
+	sys, test := trained.fresh(t)
 	if _, err := sys.Unlearn(Request{Kind: ClassLevel, Class: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +74,10 @@ func TestStateRoundTripPreservesModelAndSynthetic(t *testing.T) {
 	}
 }
 
+// TestStateRoundTripSampleLevel trains its own system for the same
+// reason.
 func TestStateRoundTripSampleLevel(t *testing.T) {
-	sys, _ := sampleSystem(t, 31)
+	sys, _ := sampled.fresh(t)
 	req := Request{Kind: SampleLevel, Client: 0, Samples: []int{0, 1}}
 	if _, err := sys.Unlearn(req); err != nil {
 		t.Fatal(err)
@@ -113,7 +119,7 @@ func TestSaveStateErrors(t *testing.T) {
 }
 
 func TestLoadStateErrors(t *testing.T) {
-	sys, _ := trainedSystem(t, 33)
+	sys, _ := trainedSystem(t)
 	var buf bytes.Buffer
 	if err := sys.SaveState(&buf); err != nil {
 		t.Fatal(err)
@@ -132,7 +138,7 @@ func TestLoadStateErrors(t *testing.T) {
 	}
 	// Client-count mismatch fails.
 	var buf2 bytes.Buffer
-	sys2, _ := trainedSystem(t, 34)
+	sys2, _ := trainedSystem(t)
 	if err := sys2.SaveState(&buf2); err != nil {
 		t.Fatal(err)
 	}

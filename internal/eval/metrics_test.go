@@ -122,3 +122,30 @@ func TestConfusionMatrix(t *testing.T) {
 		}
 	}
 }
+
+// ClassSplit answers from one pass over the whole set what accuracy on
+// the class's own subset and on the rest computes, bit for bit: each
+// sample's prediction does not depend on the batch it is predicted in.
+func TestClassSplitMatchesSubsets(t *testing.T) {
+	m := nn.NewConvNet(nn.ConvNetConfig{InputH: 8, InputW: 8, InputC: 1, Classes: 4, Width: 4, Depth: 2},
+		rand.New(rand.NewSource(3)))
+	ds := data.NewDataset(8, 8, 1, 4)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 150; i++ {
+		ds.Append(tensor.Randn(rng, 1, 8, 8, 1), rng.Intn(4))
+	}
+	for c := -1; c <= 4; c++ {
+		f, r := ClassSplit(m, ds, c)
+		wantF, wantR := Accuracy(m, ds.OfClass(c)), Accuracy(m, ds.WithoutClass(c))
+		if f != wantF || r != wantR {
+			t.Fatalf("class %d: split %v/%v, subsets %v/%v", c, f, r, wantF, wantR)
+		}
+	}
+	acc, count := PerClassAccuracy(m, ds)
+	for c := range acc {
+		if count[c] != ds.OfClass(c).Len() || acc[c] != Accuracy(m, ds.OfClass(c)) {
+			t.Fatalf("class %d: per-class %v over %d, subset %v over %d",
+				c, acc[c], count[c], Accuracy(m, ds.OfClass(c)), ds.OfClass(c).Len())
+		}
+	}
+}

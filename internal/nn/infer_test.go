@@ -122,6 +122,57 @@ func TestInferenceMidStepLeavesTheStepIntact(t *testing.T) {
 	}
 }
 
+// Each sample's output depends on that sample alone: Logits and Predict
+// give it bit for bit the same at batch sizes 1, 7 and 64, in any order
+// within and across batches, with the kernels inline (GOMAXPROCS 1) or
+// sharded (GOMAXPROCS 2, where the batch-64 matmuls clear the kernels'
+// parallel threshold). No layer couples the samples of a batch
+// (InstanceNorm normalises each sample on its own) and each output row
+// comes from one sequential kernel call. Scoring a test set in one pass
+// and splitting the counts by class, as eval.ClassSplit does, rests on
+// this.
+func TestInferenceIsPerSample(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, sample = 70, 8 * 8
+	for _, arch := range inferenceArchs {
+		m := arch.build(rand.New(rand.NewSource(77)))
+		x := tensor.Randn(rand.New(rand.NewSource(78)), 1, n, 8, 8, 1)
+		// alone[i] is sample i's logits in a batch of its own, inline.
+		alone := make([][]float64, n)
+		for i := range alone {
+			xi := tensor.FromSlice(x.Data()[i*sample:(i+1)*sample], 1, 8, 8, 1)
+			alone[i] = m.Logits(xi).Data()
+		}
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			for _, batch := range []int{1, 7, 64} {
+				order := rand.New(rand.NewSource(int64(batch))).Perm(n)
+				for lo := 0; lo < n; lo += batch {
+					idx := order[lo:min(lo+batch, n)]
+					xb := tensor.New(len(idx), 8, 8, 1)
+					for r, i := range idx {
+						copy(xb.Data()[r*sample:], x.Data()[i*sample:(i+1)*sample])
+					}
+					logits, pred := m.Logits(xb), m.Predict(xb)
+					for r, i := range idx {
+						row := logits.RowsView(r, r+1)
+						for j, w := range alone[i] {
+							if g := row.Data()[j]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("%s, GOMAXPROCS %d, batch %d: sample %d logit %d is %v, %v alone",
+									arch.name, procs, batch, i, j, g, w)
+							}
+						}
+						if want := row.ArgMaxRows()[0]; pred[r] != want {
+							t.Fatalf("%s, GOMAXPROCS %d, batch %d: sample %d predicted %d, its logits say %d",
+								arch.name, procs, batch, i, pred[r], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // heapPerCall returns the heap objects and bytes one call of f allocates,
 // averaged over runs calls after one warm-up call. Like
 // testing.AllocsPerRun it measures at GOMAXPROCS(1), where the kernels

@@ -9,11 +9,19 @@ import (
 )
 
 // Evaluator measures a request's forget-set and retain-set accuracy on
-// the given model. The worker calls it twice per ticket — before the
-// coalesced pass and after publish — producing the before/after pair
-// the run-ledger audit trail records for every deletion request.
+// a model, in two steps so that a test-set pass is paid once per model
+// version rather than twice per ticket. Score makes the one pass over
+// the held-out test set; Lookup answers a request from those scores,
+// predicting only the part of its F-Set that lies outside the test set.
+// The worker scores each published version once and answers every
+// ticket's before and after pair — the values the run-ledger audit
+// trail records for every deletion request — by lookup.
 type Evaluator interface {
-	Split(m *nn.Model, req core.Request) (fset, rset float64)
+	// Score scores m on the held-out test set.
+	Score(m *nn.Model) eval.Scores
+	// Lookup returns req's F-Set and R-Set accuracy on m, where test
+	// is Score(m).
+	Lookup(m *nn.Model, test eval.Scores, req core.Request) (fset, rset float64)
 }
 
 // CohortEvaluator evaluates requests against a held-out test set and
@@ -28,16 +36,32 @@ type CohortEvaluator struct {
 	Test    *data.Dataset
 }
 
-// Split implements Evaluator.
+// Split scores m on the test set and looks req up in the scores: one
+// request's F-Set / R-Set in a single call.
 func (e CohortEvaluator) Split(m *nn.Model, req core.Request) (fset, rset float64) {
+	return e.Lookup(m, e.Score(m), req)
+}
+
+// Score implements Evaluator.
+func (e CohortEvaluator) Score(m *nn.Model) eval.Scores {
+	if m == nil || e.Test == nil {
+		return eval.Scores{}
+	}
+	return eval.Score(m, e.Test)
+}
+
+// Lookup implements Evaluator. A class-level request is answered from
+// test alone; client- and sample-level requests predict their F-Set,
+// which the test set does not hold.
+func (e CohortEvaluator) Lookup(m *nn.Model, test eval.Scores, req core.Request) (fset, rset float64) {
 	if m == nil || e.Test == nil {
 		return 0, 0
 	}
 	switch req.Kind {
 	case core.ClassLevel:
-		return eval.ClassSplit(m, e.Test, req.Class)
+		return test.Split(req.Class)
 	case core.ClientLevel:
-		return eval.SubsetSplit(m, e.shard(req.Client), e.Test)
+		return eval.Accuracy(m, e.shard(req.Client)), test.Accuracy()
 	case core.SampleLevel:
 		shard := e.shard(req.Client)
 		var idx []int
@@ -46,7 +70,7 @@ func (e CohortEvaluator) Split(m *nn.Model, req core.Request) (fset, rset float6
 				idx = append(idx, s)
 			}
 		}
-		return eval.SubsetSplit(m, shard.Subset(idx), e.Test)
+		return eval.Accuracy(m, shard.Subset(idx)), test.Accuracy()
 	default:
 		return 0, 0
 	}

@@ -13,16 +13,24 @@ import (
 	"time"
 
 	"quickdrop/internal/core"
+	"quickdrop/internal/eval"
 	"quickdrop/internal/nn"
 	"quickdrop/internal/tensor"
 )
 
 // slowEval widens the per-ticket state windows (accuracy evaluation
 // happens inside the unlearning batch) so concurrent observers get a
-// real chance to catch intermediate states.
+// real chance to catch intermediate states. It sleeps both when the
+// worker scores a version and on every ticket's lookup, so each ticket
+// still waits at least d before coalescing and before publishing.
 type slowEval struct{ d time.Duration }
 
-func (e slowEval) Split(_ *nn.Model, _ core.Request) (float64, float64) {
+func (e slowEval) Score(*nn.Model) eval.Scores {
+	time.Sleep(e.d)
+	return eval.Scores{}
+}
+
+func (e slowEval) Lookup(*nn.Model, eval.Scores, core.Request) (float64, float64) {
 	time.Sleep(e.d)
 	return 0, 0
 }

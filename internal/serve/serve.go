@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"quickdrop/internal/core"
+	"quickdrop/internal/eval"
 	"quickdrop/internal/nn"
 	"quickdrop/internal/telemetry"
 )
@@ -34,7 +35,8 @@ type Config struct {
 	// New resolves its Cfg.Workers of 0 to max(1, GOMAXPROCS−1).
 	System *core.System
 	// Evaluator measures per-request forget/retain accuracy for the
-	// audit trail. Nil disables accuracy audit fields (they report 0).
+	// audit trail, scoring each published version on the test set once.
+	// Nil disables accuracy audit fields (they report 0).
 	Evaluator Evaluator
 	// ModelFactory builds throwaway models for /v1/predict workers; each
 	// gets snapshot parameters swapped in via SetParams. Nil disables
@@ -85,6 +87,11 @@ type Server struct {
 	// not a telemetry pipeline (whose counters mirror them) is attached.
 	published atomic.Int64
 	failed    atomic.Int64
+
+	// scores are the test-set scores of the last published version,
+	// nil until the worker first asks after a publish. Only the worker
+	// touches them.
+	scores *eval.Scores
 
 	evalPool sync.Pool
 }

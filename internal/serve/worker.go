@@ -117,6 +117,7 @@ func (s *Server) runBatch(tickets []*Ticket) {
 
 	sw := telemetry.StartTimer()
 	version := s.store.Publish(s.sys.Model.CloneParams())
+	s.scores = nil
 	s.metrics.publishSeconds.Observe(sw.Elapsed().Seconds())
 	s.metrics.modelVersion.Set(float64(version))
 	s.metrics.batches.Inc()
@@ -139,7 +140,8 @@ func (s *Server) runBatch(tickets []*Ticket) {
 // restoreModel rewinds the worker's in-memory model to the last
 // published snapshot after a failed phase, so the next batch starts
 // from exactly the parameters readers are being served instead of a
-// partially-ascended or half-recovered state.
+// partially-ascended or half-recovered state. Those are the parameters
+// the held test-set scores belong to, so the scores stay valid.
 func (s *Server) restoreModel() {
 	snap := s.store.Acquire()
 	if snap == nil {
@@ -150,12 +152,19 @@ func (s *Server) restoreModel() {
 }
 
 // eval measures a request's forget/retain accuracy on the system's
-// current model (zeros without an evaluator).
+// current model (zeros without an evaluator). The worker's model is
+// always the last published version between batches, so its test-set
+// scores are taken on the first ask after each publish and every other
+// ask is a lookup.
 func (s *Server) eval(req core.Request) (fset, rset float64) {
 	if s.cfg.Evaluator == nil {
 		return 0, 0
 	}
-	return s.cfg.Evaluator.Split(s.sys.Model, req)
+	if s.scores == nil {
+		scores := s.cfg.Evaluator.Score(s.sys.Model)
+		s.scores = &scores
+	}
+	return s.cfg.Evaluator.Lookup(s.sys.Model, *s.scores, req)
 }
 
 // audit mirrors a terminal ticket into the run-ledger audit trail.

@@ -40,10 +40,12 @@ echo "==> GOMAXPROCS=1 go test (tensor, autodiff, nn, eval)"
 GOMAXPROCS=1 go test -count=1 ./internal/tensor ./internal/autodiff ./internal/nn ./internal/eval
 
 # The predict path beside the worker: pooled /v1/predict models and the
-# worker's model each run inference on their own arena. Repeated, because
-# a race shows only in the interleavings a run happens to hit.
+# worker's model each run inference on their own arena, while the worker
+# scores each published version and answers tickets from those scores.
+# Repeated, because a race shows only in the interleavings a run happens
+# to hit.
 echo "==> go test -race -count=10 (predict beside the worker)"
-go test -race -count=10 -run '^TestPredictBesideWorkerMatchesHeapPath$' ./internal/serve
+go test -race -count=10 -run '^(TestPredictBesideWorkerMatchesHeapPath|TestWorkerScoresMatchFreshEvaluation)$' ./internal/serve
 
 # Every phase trains its clients side by side on the worker pool —
 # Train's clients distill there too, sharing the matcher's counters —
