@@ -25,12 +25,8 @@ func ConcatRows(parts ...*Value) *Value {
 		starts[i] = r
 		r += p.Data.Dim(0)
 	}
-	v := newNodeN("concatrows", nil, parts, func(n, g *Value) []*Value {
-		grads := make([]*Value, len(parts))
-		for i, p := range parts {
-			grads[i] = SliceRows(g, starts[i], starts[i]+p.Data.Dim(0))
-		}
-		return grads
+	v := newNodeN("concatrows", nil, parts, func(n, g *Value, i int) *Value {
+		return SliceRows(g, starts[i], starts[i]+parts[i].Data.Dim(0))
 	})
 	out := tensor.FullInto(v.scratch(), 0, rows, cols)
 	off := 0

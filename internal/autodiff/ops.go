@@ -13,6 +13,10 @@ import (
 //     the node's inline tensor header (v.scratch()), so an interior node
 //     costs one allocation plus its element storage — or nothing, when
 //     node and storage come from the step's Arena.
+//   - Each input has its own VJP, mapping the output gradient g to that
+//     input's gradient: a two-input op passes two. Grad calls only the
+//     VJPs of live inputs (see Grad), so a backward pass never builds the
+//     gradient of, say, a matmul's constant operand.
 //   - VJP functions are non-capturing func literals (or named functions):
 //     they read their operands from the node — inputsArr, the c constant,
 //     or the node itself — rather than closing over locals, so Go places
@@ -22,18 +26,20 @@ import (
 
 // Add returns a + b (same shape).
 func Add(a, b *Value) *Value {
-	v := newNode2("add", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return g, g
-	})
+	v := newNode2("add", nil, a, b, identityVJP, identityVJP)
 	v.Data = tensor.AddInto(v.scratch(), a.Data, b.Data)
 	return v
 }
 
+// identityVJP passes the output gradient through unchanged.
+func identityVJP(n, g *Value) *Value { return g }
+
+// negVJP negates the output gradient.
+func negVJP(n, g *Value) *Value { return Neg(g) }
+
 // Neg returns -a.
 func Neg(a *Value) *Value {
-	v := newNode1("neg", nil, a, func(n, g *Value) *Value {
-		return Neg(g)
-	})
+	v := newNode1("neg", nil, a, negVJP)
 	v.Data = tensor.ScaleInto(v.scratch(), a.Data, -1)
 	return v
 }
@@ -42,18 +48,16 @@ func Neg(a *Value) *Value {
 // hot paths that difference tensors — cross-entropy shifting, instance
 // normalization, distance losses — allocate one node instead of two.
 func Sub(a, b *Value) *Value {
-	v := newNode2("sub", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return g, Neg(g)
-	})
+	v := newNode2("sub", nil, a, b, identityVJP, negVJP)
 	v.Data = tensor.SubInto(v.scratch(), a.Data, b.Data)
 	return v
 }
 
 // Mul returns the elementwise product (same shape).
 func Mul(a, b *Value) *Value {
-	v := newNode2("mul", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return Mul(g, n.inputsArr[1]), Mul(g, n.inputsArr[0])
-	})
+	v := newNode2("mul", nil, a, b,
+		func(n, g *Value) *Value { return Mul(g, n.inputsArr[1]) },
+		func(n, g *Value) *Value { return Mul(g, n.inputsArr[0]) })
 	v.Data = tensor.MulInto(v.scratch(), a.Data, b.Data)
 	return v
 }
@@ -72,9 +76,7 @@ func Scale(a *Value, c float64) *Value {
 
 // AddConst returns a + c elementwise for a Go-constant c.
 func AddConst(a *Value, c float64) *Value {
-	v := newNode1("addconst", nil, a, func(n, g *Value) *Value {
-		return g
-	})
+	v := newNode1("addconst", nil, a, identityVJP)
 	v.Data = tensor.AddConstInto(v.scratch(), a.Data, c)
 	return v
 }
@@ -120,7 +122,7 @@ func ReLU(a *Value) *Value {
 		return Mul(g, n.inputsArr[1])
 	})
 	var mask *tensor.Tensor // stays nil, and the mask uncomputed, when nothing will differentiate v
-	if v.vjp1 != nil {
+	if v.requiresGrad {
 		m := v.arena.constNode()
 		mask = m.scratch()
 		m.Data = mask
@@ -146,10 +148,9 @@ func Detach(a *Value) *Value { return Const(a.Data.Clone()) }
 // uses the transpose-fused kernels, so no backward pass materializes a
 // transposed matrix.
 func MatMul(a, b *Value) *Value {
-	v := newNode2("matmul", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return MatMulNT(g, n.inputsArr[1]), // ∂/∂a = g·bᵀ
-			MatMulTN(n.inputsArr[0], g) // ∂/∂b = aᵀ·g
-	})
+	v := newNode2("matmul", nil, a, b,
+		func(n, g *Value) *Value { return MatMulNT(g, n.inputsArr[1]) }, // ∂/∂a = g·bᵀ
+		func(n, g *Value) *Value { return MatMulTN(n.inputsArr[0], g) }) // ∂/∂b = aᵀ·g
 	v.Data = tensor.MatMulInto(v.scratch(), a.Data, b.Data)
 	return v
 }
@@ -158,10 +159,9 @@ func MatMul(a, b *Value) *Value {
 // transpose. The three product forms (NN, NT, TN) are closed under
 // differentiation, so backward graphs of any order stay transpose-free.
 func MatMulNT(a, b *Value) *Value {
-	v := newNode2("matmulnt", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return MatMul(g, n.inputsArr[1]), // ∂/∂a = g·b
-			MatMulTN(g, n.inputsArr[0]) // ∂/∂b = gᵀ·a
-	})
+	v := newNode2("matmulnt", nil, a, b,
+		func(n, g *Value) *Value { return MatMul(g, n.inputsArr[1]) },   // ∂/∂a = g·b
+		func(n, g *Value) *Value { return MatMulTN(g, n.inputsArr[0]) }) // ∂/∂b = gᵀ·a
 	v.Data = tensor.MatMulNTInto(v.scratch(), a.Data, b.Data)
 	return v
 }
@@ -169,10 +169,9 @@ func MatMulNT(a, b *Value) *Value {
 // MatMulTN returns aᵀ·b for a [K,M] and b [K,N] without materializing the
 // transpose.
 func MatMulTN(a, b *Value) *Value {
-	v := newNode2("matmultn", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return MatMulNT(n.inputsArr[1], g), // ∂/∂a = b·gᵀ
-			MatMul(n.inputsArr[0], g) // ∂/∂b = a·g
-	})
+	v := newNode2("matmultn", nil, a, b,
+		func(n, g *Value) *Value { return MatMulNT(n.inputsArr[1], g) }, // ∂/∂a = b·gᵀ
+		func(n, g *Value) *Value { return MatMul(n.inputsArr[0], g) })   // ∂/∂b = a·g
 	v.Data = tensor.MatMulTNInto(v.scratch(), a.Data, b.Data)
 	return v
 }
@@ -261,49 +260,48 @@ func BroadcastLike(a *Value, ref *tensor.Tensor) *Value {
 // workhorse of normalization layers: scaling a feature map by per-channel
 // or per-sample statistics costs one node and one full-size tensor.
 func MulBcast(a, b *Value) *Value {
-	v := newNode2("mulbcast", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return MulBcast(g, n.inputsArr[1]), mulSumLike(g, n.inputsArr[0], n.inputsArr[1].Data)
-	})
+	v := newNode2("mulbcast", nil, a, b,
+		func(n, g *Value) *Value { return MulBcast(g, n.inputsArr[1]) },
+		func(n, g *Value) *Value { return mulSumLike(g, n.inputsArr[0], n.inputsArr[1].Data) })
 	v.Data = tensor.MulBcastInto(v.scratch(), a.Data, b.Data)
 	return v
 }
 
 // AddBcast returns a + broadcast(b); see MulBcast.
 func AddBcast(a, b *Value) *Value {
-	v := newNode2("addbcast", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return g, sumAxesLike(g, n.inputsArr[1].Data)
-	})
+	v := newNode2("addbcast", nil, a, b, identityVJP,
+		func(n, g *Value) *Value { return sumAxesLike(g, n.inputsArr[1].Data) })
 	v.Data = tensor.AddBcastInto(v.scratch(), a.Data, b.Data)
 	return v
 }
 
 // SubBcast returns a - broadcast(b); see MulBcast.
 func SubBcast(a, b *Value) *Value {
-	v := newNode2("subbcast", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return g, Neg(sumAxesLike(g, n.inputsArr[1].Data))
-	})
+	v := newNode2("subbcast", nil, a, b, identityVJP,
+		func(n, g *Value) *Value { return Neg(sumAxesLike(g, n.inputsArr[1].Data)) })
 	v.Data = tensor.SubBcastInto(v.scratch(), a.Data, b.Data)
 	return v
 }
 
-// mulSumVJP backpropagates any fused multiply-reduce: each operand's
-// gradient is the other operand scaled by the broadcast output gradient.
-func mulSumVJP(n, g *Value) (*Value, *Value) {
-	return MulBcast(n.inputsArr[1], g), MulBcast(n.inputsArr[0], g)
-}
+// mulSumVJPA and mulSumVJPB backpropagate any fused multiply-reduce: each
+// operand's gradient is the other operand scaled by the broadcast output
+// gradient.
+func mulSumVJPA(n, g *Value) *Value { return MulBcast(n.inputsArr[1], g) }
+
+func mulSumVJPB(n, g *Value) *Value { return MulBcast(n.inputsArr[0], g) }
 
 // MulSum returns Σ_axes (a ⊙ b) — SumAxes(Mul(a, b), axes...) without
 // materializing the product. The reduced axes are kept as size-1 dims.
 // Grouped cosine distances and variance computations reduce through this.
 func MulSum(a, b *Value, axes ...int) *Value {
-	v := newNode2("mulsum", nil, a, b, mulSumVJP)
+	v := newNode2("mulsum", nil, a, b, mulSumVJPA, mulSumVJPB)
 	v.Data = tensor.MulSumInto(v.scratch(), a.Data, b.Data, axes...)
 	return v
 }
 
 // mulSumLike reduces a ⊙ b to ref's shape; the adjoint of MulBcast.
 func mulSumLike(a, b *Value, ref *tensor.Tensor) *Value {
-	v := newNode2("mulsum", nil, a, b, mulSumVJP)
+	v := newNode2("mulsum", nil, a, b, mulSumVJPA, mulSumVJPB)
 	v.Data = tensor.MulSumLikeInto(v.scratch(), a.Data, b.Data, ref)
 	return v
 }
@@ -313,9 +311,8 @@ func mulSumLike(a, b *Value, ref *tensor.Tensor) *Value {
 // layers into one node, so the forward pass never materializes the
 // broadcast and the backward pass reduces straight to column sums.
 func AddRowVec(a, bias *Value) *Value {
-	v := newNode2("addrow", nil, a, bias, func(n, g *Value) (*Value, *Value) {
-		return g, Reshape(SumAxes(g, 0), n.inputsArr[1].Data.Len())
-	})
+	v := newNode2("addrow", nil, a, bias, identityVJP,
+		func(n, g *Value) *Value { return Reshape(SumAxes(g, 0), n.inputsArr[1].Data.Len()) })
 	v.Data = tensor.AddRowInto(v.scratch(), a.Data, bias.Data)
 	return v
 }

@@ -19,14 +19,14 @@ import (
 // the recipe to backpropagate through the operation that produced it.
 //
 // Nodes with one or two inputs — every primitive except ConcatRows — store
-// them in the inline inputsArr and return their input gradients as plain
-// multiple return values. VJP functions receive the node itself, so they
-// read their operands from it instead of capturing them: almost every
-// primitive's VJP is a non-capturing func literal, which Go places in
-// static storage. Building and backpropagating a node therefore costs one
-// allocation for the Value and whatever the eager kernel allocates — and
-// neither when the graph's leaves carry an Arena, which every result node
-// inherits from its inputs.
+// them in the inline inputsArr and carry one VJP per input, so Grad asks
+// only for the input gradients it needs. VJP functions receive the node
+// itself, so they read their operands from it instead of capturing them:
+// almost every primitive's VJP is a non-capturing func literal, which Go
+// places in static storage. Building and backpropagating a node therefore
+// costs one allocation for the Value and whatever the eager kernel
+// allocates — and neither when the graph's leaves carry an Arena, which
+// every result node inherits from its inputs.
 type Value struct {
 	// Data holds the node's computed tensor. It must not be mutated after
 	// the node participates in a graph.
@@ -34,13 +34,17 @@ type Value struct {
 
 	op     string
 	inputs []*Value
-	vjp1   func(n, g *Value) *Value
-	vjp2   func(n, g *Value) (*Value, *Value)
-	vjpN   func(n, g *Value) []*Value
+	// vjp[i] maps the output gradient g to the gradient of inputs[i];
+	// vjpN serves every input of a variadic node, by index.
+	vjp  [2]func(n, g *Value) *Value
+	vjpN func(n, g *Value, i int) *Value
 	// c holds the scalar constant of constant-parameterized ops (Scale,
 	// PowConst, AddConst), letting their VJPs stay non-capturing.
 	c            float64
 	requiresGrad bool
+	// mark holds the running Grad call's traversal bits (seen, wrtNode,
+	// live) for this node; it is zero outside a Grad call.
+	mark uint8
 	// arena is where this node and its result storage came from, and where
 	// the nodes computed from it go; nil means the heap.
 	arena     *Arena
@@ -99,7 +103,7 @@ func newNode1(op string, data *tensor.Tensor, a *Value, vjp func(n, g *Value) *V
 	if !a.requiresGrad {
 		return v
 	}
-	v.vjp1, v.requiresGrad = vjp, true
+	v.vjp[0], v.requiresGrad = vjp, true
 	v.inputsArr[0] = a
 	v.inputs = v.inputsArr[:1]
 	return v
@@ -112,8 +116,9 @@ func newNode1c(op string, data *tensor.Tensor, a *Value, c float64, vjp func(n, 
 	return v
 }
 
-// newNode2 constructs a two-input interior node; see newNode1.
-func newNode2(op string, data *tensor.Tensor, a, b *Value, vjp func(n, g *Value) (*Value, *Value)) *Value {
+// newNode2 constructs a two-input interior node; see newNode1. vjpA and
+// vjpB return the gradients of a and b.
+func newNode2(op string, data *tensor.Tensor, a, b *Value, vjpA, vjpB func(n, g *Value) *Value) *Value {
 	ar := a.arena
 	if ar == nil {
 		ar = b.arena
@@ -123,14 +128,14 @@ func newNode2(op string, data *tensor.Tensor, a, b *Value, vjp func(n, g *Value)
 	if !a.requiresGrad && !b.requiresGrad {
 		return v
 	}
-	v.vjp2, v.requiresGrad = vjp, true
+	v.vjp, v.requiresGrad = [2]func(n, g *Value) *Value{vjpA, vjpB}, true
 	v.inputsArr[0], v.inputsArr[1] = a, b
 	v.inputs = v.inputsArr[:2]
 	return v
 }
 
 // newNodeN constructs a variadic-input interior node (ConcatRows).
-func newNodeN(op string, data *tensor.Tensor, inputs []*Value, vjp func(n, g *Value) []*Value) *Value {
+func newNodeN(op string, data *tensor.Tensor, inputs []*Value, vjp func(n, g *Value, i int) *Value) *Value {
 	var ar *Arena
 	rg := false
 	for _, in := range inputs {
@@ -151,6 +156,13 @@ func newNodeN(op string, data *tensor.Tensor, inputs []*Value, vjp func(n, g *Va
 // are themselves graph nodes, so they can be differentiated again
 // (higher-order gradients). Inputs that out does not depend on receive a
 // zero gradient of matching shape.
+//
+// Grad differentiates only the live set: the nodes between out and some
+// wrt. A node outside it gets no VJP call, and a two-input node's VJP is
+// asked only for its live inputs' gradients. Every consumer of a live node
+// is itself live, so each live node receives the same contributions in the
+// same order as in a sweep that differentiates everything — the results
+// are bit-identical, minus the gradients no caller reads.
 func Grad(out *Value, wrt []*Value) ([]*Value, error) {
 	if out.Data.Len() != 1 {
 		return nil, fmt.Errorf("autodiff: Grad requires a scalar output, got shape %s", out.Data.ShapeString())
@@ -164,43 +176,36 @@ func Grad(out *Value, wrt []*Value) ([]*Value, error) {
 	}
 
 	// Topological order of the subgraph reachable from out that requires
-	// gradient, via iterative DFS (models can be deep).
+	// gradient, via iterative DFS (models can be deep), with the live set
+	// marked on the way.
 	sc := out.arena.gradScratch()
-	defer sc.clear()
-	order := sc.topoOrder(out)
+	defer sc.clear(wrt)
+	order := sc.topoOrder(out, wrt)
 
 	grads := sc.grads
 	grads[out] = out.arena.full(1, 1)
 
-	// Traverse in reverse topological order, accumulating VJPs.
+	// Traverse in reverse topological order, accumulating VJPs. Only live
+	// nodes ever receive a gradient.
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		g, ok := grads[n]
 		if !ok {
 			continue
 		}
-		var err error
-		switch {
-		case n.vjp1 != nil:
-			err = accumulate(grads, n, n.inputs[0], n.vjp1(n, g))
-		case n.vjp2 != nil:
-			ga, gb := n.vjp2(n, g)
-			if err = accumulate(grads, n, n.inputs[0], ga); err == nil {
-				err = accumulate(grads, n, n.inputs[1], gb)
+		for j, in := range n.inputs {
+			if in.mark&live == 0 {
+				continue
 			}
-		case n.vjpN != nil:
-			inGrads := n.vjpN(n, g)
-			if len(inGrads) != len(n.inputs) {
-				return nil, fmt.Errorf("autodiff: op %q returned %d gradients for %d inputs", n.op, len(inGrads), len(n.inputs))
+			var ig *Value
+			if n.vjpN != nil {
+				ig = n.vjpN(n, g, j)
+			} else {
+				ig = n.vjp[j](n, g)
 			}
-			for j, in := range n.inputs {
-				if err = accumulate(grads, n, in, inGrads[j]); err != nil {
-					break
-				}
+			if err := accumulate(grads, n, in, ig); err != nil {
+				return nil, err
 			}
-		}
-		if err != nil {
-			return nil, err
 		}
 	}
 
@@ -218,9 +223,6 @@ func Grad(out *Value, wrt []*Value) ([]*Value, error) {
 // accumulate folds one input gradient into the running per-node gradient
 // map, validating its shape against the input.
 func accumulate(grads map[*Value]*Value, n, in *Value, ig *Value) error {
-	if ig == nil || !in.requiresGrad {
-		return nil
-	}
 	if !ig.Data.SameShape(in.Data) {
 		return fmt.Errorf("autodiff: op %q produced gradient shape %s for input shape %s", n.op, ig.Data.ShapeString(), in.Data.ShapeString())
 	}
@@ -243,58 +245,96 @@ func MustGrad(out *Value, wrt []*Value) []*Value {
 }
 
 // gradScratch is the working state of one Grad call: the per-node gradient
-// map and the topological sort's visited set, order and DFS stack. A graph
-// built in an arena borrows the arena's, so a step's Grad calls share one
-// set of maps and slices instead of allocating them per call.
+// map and the topological sort's order and DFS stack. A graph built in an
+// arena borrows the arena's, so a step's Grad calls share one map and two
+// slices instead of allocating them per call. The per-node traversal bits
+// live on the nodes (Value.mark), and clear resets them; a graph is
+// therefore differentiated by one goroutine at a time, as an arena is used
+// by one.
 type gradScratch struct {
-	grads   map[*Value]*Value
-	visited map[*Value]bool
-	order   []*Value
-	stack   []dfsFrame
+	grads map[*Value]*Value
+	order []*Value
+	stack []dfsFrame
 }
+
+// Bits of Value.mark.
+const (
+	seen    uint8 = 1 << iota // reached by the DFS
+	wrtNode                   // one of Grad's wrt
+	live                      // depends on some wrt
+)
 
 type dfsFrame struct {
 	node *Value
 	next int
+	live bool // the node is a wrt, or one of its inputs so far is live
 }
 
 // gradScratch returns empty scratch for a Grad call; the caller clears it
 // when done.
 func (a *Arena) gradScratch() *gradScratch {
 	if a == nil {
-		return &gradScratch{grads: make(map[*Value]*Value), visited: make(map[*Value]bool)}
+		return &gradScratch{grads: make(map[*Value]*Value)}
 	}
 	if a.grad.grads == nil {
 		a.grad.grads = make(map[*Value]*Value)
-		a.grad.visited = make(map[*Value]bool)
 	}
 	return &a.grad
 }
 
-func (s *gradScratch) clear() {
+// clear empties the scratch and zeroes the marks of the call's nodes:
+// every node the traversal marked is in order, or one of wrt.
+func (s *gradScratch) clear(wrt []*Value) {
+	for _, n := range s.order {
+		n.mark = 0
+	}
+	for _, w := range wrt {
+		if w.requiresGrad {
+			w.mark = 0
+		}
+	}
 	clear(s.grads)
-	clear(s.visited)
 	s.order, s.stack = s.order[:0], s.stack[:0]
 }
 
 // topoOrder returns nodes reachable from root that require gradients, in
-// topological order (inputs before outputs).
-func (s *gradScratch) topoOrder(root *Value) []*Value {
-	s.stack = append(s.stack, dfsFrame{node: root})
-	s.visited[root] = true
+// topological order (inputs before outputs), and marks live the ones that
+// depend on some wrt. A node's inputs all finish before it does, so its
+// liveness is settled when it leaves the stack.
+func (s *gradScratch) topoOrder(root *Value, wrt []*Value) []*Value {
+	for _, w := range wrt {
+		if w.requiresGrad {
+			w.mark = wrtNode
+		}
+	}
+	root.mark |= seen
+	s.stack = append(s.stack, dfsFrame{node: root, live: root.mark&wrtNode != 0})
 	for len(s.stack) > 0 {
 		f := &s.stack[len(s.stack)-1]
 		if f.next < len(f.node.inputs) {
 			in := f.node.inputs[f.next]
 			f.next++
-			if !s.visited[in] && in.requiresGrad {
-				s.visited[in] = true
-				s.stack = append(s.stack, dfsFrame{node: in})
+			if !in.requiresGrad {
+				continue
+			}
+			switch {
+			case in.mark&seen == 0:
+				in.mark |= seen
+				s.stack = append(s.stack, dfsFrame{node: in, live: in.mark&wrtNode != 0})
+			case in.mark&live != 0:
+				f.live = true
 			}
 			continue
 		}
-		s.order = append(s.order, f.node)
+		n, isLive := f.node, f.live
 		s.stack = s.stack[:len(s.stack)-1]
+		if isLive {
+			n.mark |= live
+			if len(s.stack) > 0 {
+				s.stack[len(s.stack)-1].live = true
+			}
+		}
+		s.order = append(s.order, n)
 	}
 	return s.order
 }

@@ -62,13 +62,13 @@ func valueV(s dataflow.Shape) absVal { return absVal{kind: aValue, shape: s} }
 func intV(d dataflow.Dim) absVal     { return absVal{kind: aInt, dim: d} }
 
 // absNode records an autodiff node construction (newNode1/1c/2) so that
-// vjpshape can later evaluate the recorded VJP expression against the
-// recorded input shapes.
+// vjpshape can later evaluate each input's recorded VJP expression against
+// that input's recorded shape.
 type absNode struct {
 	op     string
 	inputs []absVal
 	extra  map[int]absVal // inputsArr writes beyond the declared arity (ReLU's mask)
-	vjp    ast.Expr       // the VJP argument (func literal or named function)
+	vjps   []ast.Expr     // input i's VJP argument (func literal or named function)
 	vjpPkg *Package       // package the constructing op lives in
 	result dataflow.Shape // shape assigned to the node's Data
 }
@@ -820,14 +820,14 @@ func (c *shapeCtx) evalAutodiffBuiltin(pkg *Package, e *env, call *ast.CallExpr,
 		switch fn.Name() {
 		case "newNode1":
 			inputs = []absVal{arg(2)}
-			node.vjp = argExpr(call, 3)
+			node.vjps = []ast.Expr{argExpr(call, 3)}
 		case "newNode1c":
 			inputs = []absVal{arg(2)}
 			c.evalExpr(pkg, e, call.Args[3])
-			node.vjp = argExpr(call, 4)
+			node.vjps = []ast.Expr{argExpr(call, 4)}
 		case "newNode2":
 			inputs = []absVal{arg(2), arg(3)}
-			node.vjp = argExpr(call, 4)
+			node.vjps = []ast.Expr{argExpr(call, 4), argExpr(call, 5)}
 		}
 		node.inputs = inputs
 		c.nodes = append(c.nodes, node)

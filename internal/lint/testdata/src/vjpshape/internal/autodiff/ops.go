@@ -11,8 +11,7 @@ type Value struct {
 
 	op         string
 	inputs     []*Value
-	vjp1       func(n, g *Value) *Value
-	vjp2       func(n, g *Value) (*Value, *Value)
+	vjp        [2]func(n, g *Value) *Value
 	inputsArr  [2]*Value
 	dataInline tensor.Tensor
 }
@@ -20,54 +19,52 @@ type Value struct {
 func (v *Value) scratch() *tensor.Tensor { return &v.dataInline }
 
 func newNode1(op string, data *tensor.Tensor, a *Value, vjp func(n, g *Value) *Value) *Value {
-	v := &Value{Data: data, op: op, vjp1: vjp}
+	v := &Value{Data: data, op: op}
+	v.vjp[0] = vjp
 	v.inputsArr[0] = a
 	v.inputs = v.inputsArr[:1]
 	return v
 }
 
-func newNode2(op string, data *tensor.Tensor, a, b *Value, vjp func(n, g *Value) (*Value, *Value)) *Value {
-	v := &Value{Data: data, op: op, vjp2: vjp}
+func newNode2(op string, data *tensor.Tensor, a, b *Value, vjpA, vjpB func(n, g *Value) *Value) *Value {
+	v := &Value{Data: data, op: op, vjp: [2]func(n, g *Value) *Value{vjpA, vjpB}}
 	v.inputsArr[0], v.inputsArr[1] = a, b
 	v.inputs = v.inputsArr[:2]
 	return v
 }
 
+func identityVJP(n, g *Value) *Value { return g }
+
 // Add is a correct op: the gradient flows through unchanged.
 func Add(a, b *Value) *Value {
-	v := newNode2("add", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return g, g
-	})
+	v := newNode2("add", nil, a, b, identityVJP, identityVJP)
 	v.Data = tensor.AddInto(v.scratch(), a.Data, b.Data)
 	return v
 }
 
 // MatMul is a correct op: its VJP uses the transpose-fused products.
 func MatMul(a, b *Value) *Value {
-	v := newNode2("matmul", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return MatMulNT(g, n.inputsArr[1]), // ∂/∂a = g·bᵀ
-			MatMulTN(n.inputsArr[0], g) // ∂/∂b = aᵀ·g
-	})
+	v := newNode2("matmul", nil, a, b,
+		func(n, g *Value) *Value { return MatMulNT(g, n.inputsArr[1]) }, // ∂/∂a = g·bᵀ
+		func(n, g *Value) *Value { return MatMulTN(n.inputsArr[0], g) }) // ∂/∂b = aᵀ·g
 	v.Data = tensor.MatMulInto(v.scratch(), a.Data, b.Data)
 	return v
 }
 
 // MatMulNT is a correct op: a·bᵀ for a [M,K] and b [N,K].
 func MatMulNT(a, b *Value) *Value {
-	v := newNode2("matmulnt", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return MatMul(g, n.inputsArr[1]), // ∂/∂a = g·b
-			MatMulTN(g, n.inputsArr[0]) // ∂/∂b = gᵀ·a
-	})
+	v := newNode2("matmulnt", nil, a, b,
+		func(n, g *Value) *Value { return MatMul(g, n.inputsArr[1]) },   // ∂/∂a = g·b
+		func(n, g *Value) *Value { return MatMulTN(g, n.inputsArr[0]) }) // ∂/∂b = gᵀ·a
 	v.Data = tensor.MatMulNTInto(v.scratch(), a.Data, b.Data)
 	return v
 }
 
 // MatMulTN is a correct op: aᵀ·b for a [K,M] and b [K,N].
 func MatMulTN(a, b *Value) *Value {
-	v := newNode2("matmultn", nil, a, b, func(n, g *Value) (*Value, *Value) {
-		return MatMulNT(n.inputsArr[1], g), // ∂/∂a = b·gᵀ
-			MatMul(n.inputsArr[0], g) // ∂/∂b = a·g
-	})
+	v := newNode2("matmultn", nil, a, b,
+		func(n, g *Value) *Value { return MatMulNT(n.inputsArr[1], g) }, // ∂/∂a = b·gᵀ
+		func(n, g *Value) *Value { return MatMul(n.inputsArr[0], g) })   // ∂/∂b = a·g
 	v.Data = tensor.MatMulTNInto(v.scratch(), a.Data, b.Data)
 	return v
 }
@@ -85,10 +82,20 @@ func TransposeBad(a *Value) *Value {
 // MatMulBad uses the plain product where the transpose-fused form is
 // required: for g [M,N] and b [K,N], g·b is not even well-formed.
 func MatMulBad(a, b *Value) *Value {
-	v := newNode2("mm", nil, a, b, func(n, g *Value) (*Value, *Value) { // want `op "mm" VJP produces gradient shape \[2 5\] for input 0 of shape \[2 3\]`
-		return MatMulBad(g, n.inputsArr[1]), // want `op "mm" VJP: MatMulBad: MatMulInto inner dims differ: \[2 5\] x \[3 5\]`
-			MatMulTN(n.inputsArr[0], g)
-	})
+	v := newNode2("mm", nil, a, b,
+		func(n, g *Value) *Value { return MatMulBad(g, n.inputsArr[1]) }, // want `op "mm" VJP produces gradient shape \[2 5\] for input 0 of shape \[2 3\]` `op "mm" VJP: MatMulBad: MatMulInto inner dims differ: \[2 5\] x \[3 5\]`
+		func(n, g *Value) *Value { return MatMulTN(n.inputsArr[0], g) })
+	v.Data = tensor.MatMulInto(v.scratch(), a.Data, b.Data)
+	return v
+}
+
+// MatMulBadB gets a's gradient right and pastes the same formula in as
+// b's: g·bᵀ has a's shape [M,K], not b's [K,N]. Each input's VJP is
+// checked against its own input.
+func MatMulBadB(a, b *Value) *Value {
+	v := newNode2("mmb", nil, a, b,
+		func(n, g *Value) *Value { return MatMulNT(g, n.inputsArr[1]) },
+		func(n, g *Value) *Value { return MatMulNT(g, n.inputsArr[1]) }) // want `op "mmb" VJP produces gradient shape \[2 3\] for input 1 of shape \[3 5\]`
 	v.Data = tensor.MatMulInto(v.scratch(), a.Data, b.Data)
 	return v
 }

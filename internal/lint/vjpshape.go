@@ -83,11 +83,13 @@ func checkOpVJPs(pass *Pass, fd *ast.FuncDecl, checked map[token.Pos]bool) {
 
 	// Phase 4: evaluate each recorded VJP against the concrete shapes.
 	for _, node := range conc.nodes {
-		if node.vjp == nil || checked[node.vjp.Pos()] {
-			continue
+		for i, vjp := range node.vjps {
+			if vjp == nil || checked[vjp.Pos()] {
+				continue
+			}
+			checked[vjp.Pos()] = true
+			checkOneVJP(pass, node, i)
 		}
-		checked[node.vjp.Pos()] = true
-		checkOneVJP(pass, node)
 	}
 }
 
@@ -253,10 +255,12 @@ func (inst *instantiation) concreteParams(fd *ast.FuncDecl) (recv absVal, args [
 	return recv, args
 }
 
-// checkOneVJP evaluates one recorded VJP against its node's concrete
-// input and output shapes and reports provable gradient-shape breaks.
-func checkOneVJP(pass *Pass, node *absNode) {
-	body, params, pkg := vjpBody(pass, node)
+// checkOneVJP evaluates the VJP of input i against the node's concrete
+// output shape and input i's shape and reports provable gradient-shape
+// breaks.
+func checkOneVJP(pass *Pass, node *absNode, i int) {
+	vjp := node.vjps[i]
+	body, params, pkg := vjpBody(pass, node, vjp)
 	if body == nil || len(params) < 2 || pkg == nil {
 		return
 	}
@@ -275,34 +279,29 @@ func checkOneVJP(pass *Pass, node *absNode) {
 		return
 	}
 	grads := joinRows(rows)
-	for i, g := range grads {
-		if i >= len(node.inputs) {
-			break
-		}
-		if g.kind != aValue && g.kind != aTensor {
-			continue
-		}
-		in := node.inputs[i]
-		if in.kind != aValue && in.kind != aTensor {
-			continue
-		}
-		gs, is := ctx.resolveShape(g.shape), ctx.resolveShape(in.shape)
-		if gs.Eq(is) == dataflow.False {
-			pass.Reportf(node.vjp.Pos(),
-				"op %q VJP produces gradient shape %s for input %s of shape %s",
-				node.op, gs.String(), strconv.Itoa(i), is.String())
-		}
+	if len(grads) != 1 || i >= len(node.inputs) {
+		return
+	}
+	g, in := grads[0], node.inputs[i]
+	if (g.kind != aValue && g.kind != aTensor) || (in.kind != aValue && in.kind != aTensor) {
+		return
+	}
+	gs, is := ctx.resolveShape(g.shape), ctx.resolveShape(in.shape)
+	if gs.Eq(is) == dataflow.False {
+		pass.Reportf(vjp.Pos(),
+			"op %q VJP produces gradient shape %s for input %s of shape %s",
+			node.op, gs.String(), strconv.Itoa(i), is.String())
 	}
 }
 
 // vjpBody resolves a VJP expression (a func literal or a reference to a
 // named function) to its body and parameter objects.
-func vjpBody(pass *Pass, node *absNode) (*ast.BlockStmt, []types.Object, *Package) {
+func vjpBody(pass *Pass, node *absNode, vjp ast.Expr) (*ast.BlockStmt, []types.Object, *Package) {
 	pkg := node.vjpPkg
 	if pkg == nil {
 		pkg = pass.Pkg
 	}
-	switch v := ast.Unparen(node.vjp).(type) {
+	switch v := ast.Unparen(vjp).(type) {
 	case *ast.FuncLit:
 		return v.Body, litParams(pkg, v), pkg
 	case *ast.Ident, *ast.SelectorExpr:

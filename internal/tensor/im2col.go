@@ -55,35 +55,53 @@ func Im2colInto(dst, x *Tensor, g ConvGeom) *Tensor {
 	dst = prepDst(dst, []int{rows, cols}, "Im2colInto")
 	mustNoAlias(dst, "Im2colInto", x)
 	xd, od := x.Data(), dst.Data()
-	shardRows(rows, rows*cols, func(lo, hi int) {
-		for row := lo; row < hi; row++ {
-			bi := row / (oh * ow)
-			oy := (row / ow) % oh
-			ox := row % ow
-			base := bi * g.InH * g.InW * g.Channel
-			out := od[row*cols : (row+1)*cols]
-			p := 0
-			for kh := 0; kh < g.Kernel; kh++ {
-				iy := oy*g.Stride + kh - g.Pad
-				for kw := 0; kw < g.Kernel; kw++ {
-					ix := ox*g.Stride + kw - g.Pad
-					if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
-						// Padded region: must be written explicitly because
-						// dst may be a recycled buffer.
-						for c := 0; c < g.Channel; c++ {
-							out[p+c] = 0
-						}
-						p += g.Channel
-						continue
-					}
-					src := base + (iy*g.InW+ix)*g.Channel
-					copy(out[p:p+g.Channel], xd[src:src+g.Channel])
-					p += g.Channel
-				}
+	shardRows(rows, rows*cols, func(lo, hi int) { im2colRows(od, xd, g, lo, hi) })
+	return dst
+}
+
+// im2colRows writes patch rows [lo, hi) of the extraction from xd into od.
+// Every value of those rows is written: od may be a recycled buffer.
+func im2colRows(od, xd []float64, g ConvGeom, lo, hi int) {
+	oh, ow := g.OutH(), g.OutW()
+	kc := g.Kernel * g.Channel
+	cols := g.Kernel * kc
+	// Walk (image, oy, ox) from row lo on by increments, not divisions.
+	bi, oy, ox := lo/(oh*ow), (lo/ow)%oh, lo%ow
+	for row := lo; row < hi; row++ {
+		out := od[row*cols : (row+1)*cols]
+		x0, y0 := ox*g.Stride-g.Pad, oy*g.Stride-g.Pad
+		kwLo, kwHi := g.inRange(x0, g.InW)
+		for kh := 0; kh < g.Kernel; kh++ {
+			// One kernel row: K·C values, of which the in-range columns
+			// are contiguous in the image.
+			o := out[kh*kc : (kh+1)*kc]
+			iy := y0 + kh
+			if iy < 0 || iy >= g.InH || kwLo == kwHi {
+				clear(o)
+				continue
+			}
+			clear(o[:kwLo*g.Channel])
+			src := ((bi*g.InH+iy)*g.InW + x0) * g.Channel
+			copy(o[kwLo*g.Channel:kwHi*g.Channel], xd[src+kwLo*g.Channel:src+kwHi*g.Channel])
+			clear(o[kwHi*g.Channel:])
+		}
+		if ox++; ox == ow {
+			ox = 0
+			if oy++; oy == oh {
+				oy = 0
+				bi++
 			}
 		}
-	})
-	return dst
+	}
+}
+
+// inRange returns the kernel columns [lo, hi) of a patch starting at input
+// column x0 that fall inside an axis of length n (lo ≤ hi, both in
+// [0, Kernel]).
+func (g ConvGeom) inRange(x0, n int) (lo, hi int) {
+	lo = min(max(-x0, 0), g.Kernel)
+	hi = max(min(n-x0, g.Kernel), lo)
+	return lo, hi
 }
 
 // Col2im is the adjoint of Im2col: it scatter-adds a patch matrix of shape
@@ -112,34 +130,43 @@ func Col2imInto(dst, cols *Tensor, batch int, g ConvGeom) *Tensor {
 	mustNoAlias(dst, "Col2imInto", cols)
 	dst.Zero()
 	cd, od := cols.Data(), dst.Data()
+	shardRows(batch, batch*oh*ow*nc, func(bLo, bHi int) { col2imImages(od, cd, g, bLo, bHi) })
+	return dst
+}
+
+// col2imImages scatter-adds the patch rows of images [bLo, bHi) from cd
+// into od, which holds zeros there: each image position receives its
+// contributions in patch-row order.
+func col2imImages(od, cd []float64, g ConvGeom, bLo, bHi int) {
+	oh, ow := g.OutH(), g.OutW()
 	perImage := g.InH * g.InW * g.Channel
-	shardRows(batch, batch*oh*ow*nc, func(bLo, bHi int) {
-		for bi := bLo; bi < bHi; bi++ {
-			base := bi * perImage
-			row := bi * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					src := cd[row*nc : (row+1)*nc]
-					p := 0
-					for kh := 0; kh < g.Kernel; kh++ {
-						iy := oy*g.Stride + kh - g.Pad
-						for kw := 0; kw < g.Kernel; kw++ {
-							ix := ox*g.Stride + kw - g.Pad
-							if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
-								p += g.Channel
-								continue
-							}
-							at := base + (iy*g.InW+ix)*g.Channel
-							for c := 0; c < g.Channel; c++ {
-								od[at+c] += src[p+c]
-							}
-							p += g.Channel
-						}
+	kc := g.Kernel * g.Channel
+	nc := g.Kernel * kc
+	for bi := bLo; bi < bHi; bi++ {
+		img := od[bi*perImage : (bi+1)*perImage]
+		row := bi * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			y0 := oy*g.Stride - g.Pad
+			for ox := 0; ox < ow; ox++ {
+				src := cd[row*nc : (row+1)*nc]
+				x0 := ox*g.Stride - g.Pad
+				kwLo, kwHi := g.inRange(x0, g.InW)
+				for kh := 0; kh < g.Kernel; kh++ {
+					iy := y0 + kh
+					if iy < 0 || iy >= g.InH || kwLo == kwHi {
+						continue
 					}
-					row++
+					// The in-range columns of one kernel row are contiguous
+					// in the image.
+					at := (iy*g.InW + x0) * g.Channel
+					s := src[kh*kc+kwLo*g.Channel : kh*kc+kwHi*g.Channel]
+					d := img[at+kwLo*g.Channel : at+kwHi*g.Channel]
+					for i, v := range s {
+						d[i] += v
+					}
 				}
+				row++
 			}
 		}
-	})
-	return dst
+	}
 }

@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -186,5 +188,98 @@ func TestIm2colPartitionRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// naiveIm2col is the per-element extraction: every (row, kh, kw, c) slot
+// read from the image or left at +0.
+func naiveIm2col(x *Tensor, g ConvGeom) *Tensor {
+	b, oh, ow := x.shape[0], g.OutH(), g.OutW()
+	nc := g.Kernel * g.Kernel * g.Channel
+	out := New(b*oh*ow, nc)
+	row := 0
+	for bi := 0; bi < b; bi++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				p := row * nc
+				for kh := 0; kh < g.Kernel; kh++ {
+					for kw := 0; kw < g.Kernel; kw++ {
+						iy, ix := oy*g.Stride+kh-g.Pad, ox*g.Stride+kw-g.Pad
+						for c := 0; c < g.Channel; c++ {
+							if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+								out.data[p] = x.data[((bi*g.InH+iy)*g.InW+ix)*g.Channel+c]
+							}
+							p++
+						}
+					}
+				}
+				row++
+			}
+		}
+	}
+	return out
+}
+
+// naiveCol2im is the per-element scatter-add, in patch-row order.
+func naiveCol2im(cols *Tensor, batch int, g ConvGeom) *Tensor {
+	oh, ow := g.OutH(), g.OutW()
+	nc := g.Kernel * g.Kernel * g.Channel
+	out := New(batch, g.InH, g.InW, g.Channel)
+	row := 0
+	for bi := 0; bi < batch; bi++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				p := row * nc
+				for kh := 0; kh < g.Kernel; kh++ {
+					for kw := 0; kw < g.Kernel; kw++ {
+						iy, ix := oy*g.Stride+kh-g.Pad, ox*g.Stride+kw-g.Pad
+						for c := 0; c < g.Channel; c++ {
+							if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+								out.data[((bi*g.InH+iy)*g.InW+ix)*g.Channel+c] += cols.data[p]
+							}
+							p++
+						}
+					}
+				}
+				row++
+			}
+		}
+	}
+	return out
+}
+
+// TestIm2colCol2imMatchNaiveLoops pins the span-wise Im2col and Col2im to
+// the per-element loops bit for bit, over kernel 2/3, stride 1/2, padding
+// 0/1 (and padding past the kernel, where whole kernel rows fall outside
+// the image), 1/3/8 channels and batches of 1/5. Each runs through its
+// Into form into a NaN-filled destination and sharded through shardRows.
+func TestIm2colCol2imMatchNaiveLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	nanFilled := func(shape ...int) *Tensor { return FullInto(nil, math.NaN(), shape...) }
+	type kp struct{ kernel, pad int }
+	for _, k := range []kp{{2, 0}, {2, 1}, {3, 0}, {3, 1}, {2, 3}} {
+		for _, stride := range []int{1, 2} {
+			for _, c := range []int{1, 3, 8} {
+				for _, b := range []int{1, 5} {
+					g := ConvGeom{Kernel: k.kernel, Stride: stride, Pad: k.pad, InH: 5, InW: 6, Channel: c}
+					name := fmt.Sprintf("K=%d stride=%d pad=%d C=%d B=%d", k.kernel, stride, k.pad, c, b)
+					x := randT(rng, b, g.InH, g.InW, c)
+					rows, nc := b*g.OutH()*g.OutW(), k.kernel*k.kernel*c
+
+					want := naiveIm2col(x, g)
+					sameBits(t, name+" Im2colInto", Im2colInto(nanFilled(rows, nc), x, g), want)
+					got := nanFilled(rows, nc)
+					shardRows(rows, parallelWork, func(lo, hi int) { im2colRows(got.data, x.data, g, lo, hi) })
+					sameBits(t, name+" sharded Im2col", got, want)
+
+					cols := randT(rng, rows, nc)
+					want = naiveCol2im(cols, b, g)
+					sameBits(t, name+" Col2imInto", Col2imInto(nanFilled(b, g.InH, g.InW, c), cols, b, g), want)
+					got = New(b, g.InH, g.InW, c)
+					shardRows(b, parallelWork, func(lo, hi int) { col2imImages(got.data, cols.data, g, lo, hi) })
+					sameBits(t, name+" sharded Col2im", got, want)
+				}
+			}
+		}
 	}
 }

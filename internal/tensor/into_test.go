@@ -437,13 +437,50 @@ func sameBits(t *testing.T, name string, got, want *Tensor) {
 	}
 }
 
+// TestBcastKernelsMatchGenericWalk pins the direct span loops of
+// AddBcastInto, SubBcastInto and MulBcastInto to the generic forEachBcast
+// walk bit for bit, over the broadcast patterns the span decomposition
+// takes (and two it hands to the walk), both into a fresh destination and
+// with dst aliased to a.
+func TestBcastKernelsMatchGenericWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	full := []int{2, 3, 4, 5}
+	kernels := []struct {
+		name string
+		into func(dst, a, b *Tensor) *Tensor
+		op   func(x, y float64) float64
+	}{
+		{"AddBcastInto", AddBcastInto, func(x, y float64) float64 { return x + y }},
+		{"SubBcastInto", SubBcastInto, func(x, y float64) float64 { return x - y }},
+		{"MulBcastInto", MulBcastInto, func(x, y float64) float64 { return x * y }},
+	}
+	for _, small := range [][]int{
+		{2, 3, 4, 5}, {2, 1, 1, 5}, {2, 3, 4, 1}, {1, 3, 4, 5}, {1, 1, 1, 5},
+		{2, 1, 1, 1}, {1, 1, 1, 1}, {2, 1, 4, 1}, {1, 3, 1, 5},
+	} {
+		a, b := randT(rng, full...), randT(rng, small...)
+		for _, k := range kernels {
+			name := fmt.Sprintf("%s %v", k.name, small)
+			want := New(full...)
+			forEachBcast(full, small, func(i, j int) { want.data[i] = k.op(a.data[i], b.data[j]) })
+			sameBits(t, name, k.into(nil, a, b), want)
+			aliased := a.Clone()
+			sameBits(t, name+" dst aliasing a", k.into(aliased, aliased, b), want)
+		}
+	}
+}
+
 // TestMatMulKernelsMatchNaiveLoops pins the register-tiled row kernels to
 // the naive loops bit for bit. n sweeps across the 8-wide, 4-wide and scalar
-// tails; the salted variant zeroes one contraction index of a (alternating
-// +0 and −0) and fills the slice of b it multiplies with NaN and ±Inf, so an
-// NN or TN kernel that stopped skipping zeros turns every output to NaN.
-// Each kernel runs inline through its Into form and sharded through
-// shardRows, into a NaN-filled destination.
+// tails. Every variant but the plain one zeroes one contraction index of a
+// (alternating +0 and −0): against a finite b that feeds the TN kernel's
+// dense loop products of ±0, which must leave the sums' bits alone; the
+// salted variant also fills the slice of b those zeros multiply with NaN
+// and ±Inf, so an NN or TN kernel that stopped skipping zeros there turns
+// every output to NaN (k = 9 reaches the TN skip through the check of the
+// dense result, k = 1 through the scan of b). Each kernel runs inline
+// through its Into form and sharded through shardRows, into a NaN-filled
+// destination.
 func TestMatMulKernelsMatchNaiveLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	poison := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -454,23 +491,30 @@ func TestMatMulKernelsMatchNaiveLoops(t *testing.T) {
 	for n := 1; n <= 17; n++ {
 		for _, m := range []int{1, 3, 5} {
 			for _, k := range []int{1, 2, 9} {
-				for _, salted := range []bool{false, true} {
+				for _, variant := range []string{"plain", "zeros", "salted"} {
+					salted := variant == "salted"
 					// a·b, aᵀ·b and a·bᵀ all contract over k: a is [m,k], its
 					// transpose at is [k,m], b is [k,n] and bt is [n,k].
 					a, b := randT(rng, m, k), randT(rng, k, n)
 					b.data[rng.Intn(k*n)] = negZero
 					a.data[rng.Intn(m*k)] = 0
-					if salted {
-						kk := k - 1
+					kk := k - 1
+					if variant != "plain" {
 						for i := 0; i < m; i++ {
 							a.data[i*k+kk] = zeros[i%2]
 						}
+					}
+					if salted {
 						for j := 0; j < n; j++ {
 							b.data[kk*n+j] = poison[j%len(poison)]
 						}
 					}
+					skip := hasNonFinite(b.data)
+					if skip != salted {
+						t.Fatalf("hasNonFinite(b) = %v for the %s variant", skip, variant)
+					}
 					at, bt := a.Transpose(), b.Transpose()
-					name := fmt.Sprintf("m=%d k=%d n=%d salted=%v", m, k, n, salted)
+					name := fmt.Sprintf("m=%d k=%d n=%d %s", m, k, n, variant)
 
 					want := New(m, n)
 					naiveMatMul(want, a, b)
@@ -479,13 +523,13 @@ func TestMatMulKernelsMatchNaiveLoops(t *testing.T) {
 					}
 					sameBits(t, name+" MatMulInto", MatMulInto(nanFilled(m, n), a, b), want)
 					got := nanFilled(m, n)
-					shardRows(m, parallelWork, func(lo, hi int) { matMulRows(got, a, b, false, lo, hi) })
+					shardRows(m, parallelWork, func(lo, hi int) { matMulRows(got, a, b, false, true, lo, hi) })
 					sameBits(t, name+" sharded NN", got, want)
 
 					naiveMatMulTN(want, at, b)
 					sameBits(t, name+" MatMulTNInto", MatMulTNInto(nanFilled(m, n), at, b), want)
 					got = nanFilled(m, n)
-					shardRows(m, parallelWork, func(lo, hi int) { matMulRows(got, at, b, true, lo, hi) })
+					shardRows(m, parallelWork, func(lo, hi int) { matMulRows(got, at, b, true, skip, lo, hi) })
 					sameBits(t, name+" sharded TN", got, want)
 
 					naiveMatMulNT(want, a, bt)

@@ -39,6 +39,12 @@ go test -race -short ./internal/core
 echo "==> GOMAXPROCS=1 go test (tensor, autodiff, nn, eval)"
 GOMAXPROCS=1 go test -count=1 ./internal/tensor ./internal/autodiff ./internal/nn ./internal/eval
 
+# The trajectory pin hashes the trained fixture's state after an unlearn,
+# recover and relearn. `make test` checks it with the kernels sharded (on a
+# multi-core runner); here it must give the same hash inline.
+echo "==> GOMAXPROCS=1 go test (trajectory pin)"
+GOMAXPROCS=1 go test -count=1 -run '^TestTrajectoryPin$' ./internal/core
+
 # The predict path beside the worker: pooled /v1/predict models and the
 # worker's model each run inference on their own arena, while the worker
 # scores each published version and answers tickets from those scores.
