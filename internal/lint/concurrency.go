@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -70,42 +71,32 @@ func isWaitGroupMethod(fn *types.Func) syncOp {
 	return opNone
 }
 
-// syncKey identifies one lock or WaitGroup instance inside a function:
-// the object at the root of the receiver's selector chain plus the
-// textual field path from it. Two receivers compare equal exactly when
-// they are spelled from the same root object through the same fields —
-// "s.mu" and "t.mu" differ, two mentions of "s.inner.mu" agree.
-type syncKey struct {
-	root types.Object
-	path string
-}
-
 // receiverPath resolves the receiver expression of a sync method call
-// (everything left of the final .Lock/.Unlock/…) to a syncKey and a
-// display string. Only ident/selector chains over fields qualify;
+// (everything left of the final .Lock/.Unlock/…) to its pathKey, so
+// that s.mu and t.mu are distinct locks while two mentions of
+// s.inner.mu agree. Only ident/selector chains over fields qualify;
 // index expressions, function results and other dynamic receivers
 // return ok=false and stay untracked.
-func receiverPath(info *types.Info, expr ast.Expr) (syncKey, string, bool) {
+func receiverPath(info *types.Info, expr ast.Expr) (pathKey, bool) {
 	var parts []string
 	for {
 		switch e := ast.Unparen(expr).(type) {
 		case *ast.Ident:
 			obj := identObj(info, e)
 			if obj == nil {
-				return syncKey{}, "", false
+				return pathKey{}, false
 			}
 			parts = append(parts, e.Name)
 			// parts were collected right-to-left; reverse for display.
 			for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 				parts[i], parts[j] = parts[j], parts[i]
 			}
-			display := strings.Join(parts, ".")
-			return syncKey{root: obj, path: display}, display, true
+			return pathKey{root: obj, path: strings.Join(parts, ".")}, true
 		case *ast.SelectorExpr:
 			parts = append(parts, e.Sel.Name)
 			expr = e.X
 		default:
-			return syncKey{}, "", false
+			return pathKey{}, false
 		}
 	}
 }
@@ -121,9 +112,8 @@ func syncCallRecv(call *ast.CallExpr) (ast.Expr, bool) {
 	return sel.X, true
 }
 
-// isBuiltinPanic reports whether the call invokes the builtin panic.
-// All flow-sensitive concurrency rules share it as the CFG's panic-exit
-// predicate.
+// isBuiltinPanic reports whether the call invokes the builtin panic:
+// the CFG's panic-exit predicate for every flow rule.
 func isBuiltinPanic(info *types.Info, call *ast.CallExpr) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != "panic" {
@@ -133,12 +123,71 @@ func isBuiltinPanic(info *types.Info, call *ast.CallExpr) bool {
 	return builtin
 }
 
+// syncCallAt classifies n as a call on a trackable sync receiver, with
+// classify (isMutexMethod or isWaitGroupMethod) naming the operation;
+// op is opNone for any other node.
+func syncCallAt(info *types.Info, n ast.Node, classify func(*types.Func) syncOp) (pathKey, syncOp, *ast.CallExpr) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return pathKey{}, opNone, nil
+	}
+	op := classify(calleeFunc(info, call))
+	if op == opNone {
+		return pathKey{}, opNone, nil
+	}
+	recv, ok := syncCallRecv(call)
+	if !ok {
+		return pathKey{}, opNone, nil
+	}
+	key, ok := receiverPath(info, recv)
+	if !ok {
+		return pathKey{}, opNone, nil
+	}
+	return key, op, call
+}
+
+// syncScan is the balance scan of a sync primitive: a rebound root
+// makes its receivers unknown, and each call classify recognizes on a
+// tracked receiver moves it by ops.
+func syncScan(classify func(*types.Func) syncOp, ops map[syncOp]balanceOp) func(bf *balanceFlow, x ast.Node) bool {
+	return func(bf *balanceFlow, x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				if obj := exprObj(bf.info, lhs); obj != nil {
+					bf.forget(obj)
+				}
+			}
+		case *ast.CallExpr:
+			if key, op, call := syncCallAt(bf.info, x, classify); op != opNone {
+				if bop, ok := ops[op]; ok {
+					bf.apply(key, bop, call.Pos())
+				}
+			}
+		}
+		return true
+	}
+}
+
+// syncSites records, per receiver, the first call of the unit (outside
+// nested literals) that classify maps to one of ops.
+func syncSites(info *types.Info, body *ast.BlockStmt, classify func(*types.Func) syncOp, ops ...syncOp) map[pathKey]balanceSite {
+	sites := make(map[pathKey]balanceSite)
+	inspectShallow(body, func(n ast.Node) {
+		key, op, call := syncCallAt(info, n, classify)
+		if _, seen := sites[key]; op == opNone || seen || !slices.Contains(ops, op) {
+			return
+		}
+		sites[key] = balanceSite{pos: call.Pos(), name: key.path}
+	})
+	return sites
+}
+
 // funcUnits yields every analysis unit of a file: each function
 // declaration body plus each function literal body, treated as separate
-// units exactly like poolbalance does (a goroutine or deferred closure
-// has its own control flow and its own balance obligations). The decl
-// a literal belongs to is passed for diagnostics context ("" at file
-// scope).
+// units (a goroutine or deferred closure has its own control flow and
+// its own balance obligations). The decl a literal belongs to is passed
+// for diagnostics context ("" at file scope).
 func funcUnits(f *ast.File, visit func(body *ast.BlockStmt, enclosing string)) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)

@@ -91,13 +91,42 @@ func (a Analysis[F]) flowBlock(blk *Block, f F) F {
 	return f
 }
 
-// Out recomputes the fact leaving blk under a, given the solved result.
-// It returns ok=false for unreached blocks.
-func (r Result[F]) Out(blk *Block, a Analysis[F]) (F, bool) {
-	f, ok := r.In[blk]
-	if !ok {
-		var zero F
-		return zero, false
+// Replay re-runs a's transfer function over every reached block once,
+// from the block's solved entry fact, in block order. A rule solves
+// with a silent transfer function and reports from the replay, so each
+// statement is judged once, against its fixpoint fact.
+func (r Result[F]) Replay(g *Graph, a Analysis[F]) {
+	for _, blk := range g.Blocks {
+		if f, ok := r.In[blk]; ok {
+			a.flowBlock(blk, f)
+		}
 	}
-	return a.flowBlock(blk, f), true
+}
+
+// Exits calls visit once per reached block that leaves the function —
+// by returning, panicking or falling off the end — with the fact the
+// function exits with on that way out: the block's outgoing fact after
+// the defers block ran over it. panics marks a panicking exit.
+func (r Result[F]) Exits(g *Graph, a Analysis[F], visit func(f F, panics bool)) {
+	target := g.Exit
+	if g.Defers != nil {
+		target = g.Defers
+	}
+	panicking := make(map[*Block]bool, len(g.PanicExits))
+	for _, blk := range g.PanicExits {
+		panicking[blk] = true
+	}
+	seen := make(map[*Block]bool, len(target.Preds))
+	for _, blk := range target.Preds {
+		f, ok := r.In[blk]
+		if !ok || seen[blk] {
+			continue
+		}
+		seen[blk] = true
+		f = a.flowBlock(blk, f)
+		if g.Defers != nil {
+			f = a.flowBlock(g.Defers, f)
+		}
+		visit(f, panicking[blk])
+	}
 }

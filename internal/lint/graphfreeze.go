@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
-
-	"quickdrop/internal/lint/dataflow"
 )
 
 // GraphFreeze enforces autodiff-graph immutability outside the engine:
@@ -58,180 +56,86 @@ func runGraphFreeze(pass *Pass) {
 					}
 				}
 			case *ast.CallExpr:
-				checkGraphFreezeCall(pass, info, n, nil)
+				checkGraphFreezeCall(pass, info, n)
 			}
 			return true
 		})
 		// Alias taint is flow-sensitive and runs per function unit.
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			runGraphFreezeFlow(pass, fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					runGraphFreezeFlow(pass, lit.Body)
-				}
-				return true
+		funcUnits(f, func(body *ast.BlockStmt, _ string) {
+			runTaint(pass, info, body, graphFreezeVisit, func(tf taintFlow, obj types.Object, _ ast.Expr) {
+				tf.mark(obj, false) // element reads are not aliases we model
 			})
+		})
+	}
+}
+
+// taintFlow tracks, through one unit, the locals that alias storage a
+// rule protects: a key present in the fact is a tainted local.
+// graphfreeze and snapfreeze differ in what taints and what they
+// report.
+type taintFlow struct {
+	*keyFlow[types.Object, uint8]
+}
+
+// runTaint solves one unit's taint flow, with visit folding each node
+// and bind each range key or value.
+func runTaint(pass *Pass, info *types.Info, body *ast.BlockStmt,
+	visit func(tf taintFlow, x ast.Node) bool, bind func(tf taintFlow, obj types.Object, elemOf ast.Expr)) {
+	kf := newKeyFlow[types.Object, uint8](pass, info, body)
+	if kf == nil {
+		return
+	}
+	tf := taintFlow{kf}
+	kf.walker.visit = func(x ast.Node) bool { return visit(tf, x) }
+	kf.walker.bind = func(obj types.Object, elemOf ast.Expr) { bind(tf, obj, elemOf) }
+	solveUnit(kf.flowUnit, kf.analysis(keyFact[types.Object, uint8]{}, keyFact[types.Object, uint8].join))
+}
+
+func (tf taintFlow) tainted(obj types.Object) bool { return tf.out[obj] != 0 }
+
+// mark taints obj, or clears it: a strong update.
+func (tf taintFlow) mark(obj types.Object, tainted bool) {
+	var st uint8
+	if tainted {
+		st = 1
+	}
+	tf.set(obj, st)
+}
+
+// graphFreezeVisit propagates taint through one node: assignments from
+// v.Data (or from tainted locals) taint, strong updates from anything
+// else clear, and mutating calls on tainted locals are reported.
+func graphFreezeVisit(tf taintFlow, x ast.Node) bool {
+	switch x := x.(type) {
+	case *ast.FuncLit:
+		return false // a unit of its own, even when deferred
+	case *ast.AssignStmt:
+		if len(x.Lhs) == len(x.Rhs) {
+			for i := range x.Rhs {
+				if obj := exprObj(tf.info, x.Lhs[i]); obj != nil {
+					tf.mark(obj, aliasesNode(tf, x.Rhs[i]))
+				}
+			}
 		}
-	}
-}
-
-// taintFact is the set of locals currently aliasing an autodiff node's
-// tensor. Facts are immutable; the transfer function copies on write.
-type taintFact map[types.Object]bool
-
-func (f taintFact) clone() taintFact {
-	out := make(taintFact, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
-
-func joinTaintFact(a, b taintFact) taintFact {
-	out := a.clone()
-	for k := range b {
-		out[k] = true
-	}
-	return out
-}
-
-func eqTaintFact(a, b taintFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
+	case *ast.CallExpr:
+		if tf.replaying {
+			checkAliasCall(tf, x)
 		}
 	}
 	return true
 }
 
-// runGraphFreezeFlow tracks v.Data aliases through one function body
-// and reports writes through them.
-func runGraphFreezeFlow(pass *Pass, body *ast.BlockStmt) {
-	info := pass.Pkg.Info
-	g := dataflow.NewFromBlock(body, nil)
-	if g == nil {
-		return
-	}
-	gf := &graphFlow{pass: pass, info: info}
-	an := dataflow.Analysis[taintFact]{
-		Init:  taintFact{},
-		Join:  joinTaintFact,
-		Equal: eqTaintFact,
-		Stmt:  gf.transfer,
-	}
-	res := dataflow.Forward(g, an)
-
-	gf.reporting = true
-	gf.seen = make(map[ast.Node]bool)
-	for _, blk := range g.Blocks {
-		in, ok := res.In[blk]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range blk.Stmts {
-			f = gf.transfer(n, f)
-		}
-	}
-}
-
-type graphFlow struct {
-	pass      *Pass
-	info      *types.Info
-	reporting bool
-	seen      map[ast.Node]bool
-}
-
-// transfer propagates taint through one CFG node: assignments from
-// v.Data (or from tainted locals) taint, strong updates from anything
-// else clear, and mutating calls on tainted locals are reported.
-func (gf *graphFlow) transfer(n ast.Node, in taintFact) taintFact {
-	out := in
-	cloned := false
-	set := func(obj types.Object, tainted bool) {
-		if !cloned {
-			out = in.clone()
-			cloned = true
-		}
-		if tainted {
-			out[obj] = true
-		} else {
-			delete(out, obj)
-		}
-	}
-	if dr, ok := n.(*dataflow.DeferRun); ok {
-		// The deferred call executes here; its own literal body is a
-		// separate unit, so only the call's direct arguments matter and
-		// they cannot retaint anything.
-		_ = dr
-		return out
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false // separate unit
-		case *ast.DeferStmt:
-			return false // registration; the call is a DeferRun at exit
-		case *ast.RangeStmt:
-			// The loop head only binds key/value (element reads are not
-			// aliases we model); the body runs in its own blocks.
-			for _, e := range []ast.Expr{x.Key, x.Value} {
-				if e == nil {
-					continue
-				}
-				if id, ok := ast.Unparen(e).(*ast.Ident); ok && id.Name != "_" {
-					if obj := identObj(gf.info, id); obj != nil {
-						set(obj, false)
-					}
-				}
-			}
-			return false
-		case *ast.AssignStmt:
-			if len(x.Lhs) == len(x.Rhs) {
-				for i := range x.Rhs {
-					id, ok := ast.Unparen(x.Lhs[i]).(*ast.Ident)
-					if !ok || id.Name == "_" {
-						continue
-					}
-					obj := identObj(gf.info, id)
-					if obj == nil {
-						continue
-					}
-					set(obj, gf.aliasesNode(out, x.Rhs[i]))
-				}
-			}
-			return true
-		case *ast.CallExpr:
-			if gf.reporting && !gf.seen[x] {
-				if gf.checkCall(out, x) {
-					gf.seen[x] = true
-				}
-			}
-			return true
-		}
-		return true
-	})
-	return out
-}
-
 // aliasesNode reports whether expr evaluates to a tensor aliasing an
 // autodiff node's storage: v.Data itself, a tainted local, or a view of
 // either (views share storage by design).
-func (gf *graphFlow) aliasesNode(f taintFact, expr ast.Expr) bool {
+func aliasesNode(tf taintFlow, expr ast.Expr) bool {
 	x := ast.Unparen(expr)
-	if isValueData(gf.info, x) {
+	if isValueData(tf.info, x) {
 		return true
 	}
 	if id, ok := x.(*ast.Ident); ok {
-		if obj := identObj(gf.info, id); obj != nil {
-			return f[obj]
+		if obj := identObj(tf.info, id); obj != nil {
+			return tf.tainted(obj)
 		}
 	}
 	// t.View(...), t.ViewLike(...), t.RowsView(...) alias t's storage.
@@ -239,8 +143,8 @@ func (gf *graphFlow) aliasesNode(f taintFact, expr ast.Expr) bool {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			switch sel.Sel.Name {
 			case "View", "ViewLike", "RowsView":
-				if fn := calleeFunc(gf.info, call); fn != nil && isMethodOn(fn, sel.Sel.Name, "Tensor", "internal/tensor") {
-					return gf.aliasesNode(f, sel.X)
+				if fn := calleeFunc(tf.info, call); fn != nil && isMethodOn(fn, sel.Sel.Name, "Tensor", "internal/tensor") {
+					return aliasesNode(tf, sel.X)
 				}
 			}
 		}
@@ -248,50 +152,43 @@ func (gf *graphFlow) aliasesNode(f taintFact, expr ast.Expr) bool {
 	return false
 }
 
-// checkCall reports a mutating call through a tainted alias, reusing
-// the lexical checks' message wording. It returns true when the call
-// was a (reported or not) candidate so the caller can de-duplicate.
-func (gf *graphFlow) checkCall(f taintFact, call *ast.CallExpr) bool {
+// checkAliasCall reports a mutating call through a tainted alias,
+// reusing the lexical checks' message wording.
+func checkAliasCall(tf taintFlow, call *ast.CallExpr) {
 	taintedIdent := func(x ast.Expr) bool {
-		id, ok := ast.Unparen(x).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		obj := identObj(gf.info, id)
-		return obj != nil && f[obj]
+		obj := exprObj(tf.info, x)
+		return obj != nil && tf.tainted(obj)
 	}
 	// t.Mutator(...) on a tainted t.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok &&
 		tensorMutators[sel.Sel.Name] && taintedIdent(sel.X) {
-		if fn := calleeFunc(gf.info, call); fn != nil && isMethodOn(fn, sel.Sel.Name, "Tensor", "internal/tensor") {
-			gf.pass.Reportf(call.Pos(), "%s mutates an autodiff node's tensor; graph-held tensors are immutable outside internal/autodiff", sel.Sel.Name)
-			return true
+		if fn := calleeFunc(tf.info, call); fn != nil && isMethodOn(fn, sel.Sel.Name, "Tensor", "internal/tensor") {
+			tf.reportf(call.Pos(), "%s mutates an autodiff node's tensor; graph-held tensors are immutable outside internal/autodiff", sel.Sel.Name)
+			return
 		}
 	}
 	// copy(t.Data(), ...) through a tainted t.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "copy" && len(call.Args) > 0 {
-		if _, isBuiltin := gf.info.Uses[id].(*types.Builtin); isBuiltin {
+		if _, isBuiltin := tf.info.Uses[id].(*types.Builtin); isBuiltin {
 			if inner, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok {
 				if sel, ok := ast.Unparen(inner.Fun).(*ast.SelectorExpr); ok &&
 					sel.Sel.Name == "Data" && taintedIdent(sel.X) {
-					gf.pass.Reportf(call.Pos(), "copy into an autodiff node's storage; graph-held tensors are immutable outside internal/autodiff")
-					return true
+					tf.reportf(call.Pos(), "copy into an autodiff node's storage; graph-held tensors are immutable outside internal/autodiff")
+					return
 				}
 			}
 		}
 	}
 	// SomeKernelInto(t, ...) with a tainted destination.
-	if fn := calleeFunc(gf.info, call); fn != nil && strings.HasSuffix(fn.Name(), "Into") &&
+	if fn := calleeFunc(tf.info, call); fn != nil && strings.HasSuffix(fn.Name(), "Into") &&
 		hasPathSuffix(funcPkgPath(fn), "internal/tensor") && len(call.Args) > 0 {
 		if taintedIdent(call.Args[0]) {
-			gf.pass.Reportf(call.Args[0].Pos(), "autodiff node's tensor used as %s destination; graph-held tensors are immutable outside internal/autodiff", fn.Name())
-			return true
+			tf.reportf(call.Args[0].Pos(), "autodiff node's tensor used as %s destination; graph-held tensors are immutable outside internal/autodiff", fn.Name())
 		}
 	}
-	return false
 }
 
-func checkGraphFreezeCall(pass *Pass, info *types.Info, call *ast.CallExpr, _ map[types.Object]bool) {
+func checkGraphFreezeCall(pass *Pass, info *types.Info, call *ast.CallExpr) {
 	// v.Data.Mutator(...)
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok &&
 		tensorMutators[sel.Sel.Name] && isValueData(info, sel.X) {

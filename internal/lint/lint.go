@@ -210,6 +210,19 @@ func docText(doc *ast.CommentGroup) string {
 	return doc.Text()
 }
 
+// eqSet reports whether two sets hold the same members.
+func eqSet[K comparable](a, b map[K]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
+}
+
 // identObj resolves an identifier to its object (definition or use).
 func identObj(info *types.Info, id *ast.Ident) types.Object {
 	if obj := info.Defs[id]; obj != nil {

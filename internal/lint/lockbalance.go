@@ -2,14 +2,9 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
-
-	"quickdrop/internal/lint/dataflow"
 )
 
-// LockBalance enforces mutex discipline on the CFG, the concurrency
-// analogue of poolbalance's borrow/release pairing: a sync.Mutex or
+// LockBalance enforces mutex discipline on the CFG: a sync.Mutex or
 // sync.RWMutex locked inside a function must be unlocked on every
 // non-panicking path out of it — deferred Unlocks (including ones inside
 // deferred closures) count on every exit, an early return that skips the
@@ -31,307 +26,70 @@ var LockBalance = &Analyzer{
 	Run:  runLockBalance,
 }
 
-// lockState is the per-receiver powerset state. Zero means unknown
-// (entry state, or degraded after rebinding/violation), which silences
-// every check for the receiver.
-type lockState uint8
-
+// The lock lattice is the powerset of these states.
 const (
-	lkUnlocked lockState = 1 << iota // provably not held on this path
+	lkUnlocked pathState = 1 << iota // provably not held on this path
 	lkLocked                         // write lock held
 	lkRLocked                        // read lock held
 )
 
-// lockFact maps tracked receivers to their path state; immutable like
-// poolFact.
-type lockFact map[syncKey]lockState
-
-func (f lockFact) clone() lockFact {
-	out := make(lockFact, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
+var lockSpec = &balanceSpec{
+	scan: syncScan(isMutexMethod, map[syncOp]balanceOp{
+		opLock:    balAcquire,
+		opRLock:   balAcquireShared,
+		opUnlock:  balRelease,
+		opRUnlock: balReleaseShared,
+	}),
+	step: lockStep,
+	verdict: func(e exitStates, name string) string {
+		if e.normal&(lkLocked|lkRLocked) == 0 {
+			return ""
+		}
+		return name + " is not unlocked on every path; a branch or early return leaks the lock"
+	},
 }
 
-func joinLockFact(a, b lockFact) lockFact {
-	out := a.clone()
-	for k, v := range b {
-		out[k] |= v
-	}
-	return out
-}
-
-func eqLockFact(a, b lockFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
+// lockStep is the lock transition table. A misuse reports and degrades
+// the receiver to unknown, so one bug does not cascade.
+func lockStep(op balanceOp, st pathState, name string) (pathState, string) {
+	switch op {
+	case balAcquire:
+		if st&lkLocked != 0 {
+			return 0, name + ".Lock on a path where the lock is already held; relocking deadlocks the goroutine"
+		}
+		if st&lkRLocked != 0 {
+			return 0, name + ".Lock while its read lock is held on this path; the upgrade deadlocks"
+		}
+		return lkLocked, ""
+	case balAcquireShared:
+		if st&lkLocked != 0 {
+			return 0, name + ".RLock while its write lock is held on this path; same-goroutine reacquisition deadlocks"
+		}
+		if st&lkRLocked != 0 {
+			// Recursive read-locking: legal but beyond the single-bit
+			// domain.
+			return 0, ""
+		}
+		return lkRLocked, ""
+	case balRelease:
+		if st == lkUnlocked {
+			return 0, name + ".Unlock without a Lock on this path; unlocking an unlocked mutex panics"
+		}
+	case balReleaseShared:
+		if st == lkUnlocked {
+			return 0, name + ".RUnlock without an RLock on this path; unlocking an unlocked mutex panics"
 		}
 	}
-	return true
-}
-
-// lockSite remembers where a tracked receiver was first locked, for
-// leak diagnostics, and how it is spelled.
-type lockSite struct {
-	pos     token.Pos
-	display string
+	return lkUnlocked, "" // a release
 }
 
 func runLockBalance(pass *Pass) {
+	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		funcUnits(f, func(body *ast.BlockStmt, _ string) {
-			checkLockBalance(pass, body)
+			// A unit is judged for the receivers it Locks or RLocks
+			// itself; a Lock inside a deferred closure is the closure's.
+			checkBalance(pass, info, body, lockSpec, syncSites(info, body, isMutexMethod, opLock, opRLock))
 		})
 	}
-}
-
-// lockOpAt classifies a node as a mutex call on a trackable receiver.
-func lockOpAt(info *types.Info, n ast.Node) (syncKey, string, syncOp, *ast.CallExpr) {
-	call, ok := n.(*ast.CallExpr)
-	if !ok {
-		return syncKey{}, "", opNone, nil
-	}
-	op := isMutexMethod(calleeFunc(info, call))
-	if op == opNone {
-		return syncKey{}, "", opNone, nil
-	}
-	recv, ok := syncCallRecv(call)
-	if !ok {
-		return syncKey{}, "", opNone, nil
-	}
-	key, display, ok := receiverPath(info, recv)
-	if !ok {
-		return syncKey{}, "", opNone, nil
-	}
-	return key, display, op, call
-}
-
-func checkLockBalance(pass *Pass, body *ast.BlockStmt) {
-	info := pass.Pkg.Info
-
-	// Pre-scan: the unit only gets a flow analysis when it acquires a
-	// lock itself. Nested literals are their own units; deferred
-	// closures still belong to this unit's defers block, but a Lock
-	// inside one is not an acquisition of this unit.
-	sites := make(map[syncKey]*lockSite)
-	inspectShallow(body, func(n ast.Node) {
-		key, display, op, call := lockOpAt(info, n)
-		if op == opLock || op == opRLock {
-			if _, ok := sites[key]; !ok {
-				sites[key] = &lockSite{pos: call.Pos(), display: display}
-			}
-		}
-	})
-	if len(sites) == 0 {
-		return
-	}
-
-	lf := &lockFlow{pass: pass, info: info, sites: sites}
-	lf.run(body)
-}
-
-// lockFlow runs the forward analysis over one unit, mirroring
-// poolbalance's poolFlow: a silent fixpoint, a reporting replay of each
-// reached block, then the exit-path leak check with defers applied.
-type lockFlow struct {
-	pass      *Pass
-	info      *types.Info
-	sites     map[syncKey]*lockSite
-	reporting bool
-	seen      map[token.Pos]map[string]bool
-}
-
-func (lf *lockFlow) report(pos token.Pos, msg string) {
-	if !lf.reporting {
-		return
-	}
-	if lf.seen[pos] == nil {
-		lf.seen[pos] = make(map[string]bool)
-	}
-	if lf.seen[pos][msg] {
-		return
-	}
-	lf.seen[pos][msg] = true
-	lf.pass.Reportf(pos, "%s", msg)
-}
-
-func (lf *lockFlow) run(body *ast.BlockStmt) {
-	g := dataflow.NewFromBlock(body, func(call *ast.CallExpr) bool {
-		return isBuiltinPanic(lf.info, call)
-	})
-	if g == nil {
-		return
-	}
-	an := dataflow.Analysis[lockFact]{
-		Init:  lockFact{},
-		Join:  joinLockFact,
-		Equal: eqLockFact,
-		Stmt:  lf.transfer,
-	}
-	res := dataflow.Forward(g, an)
-
-	// Replay with reporting on: double-lock, upgrade, and
-	// unlock-without-lock fire here at their own positions.
-	lf.reporting = true
-	lf.seen = make(map[token.Pos]map[string]bool)
-	for _, blk := range g.Blocks {
-		in, ok := res.In[blk]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range blk.Stmts {
-			f = lf.transfer(n, f)
-		}
-	}
-	lf.reporting = false
-
-	// Leak check: a held lock surviving to a non-panicking exit (after
-	// the deferred Unlocks ran) means some path skips the release.
-	panicking := make(map[*dataflow.Block]bool)
-	for _, blk := range g.PanicExits {
-		panicking[blk] = true
-	}
-	target := g.Exit
-	if g.Defers != nil {
-		target = g.Defers
-	}
-	leaked := make(map[syncKey]bool)
-	for _, blk := range uniqueBlocks(target.Preds) {
-		if panicking[blk] {
-			continue
-		}
-		f, ok := res.Out(blk, an)
-		if !ok {
-			continue
-		}
-		if g.Defers != nil {
-			for _, n := range g.Defers.Stmts {
-				f = lf.transfer(n, f)
-			}
-		}
-		for key, st := range f {
-			if st&(lkLocked|lkRLocked) != 0 {
-				leaked[key] = true
-			}
-		}
-	}
-	for key := range leaked {
-		site := lf.sites[key]
-		lf.pass.Reportf(site.pos,
-			"%s is not unlocked on every path; a branch or early return leaks the lock", site.display)
-	}
-}
-
-// transfer folds one CFG node over the fact: mutex calls move the
-// receiver through the {unlocked, locked, rlocked} powerset (reporting
-// violations during the replay pass), and rebinding a tracked root
-// degrades its receivers to unknown.
-func (lf *lockFlow) transfer(n ast.Node, in lockFact) lockFact {
-	out := in
-	cloned := false
-	set := func(key syncKey, st lockState) {
-		if !cloned {
-			out = in.clone()
-			cloned = true
-		}
-		out[key] = st
-	}
-	get := func(key syncKey) lockState { return out[key] }
-
-	var walk func(n ast.Node, insideDefer bool)
-	walk = func(n ast.Node, insideDefer bool) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.FuncLit:
-				// Nested literals are separate units — except inside a
-				// deferred call, where the literal body is the deferred
-				// code executing on this unit's way out.
-				return insideDefer
-			case *ast.DeferStmt:
-				return false // registration point; runs on the defers block
-			case *ast.AssignStmt:
-				// Rebinding a root object loses track of its locks.
-				for _, lhs := range x.Lhs {
-					id, ok := ast.Unparen(lhs).(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj := identObj(lf.info, id)
-					if obj == nil {
-						continue
-					}
-					for key := range lf.sites {
-						if key.root == obj && get(key) != 0 {
-							set(key, 0)
-						}
-					}
-				}
-				return true
-			case *ast.CallExpr:
-				key, display, op, call := lockOpAt(lf.info, x)
-				if op == opNone {
-					return true
-				}
-				if _, tracked := lf.sites[key]; !tracked {
-					return true
-				}
-				st := get(key)
-				switch op {
-				case opLock:
-					if st&lkLocked != 0 {
-						lf.report(call.Pos(), display+".Lock on a path where the lock is already held; relocking deadlocks the goroutine")
-						set(key, 0) // degrade: don't cascade
-						return true
-					}
-					if st&lkRLocked != 0 {
-						lf.report(call.Pos(), display+".Lock while its read lock is held on this path; the upgrade deadlocks")
-						set(key, 0)
-						return true
-					}
-					set(key, lkLocked)
-				case opRLock:
-					if st&lkLocked != 0 {
-						lf.report(call.Pos(), display+".RLock while its write lock is held on this path; same-goroutine reacquisition deadlocks")
-						set(key, 0)
-						return true
-					}
-					if st&lkRLocked != 0 {
-						// Recursive read-locking: legal but beyond the
-						// single-bit domain — degrade to unknown.
-						set(key, 0)
-						return true
-					}
-					set(key, lkRLocked)
-				case opUnlock:
-					if st == lkUnlocked {
-						lf.report(call.Pos(), display+".Unlock without a Lock on this path; unlocking an unlocked mutex panics")
-						set(key, 0)
-						return true
-					}
-					set(key, lkUnlocked)
-				case opRUnlock:
-					if st == lkUnlocked {
-						lf.report(call.Pos(), display+".RUnlock without an RLock on this path; unlocking an unlocked mutex panics")
-						set(key, 0)
-						return true
-					}
-					set(key, lkUnlocked)
-				}
-				return true
-			}
-			return true
-		})
-	}
-	switch s := n.(type) {
-	case *dataflow.DeferRun:
-		walk(s.D.Call, true)
-	default:
-		walk(n, false)
-	}
-	return out
 }

@@ -347,77 +347,36 @@ func (lo *lockOrder) closeSummaries() {
 			}
 			return s
 		},
-		Equal: func(a, b map[string]bool) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for c := range a {
-				if !b[c] {
-					return false
-				}
-			}
-			return true
-		},
+		Equal: eqSet[string],
 	})
 }
 
-// analyzeUnit runs the held-set flow over one unit and emits edges.
+// analyzeUnit runs the held-set flow over one unit and emits edges
+// while the solution is replayed.
 func (lo *lockOrder) analyzeUnit(pkg *Package, body *ast.BlockStmt, enclosing string) {
-	info := pkg.Info
-	g := dataflow.NewFromBlock(body, func(call *ast.CallExpr) bool {
-		return isBuiltinPanic(info, call)
-	})
-	if g == nil {
+	u := newFlowUnit(lo.pass, pkg.Info, body)
+	if u == nil {
 		return
 	}
-
-	emit := false // transfer records edges only during the replay pass
-	transfer := func(n ast.Node, in dataflow.LockSet) dataflow.LockSet {
-		out := in
-		var walk func(n ast.Node, insideDefer bool)
-		walk = func(n ast.Node, insideDefer bool) {
-			ast.Inspect(n, func(x ast.Node) bool {
-				switch x := x.(type) {
-				case *ast.FuncLit:
-					return insideDefer
-				case *ast.GoStmt:
-					return false // spawned goroutine: no inherited order
-				case *ast.DeferStmt:
-					return false // runs on the defers block
-				case *ast.CallExpr:
-					lo.flowCall(pkg, x, &out, emit, enclosing)
-					return true
-				}
-				return true
-			})
+	var held dataflow.LockSet
+	w := nodeWalker{info: pkg.Info, visit: func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.GoStmt:
+			return false // spawned goroutine: no inherited order
+		case *ast.CallExpr:
+			lo.flowCall(pkg, x, &held, u.replaying, enclosing)
 		}
-		switch s := n.(type) {
-		case *dataflow.DeferRun:
-			walk(s.D.Call, true)
-		default:
-			walk(n, false)
-		}
-		return out
-	}
-
-	an := dataflow.Analysis[dataflow.LockSet]{
+		return true
+	}}
+	solveUnit(u, dataflow.Analysis[dataflow.LockSet]{
 		Join:  dataflow.LockSet.Join,
 		Equal: dataflow.LockSet.Equal,
-		Stmt:  transfer,
-	}
-	res := dataflow.Forward(g, an)
-
-	emit = true
-	for _, blk := range g.Blocks {
-		in, ok := res.In[blk]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range blk.Stmts {
-			f = transfer(n, f)
-		}
-	}
+		Stmt: func(n ast.Node, in dataflow.LockSet) dataflow.LockSet {
+			held = in
+			w.node(n)
+			return held
+		},
+	})
 }
 
 // flowCall folds one call into the held set, emitting edges when emit
@@ -436,7 +395,8 @@ func (lo *lockOrder) flowCall(pkg *Package, call *ast.CallExpr, held *dataflow.L
 		if !ok {
 			return
 		}
-		_, instance, _ := receiverPath(info, recv)
+		key, _ := receiverPath(info, recv)
+		instance := key.path
 		switch op {
 		case opLock, opRLock:
 			if emit && !held.IsTop() {

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"quickdrop/internal/lint/dataflow"
 )
 
 // PoolBalance enforces the tensor.Pool ownership rules (DESIGN.md,
@@ -17,9 +15,9 @@ import (
 //
 // The analyzer is two layers. A syntactic layer finds borrows, escapes
 // (returns, field stores, unbound results) and functions with no
-// release mention at all. On top of it, a flow-sensitive layer runs a
-// forward dataflow over the function's CFG with a powerset state per
-// borrowed variable — {nil, borrowed, released} — making the pairing
+// release mention at all. On top of it, the flow engine's ownership
+// spec tracks a powerset state per borrowed variable over the
+// function's CFG — {nil, borrowed, released} — making the pairing
 // path-sensitive: a Get that a branch, loop or early return can leave
 // un-Put is flagged even when some other path releases it, a Get
 // overwriting a still-borrowed variable inside a loop is flagged as a
@@ -54,19 +52,9 @@ func runPoolBalance(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkPoolBalance(pass, fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkPoolBalance(pass, lit.Body)
-				}
-				return true
-			})
-		}
+		funcUnits(f, func(body *ast.BlockStmt, _ string) {
+			checkPoolBalance(pass, body)
+		})
 	}
 }
 
@@ -77,6 +65,20 @@ type borrow struct {
 	released bool      // some Put/PutAll mentions the variable
 	escaped  bool
 	slice    bool // a slice whose elements are borrowed
+}
+
+// poolOwnership words the flow layer's findings.
+var poolOwnership = ownership{
+	acquired: ownHeld,
+	overwrite: func(string) string {
+		return "pool Get overwrites a still-borrowed buffer; the previous buffer can never be Put"
+	},
+	twice: func(string) string {
+		return "pooled tensor is Put twice on this path; the second Put poisons a recycled buffer"
+	},
+	leak: func(string) string {
+		return "pool Get is not Put on every path; a branch or early return leaks the buffer"
+	},
 }
 
 func checkPoolBalance(pass *Pass, body *ast.BlockStmt) {
@@ -121,21 +123,35 @@ func checkPoolBalance(pass *Pass, body *ast.BlockStmt) {
 	// Syntactic layer, pass 2: releases and escapes. Releases inside
 	// nested function literals count (a deferred closure Putting the
 	// buffer is the idiom); escapes do not look inside literals.
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isPoolPut(calleeFunc(info, call)) {
+	releases := func(call *ast.CallExpr, release func(types.Object)) {
+		if isPoolPut(calleeFunc(info, call)) {
 			for _, arg := range call.Args {
-				markIdents(info, arg, borrows, func(b *borrow) { b.released = true })
+				forIdentObjs(info, arg, release)
 			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			releases(call, func(obj types.Object) {
+				if b := borrows[obj]; b != nil {
+					b.released = true
+				}
+			})
 		}
 		return true
 	})
+	// Only a directly returned or field-stored borrow escapes; returning
+	// a scalar computed from the buffer is fine.
+	escapes := func(expr ast.Expr) {
+		if b := borrows[exprObj(info, expr)]; b != nil {
+			b.escaped = true
+		}
+	}
 	inspectShallow(body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.ReturnStmt:
-			// Only a directly returned borrow escapes; returning a
-			// scalar computed from the buffer is fine.
 			for _, res := range n.Results {
-				markDirectIdent(info, res, borrows, func(b *borrow) { b.escaped = true })
+				escapes(res)
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
@@ -143,392 +159,33 @@ func checkPoolBalance(pass *Pass, body *ast.BlockStmt) {
 					break
 				}
 				if _, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-					markDirectIdent(info, n.Rhs[i], borrows, func(b *borrow) { b.escaped = true })
+					escapes(n.Rhs[i])
 				}
 			}
 		}
 	})
-
-	for _, b := range borrows {
-		switch {
-		case b.escaped:
-			pass.Reportf(b.pos, "pooled tensor escapes via a return or field store; only the borrowing function may Put it")
-		case !b.released:
-			pass.Reportf(b.pos, "pool Get has no matching tensor.Put/PutAll in this function")
-		}
-	}
 
 	// Flow-sensitive layer: only meaningful for borrows that do have a
 	// release mention somewhere — the syntactic layer already covered
 	// the rest — and that neither escaped (already reported) nor live in
 	// slice elements (per-element states are beyond the domain).
-	tracked := make(map[types.Object]*borrow)
+	sites := make(map[pathKey]balanceSite)
 	for obj, b := range borrows {
-		if b.released && !b.escaped && !b.slice {
-			tracked[obj] = b
+		switch {
+		case b.escaped:
+			pass.Reportf(b.pos, "pooled tensor escapes via a return or field store; only the borrowing function may Put it")
+		case !b.released:
+			pass.Reportf(b.pos, "pool Get has no matching tensor.Put/PutAll in this function")
+		case !b.slice:
+			sites[varKey(obj)] = balanceSite{pos: b.pos}
 		}
 	}
-	if len(tracked) > 0 {
-		pf := &poolFlow{pass: pass, info: info, tracked: tracked}
-		pf.run(body)
+	if len(sites) > 0 {
+		o := poolOwnership
+		o.acquires = func(call *ast.CallExpr, _ types.Object) bool { return isPoolGet(calleeFunc(info, call)) }
+		o.releases = releases
+		checkBalance(pass, info, body, o.spec(), sites)
 	}
-}
-
-// inspectShallow walks n without descending into function literals.
-func inspectShallow(n ast.Node, fn func(ast.Node)) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			fn(n)
-		}
-		return true
-	})
-}
-
-// poolState is the per-variable powerset state of the flow-sensitive
-// layer. The zero value means "unknown" (overwritten by something the
-// analysis does not model), which silences every check for the
-// variable.
-type poolState uint8
-
-const (
-	poolNil      poolState = 1 << iota // provably nil on this path
-	poolBorrowed                       // holds an un-released pool buffer
-	poolReleased                       // has been Put
-)
-
-// poolFact maps each tracked variable to its state. Facts are treated
-// as immutable: the transfer function copies before updating.
-type poolFact map[types.Object]poolState
-
-func (f poolFact) clone() poolFact {
-	out := make(poolFact, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
-
-func joinPoolFact(a, b poolFact) poolFact {
-	out := a.clone()
-	for k, v := range b {
-		out[k] |= v
-	}
-	return out
-}
-
-func eqPoolFact(a, b poolFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// poolFlow is the flow-sensitive layer over one function body.
-type poolFlow struct {
-	pass      *Pass
-	info      *types.Info
-	tracked   map[types.Object]*borrow
-	reporting bool
-	seen      map[token.Pos]map[string]bool
-}
-
-func (pf *poolFlow) report(pos token.Pos, msg string) {
-	if !pf.reporting {
-		return
-	}
-	if pf.seen[pos] == nil {
-		pf.seen[pos] = make(map[string]bool)
-	}
-	if pf.seen[pos][msg] {
-		return
-	}
-	pf.seen[pos][msg] = true
-	pf.pass.Reportf(pos, "%s", msg)
-}
-
-func (pf *poolFlow) run(body *ast.BlockStmt) {
-	isPanic := func(call *ast.CallExpr) bool {
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "panic" {
-			return false
-		}
-		_, builtin := pf.info.Uses[id].(*types.Builtin)
-		return builtin
-	}
-	g := dataflow.NewFromBlock(body, isPanic)
-	if g == nil {
-		return
-	}
-	an := dataflow.Analysis[poolFact]{
-		Init:   poolFact{},
-		Join:   joinPoolFact,
-		Equal:  eqPoolFact,
-		Stmt:   pf.transfer,
-		Refine: pf.refine,
-	}
-	res := dataflow.Forward(g, an)
-
-	// Replay each reached block once with reporting on: loop-carried
-	// overwrites and double Puts surface here, at their own positions.
-	pf.reporting = true
-	pf.seen = make(map[token.Pos]map[string]bool)
-	for _, blk := range g.Blocks {
-		in, ok := res.In[blk]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range blk.Stmts {
-			f = pf.transfer(n, f)
-		}
-	}
-	pf.reporting = false
-
-	// Leak check: a borrowed state surviving to a non-panicking exit
-	// (after the deferred releases have been applied) means some path
-	// skips the Put.
-	panicking := make(map[*dataflow.Block]bool)
-	for _, blk := range g.PanicExits {
-		panicking[blk] = true
-	}
-	target := g.Exit
-	if g.Defers != nil {
-		target = g.Defers
-	}
-	leaked := make(map[types.Object]bool)
-	for _, blk := range uniqueBlocks(target.Preds) {
-		if panicking[blk] {
-			continue
-		}
-		f, ok := res.Out(blk, an)
-		if !ok {
-			continue
-		}
-		if g.Defers != nil {
-			for _, n := range g.Defers.Stmts {
-				f = pf.transfer(n, f)
-			}
-		}
-		for obj, st := range f {
-			if st&poolBorrowed != 0 {
-				leaked[obj] = true
-			}
-		}
-	}
-	for obj := range leaked {
-		pf.pass.Reportf(pf.tracked[obj].pos,
-			"pool Get is not Put on every path; a branch or early return leaks the buffer")
-	}
-}
-
-// transfer folds one CFG node over the fact. Put releases, Get binds
-// (reporting an overwrite of a still-borrowed buffer), nil assignments
-// and declarations bind the nil state, and anything unmodeled degrades
-// the variable to unknown.
-func (pf *poolFlow) transfer(n ast.Node, in poolFact) poolFact {
-	out := in
-	cloned := false
-	set := func(obj types.Object, st poolState) {
-		if !cloned {
-			out = in.clone()
-			cloned = true
-		}
-		out[obj] = st
-	}
-	get := func(obj types.Object) poolState { return out[obj] }
-
-	var walk func(n ast.Node, insideDefer bool)
-	walk = func(n ast.Node, insideDefer bool) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.FuncLit:
-				// Literal bodies are separate units — except inside a
-				// deferred call, where the literal is the deferred body
-				// executing now.
-				return insideDefer
-			case *ast.DeferStmt:
-				return false // registration point; runs on the defers block
-			case *ast.RangeStmt:
-				// The loop head only binds key/value; the body runs in its
-				// own blocks with properly refined facts.
-				walk(x.X, insideDefer)
-				for _, e := range []ast.Expr{x.Key, x.Value} {
-					if e == nil {
-						continue
-					}
-					if id, ok := ast.Unparen(e).(*ast.Ident); ok && id.Name != "_" {
-						if obj := identObj(pf.info, id); obj != nil {
-							if _, tr := pf.tracked[obj]; tr {
-								set(obj, 0)
-							}
-						}
-					}
-				}
-				return false
-			case *ast.AssignStmt:
-				if len(x.Lhs) == len(x.Rhs) {
-					for i := range x.Rhs {
-						pf.assign(x.Lhs[i], x.Rhs[i], get, set)
-					}
-				}
-				return true
-			case *ast.ValueSpec:
-				for i, name := range x.Names {
-					obj := identObj(pf.info, name)
-					if obj == nil {
-						continue
-					}
-					if _, ok := pf.tracked[obj]; !ok {
-						continue
-					}
-					if i < len(x.Values) {
-						pf.assign(name, x.Values[i], get, set)
-					} else {
-						set(obj, poolNil) // var x *tensor.Tensor
-					}
-				}
-				return true
-			case *ast.CallExpr:
-				if isPoolPut(calleeFunc(pf.info, x)) {
-					for _, arg := range x.Args {
-						markIdents2(pf.info, arg, pf.tracked, func(obj types.Object) {
-							st := get(obj)
-							if st == poolReleased {
-								pf.report(x.Pos(), "pooled tensor is Put twice on this path; the second Put poisons a recycled buffer")
-							}
-							set(obj, poolReleased)
-						})
-					}
-				}
-				return true
-			}
-			return true
-		})
-	}
-	switch s := n.(type) {
-	case *dataflow.DeferRun:
-		walk(s.D.Call, true)
-	default:
-		walk(n, false)
-	}
-	return out
-}
-
-// assign updates the state for one lhs := rhs pair.
-func (pf *poolFlow) assign(lhs, rhs ast.Expr, get func(types.Object) poolState, set func(types.Object, poolState)) {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok {
-		return
-	}
-	obj := identObj(pf.info, id)
-	if obj == nil {
-		return
-	}
-	if _, isTracked := pf.tracked[obj]; !isTracked {
-		return
-	}
-	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isPoolGet(calleeFunc(pf.info, call)) {
-		if get(obj)&poolBorrowed != 0 {
-			pf.report(call.Pos(), "pool Get overwrites a still-borrowed buffer; the previous buffer can never be Put")
-		}
-		set(obj, poolBorrowed)
-		return
-	}
-	if nid, ok := ast.Unparen(rhs).(*ast.Ident); ok && nid.Name == "nil" {
-		if _, isNil := pf.info.Uses[nid].(*types.Nil); isNil {
-			set(obj, poolNil)
-			return
-		}
-	}
-	set(obj, 0) // rebound to something unmodeled
-}
-
-// refine narrows the fact along nil-comparison edges and prunes
-// provably-infeasible branches.
-func (pf *poolFlow) refine(cond ast.Expr, neg bool, in poolFact) (poolFact, bool) {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return in, true
-	}
-	var id *ast.Ident
-	if x, ok := ast.Unparen(be.X).(*ast.Ident); ok && isNilIdent(pf.info, be.Y) {
-		id = x
-	} else if y, ok := ast.Unparen(be.Y).(*ast.Ident); ok && isNilIdent(pf.info, be.X) {
-		id = y
-	}
-	if id == nil {
-		return in, true
-	}
-	obj := identObj(pf.info, id)
-	if obj == nil {
-		return in, true
-	}
-	st, tracked := in[obj]
-	if !tracked || st == 0 {
-		return in, true
-	}
-	nilEdge := (be.Op == token.EQL) != neg
-	if nilEdge {
-		if st&poolNil == 0 {
-			return nil, false // provably non-nil: the nil branch is dead
-		}
-		out := in.clone()
-		out[obj] = poolNil
-		return out, true
-	}
-	rest := st &^ poolNil
-	if rest == 0 {
-		return nil, false // provably nil: the non-nil branch is dead
-	}
-	if rest != st {
-		out := in.clone()
-		out[obj] = rest
-		return out, true
-	}
-	return in, true
-}
-
-func isNilIdent(info *types.Info, x ast.Expr) bool {
-	id, ok := ast.Unparen(x).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := info.Uses[id].(*types.Nil)
-	return isNil
-}
-
-// markIdents2 applies fn to every tracked identifier in expr.
-func markIdents2(info *types.Info, expr ast.Expr, tracked map[types.Object]*borrow, fn func(types.Object)) {
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := identObj(info, id); obj != nil {
-				if _, ok := tracked[obj]; ok {
-					fn(obj)
-				}
-			}
-		}
-		return true
-	})
-}
-
-func uniqueBlocks(blocks []*dataflow.Block) []*dataflow.Block {
-	seen := make(map[*dataflow.Block]bool, len(blocks))
-	var out []*dataflow.Block
-	for _, b := range blocks {
-		if !seen[b] {
-			seen[b] = true
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // bindPoolResult records where a Get result lands. Binding to a plain
@@ -558,34 +215,5 @@ func bindPoolResult(pass *Pass, info *types.Info, borrows map[types.Object]*borr
 		pass.Reportf(call.Pos(), "pooled tensor is stored in a field; the pool buffer escapes its borrowing function")
 	default:
 		pass.Reportf(call.Pos(), "pool Get result is not bound to a variable; it can never be Put")
-	}
-}
-
-// markIdents applies f to the borrow of every tracked identifier
-// appearing in expr.
-func markIdents(info *types.Info, expr ast.Expr, borrows map[types.Object]*borrow, f func(*borrow)) {
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := identObj(info, id); obj != nil {
-				if b, ok := borrows[obj]; ok {
-					f(b)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// markDirectIdent applies f only when expr itself is a tracked
-// identifier.
-func markDirectIdent(info *types.Info, expr ast.Expr, borrows map[types.Object]*borrow, f func(*borrow)) {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	if !ok {
-		return
-	}
-	if obj := identObj(info, id); obj != nil {
-		if b, ok := borrows[obj]; ok {
-			f(b)
-		}
 	}
 }

@@ -10,27 +10,26 @@ import (
 	"quickdrop/internal/lint/dataflow"
 )
 
-// ResBalance is the contract-declared generalization of poolbalance:
-// any API can mark itself with //lint:resource directives (see
-// resource.go for the grammar), and every function that binds an
-// acquiring call's result must discharge the obligation on every CFG
-// path — by a releasing call mentioning the value (deferred releases
-// fold into every exit), by passing it to a transfer-contract call, or
-// by returning it (ownership moves to the caller).
+// ResBalance checks contract-declared resources the way poolbalance
+// checks pool buffers: any API can mark itself with //lint:resource
+// directives (see resource.go for the grammar), and every function that
+// binds an acquiring call's result must discharge the obligation on
+// every CFG path — by a releasing call mentioning the value (deferred
+// releases fold into every exit), by passing it to a transfer-contract
+// call, or by returning it (ownership moves to the caller).
 //
 // The analysis is interprocedural in both directions. Bottom-up
 // summaries over the program call graph (dataflow.FixSummaries) extend
 // the contract surface through helpers: a function returning an
 // acquirer's result is itself an acquirer, and a helper that releases
 // its parameter discharges the caller's obligation at the call site.
-// On top of the summaries, each function body runs the same
-// two-layer check as poolbalance — a syntactic layer that finds
-// acquisitions, discarded results and custody transfers the flow
-// domain cannot model (which degrade to silence, never to false
-// positives), then a flow-sensitive {nil, held, released} powerset
-// walk over the CFG with nil-comparison refinement. Leaks are
-// reported at the acquisition site; paths that leave by panicking are
-// exempt.
+// On top of the summaries, each function body runs two layers: a
+// syntactic one that finds acquisitions, discarded results and custody
+// transfers the flow domain cannot model (which degrade to silence,
+// never to false positives), then the flow engine's ownership spec —
+// the {nil, held, released} powerset over the CFG with nil-comparison
+// refinement. Leaks are reported at the acquisition site; paths that
+// leave by panicking are exempt.
 var ResBalance = &Analyzer{
 	Name: "resbalance",
 	Doc:  "contract-declared resource acquisitions must be released on every path",
@@ -97,24 +96,12 @@ func (s *resSummary) addReleases(pos int, classes map[string]bool) {
 	}
 }
 
-func eqStringSet(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 func eqResSummary(a, b resSummary) bool {
-	if !eqStringSet(a.acquires, b.acquires) || len(a.releases) != len(b.releases) {
+	if !eqSet(a.acquires, b.acquires) || len(a.releases) != len(b.releases) {
 		return false
 	}
 	for i, cs := range a.releases {
-		if !eqStringSet(cs, b.releases[i]) {
+		if !eqSet(cs, b.releases[i]) {
 			return false
 		}
 	}
@@ -347,15 +334,6 @@ type resBorrow struct {
 	dropped  bool // custody left the modeled domain (alias, store, …)
 }
 
-func (b *resBorrow) className() string {
-	names := make([]string, 0, len(b.classes))
-	for c := range b.classes {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	return strings.Join(names, "/")
-}
-
 // releaseClasses returns the classes the call discharges for arg at
 // pos, or nil.
 func (rb *resBalance) releaseClasses(info *types.Info, call *ast.CallExpr) map[ast.Expr]map[string]bool {
@@ -455,36 +433,29 @@ func (rb *resBalance) checkUnit(pkg *Package, body *ast.BlockStmt) {
 	// custody transfers out of the modeled domain. Releases inside
 	// nested literals count — a deferred closure releasing the value is
 	// the idiom — as do returns anywhere in the unit.
+	drop := func(expr ast.Expr) {
+		if b := borrows[exprObj(info, expr)]; b != nil {
+			b.dropped = true
+		}
+	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			rel := rb.releaseClasses(info, n)
-			callee := calleeFunc(info, n)
 			argDrops := func(arg ast.Expr, receiver bool) {
-				id, ok := ast.Unparen(arg).(*ast.Ident)
-				if !ok {
-					return
-				}
-				obj := identObj(info, id)
-				if obj == nil {
-					return
-				}
-				b, tracked := borrows[obj]
-				if !tracked {
-					return
-				}
-				if intersects(rel[arg], b.classes) {
+				b := borrows[exprObj(info, arg)]
+				switch {
+				case b == nil:
+				case intersects(rel[arg], b.classes):
 					b.released = true
-					return
-				}
-				// A method call on the value reads it; an argument
-				// position without a release hands custody somewhere the
-				// analysis cannot follow.
-				if !receiver {
+				case !receiver:
+					// A method call on the value reads it; an argument
+					// position without a release hands custody somewhere
+					// the analysis cannot follow.
 					b.dropped = true
 				}
 			}
-			if callee != nil {
+			if callee := calleeFunc(info, n); callee != nil {
 				forEachCallArgPos(n, callee, func(pos int, arg ast.Expr) {
 					argDrops(arg, pos == -1)
 				})
@@ -495,69 +466,72 @@ func (rb *resBalance) checkUnit(pkg *Package, body *ast.BlockStmt) {
 			}
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
-				if id, ok := ast.Unparen(res).(*ast.Ident); ok {
-					if obj := identObj(info, id); obj != nil {
-						if b, tracked := borrows[obj]; tracked {
-							b.returned = true
-						}
-					}
+				if b := borrows[exprObj(info, res)]; b != nil {
+					b.returned = true
 				}
 			}
 		case *ast.AssignStmt:
 			// Aliasing the value (x := h, s.f = h) leaves the domain.
 			for _, rhs := range n.Rhs {
-				if id, ok := ast.Unparen(rhs).(*ast.Ident); ok {
-					if obj := identObj(info, id); obj != nil {
-						if b, tracked := borrows[obj]; tracked {
-							b.dropped = true
-						}
-					}
-				}
+				drop(rhs)
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				markIdentDrop(info, n.X, borrows)
+				drop(n.X)
 			}
 		case *ast.CompositeLit:
 			for _, el := range n.Elts {
-				markIdentDrop(info, el, borrows)
+				drop(el)
 			}
 		case *ast.SendStmt:
-			markIdentDrop(info, n.Value, borrows)
+			drop(n.Value)
 		}
 		return true
 	})
 
-	tracked := make(map[types.Object]*resBorrow)
+	sites := make(map[pathKey]balanceSite)
 	for obj, b := range borrows {
 		if b.dropped {
 			continue
 		}
 		if !b.released && !b.returned {
 			rb.pass.Reportf(b.pos,
-				"acquired %s has no matching release in this function (declared by //lint:resource)", b.className())
+				"acquired %s has no matching release in this function (declared by //lint:resource)", classSetName(b.classes))
 			continue
 		}
-		tracked[obj] = b
+		sites[varKey(obj)] = balanceSite{pos: b.pos, name: classSetName(b.classes)}
 	}
-	if len(tracked) > 0 {
-		rf := &resFlow{rb: rb, info: info, tracked: tracked}
-		rf.run(body)
-	}
-}
-
-// markIdentDrop drops a directly-mentioned tracked value from the
-// modeled domain.
-func markIdentDrop(info *types.Info, expr ast.Expr, borrows map[types.Object]*resBorrow) {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	if !ok {
+	if len(sites) == 0 {
 		return
 	}
-	if obj := identObj(info, id); obj != nil {
-		if b, tracked := borrows[obj]; tracked {
-			b.dropped = true
-		}
+	o := ownership{
+		acquires: func(call *ast.CallExpr, obj types.Object) bool {
+			b := borrows[obj]
+			return b != nil && intersects(rb.summary(calleeFunc(info, call)).acquires, b.classes)
+		},
+		releases: func(call *ast.CallExpr, release func(types.Object)) {
+			for arg, classes := range rb.releaseClasses(info, call) {
+				obj := exprObj(info, arg)
+				if b := borrows[obj]; b != nil && intersects(classes, b.classes) {
+					release(obj)
+				}
+			}
+		},
+		// An acquirer may legitimately return nil ("nothing to acquire
+		// yet" — SnapshotStore.Acquire before the first publish), so the
+		// post-state is held-or-nil: the value must be discharged where
+		// it may be held, and a nil-comparison refines the branches
+		// rather than pruning one.
+		acquired: ownHeld | ownNil,
+		overwrite: func(name string) string {
+			return "acquire overwrites a still-held " + name + "; the previous one can never be released"
+		},
+		twice: func(name string) string { return "acquired " + name + " is released twice on this path" },
+		leak: func(name string) string {
+			return "acquired " + name + " is not released on every path; a branch or early return leaks it"
+		},
 	}
+	checkBalance(rb.pass, info, body, o.spec(), sites)
 }
 
 // callName renders the callee for diagnostics.
@@ -578,316 +552,4 @@ func classSetName(classes map[string]bool) string {
 	}
 	sort.Strings(names)
 	return strings.Join(names, "/")
-}
-
-// resState is the per-variable powerset state of the flow layer; the
-// zero value means "unknown" and silences every check for the value.
-type resState uint8
-
-const (
-	resNil      resState = 1 << iota // provably nil on this path
-	resHeld                          // holds an unreleased acquisition
-	resReleased                      // has been released (or returned)
-)
-
-type resFact map[types.Object]resState
-
-func (f resFact) clone() resFact {
-	out := make(resFact, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
-
-func joinResFact(a, b resFact) resFact {
-	out := a.clone()
-	for k, v := range b {
-		out[k] |= v
-	}
-	return out
-}
-
-func eqResFact(a, b resFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// resFlow is the flow-sensitive layer over one unit, shaped exactly
-// like poolbalance's: a silent fixpoint, a reporting replay, then the
-// leak check at every non-panicking exit with deferred releases folded
-// in.
-type resFlow struct {
-	rb        *resBalance
-	info      *types.Info
-	tracked   map[types.Object]*resBorrow
-	reporting bool
-	seen      map[token.Pos]map[string]bool
-}
-
-func (rf *resFlow) report(pos token.Pos, msg string) {
-	if !rf.reporting {
-		return
-	}
-	if rf.seen[pos] == nil {
-		rf.seen[pos] = make(map[string]bool)
-	}
-	if rf.seen[pos][msg] {
-		return
-	}
-	rf.seen[pos][msg] = true
-	rf.rb.pass.Reportf(pos, "%s", msg)
-}
-
-func (rf *resFlow) run(body *ast.BlockStmt) {
-	g := dataflow.NewFromBlock(body, func(call *ast.CallExpr) bool {
-		return isBuiltinPanic(rf.info, call)
-	})
-	if g == nil {
-		return
-	}
-	an := dataflow.Analysis[resFact]{
-		Init:   resFact{},
-		Join:   joinResFact,
-		Equal:  eqResFact,
-		Stmt:   rf.transfer,
-		Refine: rf.refine,
-	}
-	res := dataflow.Forward(g, an)
-
-	rf.reporting = true
-	rf.seen = make(map[token.Pos]map[string]bool)
-	for _, blk := range g.Blocks {
-		in, ok := res.In[blk]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range blk.Stmts {
-			f = rf.transfer(n, f)
-		}
-	}
-	rf.reporting = false
-
-	panicking := make(map[*dataflow.Block]bool)
-	for _, blk := range g.PanicExits {
-		panicking[blk] = true
-	}
-	target := g.Exit
-	if g.Defers != nil {
-		target = g.Defers
-	}
-	leaked := make(map[types.Object]bool)
-	for _, blk := range uniqueBlocks(target.Preds) {
-		if panicking[blk] {
-			continue
-		}
-		f, ok := res.Out(blk, an)
-		if !ok {
-			continue
-		}
-		if g.Defers != nil {
-			for _, n := range g.Defers.Stmts {
-				f = rf.transfer(n, f)
-			}
-		}
-		for obj, st := range f {
-			if st&resHeld != 0 {
-				leaked[obj] = true
-			}
-		}
-	}
-	for obj := range leaked {
-		b := rf.tracked[obj]
-		rf.rb.pass.Reportf(b.pos,
-			"acquired %s is not released on every path; a branch or early return leaks it", b.className())
-	}
-}
-
-func (rf *resFlow) transfer(n ast.Node, in resFact) resFact {
-	out := in
-	cloned := false
-	set := func(obj types.Object, st resState) {
-		if !cloned {
-			out = in.clone()
-			cloned = true
-		}
-		out[obj] = st
-	}
-	get := func(obj types.Object) resState { return out[obj] }
-
-	var walk func(n ast.Node, insideDefer bool)
-	walk = func(n ast.Node, insideDefer bool) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.FuncLit:
-				return insideDefer
-			case *ast.DeferStmt:
-				return false // registration point; runs on the defers block
-			case *ast.RangeStmt:
-				walk(x.X, insideDefer)
-				for _, e := range []ast.Expr{x.Key, x.Value} {
-					if e == nil {
-						continue
-					}
-					if id, ok := ast.Unparen(e).(*ast.Ident); ok && id.Name != "_" {
-						if obj := identObj(rf.info, id); obj != nil {
-							if _, tr := rf.tracked[obj]; tr {
-								set(obj, 0)
-							}
-						}
-					}
-				}
-				return false
-			case *ast.AssignStmt:
-				if len(x.Lhs) == len(x.Rhs) {
-					for i := range x.Rhs {
-						rf.assign(x.Lhs[i], x.Rhs[i], get, set)
-					}
-				}
-				return true
-			case *ast.ReturnStmt:
-				for _, res := range x.Results {
-					if id, ok := ast.Unparen(res).(*ast.Ident); ok {
-						if obj := identObj(rf.info, id); obj != nil {
-							if _, tr := rf.tracked[obj]; tr {
-								set(obj, resReleased) // ownership moves out
-							}
-						}
-					}
-				}
-				return true
-			case *ast.ValueSpec:
-				for i, name := range x.Names {
-					obj := identObj(rf.info, name)
-					if obj == nil {
-						continue
-					}
-					if _, tr := rf.tracked[obj]; !tr {
-						continue
-					}
-					if i < len(x.Values) {
-						rf.assign(name, x.Values[i], get, set)
-					} else {
-						set(obj, resNil) // var h *Handle
-					}
-				}
-				return true
-			case *ast.CallExpr:
-				for arg, classes := range rf.rb.releaseClasses(rf.info, x) {
-					id, ok := ast.Unparen(arg).(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj := identObj(rf.info, id)
-					if obj == nil {
-						continue
-					}
-					b, tr := rf.tracked[obj]
-					if !tr || !intersects(classes, b.classes) {
-						continue
-					}
-					if get(obj) == resReleased {
-						rf.report(x.Pos(), "acquired "+b.className()+" is released twice on this path")
-					}
-					set(obj, resReleased)
-				}
-				return true
-			}
-			return true
-		})
-	}
-	switch s := n.(type) {
-	case *dataflow.DeferRun:
-		walk(s.D.Call, true)
-	default:
-		walk(n, false)
-	}
-	return out
-}
-
-func (rf *resFlow) assign(lhs, rhs ast.Expr, get func(types.Object) resState, set func(types.Object, resState)) {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok {
-		return
-	}
-	obj := identObj(rf.info, id)
-	if obj == nil {
-		return
-	}
-	b, isTracked := rf.tracked[obj]
-	if !isTracked {
-		return
-	}
-	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-		if acq := rf.rb.summary(calleeFunc(rf.info, call)).acquires; intersects(acq, b.classes) {
-			if get(obj)&resHeld != 0 {
-				rf.report(call.Pos(), "acquire overwrites a still-held "+b.className()+"; the previous one can never be released")
-			}
-			// An acquirer may legitimately return nil ("nothing to
-			// acquire yet" — SnapshotStore.Acquire before the first
-			// publish), so the post-state is held-or-nil: the value must
-			// be discharged where it may be held, and a nil-comparison
-			// refines the branches rather than pruning one.
-			set(obj, resHeld|resNil)
-			return
-		}
-	}
-	if nid, ok := ast.Unparen(rhs).(*ast.Ident); ok && nid.Name == "nil" {
-		if _, isNil := rf.info.Uses[nid].(*types.Nil); isNil {
-			set(obj, resNil)
-			return
-		}
-	}
-	set(obj, 0) // rebound to something unmodeled
-}
-
-func (rf *resFlow) refine(cond ast.Expr, neg bool, in resFact) (resFact, bool) {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return in, true
-	}
-	var id *ast.Ident
-	if x, ok := ast.Unparen(be.X).(*ast.Ident); ok && isNilIdent(rf.info, be.Y) {
-		id = x
-	} else if y, ok := ast.Unparen(be.Y).(*ast.Ident); ok && isNilIdent(rf.info, be.X) {
-		id = y
-	}
-	if id == nil {
-		return in, true
-	}
-	obj := identObj(rf.info, id)
-	if obj == nil {
-		return in, true
-	}
-	st, tracked := in[obj]
-	if !tracked || st == 0 {
-		return in, true
-	}
-	nilEdge := (be.Op == token.EQL) != neg
-	if nilEdge {
-		if st&resNil == 0 {
-			return nil, false // provably non-nil: the nil branch is dead
-		}
-		out := in.clone()
-		out[obj] = resNil
-		return out, true
-	}
-	rest := st &^ resNil
-	if rest == 0 {
-		return nil, false // provably nil: the non-nil branch is dead
-	}
-	if rest != st {
-		out := in.clone()
-		out[obj] = rest
-		return out, true
-	}
-	return in, true
 }

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 
 	"quickdrop/internal/lint/dataflow"
 )
@@ -49,14 +48,7 @@ func runShapecheck(pass *Pass) {
 // with reporting enabled.
 func checkShapesUnit(pass *Pass, fd *ast.FuncDecl, lit *ast.FuncLit) {
 	pkg := pass.Pkg
-	isPanic := func(call *ast.CallExpr) bool {
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "panic" {
-			return false
-		}
-		_, builtin := pkg.Info.Uses[id].(*types.Builtin)
-		return builtin
-	}
+	isPanic := func(call *ast.CallExpr) bool { return isBuiltinPanic(pkg.Info, call) }
 	var g *dataflow.Graph
 	var typ *ast.FuncType
 	var recv *ast.FieldList
@@ -88,16 +80,7 @@ func checkShapesUnit(pass *Pass, fd *ast.FuncDecl, lit *ast.FuncLit) {
 	ctx.report = func(pos token.Pos, msg string) {
 		pass.Reportf(pos, "%s", msg)
 	}
-	for _, blk := range g.Blocks {
-		in, ok := res.In[blk]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range blk.Stmts {
-			f = shapeTransfer(ctx, pkg, n, f)
-		}
-	}
+	res.Replay(g, an)
 	ctx.report = nil
 }
 

@@ -57,7 +57,7 @@ func runSnapFreeze(pass *Pass) {
 	sf.sums = dataflow.FixSummaries(pass.Prog.CallGraph(), dataflow.SummaryAnalysis[*types.Func, map[int]bool]{
 		Bottom:   func(*types.Func) map[int]bool { return map[int]bool{} },
 		Transfer: sf.mutSummary,
-		Equal:    eqIntSet,
+		Equal:    eqSet[int],
 	})
 	for _, pkg := range pass.Prog.Packages {
 		for _, f := range pkg.Files {
@@ -81,18 +81,6 @@ func runSnapFreeze(pass *Pass) {
 type snapFreeze struct {
 	pass *Pass
 	sums map[*types.Func]map[int]bool
-}
-
-func eqIntSet(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // exempt reports whether fd is a method of Snapshot or SnapshotStore —
@@ -206,81 +194,47 @@ func (sf *snapFreeze) mutSummary(fn *types.Func, get func(*types.Func) map[int]b
 	return out
 }
 
-// checkBody runs the taint flow over one function unit.
+// checkBody runs the taint flow over one function unit. Ranging over
+// the tainted params slice taints the element variable; any other
+// range clears both key and value.
 func (sf *snapFreeze) checkBody(pkg *Package, body *ast.BlockStmt) {
-	g := dataflow.NewFromBlock(body, nil)
-	if g == nil {
-		return
-	}
-	fl := &snapFlow{sf: sf, info: pkg.Info}
-	an := dataflow.Analysis[taintFact]{
-		Init:  taintFact{},
-		Join:  joinTaintFact,
-		Equal: eqTaintFact,
-		Stmt:  fl.transfer,
-	}
-	res := dataflow.Forward(g, an)
-
-	fl.reporting = true
-	fl.seen = make(map[ast.Node]bool)
-	for _, blk := range g.Blocks {
-		in, ok := res.In[blk]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range blk.Stmts {
-			f = fl.transfer(n, f)
-		}
-	}
-}
-
-type snapFlow struct {
-	sf        *snapFreeze
-	info      *types.Info
-	reporting bool
-	seen      map[ast.Node]bool
-}
-
-func (fl *snapFlow) report(n ast.Node, pos token.Pos, format string, args ...any) {
-	if !fl.reporting || fl.seen[n] {
-		return
-	}
-	fl.seen[n] = true
-	fl.sf.pass.Reportf(pos, format, args...)
+	runTaint(sf.pass, pkg.Info, body, sf.visit, func(tf taintFlow, obj types.Object, elemOf ast.Expr) {
+		tf.mark(obj, elemOf != nil && snapTainted(tf, elemOf))
+	})
 }
 
 // isSnapshotParams reports whether expr is a Snapshot.Params() call —
 // the taint source.
-func (fl *snapFlow) isSnapshotParams(expr ast.Expr) bool {
+func isSnapshotParams(info *types.Info, expr ast.Expr) bool {
 	call, ok := ast.Unparen(expr).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	fn := calleeFunc(fl.info, call)
+	fn := calleeFunc(info, call)
 	return fn != nil && isMethodOn(fn, "Params", "Snapshot", "internal/serve")
 }
 
-// tainted reports whether expr evaluates to snapshot-published storage:
-// a Params() result, a tainted local, an element of one, or a view.
-func (fl *snapFlow) tainted(f taintFact, expr ast.Expr) bool {
+// snapTainted reports whether expr evaluates to snapshot-published
+// storage: a Params() result, a tainted local, an element of one, or a
+// view.
+func snapTainted(tf taintFlow, expr ast.Expr) bool {
 	x := ast.Unparen(expr)
-	if fl.isSnapshotParams(x) {
+	if isSnapshotParams(tf.info, x) {
 		return true
 	}
 	switch x := x.(type) {
 	case *ast.Ident:
-		if obj := identObj(fl.info, x); obj != nil {
-			return f[obj]
+		if obj := identObj(tf.info, x); obj != nil {
+			return tf.tainted(obj)
 		}
 	case *ast.IndexExpr:
-		return fl.tainted(f, x.X)
+		return snapTainted(tf, x.X)
 	case *ast.CallExpr:
 		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
 			switch sel.Sel.Name {
 			case "View", "ViewLike", "RowsView":
-				if fn := calleeFunc(fl.info, x); fn != nil && isMethodOn(fn, sel.Sel.Name, "Tensor", "internal/tensor") {
-					return fl.tainted(f, sel.X)
+				if fn := calleeFunc(tf.info, x); fn != nil && isMethodOn(fn, sel.Sel.Name, "Tensor", "internal/tensor") {
+					return snapTainted(tf, sel.X)
 				}
 			}
 		}
@@ -288,115 +242,75 @@ func (fl *snapFlow) tainted(f taintFact, expr ast.Expr) bool {
 	return false
 }
 
-func (fl *snapFlow) transfer(n ast.Node, in taintFact) taintFact {
-	out := in
-	cloned := false
-	set := func(obj types.Object, tainted bool) {
-		if !cloned {
-			out = in.clone()
-			cloned = true
+func (sf *snapFreeze) visit(tf taintFlow, x ast.Node) bool {
+	switch x := x.(type) {
+	case *ast.FuncLit:
+		return false // a unit of its own, even when deferred
+	case *ast.AssignStmt:
+		if len(x.Lhs) != len(x.Rhs) {
+			break
 		}
-		if tainted {
-			out[obj] = true
-		} else {
-			delete(out, obj)
+		for i := range x.Rhs {
+			switch l := ast.Unparen(x.Lhs[i]).(type) {
+			case *ast.Ident:
+				if obj := exprObj(tf.info, l); obj != nil {
+					tf.mark(obj, snapTainted(tf, x.Rhs[i]))
+				}
+			case *ast.IndexExpr:
+				if snapTainted(tf, l.X) {
+					tf.reportf(l.Pos(), "element store into snapshot parameters; tensors published by Snapshot.Params are immutable outside the store")
+				}
+			case *ast.SelectorExpr:
+				if snapTainted(tf, l.X) {
+					tf.reportf(l.Pos(), "field write through snapshot parameters; tensors published by Snapshot.Params are immutable outside the store")
+				}
+			}
+		}
+	case *ast.CallExpr:
+		if tf.replaying {
+			sf.checkCall(tf, x)
 		}
 	}
-	node := n
-	if dr, ok := n.(*dataflow.DeferRun); ok {
-		node = dr.D.Call
-	}
-	ast.Inspect(node, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false // separate unit
-		case *ast.DeferStmt:
-			return false // registration; the call runs as a DeferRun
-		case *ast.RangeStmt:
-			// Ranging over the tainted params slice taints the element
-			// variable; any other range clears both.
-			el := fl.tainted(out, x.X)
-			if id, ok := ast.Unparen(x.Key).(*ast.Ident); x.Key != nil && ok && id.Name != "_" {
-				if obj := identObj(fl.info, id); obj != nil {
-					set(obj, false)
-				}
-			}
-			if x.Value != nil {
-				if id, ok := ast.Unparen(x.Value).(*ast.Ident); ok && id.Name != "_" {
-					if obj := identObj(fl.info, id); obj != nil {
-						set(obj, el)
-					}
-				}
-			}
-			return false
-		case *ast.AssignStmt:
-			if len(x.Lhs) == len(x.Rhs) {
-				for i := range x.Rhs {
-					switch l := ast.Unparen(x.Lhs[i]).(type) {
-					case *ast.Ident:
-						if l.Name == "_" {
-							continue
-						}
-						if obj := identObj(fl.info, l); obj != nil {
-							set(obj, fl.tainted(out, x.Rhs[i]))
-						}
-					case *ast.IndexExpr:
-						if fl.tainted(out, l.X) {
-							fl.report(x, l.Pos(), "element store into snapshot parameters; tensors published by Snapshot.Params are immutable outside the store")
-						}
-					case *ast.SelectorExpr:
-						if fl.tainted(out, l.X) {
-							fl.report(x, l.Pos(), "field write through snapshot parameters; tensors published by Snapshot.Params are immutable outside the store")
-						}
-					}
-				}
-			}
-			return true
-		case *ast.CallExpr:
-			fl.checkCall(out, x)
-			return true
-		}
-		return true
-	})
-	return out
+	return true
 }
 
 // checkCall reports mutations of tainted values through calls.
-func (fl *snapFlow) checkCall(f taintFact, call *ast.CallExpr) {
+func (sf *snapFreeze) checkCall(tf taintFlow, call *ast.CallExpr) {
+	info := tf.info
 	// t.Mutator(...) on a tainted tensor.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && tensorMutators[sel.Sel.Name] && fl.tainted(f, sel.X) {
-		if fn := calleeFunc(fl.info, call); fn != nil && isMethodOn(fn, sel.Sel.Name, "Tensor", "internal/tensor") {
-			fl.report(call, call.Pos(), "%s mutates snapshot parameters; tensors published by Snapshot.Params are immutable outside the store", sel.Sel.Name)
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && tensorMutators[sel.Sel.Name] && snapTainted(tf, sel.X) {
+		if fn := calleeFunc(info, call); fn != nil && isMethodOn(fn, sel.Sel.Name, "Tensor", "internal/tensor") {
+			tf.reportf(call.Pos(), "%s mutates snapshot parameters; tensors published by Snapshot.Params are immutable outside the store", sel.Sel.Name)
 			return
 		}
 	}
 	// copy(t.Data(), ...) through a tainted t.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "copy" && len(call.Args) > 0 {
-		if _, isBuiltin := fl.info.Uses[id].(*types.Builtin); isBuiltin {
+		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 			if inner, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok {
-				if sel, ok := ast.Unparen(inner.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Data" && fl.tainted(f, sel.X) {
-					fl.report(call, call.Pos(), "copy into snapshot parameter storage; tensors published by Snapshot.Params are immutable outside the store")
+				if sel, ok := ast.Unparen(inner.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Data" && snapTainted(tf, sel.X) {
+					tf.reportf(call.Pos(), "copy into snapshot parameter storage; tensors published by Snapshot.Params are immutable outside the store")
 					return
 				}
 			}
 		}
 	}
-	fn := calleeFunc(fl.info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil {
 		return
 	}
 	// SomeKernelInto(t, ...) with a tainted destination.
 	if strings.HasSuffix(fn.Name(), "Into") && hasPathSuffix(funcPkgPath(fn), "internal/tensor") && len(call.Args) > 0 {
-		if fl.tainted(f, call.Args[0]) {
-			fl.report(call, call.Args[0].Pos(), "snapshot parameter used as %s destination; tensors published by Snapshot.Params are immutable outside the store", fn.Name())
+		if snapTainted(tf, call.Args[0]) {
+			tf.reportf(call.Args[0].Pos(), "snapshot parameter used as %s destination; tensors published by Snapshot.Params are immutable outside the store", fn.Name())
 			return
 		}
 	}
 	// Passing a tainted value at a position the callee writes through.
-	if cs := fl.sf.sums[fn]; len(cs) > 0 {
+	if cs := sf.sums[fn]; len(cs) > 0 {
 		forEachCallArgPos(call, fn, func(pos int, arg ast.Expr) {
-			if cs[pos] && fl.tainted(f, arg) {
-				fl.report(call, arg.Pos(), "%s mutates its %s, and this argument is a snapshot parameter; tensors published by Snapshot.Params are immutable outside the store",
+			if cs[pos] && snapTainted(tf, arg) {
+				tf.reportf(arg.Pos(), "%s mutates its %s, and this argument is a snapshot parameter; tensors published by Snapshot.Params are immutable outside the store",
 					fn.Name(), argPosName(pos))
 			}
 		})

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -250,20 +249,7 @@ type smWrite struct {
 type smSummary map[string]*smWrite
 
 func eqSmWrite(a, b *smWrite) bool {
-	if a.unknown != b.unknown || len(a.consts) != len(b.consts) || len(a.params) != len(b.params) {
-		return false
-	}
-	for c := range a.consts {
-		if !b.consts[c] {
-			return false
-		}
-	}
-	for p := range a.params {
-		if !b.params[p] {
-			return false
-		}
-	}
-	return true
+	return a.unknown == b.unknown && eqSet(a.consts, b.consts) && eqSet(a.params, b.params)
 }
 
 func eqSmSummary(a, b smSummary) bool {
@@ -282,14 +268,12 @@ func eqSmSummary(a, b smSummary) bool {
 // fieldPathOf resolves an ident/selector chain to its root object and
 // the dot-joined field path below the root ("" for a plain ident).
 func fieldPathOf(info *types.Info, expr ast.Expr) (types.Object, string, bool) {
-	key, display, ok := receiverPath(info, expr)
+	key, ok := receiverPath(info, expr)
 	if !ok {
 		return nil, "", false
 	}
-	if i := strings.IndexByte(display, '.'); i >= 0 {
-		return key.root, display[i+1:], true
-	}
-	return key.root, "", true
+	_, path, _ := strings.Cut(key.path, ".")
+	return key.root, path, true
 }
 
 func joinPath(base, path string) string {
@@ -423,37 +407,7 @@ func (sm *stateMachine) transferSummary(fn *types.Func, get func(*types.Func) sm
 // smFact maps tracked machine-typed locations to the bitmask of states
 // they can hold. A missing key means "unknown" (Top), which silences
 // every check for the location — so joins intersect key sets.
-type smFact map[syncKey]uint64
-
-func (f smFact) clone() smFact {
-	out := make(smFact, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
-
-func joinSmFact(a, b smFact) smFact {
-	out := make(smFact)
-	for k, v := range a {
-		if w, ok := b[k]; ok {
-			out[k] = v | w
-		}
-	}
-	return out
-}
-
-func eqSmFact(a, b smFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
+type smFact = keyFact[pathKey, uint64]
 
 func (sm *stateMachine) checkUnit(pkg *Package, body *ast.BlockStmt) {
 	info := pkg.Info
@@ -474,143 +428,48 @@ func (sm *stateMachine) checkUnit(pkg *Package, body *ast.BlockStmt) {
 	if !found {
 		return
 	}
-	cf := &smFlow{sm: sm, info: info}
-	cf.run(body)
+	kf := newKeyFlow[pathKey, uint64](sm.pass, info, body)
+	if kf == nil {
+		return
+	}
+	cf := &smFlow{keyFlow: kf, sm: sm}
+	kf.walker.visit = cf.visit
+	kf.walker.bind = func(obj types.Object, _ ast.Expr) { dropRoot(kf, obj) }
+	solveUnit(kf.flowUnit, kf.analysis(smFact{}, smFact.joinKnown))
 }
 
 type smFlow struct {
-	sm        *stateMachine
-	info      *types.Info
-	reporting bool
-	seen      map[token.Pos]map[string]bool
+	*keyFlow[pathKey, uint64]
+	sm *stateMachine
 }
 
-func (cf *smFlow) report(pos token.Pos, msg string) {
-	if !cf.reporting {
-		return
-	}
-	if cf.seen[pos] == nil {
-		cf.seen[pos] = make(map[string]bool)
-	}
-	if cf.seen[pos][msg] {
-		return
-	}
-	cf.seen[pos][msg] = true
-	cf.sm.pass.Reportf(pos, "%s", msg)
-}
-
-func (cf *smFlow) run(body *ast.BlockStmt) {
-	g := dataflow.NewFromBlock(body, func(call *ast.CallExpr) bool {
-		return isBuiltinPanic(cf.info, call)
-	})
-	if g == nil {
-		return
-	}
-	an := dataflow.Analysis[smFact]{
-		Init:  smFact{},
-		Join:  joinSmFact,
-		Equal: eqSmFact,
-		Stmt:  cf.transfer,
-	}
-	res := dataflow.Forward(g, an)
-
-	cf.reporting = true
-	cf.seen = make(map[token.Pos]map[string]bool)
-	for _, blk := range g.Blocks {
-		in, ok := res.In[blk]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range blk.Stmts {
-			f = cf.transfer(n, f)
-		}
-	}
-	cf.reporting = false
-}
-
-// dropRooted removes every tracked key rooted at obj.
-func dropRooted(f smFact, set func(syncKey, uint64, bool), obj types.Object) {
-	for k := range f {
-		if k.root == obj {
-			set(k, 0, false)
-		}
-	}
-}
-
-func (cf *smFlow) transfer(n ast.Node, in smFact) smFact {
-	out := in
-	cloned := false
-	set := func(k syncKey, mask uint64, present bool) {
-		if !cloned {
-			out = in.clone()
-			cloned = true
-		}
-		if present {
-			out[k] = mask
-		} else {
-			delete(out, k)
-		}
-	}
-
-	var walk func(n ast.Node, insideDefer bool)
-	walk = func(n ast.Node, insideDefer bool) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.FuncLit:
-				return insideDefer
-			case *ast.DeferStmt:
-				return false // runs on the defers block
-			case *ast.RangeStmt:
-				walk(x.X, insideDefer)
-				for _, e := range []ast.Expr{x.Key, x.Value} {
-					if e == nil {
-						continue
-					}
-					if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-						if obj := identObj(cf.info, id); obj != nil {
-							dropRooted(out, set, obj)
-						}
-					}
-				}
-				return false
-			case *ast.AssignStmt:
-				if len(x.Lhs) == len(x.Rhs) {
-					for i := range x.Lhs {
-						walk(x.Rhs[i], insideDefer) // nested calls first
-						cf.assign(x.Lhs[i], x.Rhs[i], out, set)
-					}
-					return false
-				}
-				return true
-			case *ast.UnaryExpr:
-				if x.Op == token.AND {
-					if root, _, ok := fieldPathOf(cf.info, x.X); ok {
-						dropRooted(out, set, root)
-					}
-				}
-				return true
-			case *ast.CallExpr:
-				cf.call(x, out, set)
-				return true
+func (cf *smFlow) visit(x ast.Node) bool {
+	switch x := x.(type) {
+	case *ast.AssignStmt:
+		if len(x.Lhs) == len(x.Rhs) {
+			for i := range x.Lhs {
+				cf.walker.walk(x.Rhs[i]) // nested calls first
+				cf.assign(x.Lhs[i], x.Rhs[i])
 			}
-			return true
-		})
+			return false
+		}
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			if key, ok := receiverPath(cf.info, x.X); ok {
+				dropRoot(cf.keyFlow, key.root)
+			}
+		}
+	case *ast.CallExpr:
+		cf.call(x)
 	}
-	switch s := n.(type) {
-	case *dataflow.DeferRun:
-		walk(s.D.Call, true)
-	default:
-		walk(n, false)
-	}
-	return out
+	return true
 }
 
 // assign folds one lhs = rhs pair: a machine-constant write is checked
 // against the incoming state set and then lands strongly; any other
 // write to a tracked location degrades it to unknown.
-func (cf *smFlow) assign(lhs, rhs ast.Expr, f smFact, set func(syncKey, uint64, bool)) {
-	root, path, ok := fieldPathOf(cf.info, lhs)
+func (cf *smFlow) assign(lhs, rhs ast.Expr) {
+	key, ok := receiverPath(cf.info, lhs)
 	if !ok {
 		return
 	}
@@ -618,24 +477,21 @@ func (cf *smFlow) assign(lhs, rhs ast.Expr, f smFact, set func(syncKey, uint64, 
 	if m == nil {
 		// Overwriting a struct that contains tracked fields (t = other)
 		// invalidates everything below it.
-		if path == "" {
-			dropRooted(f, set, root)
+		if !strings.Contains(key.path, ".") {
+			dropRoot(cf.keyFlow, key.root)
 		}
 		return
 	}
-	key := syncKey{root: root, path: path}
 	c := cf.sm.constOf(cf.info, rhs)
 	if c == nil || cf.sm.machineOf(c.Type()) != m {
-		set(key, 0, false)
+		cf.set(key, 0)
 		return
 	}
-	if mask, known := f[key]; known && mask != 0 {
-		if !cf.legal(m, mask, m.mask(c)) {
-			cf.report(lhs.Pos(), fmt.Sprintf("illegal %s transition %s -> %s; the declared lifecycle has no such edge",
-				m.typ.Name(), m.namesOf(mask), c.Name()))
-		}
+	if mask := cf.out[key]; mask != 0 && !cf.legal(m, mask, m.mask(c)) {
+		cf.reportf(lhs.Pos(), "illegal %s transition %s -> %s; the declared lifecycle has no such edge",
+			m.typ.Name(), m.namesOf(mask), c.Name())
 	}
-	set(key, m.mask(c), true)
+	cf.set(key, m.mask(c))
 }
 
 // legal reports whether some (from, to) pair across the two masks is a
@@ -660,37 +516,35 @@ func (cf *smFlow) legal(m *smMachine, fromMask, toMask uint64) bool {
 // call folds one call: a summarized method on a tracked receiver
 // applies its write effects (checked like direct assignments); any
 // other call degrades the locations its arguments mention.
-func (cf *smFlow) call(call *ast.CallExpr, f smFact, set func(syncKey, uint64, bool)) {
+func (cf *smFlow) call(call *ast.CallExpr) {
 	callee := calleeFunc(cf.info, call)
 	// Arguments first: passing a tracked value (or its root) anywhere
 	// hands it to code the flow cannot see.
 	for _, arg := range call.Args {
-		if root, _, ok := fieldPathOf(cf.info, arg); ok {
-			dropRooted(f, set, root)
+		if key, ok := receiverPath(cf.info, arg); ok {
+			dropRoot(cf.keyFlow, key.root)
 		}
 	}
 	if callee == nil {
 		return
 	}
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	sum, summarized := cf.sm.sums[callee]
 	if !summarized || len(sum) == 0 {
 		// An unsummarized callee on a tracked receiver could write
 		// anything; a summarized one with no effects provably writes
 		// nothing.
-		if !summarized {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if root, _, ok := fieldPathOf(cf.info, sel.X); ok {
-					dropRooted(f, set, root)
-				}
+		if !summarized && isSel {
+			if key, ok := receiverPath(cf.info, sel.X); ok {
+				dropRoot(cf.keyFlow, key.root)
 			}
 		}
 		return
 	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
+	if !isSel {
 		return
 	}
-	root, basePath, ok := fieldPathOf(cf.info, sel.X)
+	base, ok := receiverPath(cf.info, sel.X)
 	if !ok {
 		return
 	}
@@ -701,7 +555,7 @@ func (cf *smFlow) call(call *ast.CallExpr, f smFact, set func(syncKey, uint64, b
 	sort.Strings(paths)
 	for _, p := range paths {
 		w := sum[p]
-		key := syncKey{root: root, path: joinPath(basePath, p)}
+		key := pathKey{root: base.root, path: base.path + "." + p}
 		var m *smMachine
 		writes := uint64(0)
 		unknown := w.unknown
@@ -726,18 +580,16 @@ func (cf *smFlow) call(call *ast.CallExpr, f smFact, set func(syncKey, uint64, b
 			unknown = true
 		}
 		if unknown || m == nil || writes == 0 {
-			set(key, 0, false)
+			cf.set(key, 0)
 			continue
 		}
-		if mask, known := f[key]; known && mask != 0 {
-			if !cf.legal(m, mask, writes) {
-				cf.report(call.Pos(), fmt.Sprintf("call to %s moves %s from %s to %s; the declared lifecycle has no such edge",
-					callee.Name(), m.typ.Name(), m.namesOf(mask), m.namesOf(writes)))
-			}
+		if mask := cf.out[key]; mask != 0 && !cf.legal(m, mask, writes) {
+			cf.reportf(call.Pos(), "call to %s moves %s from %s to %s; the declared lifecycle has no such edge",
+				callee.Name(), m.typ.Name(), m.namesOf(mask), m.namesOf(writes))
 		}
 		// The declared writes are assumed to land: a guard that would
 		// silently drop the write hides a dead transition, which is
 		// exactly what the rule exists to surface.
-		set(key, writes, true)
+		cf.set(key, writes)
 	}
 }

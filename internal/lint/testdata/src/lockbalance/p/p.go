@@ -71,6 +71,34 @@ func (s *store) loopRelock(keys []string) {
 	}
 }
 
+// rangeBranchUnlock is clean: every path through the range body
+// Unlocks exactly once, like the same body in a three-clause loop.
+func (s *store) rangeBranchUnlock(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		s.mu.Lock()
+		if x > 0 {
+			s.mu.Unlock()
+			continue
+		}
+		n++
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// rangeSkipsUnlock deadlocks on the iteration after a positive x: the
+// continue skips the Unlock.
+func (s *store) rangeSkipsUnlock(xs []int) {
+	for _, x := range xs {
+		s.mu.Lock() // want `relocking deadlocks` `s.mu is not unlocked on every path`
+		if x > 0 {
+			continue
+		}
+		s.mu.Unlock()
+	}
+}
+
 // doubleUnlock releases twice; the second Unlock panics at runtime.
 func (s *store) doubleUnlock() {
 	s.mu.Lock()
@@ -90,6 +118,22 @@ func (s *store) upgrade(k string) {
 	s.rw.RLock()
 	s.rw.Lock() // want `while its read lock is held on this path; the upgrade deadlocks`
 	_ = s.data[k]
+}
+
+// writeThenRead deadlocks: RLock while this goroutine holds the write
+// lock.
+func (s *store) writeThenRead(k string) {
+	s.rw.Lock()
+	s.rw.RLock() // want `RLock while its write lock is held on this path; same-goroutine reacquisition deadlocks`
+	_ = s.data[k]
+}
+
+// doubleRUnlock releases the read lock twice; the second RUnlock panics
+// at runtime.
+func (s *store) doubleRUnlock() {
+	s.rw.RLock()
+	s.rw.RUnlock()
+	s.rw.RUnlock() // want `RUnlock without an RLock on this path`
 }
 
 // readThenWrite is clean: the read lock is released before the write

@@ -86,3 +86,32 @@ func SpawnIndependent(a *Account, au *Audit) {
 		au.Mu.Unlock()
 	}()
 }
+
+// Pair's locks are only ever ordered B → A, by LockBA.
+type Pair struct {
+	A, B sync.Mutex
+}
+
+// RangeBranches is clean: A is held only on the branch that does not
+// take B, and the branch that takes B releases it and continues before
+// A is locked again.
+func RangeBranches(p *Pair, xs []int) {
+	for _, x := range xs {
+		if x > 0 {
+			p.A.Lock()
+		} else {
+			p.B.Lock()
+			p.B.Unlock()
+			continue
+		}
+		p.A.Unlock()
+	}
+}
+
+// LockBA takes B, then A.
+func LockBA(p *Pair) {
+	p.B.Lock()
+	defer p.B.Unlock()
+	p.A.Lock()
+	p.A.Unlock()
+}

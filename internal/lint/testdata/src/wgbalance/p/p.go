@@ -37,6 +37,18 @@ func branchBalanced(wg *sync.WaitGroup, fast bool) {
 	wg.Done()
 }
 
+// rangeEarlyDone is clean: the Done inside the range loop returns at
+// once, so no path runs two.
+func rangeEarlyDone(wg *sync.WaitGroup, xs []int) {
+	for _, x := range xs {
+		if x > 0 {
+			wg.Done()
+			return
+		}
+	}
+	wg.Done()
+}
+
 // doubleDone drives the counter negative on the straight-line path.
 func doubleDone(wg *sync.WaitGroup) {
 	wg.Done()

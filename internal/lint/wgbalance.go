@@ -3,9 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
-
-	"quickdrop/internal/lint/dataflow"
 )
 
 // WGBalance enforces sync.WaitGroup discipline on the CFG:
@@ -21,68 +18,70 @@ import (
 //     (Wait can observe the counter at zero before the goroutine runs
 //     Add); Add belongs in the spawner, before the go statement.
 //
-// Receivers are tracked like lockbalance's mutexes, by selector path
-// from a root object. Units that both Add and Done on one WaitGroup
-// are orchestrators balancing the counter deliberately and are exempt
-// from the path checks; rebinding the root degrades to unknown and
-// silences everything.
+// Receivers are tracked by selector path from a root object. Units
+// that both Add and Done on one WaitGroup are orchestrators balancing
+// the counter deliberately and are exempt from the path checks;
+// rebinding the root degrades to unknown and silences everything.
 var WGBalance = &Analyzer{
 	Name: "wgbalance",
 	Doc:  "WaitGroup Done on every path, no double Done, no Add inside the spawned goroutine",
 	Run:  runWGBalance,
 }
 
-// wgState tracks how many Done calls have run on a path as a powerset
-// over {zero, one, two-or-more}. Zero value means unknown and silences
-// every check.
-type wgState uint8
-
+// The Done-count lattice is the powerset of these states.
 const (
-	wgD0 wgState = 1 << iota // no Done has run on this path
-	wgD1                     // exactly one Done has run
-	wgD2                     // two or more: the counter may go negative
+	wgD0 pathState = 1 << iota // no Done has run on this path
+	wgD1                       // exactly one Done has run
+	wgD2                       // two or more: the counter may go negative
 )
 
-type wgFact map[syncKey]wgState
-
-func (f wgFact) clone() wgFact {
-	out := make(wgFact, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
-
-func joinWGFact(a, b wgFact) wgFact {
-	out := a.clone()
-	for k, v := range b {
-		out[k] |= v
-	}
-	return out
-}
-
-func eqWGFact(a, b wgFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
+// wgSpec counts Dones; Add and Wait leave the count alone — Add moves
+// the counter up, never below zero, and units that also Add are
+// exempt.
+var wgSpec = &balanceSpec{
+	init: wgD0,
+	scan: syncScan(isWaitGroupMethod, map[syncOp]balanceOp{opWGDone: balRelease}),
+	step: func(_ balanceOp, st pathState, name string) (pathState, string) {
+		switch {
+		case st == 0:
+			return 0, "" // unknown stays unknown
+		case st&wgD0 == 0:
+			// Every path here already ran Done once; degrade so the
+			// finding does not cascade.
+			return 0, name + ".Done on a path where it already ran; the counter goes negative and panics"
 		}
-	}
-	return true
-}
-
-// wgSite remembers the first Done call on a receiver for diagnostics.
-type wgSite struct {
-	pos     token.Pos
-	display string
+		next := wgD1
+		if st&(wgD1|wgD2) != 0 {
+			next |= wgD2
+		}
+		return next, ""
+	},
+	verdict: func(e exitStates, name string) string {
+		switch {
+		case e.unknown:
+			return ""
+		case e.normal&wgD0 != 0 && e.normal&(wgD1|wgD2) != 0:
+			return name + ".Done is skipped on some path out of this function; the matching Wait hangs"
+		case e.normal&wgD0 == 0 && e.normal != 0 && e.panicInit:
+			return name + ".Done is skipped when this function panics; defer it so every exit runs it"
+		}
+		return ""
+	},
 }
 
 func runWGBalance(pass *Pass) {
+	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		funcUnits(f, func(body *ast.BlockStmt, _ string) {
-			checkWGBalance(pass, body)
+			// A unit is judged for the WaitGroups it calls Done on. Units
+			// that also Add on one orchestrate the counter deliberately
+			// (a conditional Add paired with a conditional Done) and are
+			// exempt.
+			sites := syncSites(info, body, isWaitGroupMethod, opWGDone)
+			for key := range syncSites(info, body, isWaitGroupMethod, opWGAdd) {
+				delete(sites, key)
+			}
+			checkBalance(pass, info, body, wgSpec, sites)
 		})
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -90,241 +89,6 @@ func runWGBalance(pass *Pass) {
 			}
 		}
 	}
-}
-
-// wgOpAt classifies a node as a WaitGroup call on a trackable receiver.
-func wgOpAt(info *types.Info, n ast.Node) (syncKey, string, syncOp, *ast.CallExpr) {
-	call, ok := n.(*ast.CallExpr)
-	if !ok {
-		return syncKey{}, "", opNone, nil
-	}
-	op := isWaitGroupMethod(calleeFunc(info, call))
-	if op == opNone {
-		return syncKey{}, "", opNone, nil
-	}
-	recv, ok := syncCallRecv(call)
-	if !ok {
-		return syncKey{}, "", opNone, nil
-	}
-	key, display, ok := receiverPath(info, recv)
-	if !ok {
-		return syncKey{}, "", opNone, nil
-	}
-	return key, display, op, call
-}
-
-func checkWGBalance(pass *Pass, body *ast.BlockStmt) {
-	info := pass.Pkg.Info
-
-	// Pre-scan: the flow analysis activates per receiver the unit calls
-	// Done on. Units that also Add on the same receiver orchestrate the
-	// counter deliberately (conditional Add paired with conditional
-	// Done) and are exempt from the path checks.
-	sites := make(map[syncKey]*wgSite)
-	adds := make(map[syncKey]bool)
-	inspectShallow(body, func(n ast.Node) {
-		key, display, op, call := wgOpAt(info, n)
-		switch op {
-		case opWGDone:
-			if _, ok := sites[key]; !ok {
-				sites[key] = &wgSite{pos: call.Pos(), display: display}
-			}
-		case opWGAdd:
-			adds[key] = true
-		}
-	})
-	for key := range adds {
-		delete(sites, key)
-	}
-	if len(sites) == 0 {
-		return
-	}
-
-	wf := &wgFlow{pass: pass, info: info, sites: sites}
-	wf.run(body)
-}
-
-// wgFlow mirrors lockFlow: a silent fixpoint, a reporting replay for
-// double-Done, then the exit walk for missing and panic-skipped Dones.
-type wgFlow struct {
-	pass      *Pass
-	info      *types.Info
-	sites     map[syncKey]*wgSite
-	reporting bool
-	seen      map[token.Pos]bool
-}
-
-func (wf *wgFlow) run(body *ast.BlockStmt) {
-	g := dataflow.NewFromBlock(body, func(call *ast.CallExpr) bool {
-		return isBuiltinPanic(wf.info, call)
-	})
-	if g == nil {
-		return
-	}
-	init := wgFact{}
-	for key := range wf.sites {
-		init[key] = wgD0
-	}
-	an := dataflow.Analysis[wgFact]{
-		Init:  init,
-		Join:  joinWGFact,
-		Equal: eqWGFact,
-		Stmt:  wf.transfer,
-	}
-	res := dataflow.Forward(g, an)
-
-	// Replay with reporting on: double-Done fires at its own position.
-	wf.reporting = true
-	wf.seen = make(map[token.Pos]bool)
-	for _, blk := range g.Blocks {
-		in, ok := res.In[blk]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range blk.Stmts {
-			f = wf.transfer(n, f)
-		}
-	}
-	wf.reporting = false
-
-	// Exit walk: join the folded states of all non-panicking exits and
-	// of all panicking exits separately.
-	panicking := make(map[*dataflow.Block]bool)
-	for _, blk := range g.PanicExits {
-		panicking[blk] = true
-	}
-	target := g.Exit
-	if g.Defers != nil {
-		target = g.Defers
-	}
-	normal := make(map[syncKey]wgState)
-	normalUnknown := make(map[syncKey]bool)
-	panicPure := make(map[syncKey]bool) // some panic exit where no Done ran
-	for _, blk := range uniqueBlocks(target.Preds) {
-		f, ok := res.Out(blk, an)
-		if !ok {
-			continue
-		}
-		if g.Defers != nil {
-			for _, n := range g.Defers.Stmts {
-				f = wf.transfer(n, f)
-			}
-		}
-		for key := range wf.sites {
-			st := f[key]
-			if panicking[blk] {
-				if st == wgD0 {
-					panicPure[key] = true
-				}
-				continue
-			}
-			if st == 0 {
-				normalUnknown[key] = true
-				continue
-			}
-			normal[key] |= st
-		}
-	}
-	for key, site := range wf.sites {
-		if normalUnknown[key] {
-			continue
-		}
-		joined := normal[key]
-		switch {
-		case joined&wgD0 != 0 && joined&(wgD1|wgD2) != 0:
-			wf.pass.Reportf(site.pos,
-				"%s.Done is skipped on some path out of this function; the matching Wait hangs", site.display)
-		case joined&wgD0 == 0 && joined != 0 && panicPure[key]:
-			wf.pass.Reportf(site.pos,
-				"%s.Done is skipped when this function panics; defer it so every exit runs it", site.display)
-		}
-	}
-}
-
-// transfer folds one CFG node: Done shifts the receiver's count bits
-// (reporting a definite double-Done during replay), rebinding the root
-// degrades to unknown. Add and Wait leave the count alone — Add moves
-// the counter up, never below zero, and the pre-scan already exempted
-// orchestrator units.
-func (wf *wgFlow) transfer(n ast.Node, in wgFact) wgFact {
-	out := in
-	cloned := false
-	set := func(key syncKey, st wgState) {
-		if !cloned {
-			out = in.clone()
-			cloned = true
-		}
-		out[key] = st
-	}
-
-	var walk func(n ast.Node, insideDefer bool)
-	walk = func(n ast.Node, insideDefer bool) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.FuncLit:
-				return insideDefer
-			case *ast.DeferStmt:
-				return false // registration point; runs on the defers block
-			case *ast.AssignStmt:
-				for _, lhs := range x.Lhs {
-					id, ok := ast.Unparen(lhs).(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj := identObj(wf.info, id)
-					if obj == nil {
-						continue
-					}
-					for key := range wf.sites {
-						if key.root == obj && out[key] != 0 {
-							set(key, 0)
-						}
-					}
-				}
-				return true
-			case *ast.CallExpr:
-				key, display, op, call := wgOpAt(wf.info, x)
-				if op != opWGDone {
-					return true
-				}
-				if _, tracked := wf.sites[key]; !tracked {
-					return true
-				}
-				st := out[key]
-				if st == 0 {
-					return true // unknown stays unknown
-				}
-				if st&wgD0 == 0 {
-					// Every path here already ran Done once.
-					if wf.reporting && !wf.seen[call.Pos()] {
-						wf.seen[call.Pos()] = true
-						wf.pass.Reportf(call.Pos(),
-							"%s.Done on a path where it already ran; the counter goes negative and panics", display)
-					}
-					set(key, 0) // degrade: don't cascade
-					return true
-				}
-				next := wgState(0)
-				if st&wgD0 != 0 {
-					next |= wgD1
-				}
-				if st&(wgD1|wgD2) != 0 {
-					next |= wgD2
-				}
-				set(key, next)
-				return true
-			}
-			return true
-		})
-	}
-	switch s := n.(type) {
-	case *dataflow.DeferRun:
-		walk(s.D.Call, true)
-	default:
-		walk(n, false)
-	}
-	return out
 }
 
 // checkWGAddInGo reports wg.Add calls inside a spawned goroutine when
@@ -335,16 +99,15 @@ func checkWGAddInGo(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
 
 	type opSite struct {
-		key     syncKey
-		op      syncOp
-		pos     token.Pos
-		display string
+		key pathKey
+		op  syncOp
+		pos token.Pos
 	}
 	var ops []opSite
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		key, display, op, call := wgOpAt(info, n)
+		key, op, call := syncCallAt(info, n, isWaitGroupMethod)
 		if op == opWGAdd || op == opWGWait {
-			ops = append(ops, opSite{key: key, op: op, pos: call.Pos(), display: display})
+			ops = append(ops, opSite{key: key, op: op, pos: call.Pos()})
 		}
 		return true
 	})
@@ -365,7 +128,7 @@ func checkWGAddInGo(pass *Pass, fd *ast.FuncDecl) {
 			for _, other := range ops {
 				if other.key == add.key && (other.pos < lo || other.pos >= hi) {
 					pass.Reportf(add.pos,
-						"%s.Add inside the spawned goroutine races with Wait; call Add in the spawner before the go statement", add.display)
+						"%s.Add inside the spawned goroutine races with Wait; call Add in the spawner before the go statement", add.key.path)
 					break
 				}
 			}
