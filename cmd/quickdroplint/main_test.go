@@ -74,11 +74,11 @@ func TestRunUnknownFormat(t *testing.T) {
 
 func TestRunResourceRulesCleanOnTree(t *testing.T) {
 	// The real module must stay clean under the resource-lifecycle rule
-	// family; in particular every //lint:resource and //lint:statemachine
-	// directive in the tree must parse (a malformed one is a finding).
+	// family; in particular every //lint:resource directive in the tree
+	// must parse (a malformed one is a finding).
 	chdir(t, filepath.Join("..", ".."))
 	var out, errb bytes.Buffer
-	code := run([]string{"-rules", "resbalance,snapfreeze,statemachine,ctxflow", "./..."}, &out, &errb)
+	code := run([]string{"-rules", "resbalance,snapfreeze,ctxflow", "./..."}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0; findings:\n%s%s", code, out.String(), errb.String())
 	}
@@ -89,7 +89,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, rule := range []string{"poolbalance", "intoalias", "hotpathalloc", "determinism", "graphfreeze", "errcheck", "lockbalance", "lockorder", "goroutineleak", "atomicmix", "wgbalance", "resbalance", "snapfreeze", "statemachine", "ctxflow"} {
+	for _, rule := range []string{"poolbalance", "intoalias", "hotpathalloc", "determinism", "graphfreeze", "errcheck", "lockbalance", "lockorder", "goroutineleak", "atomicmix", "wgbalance", "resbalance", "snapfreeze", "ctxflow", "telemetry"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-list output missing %s:\n%s", rule, out.String())
 		}

@@ -42,7 +42,8 @@ var treeMutations = []treeMutation{
 // TestPathBalanceRulesCatchTreeMutations runs the four path-balance
 // rules over a copy of this module: clean as it stands, then with one
 // bug seeded per rule, each of which its rule (and nothing else) must
-// report.
+// report. treeMutations are the rows of DESIGN.md's rule × mutation
+// table whose rule is still in the suite.
 func TestPathBalanceRulesCatchTreeMutations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module twice")

@@ -1,7 +1,6 @@
 package autodiff
 
 import (
-	"math"
 	"testing"
 
 	"quickdrop/internal/tensor"
@@ -13,12 +12,7 @@ import (
 // VJPs are hand-written against the node's stored operands, so each needs
 // its own numeric agreement check.
 func TestFusedGradientNumericAgreement(t *testing.T) {
-	tests := []struct {
-		name   string
-		shapes [][]int
-		f      func(xs []*Value) *Value
-		seed   int64
-	}{
+	tests := []numericCase{
 		{"sub", [][]int{{2, 3}, {2, 3}}, func(xs []*Value) *Value {
 			return SumAll(PowConst(Sub(xs[0], xs[1]), 2))
 		}, 21},
@@ -59,48 +53,42 @@ func TestFusedGradientNumericAgreement(t *testing.T) {
 		}, 30},
 	}
 	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			xs := make([]*tensor.Tensor, len(tc.shapes))
-			for i, sh := range tc.shapes {
-				xs[i] = randT(tc.seed*100+int64(i), 1, sh...)
-			}
-			if err := CheckGradient(tc.f, xs, fdEps, fdTol); err != nil {
-				t.Fatal(err)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkFirstOrder(t, tc) })
 	}
 }
 
 // The fused primitives must be closed under differentiation: QuickDrop
 // differentiates a distance between gradients, so second-order flows
-// through MulBcast/SubBcast/MulSum. Check ∂²/∂s² numerically.
+// through every one of them. Each row raises the fused op to a power,
+// so its VJP's own graph is differentiated.
 func TestFusedSecondOrderNumeric(t *testing.T) {
-	firstGrad := func(st *tensor.Tensor) *tensor.Tensor {
-		s := Var(st.Clone())
-		mean := Scale(SumAxes(s, 1), 1.0/3)
-		centered := SubBcast(s, mean)
-		loss := SumAll(PowConst(MulSum(centered, centered, 1), 2))
-		return MustGrad(loss, []*Value{s})[0].Data
+	sq := func(v *Value) *Value { return SumAll(PowConst(v, 2)) }
+	tests := []numericCase{
+		{"centered-mulsum", [][]int{{2, 3}}, func(xs []*Value) *Value {
+			centered := SubBcast(xs[0], Scale(SumAxes(xs[0], 1), 1.0/3))
+			return sq(MulSum(centered, centered, 1))
+		}, 31},
+		{"sub", [][]int{{2, 3}, {2, 3}}, func(xs []*Value) *Value { return sq(Mul(Sub(xs[0], xs[1]), xs[0])) }, 71},
+		{"addrowvec", [][]int{{3, 4}, {4}}, func(xs []*Value) *Value { return SumAll(PowConst(AddRowVec(xs[0], xs[1]), 3)) }, 72},
+		{"matmulnt", [][]int{{3, 4}, {2, 4}}, func(xs []*Value) *Value { return sq(MatMulNT(xs[0], xs[1])) }, 73},
+		{"matmultn", [][]int{{4, 3}, {4, 2}}, func(xs []*Value) *Value { return sq(MatMulTN(xs[0], xs[1])) }, 74},
+		{"mulbcast-channels", [][]int{{2, 3, 3, 2}, {1, 1, 1, 2}}, func(xs []*Value) *Value { return sq(MulBcast(xs[0], xs[1])) }, 75},
+		{"addbcast-batch", [][]int{{2, 3, 3, 2}, {2, 1, 1, 1}}, func(xs []*Value) *Value {
+			return SumAll(PowConst(AddBcast(xs[0], xs[1]), 3))
+		}, 76},
+		{"subbcast", [][]int{{3, 4}, {1, 4}}, func(xs []*Value) *Value { return SumAll(PowConst(SubBcast(xs[0], xs[1]), 3)) }, 77},
+		{"mulsum", [][]int{{3, 4}, {3, 4}}, func(xs []*Value) *Value { return sq(MulSum(xs[0], xs[1], 1)) }, 78},
+		{"mulsum-spatial", [][]int{{2, 3, 3, 2}, {2, 3, 3, 2}}, func(xs []*Value) *Value { return sq(MulSum(xs[0], xs[1], 1, 2)) }, 79},
+		{"instance-norm-shape", [][]int{{2, 3, 3, 2}}, func(xs []*Value) *Value {
+			x := xs[0]
+			mean := Scale(SumAxes(x, 1, 2), 1.0/9)
+			centered := SubBcast(x, mean)
+			inv := PowConst(AddConst(Scale(MulSum(centered, centered, 1, 2), 1.0/9), 1e-5), -0.5)
+			return sq(MulBcast(centered, inv))
+		}, 80},
 	}
-
-	st := randT(31, 1, 2, 3)
-	s := Var(st.Clone())
-	mean := Scale(SumAxes(s, 1), 1.0/3)
-	centered := SubBcast(s, mean)
-	loss := SumAll(PowConst(MulSum(centered, centered, 1), 2))
-	g := MustGrad(loss, []*Value{s})[0]
-	m := SumAll(g)
-	hv := MustGrad(m, []*Value{s})[0] // H·1: row sums of the Hessian
-
-	for j := range st.Data() {
-		up := st.Clone()
-		up.Data()[j] += fdEps
-		down := st.Clone()
-		down.Data()[j] -= fdEps
-		numeric := (firstGrad(up).Sum() - firstGrad(down).Sum()) / (2 * fdEps)
-		if got := hv.Data.Data()[j]; math.Abs(got-numeric) > 1e-4*(1+math.Abs(numeric)) {
-			t.Fatalf("second-order elem %d = %g, numeric %g", j, got, numeric)
-		}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) { checkSecondOrder(t, tc) })
 	}
 }
 

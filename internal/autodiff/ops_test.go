@@ -80,13 +80,95 @@ func TestDetachStopsGradient(t *testing.T) {
 }
 
 // Finite-difference checks for each primitive and common compositions.
+// numericCase is one row of the numeric gradient tables: f maps the
+// inputs, drawn with the given shapes from seed, to a scalar.
+type numericCase struct {
+	name   string
+	shapes [][]int
+	f      func(xs []*Value) *Value
+	seed   int64
+}
+
+// inputs draws the row's input tensors.
+func (tc numericCase) inputs() []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, len(tc.shapes))
+	for i, sh := range tc.shapes {
+		xs[i] = randT(tc.seed*100+int64(i), 1, sh...)
+	}
+	return xs
+}
+
+// checkFirstOrder compares the row's analytic gradient with central
+// differences of f.
+func checkFirstOrder(t *testing.T, tc numericCase) {
+	t.Helper()
+	if err := CheckGradient(tc.f, tc.inputs(), fdEps, fdTol); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkSecondOrder compares the row's Hessian-vector product H·v, built by
+// differentiating the gradient graph (HVP), with central differences of
+// the analytic directional derivative ⟨∇f, v⟩ along a fixed random v. A
+// VJP whose own graph differentiates wrongly, or to the wrong shape,
+// fails here even when its first-order values are right.
+func checkSecondOrder(t *testing.T, tc numericCase) {
+	t.Helper()
+	xs := tc.inputs()
+	vs := make([]*tensor.Tensor, len(xs))
+	for i, x := range xs {
+		vs[i] = randT(tc.seed*100+50+int64(i), 1, x.Shape()...)
+	}
+	directional := func(pts []*tensor.Tensor) float64 {
+		vars := make([]*Value, len(pts))
+		for i, p := range pts {
+			vars[i] = Var(p)
+		}
+		d := 0.0
+		for i, g := range MustGrad(tc.f(vars), vars) {
+			d += g.Data.Dot(vs[i])
+		}
+		return d
+	}
+	vars := make([]*Value, len(xs))
+	for i, x := range xs {
+		vars[i] = Var(x.Clone())
+	}
+	hv, err := HVP(tc.f(vars), vars, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		if !hv[i].Data.SameShape(x) {
+			t.Fatalf("H·v for input %d has shape %s, want %s", i, hv[i].Data.ShapeString(), x.ShapeString())
+		}
+		for j := range x.Data() {
+			up := clonePoints(xs)
+			up[i].Data()[j] += fdEps
+			down := clonePoints(xs)
+			down[i].Data()[j] -= fdEps
+			numeric := (directional(up) - directional(down)) / (2 * fdEps)
+			if got := hv[i].Data.Data()[j]; math.Abs(got-numeric) > 1e-4*(1+math.Abs(numeric)) {
+				t.Fatalf("H·v at input %d elem %d = %.8g, numeric %.8g", i, j, got, numeric)
+			}
+		}
+	}
+}
+
+// softmax normalizes the rows of a after shifting them by RowMax, a
+// constant: softmax is shift-invariant, so cutting the gradient through
+// the shift is exact.
+func softmax(a *Value) *Value {
+	e := Exp(Sub(a, BroadcastLike(RowMax(a), a.Data)))
+	return Div(e, BroadcastLike(SumAxes(e, 1), a.Data))
+}
+
+// detachCancel is a − Detach(a) + Detach(a): the value and the true
+// derivative of a, reached only through the undetached path.
+func detachCancel(a *Value) *Value { return Add(Sub(a, Detach(a)), Detach(a)) }
+
 func TestGradientNumericAgreement(t *testing.T) {
-	tests := []struct {
-		name   string
-		shapes [][]int
-		f      func(xs []*Value) *Value
-		seed   int64
-	}{
+	tests := []numericCase{
 		{"add", [][]int{{2, 3}, {2, 3}}, func(xs []*Value) *Value { return SumAll(Add(xs[0], xs[1])) }, 1},
 		{"mul", [][]int{{2, 3}, {2, 3}}, func(xs []*Value) *Value { return SumAll(Mul(xs[0], xs[1])) }, 2},
 		{"div", [][]int{{4}, {4}}, func(xs []*Value) *Value {
@@ -137,17 +219,25 @@ func TestGradientNumericAgreement(t *testing.T) {
 			// Offset keeps values away from the kink where FD is invalid.
 			return SumAll(PowConst(ReLU(AddConst(xs[0], 0.3)), 2))
 		}, 19},
+		{"broadcastlike", [][]int{{1, 4}, {3, 4}}, func(xs []*Value) *Value {
+			return SumAll(Mul(BroadcastLike(xs[0], xs[1].Data), xs[1]))
+		}, 32},
+		{"rowmax-softmax", [][]int{{3, 4}, {3, 4}}, func(xs []*Value) *Value { return SumAll(Mul(softmax(xs[0]), xs[1])) }, 33},
+		{"detach", [][]int{{4}}, func(xs []*Value) *Value { return SumAll(PowConst(detachCancel(xs[0]), 2)) }, 34},
+		{"concatrows", [][]int{{2, 3}, {1, 3}}, func(xs []*Value) *Value {
+			return SumAll(PowConst(ConcatRows(xs[0], xs[1]), 2))
+		}, 35},
+		{"slicerows", [][]int{{4, 3}}, func(xs []*Value) *Value {
+			return SumAll(PowConst(SliceRows(xs[0], 1, 3), 2))
+		}, 36},
+		{"sigmoid", [][]int{{5}}, func(xs []*Value) *Value { return SumAll(Sigmoid(xs[0])) }, 37},
+		{"tanh", [][]int{{5}}, func(xs []*Value) *Value { return SumAll(Tanh(xs[0])) }, 38},
+		{"abs", [][]int{{5}}, func(xs []*Value) *Value {
+			return SumAll(Abs(AddConst(xs[0], 0.3)))
+		}, 39},
 	}
 	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			xs := make([]*tensor.Tensor, len(tc.shapes))
-			for i, sh := range tc.shapes {
-				xs[i] = randT(tc.seed*100+int64(i), 1, sh...)
-			}
-			if err := CheckGradient(tc.f, xs, fdEps, fdTol); err != nil {
-				t.Fatal(err)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkFirstOrder(t, tc) })
 	}
 }
 
@@ -199,22 +289,68 @@ func TestGradOfGradWrtOtherVariable(t *testing.T) {
 	}
 }
 
-// Numeric check of a second-order quantity: h(x) = f'(x) for f = exp(x²),
-// compared against finite differences of the analytic first derivative.
+// Numeric check of second-order quantities: every primitive of ops.go and
+// extra.go (the fused ones are in TestFusedSecondOrderNumeric) inside a
+// loss whose gradient depends on it, so the VJP's own graph is
+// differentiated; linear ops are raised to a power for that reason.
 func TestSecondOrderNumeric(t *testing.T) {
-	first := func(xv float64) float64 {
-		x := Var(tensor.FromSlice([]float64{xv}, 1))
-		f := Exp(PowConst(x, 2))
-		return MustGrad(f, []*Value{x})[0].Item()
+	sq := func(v *Value) *Value { return SumAll(PowConst(v, 2)) }
+	tests := []numericCase{
+		{"exp-square", [][]int{{1}}, func(xs []*Value) *Value { return Exp(PowConst(xs[0], 2)) }, 40},
+		{"add", [][]int{{2, 3}, {2, 3}}, func(xs []*Value) *Value { return sq(Add(xs[0], xs[1])) }, 41},
+		{"mul", [][]int{{2, 3}, {2, 3}}, func(xs []*Value) *Value { return sq(Mul(xs[0], xs[1])) }, 42},
+		{"div", [][]int{{4}, {4}}, func(xs []*Value) *Value {
+			return SumAll(Div(xs[0], AddConst(PowConst(xs[1], 2), 1)))
+		}, 43},
+		{"scale-neg", [][]int{{3}}, func(xs []*Value) *Value { return sq(Neg(Scale(xs[0], 2.5))) }, 44},
+		{"pow3", [][]int{{4}}, func(xs []*Value) *Value { return SumAll(PowConst(xs[0], 3)) }, 45},
+		{"exp", [][]int{{4}}, func(xs []*Value) *Value { return SumAll(Exp(xs[0])) }, 46},
+		{"log-of-positive", [][]int{{4}}, func(xs []*Value) *Value {
+			return SumAll(Log(AddConst(PowConst(xs[0], 2), 1)))
+		}, 47},
+		{"sqrt-of-positive", [][]int{{4}}, func(xs []*Value) *Value {
+			return SumAll(Sqrt(AddConst(PowConst(xs[0], 2), 0.5)))
+		}, 48},
+		{"relu", [][]int{{6}}, func(xs []*Value) *Value { return sq(ReLU(AddConst(xs[0], 0.3))) }, 49},
+		{"matmul", [][]int{{3, 4}, {4, 2}}, func(xs []*Value) *Value { return sq(MatMul(xs[0], xs[1])) }, 50},
+		{"transpose", [][]int{{2, 3}, {3, 2}}, func(xs []*Value) *Value {
+			return sq(Mul(Transpose(xs[0]), xs[1]))
+		}, 51},
+		{"reshape", [][]int{{2, 6}, {3, 4}}, func(xs []*Value) *Value {
+			return sq(Mul(Reshape(xs[0], 3, 4), xs[1]))
+		}, 52},
+		{"sumaxes", [][]int{{3, 4}}, func(xs []*Value) *Value { return sq(SumAxes(PowConst(xs[0], 2), 1)) }, 53},
+		{"broadcastto", [][]int{{3, 1}, {3, 4}}, func(xs []*Value) *Value {
+			return sq(Mul(BroadcastTo(xs[0], 3, 4), xs[1]))
+		}, 54},
+		{"broadcastlike", [][]int{{1, 4}, {3, 4}}, func(xs []*Value) *Value {
+			return sq(Mul(BroadcastLike(xs[0], xs[1].Data), xs[1]))
+		}, 55},
+		{"mean", [][]int{{5}}, func(xs []*Value) *Value { return PowConst(Mean(PowConst(xs[0], 2)), 2) }, 56},
+		{"expand", [][]int{{1}, {2, 3}}, func(xs []*Value) *Value { return sq(Mul(Expand(xs[0], 2, 3), xs[1])) }, 57},
+		{"dot", [][]int{{4}, {4}}, func(xs []*Value) *Value { return PowConst(Dot(xs[0], xs[1]), 2) }, 58},
+		{"im2col", [][]int{{1, 4, 4, 2}}, func(xs []*Value) *Value {
+			g := tensor.ConvGeom{Kernel: 3, Stride: 1, Pad: 1, InH: 4, InW: 4, Channel: 2}
+			return SumAll(PowConst(Im2col(xs[0], g), 3))
+		}, 59},
+		{"col2im", [][]int{{4, 4}}, func(xs []*Value) *Value {
+			g := tensor.ConvGeom{Kernel: 2, Stride: 1, Pad: 0, InH: 3, InW: 3, Channel: 1}
+			return SumAll(PowConst(Col2im(xs[0], 1, g), 3))
+		}, 60},
+		{"rowmax-softmax", [][]int{{3, 4}, {3, 4}}, func(xs []*Value) *Value { return sq(Mul(softmax(xs[0]), xs[1])) }, 61},
+		{"detach", [][]int{{4}}, func(xs []*Value) *Value { return SumAll(PowConst(detachCancel(xs[0]), 3)) }, 62},
+		{"concatrows", [][]int{{2, 3}, {1, 3}}, func(xs []*Value) *Value {
+			return SumAll(PowConst(ConcatRows(xs[0], xs[1]), 3))
+		}, 63},
+		{"slicerows", [][]int{{4, 3}}, func(xs []*Value) *Value {
+			return SumAll(PowConst(SliceRows(xs[0], 1, 3), 3))
+		}, 64},
+		{"sigmoid", [][]int{{5}}, func(xs []*Value) *Value { return SumAll(Sigmoid(xs[0])) }, 65},
+		{"tanh", [][]int{{5}}, func(xs []*Value) *Value { return SumAll(Tanh(xs[0])) }, 66},
+		{"abs", [][]int{{5}}, func(xs []*Value) *Value { return sq(Abs(AddConst(xs[0], 0.3))) }, 67},
 	}
-	xv := 0.7
-	x := Var(tensor.FromSlice([]float64{xv}, 1))
-	f := Exp(PowConst(x, 2))
-	df := MustGrad(f, []*Value{x})[0]
-	d2f := MustGrad(df, []*Value{x})[0]
-	numeric := (first(xv+fdEps) - first(xv-fdEps)) / (2 * fdEps)
-	if math.Abs(d2f.Item()-numeric) > 1e-5*(1+math.Abs(numeric)) {
-		t.Fatalf("d²f = %g, numeric %g", d2f.Item(), numeric)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) { checkSecondOrder(t, tc) })
 	}
 }
 

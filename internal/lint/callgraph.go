@@ -57,38 +57,3 @@ func (p *Program) CallGraph() *dataflow.CallGraph[*types.Func] {
 	})
 	return p.cg
 }
-
-// inlineGuard bounds top-down, call-site-driven summary interpretation
-// — the shape evaluator "inlines" callees at their call sites rather
-// than computing bottom-up summaries over the call graph. A shared
-// active set refuses re-entry into a function already being
-// interpreted further up the chain (direct or mutual recursion), and a
-// depth counter caps total inlining depth so pathological call chains
-// stay cheap.
-type inlineGuard struct {
-	active map[*types.Func]bool
-	depth  int
-	limit  int
-}
-
-func newInlineGuard(limit int) *inlineGuard {
-	return &inlineGuard{active: make(map[*types.Func]bool), limit: limit}
-}
-
-// enter attempts to start interpreting fn, reporting false when fn is
-// already on the chain or the depth cap is reached. Every successful
-// enter must be paired with an exit.
-func (g *inlineGuard) enter(fn *types.Func) bool {
-	if g.depth >= g.limit || g.active[fn] {
-		return false
-	}
-	g.active[fn] = true
-	g.depth++
-	return true
-}
-
-// exit leaves fn's interpretation.
-func (g *inlineGuard) exit(fn *types.Func) {
-	delete(g.active, fn)
-	g.depth--
-}

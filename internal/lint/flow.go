@@ -183,7 +183,7 @@ type pathKey struct {
 // on the paths reaching a program point; a key that is absent has no
 // state bit set. Facts are immutable values: a keyFlow copies before
 // it writes.
-type keyFact[K comparable, S ~uint8 | ~uint64] map[K]S
+type keyFact[K comparable, S ~uint8] map[K]S
 
 func (f keyFact[K, S]) clone() keyFact[K, S] {
 	out := make(keyFact[K, S], len(f))
@@ -199,18 +199,6 @@ func (f keyFact[K, S]) join(g keyFact[K, S]) keyFact[K, S] {
 	out := f.clone()
 	for k, v := range g {
 		out[k] |= v
-	}
-	return out
-}
-
-// joinKnown is the join for facts in which an absent key is unknown
-// (top): only keys both paths know survive.
-func (f keyFact[K, S]) joinKnown(g keyFact[K, S]) keyFact[K, S] {
-	out := make(keyFact[K, S])
-	for k, v := range f {
-		if w, ok := g[k]; ok {
-			out[k] = v | w
-		}
 	}
 	return out
 }
@@ -231,7 +219,7 @@ func (f keyFact[K, S]) equal(g keyFact[K, S]) bool {
 // walks one CFG node with walker, whose visit and bind write the
 // outgoing fact through set; the incoming fact is copied on the first
 // write.
-type keyFlow[K comparable, S ~uint8 | ~uint64] struct {
+type keyFlow[K comparable, S ~uint8] struct {
 	*flowUnit
 	info   *types.Info
 	walker nodeWalker
@@ -240,7 +228,7 @@ type keyFlow[K comparable, S ~uint8 | ~uint64] struct {
 }
 
 // newKeyFlow starts a keyFlow over body; nil for a missing body.
-func newKeyFlow[K comparable, S ~uint8 | ~uint64](pass *Pass, info *types.Info, body *ast.BlockStmt) *keyFlow[K, S] {
+func newKeyFlow[K comparable, S ~uint8](pass *Pass, info *types.Info, body *ast.BlockStmt) *keyFlow[K, S] {
 	u := newFlowUnit(pass, info, body)
 	if u == nil {
 		return nil
@@ -280,7 +268,7 @@ func (kf *keyFlow[K, S]) set(k K, s S) {
 
 // dropRoot removes every key rooted at obj: rebinding the root loses
 // track of everything reached through it.
-func dropRoot[S ~uint8 | ~uint64](kf *keyFlow[pathKey, S], obj types.Object) {
+func dropRoot[S ~uint8](kf *keyFlow[pathKey, S], obj types.Object) {
 	for k := range kf.out {
 		if k.root == obj {
 			kf.set(k, 0)

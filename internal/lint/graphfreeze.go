@@ -138,11 +138,11 @@ func aliasesNode(tf taintFlow, expr ast.Expr) bool {
 			return tf.tainted(obj)
 		}
 	}
-	// t.View(...), t.ViewLike(...), t.RowsView(...) alias t's storage.
+	// t.View(...) and t.RowsView(...) alias t's storage.
 	if call, ok := x.(*ast.CallExpr); ok {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			switch sel.Sel.Name {
-			case "View", "ViewLike", "RowsView":
+			case "View", "RowsView":
 				if fn := calleeFunc(tf.info, call); fn != nil && isMethodOn(fn, sel.Sel.Name, "Tensor", "internal/tensor") {
 					return aliasesNode(tf, sel.X)
 				}

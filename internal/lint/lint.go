@@ -82,11 +82,8 @@ func All() []*Analyzer {
 		LockOrder,
 		PoolBalance,
 		ResBalance,
-		Shapecheck,
 		SnapFreeze,
-		StateMachine,
 		Telemetry,
-		VJPShape,
 		WGBalance,
 	}
 }

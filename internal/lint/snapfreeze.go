@@ -232,7 +232,7 @@ func snapTainted(tf taintFlow, expr ast.Expr) bool {
 	case *ast.CallExpr:
 		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
 			switch sel.Sel.Name {
-			case "View", "ViewLike", "RowsView":
+			case "View", "RowsView":
 				if fn := calleeFunc(tf.info, x); fn != nil && isMethodOn(fn, sel.Sel.Name, "Tensor", "internal/tensor") {
 					return snapTainted(tf, sel.X)
 				}

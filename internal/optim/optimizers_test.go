@@ -33,11 +33,15 @@ func TestMomentumConvergesFasterThanSGDOnQuadratic(t *testing.T) {
 func TestMomentumAscends(t *testing.T) {
 	m := NewMomentum(0.1, 0.9)
 	m.Dir = Ascend
-	x := tensor.FromSlice([]float64{1}, 1)
-	g := tensor.FromSlice([]float64{2}, 1)
+	// A matrix parameter: the velocity must take the parameter's shape,
+	// not only its length.
+	x := tensor.FromSlice([]float64{1, 1}, 1, 2)
+	g := tensor.FromSlice([]float64{2, 2}, 1, 2)
 	m.Step([]*tensor.Tensor{x}, []*tensor.Tensor{g})
-	if x.Data()[0] <= 1 {
-		t.Fatalf("ascent must increase the parameter, got %g", x.Data()[0])
+	for _, v := range x.Data() {
+		if v <= 1 {
+			t.Fatalf("ascent must increase the parameter, got %v", x.Data())
+		}
 	}
 }
 
@@ -57,12 +61,15 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 
 func TestAdamFirstStepIsLRSized(t *testing.T) {
 	// With bias correction, the very first Adam step has magnitude ≈ LR.
+	// A matrix parameter, so the moments must take its shape.
 	a := NewAdam(0.1)
-	x := tensor.FromSlice([]float64{0}, 1)
-	g := tensor.FromSlice([]float64{123}, 1)
+	x := tensor.FromSlice([]float64{0, 0}, 1, 2)
+	g := tensor.FromSlice([]float64{123, -7}, 1, 2)
 	a.Step([]*tensor.Tensor{x}, []*tensor.Tensor{g})
-	if math.Abs(math.Abs(x.Data()[0])-0.1) > 1e-6 {
-		t.Fatalf("first Adam step = %g, want ≈0.1", x.Data()[0])
+	for _, v := range x.Data() {
+		if math.Abs(math.Abs(v)-0.1) > 1e-6 {
+			t.Fatalf("first Adam step = %v, want ≈0.1 per element", x.Data())
+		}
 	}
 }
 

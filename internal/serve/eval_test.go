@@ -99,6 +99,12 @@ func TestWorkerScoresMatchFreshEvaluation(t *testing.T) {
 	}
 
 	checkAll("version 1")
+	// Split is Score and Lookup in one call.
+	for _, req := range all {
+		f, r := CohortEvaluator{Clients: sys.Clients, Test: test}.Split(published(), req)
+		wantF, wantR := fresh(published(), req)
+		same("Split", req, f, r, wantF, wantR)
+	}
 	body, err := json.Marshal(predictBody{Inputs: [][]float64{make([]float64, 6*6)}})
 	if err != nil {
 		t.Fatal(err)

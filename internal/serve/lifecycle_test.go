@@ -46,9 +46,9 @@ var stateRank = map[string]int{
 }
 
 // legalObservation reports whether observing next after prev is
-// consistent with the declared ticket lifecycle (the //lint:statemachine
-// table on State): forward-only, failed reachable from any non-terminal
-// state, nothing after a terminal state.
+// consistent with the ticket lifecycle (the legal table beside State):
+// forward-only, failed reachable from any non-terminal state, nothing
+// after a terminal state.
 func legalObservation(prev, next string) bool {
 	if prev == next {
 		return true
@@ -62,6 +62,50 @@ func legalObservation(prev, next string) bool {
 	pr, okP := stateRank[prev]
 	nr, okN := stateRank[next]
 	return okP && okN && nr > pr
+}
+
+// TestTicketTransitionsFollowLifecycle drives every (from, to) pair of
+// states through the mutator the worker would use for to: the eight
+// lifecycle edges must move the ticket, and every other pair — backward,
+// skipping a state, or leaving a terminal state — must panic naming both
+// states.
+func TestTicketTransitionsFollowLifecycle(t *testing.T) {
+	edges := map[[2]State]bool{
+		{StateQueued, StateCoalesced}:     true,
+		{StateCoalesced, StateUnlearning}: true,
+		{StateUnlearning, StateRecovered}: true,
+		{StateRecovered, StatePublished}:  true,
+		{StateQueued, StateFailed}:        true,
+		{StateCoalesced, StateFailed}:     true,
+		{StateUnlearning, StateFailed}:    true,
+		{StateRecovered, StateFailed}:     true,
+	}
+	for from := StateQueued; from <= StateFailed; from++ {
+		for to := StateQueued; to <= StateFailed; to++ {
+			tk := newTicket(1, core.Request{Kind: core.ClassLevel})
+			tk.state = from
+			msg := func() (msg any) {
+				defer func() { msg = recover() }()
+				switch to {
+				case StateCoalesced:
+					tk.coalesce(1, 0, 0)
+				case StatePublished, StateFailed:
+					tk.finish(to, 1, 0, 0, nil, nil)
+				default:
+					tk.setState(to)
+				}
+				return nil
+			}()
+			switch {
+			case edges[[2]State{from, to}] && msg != nil:
+				t.Errorf("%s -> %s is a lifecycle edge but panicked: %v", from, to, msg)
+			case edges[[2]State{from, to}] && tk.State() != to:
+				t.Errorf("%s -> %s left the ticket in %s", from, to, tk.State())
+			case !edges[[2]State{from, to}] && msg != fmt.Sprintf("serve: illegal ticket transition %s -> %s", from, to):
+				t.Errorf("%s -> %s: panic %v, want one naming both states", from, to, msg)
+			}
+		}
+	}
 }
 
 // TestTicketStatesLegalUnderConcurrentObservation hammers GET

@@ -14,14 +14,9 @@ import (
 //	                                            ↘ failed
 //
 // Failed is reachable from any earlier state (parse-time rejection,
-// batch resolution failure, phase error). The table below is machine
-// checked: quickdroplint's statemachine rule verifies every state
-// write in the tree moves along a declared edge.
-//
-//lint:statemachine StateQueued->StateCoalesced StateCoalesced->StateUnlearning
-//lint:statemachine StateUnlearning->StateRecovered StateRecovered->StatePublished
-//lint:statemachine StateQueued->StateFailed StateCoalesced->StateFailed
-//lint:statemachine StateUnlearning->StateFailed StateRecovered->StateFailed
+// batch resolution failure, phase error). legal is the whole table:
+// every state write goes through State.to, which panics on any other
+// edge.
 type State int32
 
 const (
@@ -32,6 +27,25 @@ const (
 	StatePublished
 	StateFailed
 )
+
+// legal[from][to] reports whether from → to is a lifecycle edge. A
+// terminal state has none, so finishing a ticket twice panics too.
+var legal = [StateFailed + 1][StateFailed + 1]bool{
+	StateQueued:     {StateCoalesced: true, StateFailed: true},
+	StateCoalesced:  {StateUnlearning: true, StateFailed: true},
+	StateUnlearning: {StateRecovered: true, StateFailed: true},
+	StateRecovered:  {StatePublished: true, StateFailed: true},
+}
+
+// to returns next if s → next is a lifecycle edge and panics naming both
+// states otherwise: an illegal move is a bug in the worker, not a
+// request error.
+func (s State) to(next State) State {
+	if !legal[s][next] {
+		panic(fmt.Sprintf("serve: illegal ticket transition %s -> %s", s, next))
+	}
+	return next
+}
 
 // String implements fmt.Stringer.
 func (s State) String() string {
@@ -52,9 +66,6 @@ func (s State) String() string {
 		return fmt.Sprintf("State(%d)", int32(s))
 	}
 }
-
-// Terminal reports whether the lifecycle is over.
-func (s State) Terminal() bool { return s == StatePublished || s == StateFailed }
 
 // Ticket tracks one forget request through the serving lifecycle. The
 // worker mutates it; HTTP handlers snapshot it via View; waiters block
@@ -103,7 +114,7 @@ func (t *Ticket) State() State {
 
 func (t *Ticket) setState(s State) {
 	t.mu.Lock()
-	t.state = s
+	t.state = t.state.to(s)
 	t.mu.Unlock()
 }
 
@@ -111,7 +122,7 @@ func (t *Ticket) setState(s State) {
 // pre-pass accuracies.
 func (t *Ticket) coalesce(seq uint64, fset, rset float64) {
 	t.mu.Lock()
-	t.state = StateCoalesced
+	t.state = t.state.to(StateCoalesced)
 	t.batch = seq
 	t.fsetB, t.rsetB = fset, rset
 	t.mu.Unlock()
@@ -122,11 +133,7 @@ func (t *Ticket) coalesce(seq uint64, fset, rset float64) {
 // wakes the waiters: whoever sees Done closed finds the ticket recorded.
 func (t *Ticket) finish(s State, version uint64, fset, rset float64, err error, record func()) {
 	t.mu.Lock()
-	if t.state.Terminal() {
-		t.mu.Unlock()
-		return
-	}
-	t.state = s
+	t.state = t.state.to(s)
 	t.version = version
 	t.fsetA, t.rsetA = fset, rset
 	t.err = err
@@ -145,9 +152,7 @@ func (t *Ticket) fail(err error, record func()) { t.finish(StateFailed, 0, 0, 0,
 // watchdog verdict that refused the publish.
 func (t *Ticket) failWatchdog(err error, verdict string, record func()) {
 	t.mu.Lock()
-	if !t.state.Terminal() {
-		t.watchdog = verdict
-	}
+	t.watchdog = verdict
 	t.mu.Unlock()
 	t.fail(err, record)
 }

@@ -3,12 +3,10 @@ package tensor
 import "strconv"
 
 // This file is the single home of every shape-panic message in the
-// package. The static shapecheck analyzer (internal/lint) mirrors these
-// formats verbatim, so one grep for a message fragment finds both the
-// runtime panic site and the corresponding lint diagnostic. Changing a
-// format here without updating the analyzer's model (and its golden
-// fixtures) breaks that correspondence — the lint suite's own tests
-// guard it.
+// package, so one grep for a message fragment finds the format every
+// kernel panics with. These panics are the shape check: every kernel
+// call verifies its operands at run time, and autodiff.Grad verifies
+// each gradient against its input's shape.
 
 // shapeErr builds the canonical same-shape mismatch message:
 //

@@ -2,8 +2,8 @@ package tensor
 
 import "testing"
 
-// The shapecheck analyzer mirrors these formats; the literal expectations
-// here pin the runtime side of that correspondence.
+// The literal expectations pin the panic formats a reader greps for when
+// a kernel call panics.
 func TestShapeErrFormats(t *testing.T) {
 	cases := []struct {
 		got, want string

@@ -164,9 +164,6 @@ func (t *Tensor) View(shape ...int) *Tensor {
 	return v
 }
 
-// ViewLike returns a view of t (shared storage) shaped like ref.
-func (t *Tensor) ViewLike(ref *Tensor) *Tensor { return t.View(ref.shape...) }
-
 // ViewInto writes a reshaped view of t (shared storage) into the
 // caller-provided header dst — typically an autodiff node's inline tensor
 // — and returns dst. dst must be a zero-valued header; the result

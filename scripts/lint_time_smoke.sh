@@ -1,14 +1,14 @@
 #!/usr/bin/env sh
-# lint_time_smoke.sh — lint latency gate: the full eighteen-rule
+# lint_time_smoke.sh — lint latency gate: the full fifteen-rule
 # quickdroplint self-run over the module must finish inside a 10-second
-# budget. On a 2-core host the self-run measured 3.45 s, best of 10,
-# both before and after the flow rules moved onto one shared flow engine
-# (medians 4.3 s before, 4.0 s after); loading and type-checking take
-# nearly all of it, the eighteen rules about 0.5 s. The budget has
-# ~2.5x headroom.
+# budget. On a 2-core host, 10 alternating runs per side, the self-run
+# measured best 2.76 s, median 3.12 s with fifteen rules, against best
+# 2.99 s, median 3.44 s with the eighteen before shapecheck, vjpshape
+# and statemachine were retired; loading and type-checking take nearly
+# all of it. The budget has ~3x headroom.
 # The whole-program rules (lockorder, atomicmix, snapfreeze) re-analyze
 # every package and the interprocedural summary fixpoints (resbalance,
-# statemachine, snapfreeze mutation summaries) are the first
+# snapfreeze mutation summaries) are the first
 # thing to go superlinear if someone feeds them an unbounded worklist —
 # this smoke catches that as a CI failure instead of a slow developer
 # loop. Writes a small report (timing + findings) to
