@@ -9,16 +9,15 @@ test:
 	$(GO) test ./...
 
 # Hygiene gate: gofmt, vet, quickdroplint, and race-enabled tests on
-# everything except the slow end-to-end core package (see check.sh).
+# every package (see check.sh).
 check:
 	sh scripts/check.sh
 
-# Static-analysis suite enforcing the compute-backbone invariants
-# (pool balance, *Into aliasing, hot-path allocations, determinism,
-# graph freezing, error handling) and the concurrency discipline
-# (lock balance and ordering, goroutine leaks, atomic/plain mixing,
-# WaitGroup balance). See DESIGN.md "Static analysis" and
-# "Concurrency analysis". CI also gates the self-run's latency via
+# Static-analysis suite, seven rules, each owning a bug no test or
+# run-time check catches: pool and resource balance, silently dropped
+# errors, lock balance and ordering, goroutine leaks and WaitGroup
+# balance. See DESIGN.md "Static analysis" and its "Rule × mutation
+# audit". CI also gates the self-run's latency via
 # scripts/lint_time_smoke.sh (10 s budget).
 lint:
 	$(GO) run ./cmd/quickdroplint ./...

@@ -97,17 +97,21 @@ func main() {
 }
 
 // gradientDistance measures the class-averaged grouped-cosine distance
-// between real and synthetic gradients at the current model.
+// between real and synthetic gradients at the current model. Each class's
+// graphs live in the model's step arena, from a Mark to the Rewind to it.
 func gradientDistance(model *nn.Model, real, syn *data.Dataset, eps float64) float64 {
+	arena := model.Arena()
 	total, classes := 0.0, 0
 	for c := 0; c < real.Classes; c++ {
 		r, s := real.OfClass(c), syn.OfClass(c)
 		if r.Len() == 0 || s.Len() == 0 {
 			continue
 		}
+		mark := arena.Mark()
 		gD := classGrads(model, r)
 		gS := classGrads(model, s)
 		total += distill.MatchDistance(gS, gD, eps).Item()
+		arena.Rewind(mark)
 		classes++
 	}
 	if classes == 0 {
@@ -116,16 +120,18 @@ func gradientDistance(model *nn.Model, real, syn *data.Dataset, eps float64) flo
 	return total / float64(classes)
 }
 
+// classGrads returns the loss gradients of the model on ds as constants
+// of the model's step arena.
 func classGrads(model *nn.Model, ds *data.Dataset) []*ad.Value {
 	x, labels := ds.All()
-	bound := model.Bind()
-	loss := nn.CrossEntropy(bound.Forward(ad.Const(x)), nn.OneHot(labels, model.Classes))
+	arena := model.Arena()
+	bound := model.BindStep()
+	loss := nn.CrossEntropy(bound.Forward(arena.Const(x)), nn.OneHot(labels, model.Classes))
 	gs := ad.MustGrad(loss, bound.ParamVars())
-	out := make([]*ad.Value, len(gs))
 	for i, g := range gs {
-		out[i] = ad.Detach(g)
+		gs[i] = arena.Const(g.Data)
 	}
-	return out
+	return gs
 }
 
 func fatal(err error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,12 +74,12 @@ func TestRunUnknownFormat(t *testing.T) {
 }
 
 func TestRunResourceRulesCleanOnTree(t *testing.T) {
-	// The real module must stay clean under the resource-lifecycle rule
-	// family; in particular every //lint:resource directive in the tree
+	// The real module must stay clean under the resource-lifecycle
+	// rule; in particular every //lint:resource directive in the tree
 	// must parse (a malformed one is a finding).
 	chdir(t, filepath.Join("..", ".."))
 	var out, errb bytes.Buffer
-	code := run([]string{"-rules", "resbalance,snapfreeze,ctxflow", "./..."}, &out, &errb)
+	code := run([]string{"-rules", "resbalance", "./..."}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0; findings:\n%s%s", code, out.String(), errb.String())
 	}
@@ -89,10 +90,15 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, rule := range []string{"poolbalance", "intoalias", "hotpathalloc", "determinism", "graphfreeze", "errcheck", "lockbalance", "lockorder", "goroutineleak", "atomicmix", "wgbalance", "resbalance", "snapfreeze", "ctxflow", "telemetry"} {
-		if !strings.Contains(out.String(), rule) {
-			t.Errorf("-list output missing %s:\n%s", rule, out.String())
-		}
+	// Exactly the rules that own a row of DESIGN.md's rule × mutation
+	// audit: a bug that only they catch.
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		got = append(got, strings.Fields(line)[0])
+	}
+	want := []string{"errcheck", "goroutineleak", "lockbalance", "lockorder", "poolbalance", "resbalance", "wgbalance"}
+	if !slices.Equal(got, want) {
+		t.Errorf("-list rules = %v, want %v:\n%s", got, want, out.String())
 	}
 }
 

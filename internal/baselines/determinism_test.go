@@ -62,9 +62,9 @@ func runToParams(t *testing.T, name string, req core.Request, tel *telemetry.Pip
 
 // TestBaselinesBitwiseDeterministic runs every baseline twice from
 // identical seeds and data and requires the final global parameters to
-// be bitwise identical. This is the auditability property the
-// determinism lint rule protects: an unlearning run that cannot be
-// replayed exactly cannot be verified against a certified transcript.
+// be bitwise identical. This is the auditability property: an
+// unlearning run that cannot be replayed exactly cannot be verified
+// against a certified transcript.
 // The second run carries a live telemetry pipeline: observing a run
 // must never change it.
 func TestBaselinesBitwiseDeterministic(t *testing.T) {
@@ -75,8 +75,7 @@ func TestBaselinesBitwiseDeterministic(t *testing.T) {
 		{"Retrain-Or", core.Request{Kind: core.ClassLevel, Class: 1}},
 		{"SGA-Or", core.Request{Kind: core.ClassLevel, Class: 1}},
 		// Client-level requests exercise FedEraser's calibrated replay,
-		// whose aggregation order was the map-iteration bug the
-		// determinism analyzer caught.
+		// which folds a map of client updates in sorted client order.
 		{"FedEraser", core.Request{Kind: core.ClientLevel, Client: 1}},
 		{"FU-MP", core.Request{Kind: core.ClassLevel, Class: 1}},
 		{"S2U", core.Request{Kind: core.ClientLevel, Client: 1}},

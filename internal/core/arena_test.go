@@ -15,7 +15,6 @@ import (
 // zero-initialised destination. (The worker-pool runtime has the same
 // proof in internal/fl.)
 func TestArenaDoesNotPerturbLifecycle(t *testing.T) {
-	skipE2EInShort(t)
 	run := func(prepare func(*nn.Model)) (params []float64, synthetic []float64) {
 		t.Helper()
 		clients, _ := testClients(t, 3, 16, 31)

@@ -23,18 +23,6 @@ func testClients(t *testing.T, n int, perClass int, seed int64) (*data.Cohort, *
 	return data.NewCohort(parts), test
 }
 
-// skipE2EInShort gates the end-to-end train/unlearn cycles out of
-// short mode. Under -race they multiply full FL training by the
-// detector's ~10x slowdown — the package exceeds a 10-minute timeout
-// versus ~80 s without race. `make check` runs this package with
-// `-race -short` so the fast unit tests still get race coverage.
-func skipE2EInShort(t *testing.T) {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("end-to-end train cycle; skipped in -short mode")
-	}
-}
-
 // fixture trains one system per (seed, config) for the whole package
 // and hands every test its own copy, restored from the trained system's
 // saved state. A restored system's RNG restarts from cfg.Seed rather
@@ -62,7 +50,6 @@ func (f *fixture) train(t *testing.T) (*System, *data.Dataset, error) {
 // SaveState/LoadState, and the held-out test set.
 func (f *fixture) fresh(t *testing.T) (*System, *data.Dataset) {
 	t.Helper()
-	skipE2EInShort(t)
 	sys, test, err := f.train(t)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +61,6 @@ func (f *fixture) fresh(t *testing.T) (*System, *data.Dataset) {
 // it on first use, and the held-out test set.
 func (f *fixture) system(t *testing.T) (*System, *data.Dataset) {
 	t.Helper()
-	skipE2EInShort(t)
 	f.once.Do(func() {
 		sys, _, err := f.train(t)
 		var buf bytes.Buffer

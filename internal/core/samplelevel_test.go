@@ -167,7 +167,6 @@ func keys(m map[int]bool) []int {
 }
 
 func TestSampleLevelWithoutGroupsStillWorks(t *testing.T) {
-	skipE2EInShort(t)
 	// Groups=1 (paper default): sample-level requests expand to the whole
 	// class subset of that client — coarse but valid.
 	clients, _ := testClients(t, 2, 8, 26)

@@ -321,3 +321,56 @@ func TestGammaSampleMoments(t *testing.T) {
 		}
 	}
 }
+
+func TestPartitionByShardsSkewAndConservation(t *testing.T) {
+	spec := MNISTLike(8, 30)
+	ds, _ := Generate(spec, 9)
+	rng := rand.New(rand.NewSource(10))
+	parts := PartitionByShards(ds, 10, 2, rng)
+	total := 0
+	for _, p := range parts {
+		total += p.Len()
+		// With 2 shards each, clients should see few classes.
+		classes := 0
+		for _, n := range p.ClassCounts() {
+			if n > 0 {
+				classes++
+			}
+		}
+		if classes > 4 {
+			t.Fatalf("shard client sees %d classes — not pathological", classes)
+		}
+	}
+	if total != ds.Len() {
+		t.Fatalf("conservation violated: %d vs %d", total, ds.Len())
+	}
+	// Shard partitioning must be more skewed than IID.
+	iid := PartitionIID(ds, 10, rand.New(rand.NewSource(11)))
+	if HeterogeneityStat(parts) <= HeterogeneityStat(iid) {
+		t.Fatal("shards must be more heterogeneous than IID")
+	}
+}
+
+func TestPartitionByShardsValidation(t *testing.T) {
+	ds := tinySet(t, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	PartitionByShards(ds, 10, 5, rand.New(rand.NewSource(12)))
+}
+
+func TestWithoutIndices(t *testing.T) {
+	ds := tinySet(t, 5)
+	out := ds.WithoutIndices(map[int]bool{1: true, 3: true})
+	if out.Len() != 3 {
+		t.Fatalf("len = %d", out.Len())
+	}
+	if out.X[0] != ds.X[0] || out.X[1] != ds.X[2] || out.X[2] != ds.X[4] {
+		t.Fatal("wrong samples excluded")
+	}
+	if ds.WithoutIndices(nil) != ds {
+		t.Fatal("empty exclusion must return the receiver")
+	}
+}

@@ -206,8 +206,6 @@ func (m *Matcher) Hook() fl.LocalStepHook {
 // real-data gradient (detached), the synthetic-data gradient
 // (graph-connected), their grouped cosine distance, and takes ς_S SGD
 // steps on the synthetic pixels.
-//
-//lint:hotpath
 func (m *Matcher) MatchStep(ctx fl.StepContext) {
 	syn := m.Sets[ctx.ClientID]
 	if syn == nil || syn.Len() == 0 {

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -253,16 +254,27 @@ func TestConcurrentLearns(t *testing.T) {
 	}
 }
 
+// TestConcurrentCancellation: a deadline that passes mid-round stops the
+// phase with the context's error. The hook holds the second local step
+// until the deadline has passed, so the phase cannot finish first; a
+// phase that ignored its context would finish its three rounds and
+// return nil.
 func TestConcurrentCancellation(t *testing.T) {
 	_, parts, _ := testSetup(t, 2, 0)
 	factory, model := testFactory()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
+	var steps atomic.Int64
 	_, err := RunPhaseConcurrentRegistry(ctx, model, factory, data.NewCohort(parts), PhaseConfig{
-		Rounds: 10000, LocalSteps: 5, BatchSize: 16, LR: 0.1,
+		Rounds: 3, LocalSteps: 5, BatchSize: 16, LR: 0.1,
+		Hook: func(StepContext) {
+			if steps.Add(1) == 2 {
+				<-ctx.Done()
+			}
+		},
 	}, rand.New(rand.NewSource(72)))
-	if err == nil {
-		t.Fatal("expected cancellation error")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

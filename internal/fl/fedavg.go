@@ -387,8 +387,6 @@ func (ph *phase) fold(round int, u clientUpdate) {
 // local model and returns their gradient-evaluation cost. Each step's
 // graph lives in the model's step arena and is recycled as soon as the
 // optimizer has consumed its gradients.
-//
-//lint:hotpath
 func runLocalSteps(model *nn.Model, client *data.Dataset, cfg PhaseConfig, round, clientID int, rng *rand.Rand) (cost optim.Counter) {
 	opt := &optim.SGD{LR: cfg.LR, Dir: cfg.Dir, Health: cfg.Health}
 	arena, params := model.Arena(), model.ParamTensors()

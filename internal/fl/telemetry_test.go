@@ -19,7 +19,8 @@ func testPipeline(clients int) *telemetry.Pipeline {
 // TestConcurrentHookCancelsMidRound cancels the phase from inside a
 // local-step hook — mid-round, with client workers in flight — and
 // checks the server unwinds cleanly with the context error, closing the
-// phase span on the way out: the phase is counted and timed.
+// phase span on the way out: the phase is counted and timed. A phase
+// that ignored its context would finish its three rounds and return nil.
 func TestConcurrentHookCancelsMidRound(t *testing.T) {
 	_, parts, _ := testSetup(t, 3, 0)
 	factory, model := testFactory()
@@ -29,7 +30,7 @@ func TestConcurrentHookCancelsMidRound(t *testing.T) {
 
 	var steps atomic.Int64
 	cfg := PhaseConfig{
-		Rounds: 10000, LocalSteps: 5, BatchSize: 8, LR: 0.05, Telemetry: pipe,
+		Rounds: 3, LocalSteps: 5, BatchSize: 8, LR: 0.05, Telemetry: pipe,
 		Hook: func(StepContext) {
 			if steps.Add(1) == 4 {
 				cancel()

@@ -8,7 +8,7 @@ import (
 )
 
 // Shared helpers of the concurrency rule family (lockbalance, lockorder,
-// goroutineleak, atomicmix, wgbalance): classifying sync primitive
+// goroutineleak, wgbalance): classifying sync primitive
 // calls and giving the receiver of a Lock/Unlock/Add/Done a stable
 // identity that survives CFG joins.
 
@@ -186,18 +186,17 @@ func syncSites(info *types.Info, body *ast.BlockStmt, classify func(*types.Func)
 // funcUnits yields every analysis unit of a file: each function
 // declaration body plus each function literal body, treated as separate
 // units (a goroutine or deferred closure has its own control flow and
-// its own balance obligations). The decl a literal belongs to is passed
-// for diagnostics context ("" at file scope).
-func funcUnits(f *ast.File, visit func(body *ast.BlockStmt, enclosing string)) {
+// its own balance obligations).
+func funcUnits(f *ast.File, visit func(body *ast.BlockStmt)) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		visit(fd.Body, fd.Name.Name)
+		visit(fd.Body)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				visit(lit.Body, fd.Name.Name)
+				visit(lit.Body)
 			}
 			return true
 		})

@@ -3,9 +3,8 @@ package dataflow
 // SummaryAnalysis describes one bottom-up interprocedural summary
 // computation over a CallGraph: every node gets a summary fact of type
 // S, computed from its own code plus the summaries of its callees.
-// The same shape serves very different lattices — lock-set closures
-// (lockorder), resource acquire/release effects (resbalance) and mutation
-// footprints (snapfreeze).
+// The same shape serves two very different lattices: lock-set closures
+// (lockorder) and resource acquire/release effects (resbalance).
 type SummaryAnalysis[N comparable, S any] struct {
 	// Bottom returns node n's initial summary — the least element of
 	// n's summary lattice (for example "acquires nothing, releases

@@ -16,10 +16,6 @@ import (
 // itself reported under the "directive" rule.
 const allowPrefix = "//lint:allow"
 
-// hotpathPrefix marks a function declaration (in its doc comment) as a
-// root of the hot-path call graph for the hotpathalloc analyzer.
-const hotpathPrefix = "//lint:hotpath"
-
 // directiveRule is the pseudo-rule used for malformed directives; it is
 // not suppressible.
 const directiveRule = "directive"
@@ -77,18 +73,4 @@ func (d *directives) suppressed(diag Diagnostic) bool {
 	}
 	return d.allows[allowKey{diag.Pos.Filename, diag.Pos.Line, diag.Rule}] ||
 		d.allows[allowKey{diag.Pos.Filename, diag.Pos.Line - 1, diag.Rule}]
-}
-
-// isHotPathRoot reports whether the declaration's doc comment carries a
-// //lint:hotpath directive.
-func isHotPathRoot(decl *ast.FuncDecl) bool {
-	if decl.Doc == nil {
-		return false
-	}
-	for _, c := range decl.Doc.List {
-		if strings.HasPrefix(c.Text, hotpathPrefix) {
-			return true
-		}
-	}
-	return false
 }

@@ -10,12 +10,11 @@ import (
 )
 
 // The flow engine shared by every flow-sensitive rule: how one CFG node
-// is read (nodeWalker), how a unit is solved and its findings reported
-// (flowUnit), and the per-key powerset fact the rules track (keyFact).
-// The four path-balance rules — lockbalance, wgbalance, resbalance and
-// poolbalance — go one step further and are specs on one engine
-// (balanceSpec): a key, a state lattice, an op → transition table and
-// an exit verdict.
+// is read (nodeWalker) and how a unit is solved and its findings
+// reported (flowUnit). The four path-balance rules — lockbalance,
+// wgbalance, resbalance and poolbalance — go one step further and are
+// specs on one engine (balanceSpec): a key, a per-key powerset fact
+// (keyFact), an op → transition table and an exit verdict.
 
 // nodeWalker reads the AST of one CFG node the way every flow rule
 // must:
@@ -181,12 +180,12 @@ type pathKey struct {
 
 // keyFact maps each tracked key to a bitmask of the states it may be in
 // on the paths reaching a program point; a key that is absent has no
-// state bit set. Facts are immutable values: a keyFlow copies before
-// it writes.
-type keyFact[K comparable, S ~uint8] map[K]S
+// state bit set. Facts are immutable values: a balanceFlow copies
+// before it writes.
+type keyFact map[pathKey]pathState
 
-func (f keyFact[K, S]) clone() keyFact[K, S] {
-	out := make(keyFact[K, S], len(f))
+func (f keyFact) clone() keyFact {
+	out := make(keyFact, len(f))
 	for k, v := range f {
 		out[k] = v
 	}
@@ -195,7 +194,7 @@ func (f keyFact[K, S]) clone() keyFact[K, S] {
 
 // join is the powerset join: on either path, a key may be in any state
 // it may be in on one of them.
-func (f keyFact[K, S]) join(g keyFact[K, S]) keyFact[K, S] {
+func (f keyFact) join(g keyFact) keyFact {
 	out := f.clone()
 	for k, v := range g {
 		out[k] |= v
@@ -203,7 +202,7 @@ func (f keyFact[K, S]) join(g keyFact[K, S]) keyFact[K, S] {
 	return out
 }
 
-func (f keyFact[K, S]) equal(g keyFact[K, S]) bool {
+func (f keyFact) equal(g keyFact) bool {
 	if len(f) != len(g) {
 		return false
 	}
@@ -213,67 +212,6 @@ func (f keyFact[K, S]) equal(g keyFact[K, S]) bool {
 		}
 	}
 	return true
-}
-
-// keyFlow is a flow unit whose fact is a keyFact. Its transfer function
-// walks one CFG node with walker, whose visit and bind write the
-// outgoing fact through set; the incoming fact is copied on the first
-// write.
-type keyFlow[K comparable, S ~uint8] struct {
-	*flowUnit
-	info   *types.Info
-	walker nodeWalker
-	out    keyFact[K, S]
-	owned  bool
-}
-
-// newKeyFlow starts a keyFlow over body; nil for a missing body.
-func newKeyFlow[K comparable, S ~uint8](pass *Pass, info *types.Info, body *ast.BlockStmt) *keyFlow[K, S] {
-	u := newFlowUnit(pass, info, body)
-	if u == nil {
-		return nil
-	}
-	return &keyFlow[K, S]{flowUnit: u, info: info, walker: nodeWalker{info: info}}
-}
-
-// analysis is the flow's dataflow problem from init under join.
-func (kf *keyFlow[K, S]) analysis(init keyFact[K, S], join func(a, b keyFact[K, S]) keyFact[K, S]) dataflow.Analysis[keyFact[K, S]] {
-	return dataflow.Analysis[keyFact[K, S]]{
-		Init:  init,
-		Join:  join,
-		Equal: keyFact[K, S].equal,
-		Stmt: func(n ast.Node, in keyFact[K, S]) keyFact[K, S] {
-			kf.out, kf.owned = in, false
-			kf.walker.node(n)
-			return kf.out
-		},
-	}
-}
-
-// set moves k to state s in the outgoing fact; the zero state removes
-// k.
-func (kf *keyFlow[K, S]) set(k K, s S) {
-	if kf.out[k] == s {
-		return
-	}
-	if !kf.owned {
-		kf.out, kf.owned = kf.out.clone(), true
-	}
-	if s == 0 {
-		delete(kf.out, k)
-		return
-	}
-	kf.out[k] = s
-}
-
-// dropRoot removes every key rooted at obj: rebinding the root loses
-// track of everything reached through it.
-func dropRoot[S ~uint8](kf *keyFlow[pathKey, S], obj types.Object) {
-	for k := range kf.out {
-		if k.root == obj {
-			kf.set(k, 0)
-		}
-	}
 }
 
 // --- the path-balance engine ---
@@ -333,11 +271,18 @@ type exitStates struct {
 	panicInit bool
 }
 
-// balanceFlow runs one balance spec over one unit.
+// balanceFlow runs one balance spec over one unit. Its transfer
+// function walks one CFG node with walker, whose visit and bind write
+// the outgoing fact through set; the incoming fact is copied on the
+// first write.
 type balanceFlow struct {
-	*keyFlow[pathKey, pathState]
-	spec  *balanceSpec
-	sites map[pathKey]balanceSite
+	*flowUnit
+	info   *types.Info
+	walker nodeWalker
+	out    keyFact
+	owned  bool
+	spec   *balanceSpec
+	sites  map[pathKey]balanceSite
 }
 
 // checkBalance runs spec over body for the keys in sites.
@@ -345,30 +290,42 @@ func checkBalance(pass *Pass, info *types.Info, body *ast.BlockStmt, spec *balan
 	if len(sites) == 0 {
 		return
 	}
-	kf := newKeyFlow[pathKey, pathState](pass, info, body)
-	if kf == nil {
+	u := newFlowUnit(pass, info, body)
+	if u == nil {
 		return
 	}
-	bf := &balanceFlow{keyFlow: kf, spec: spec, sites: sites}
-	kf.walker.visit = func(x ast.Node) bool { return spec.scan(bf, x) }
-	kf.walker.bind = func(obj types.Object, _ ast.Expr) { bf.forget(obj) }
-	init := keyFact[pathKey, pathState]{}
+	bf := &balanceFlow{flowUnit: u, info: info, spec: spec, sites: sites}
+	bf.walker = nodeWalker{
+		info:  info,
+		visit: func(x ast.Node) bool { return spec.scan(bf, x) },
+		bind:  func(obj types.Object, _ ast.Expr) { bf.forget(obj) },
+	}
+	init := keyFact{}
 	if spec.init != 0 {
 		for k := range sites {
 			init[k] = spec.init
 		}
 	}
-	an := kf.analysis(init, keyFact[pathKey, pathState].join)
+	an := dataflow.Analysis[keyFact]{
+		Init:  init,
+		Join:  keyFact.join,
+		Equal: keyFact.equal,
+		Stmt: func(n ast.Node, in keyFact) keyFact {
+			bf.out, bf.owned = in, false
+			bf.walker.node(n)
+			return bf.out
+		},
+	}
 	if spec.nilState != 0 {
 		an.Refine = bf.refineNil
 	}
-	res := solveUnit(kf.flowUnit, an)
+	res := solveUnit(u, an)
 
 	exits := make(map[pathKey]*exitStates, len(sites))
 	for k := range sites {
 		exits[k] = &exitStates{}
 	}
-	res.Exits(kf.g, an, func(f keyFact[pathKey, pathState], panics bool) {
+	res.Exits(u.g, an, func(f keyFact, panics bool) {
 		for k, e := range exits {
 			switch st := f[k]; {
 			case panics:
@@ -401,14 +358,34 @@ func (bf *balanceFlow) apply(k pathKey, op balanceOp, pos token.Pos) {
 	bf.set(k, next)
 }
 
+// set moves k to state s in the outgoing fact; the zero state removes
+// k.
+func (bf *balanceFlow) set(k pathKey, s pathState) {
+	if bf.out[k] == s {
+		return
+	}
+	if !bf.owned {
+		bf.out, bf.owned = bf.out.clone(), true
+	}
+	if s == 0 {
+		delete(bf.out, k)
+		return
+	}
+	bf.out[k] = s
+}
+
 // forget makes every tracked key rooted at obj unknown: obj was rebound.
 func (bf *balanceFlow) forget(obj types.Object) {
-	dropRoot(bf.keyFlow, obj)
+	for k := range bf.out {
+		if k.root == obj {
+			bf.set(k, 0)
+		}
+	}
 }
 
 // refineNil narrows a variable's state along the edges of a comparison
 // against nil, and prunes the edge the state rules out.
-func (bf *balanceFlow) refineNil(cond ast.Expr, neg bool, in keyFact[pathKey, pathState]) (keyFact[pathKey, pathState], bool) {
+func (bf *balanceFlow) refineNil(cond ast.Expr, neg bool, in keyFact) (keyFact, bool) {
 	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 		return in, true

@@ -1,10 +1,10 @@
 // Package lint is a stdlib-only static-analysis engine for this
 // repository. It parses and type-checks the module with go/parser and
 // go/types (no golang.org/x/tools dependency, preserving the zero-dep
-// rule) and runs a small set of analyzers that encode the compute
-// backbone's invariants: pool buffer ownership, *Into aliasing
-// contracts, hot-path allocation discipline, bitwise determinism,
-// autodiff-graph immutability, and error handling.
+// rule) and runs the analyzers that catch bugs no test or run-time
+// check does (DESIGN.md "Rule × mutation audit"): pool buffer and
+// resource ownership, lock and WaitGroup balance, lock order, goroutine
+// leaks, and silently discarded errors.
 //
 // Diagnostics carry file:line:col positions. A finding can be silenced
 // at its line (or the line below the comment) with a reasoned
@@ -12,9 +12,7 @@
 //
 //	//lint:allow <rule> <reason>
 //
-// The reason is mandatory; a bare allow is itself reported. Functions
-// are marked as hot-path roots for the hotpathalloc analyzer with a
-// //lint:hotpath directive in their doc comment.
+// The reason is mandatory; a bare allow is itself reported.
 package lint
 
 import (
@@ -70,20 +68,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns every analyzer in the suite, in report order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicMix,
-		CtxFlow,
-		Determinism,
 		ErrCheck,
 		GoroutineLeak,
-		GraphFreeze,
-		HotPathAlloc,
-		IntoAlias,
 		LockBalance,
 		LockOrder,
 		PoolBalance,
 		ResBalance,
-		SnapFreeze,
-		Telemetry,
 		WGBalance,
 	}
 }
@@ -164,9 +154,6 @@ func isNamedIn(t types.Type, name, pkgSuffix string) bool {
 	return n.Obj().Name() == name && hasPathSuffix(n.Obj().Pkg().Path(), pkgSuffix)
 }
 
-// isTensor reports whether t is (a pointer to) tensor.Tensor.
-func isTensor(t types.Type) bool { return isNamedIn(t, "Tensor", "internal/tensor") }
-
 // recvNamed returns the named type of a method's receiver, or nil for
 // plain functions.
 func recvNamed(fn *types.Func) *types.Named {
@@ -197,14 +184,6 @@ func isPkgFunc(fn *types.Func, name, pkgSuffix string) bool {
 		return false
 	}
 	return hasPathSuffix(funcPkgPath(fn), pkgSuffix)
-}
-
-// docText returns a declaration's doc comment text ("" if none).
-func docText(doc *ast.CommentGroup) string {
-	if doc == nil {
-		return ""
-	}
-	return doc.Text()
 }
 
 // eqSet reports whether two sets hold the same members.

@@ -10,8 +10,8 @@ func TestByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 15 {
-		t.Fatalf("suite has %d analyzers, want 15", len(all))
+	if len(all) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(all))
 	}
 
 	subset, err := ByName("errcheck, poolbalance")

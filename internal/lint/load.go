@@ -179,6 +179,7 @@ func LoadProgram(root, modPath string) (*Program, error) {
 		loading: make(map[string]bool),
 	}
 	var dirs []string
+	seen := make(map[string]bool)
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -191,11 +192,11 @@ func LoadProgram(root, modPath string) (*Program, error) {
 			}
 			return nil
 		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
-			}
+		// A directory's files and subdirectories interleave in the walk:
+		// remember each package directory so it is loaded once.
+		if dir := filepath.Dir(path); strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") && !seen[dir] {
+			seen[dir] = true
+			dirs = append(dirs, dir)
 		}
 		return nil
 	})

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -33,7 +34,9 @@ func TestLoadProgramReportsTypeErrors(t *testing.T) {
 
 func TestLoadProgramSkipsTestsAndTestdata(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"p/p.go":              "package p\n",
+		"p/a.go":              "package p\n",
+		"p/m/m.go":            "package m\n",
+		"p/z.go":              "package p\n",
 		"p/p_test.go":         "package p\n\nthis is not Go\n",
 		"p/testdata/bad.go":   "also not Go\n",
 		"p/_ignored/skip.go":  "still not Go\n",
@@ -43,7 +46,13 @@ func TestLoadProgramSkipsTestsAndTestdata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.Packages) != 1 || prog.Packages[0].Path != fixtureModPath+"/p" {
-		t.Fatalf("loaded %+v, want just %s/p", prog.Packages, fixtureModPath)
+	// p's files sit on both sides of its subdirectory m in the walk; p is
+	// still loaded once.
+	var paths []string
+	for _, pkg := range prog.Packages {
+		paths = append(paths, pkg.Path)
+	}
+	if want := []string{fixtureModPath + "/p", fixtureModPath + "/p/m"}; !slices.Equal(paths, want) {
+		t.Fatalf("loaded %v, want %v", paths, want)
 	}
 }

@@ -86,7 +86,7 @@ func lockStep(op balanceOp, st pathState, name string) (pathState, string) {
 func runLockBalance(pass *Pass) {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		funcUnits(f, func(body *ast.BlockStmt, _ string) {
+		funcUnits(f, func(body *ast.BlockStmt) {
 			// A unit is judged for the receivers it Locks or RLocks
 			// itself; a Lock inside a deferred closure is the closure's.
 			checkBalance(pass, info, body, lockSpec, syncSites(info, body, isMutexMethod, opLock, opRLock))

@@ -15,8 +15,8 @@ import (
 // cycles as potential deadlocks. Locks are grouped into classes — a
 // mutex field of a named struct type ("telemetry.Tracer.mu") or a
 // package-level mutex variable ("lint.stdImporter") — because two
-// goroutines deadlock by taking two *instances* of the same classes in
-// opposite orders just as surely as two globals.
+// goroutines deadlock by taking instances of two classes in opposite
+// orders just as surely as two globals.
 //
 // Within each function the currently-held class set is computed
 // flow-sensitively over the CFG with the dataflow.LockSet lattice
@@ -28,10 +28,10 @@ import (
 // still contributes the A→B edge. Goroutine spawns do not inherit the
 // spawner's holdings (a different goroutine orders independently).
 //
-// Two findings result: a cycle among distinct classes (each edge on the
-// cycle is reported at its acquisition site) and a sequence of two
-// distinct instances of one class with no global order. The analysis
-// runs once per program and only its first loaded package triggers it.
+// Each edge on a cycle among distinct classes is reported at its
+// acquisition site. Two instances of one class locked in sequence are
+// not judged. The analysis runs once per program and only its first
+// loaded package triggers it.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "no cycles in the whole-program lock-acquisition order graph",
@@ -42,7 +42,6 @@ var LockOrder = &Analyzer{
 type lockEdge struct {
 	from, to string
 	pos      token.Pos
-	fn       string // function containing the acquisition
 	via      string // callee name when the edge came through a summary
 }
 
@@ -71,9 +70,7 @@ func (g *lockGraph) addEdge(e *lockEdge) {
 
 // cycleEdges returns the edges that participate in a lock-order cycle:
 // every edge whose endpoints belong to one strongly connected component
-// with more than one node (self-edges are handled separately by the
-// analyzer, as distinct-instance findings). The result preserves
-// insertion order.
+// with more than one node. The result preserves insertion order.
 func (g *lockGraph) cycleEdges() []*lockEdge {
 	comp := g.scc()
 	var out []*lockEdge
@@ -159,17 +156,6 @@ func (g *lockGraph) scc() map[string]int {
 
 // --- the analyzer ---
 
-// classElem encodes one held lock as "class\x00instance" for the
-// LockSet (whose elements are plain strings).
-func classElem(class, instance string) string { return class + "\x00" + instance }
-
-func splitClassElem(e string) (class, instance string) {
-	if i := strings.IndexByte(e, 0); i >= 0 {
-		return e[:i], e[i+1:]
-	}
-	return e, ""
-}
-
 // lockClassOf names the class of a mutex receiver expression, or
 // ok=false for receivers that have no stable cross-function identity
 // (locals, parameters, index expressions).
@@ -240,14 +226,13 @@ func runLockOrder(pass *Pass) {
 	// edges at acquisition sites and call sites.
 	for _, pkg := range pass.Prog.Packages {
 		for _, f := range pkg.Files {
-			funcUnits(f, func(body *ast.BlockStmt, enclosing string) {
-				lo.analyzeUnit(pkg, body, enclosing)
+			funcUnits(f, func(body *ast.BlockStmt) {
+				lo.analyzeUnit(pkg, body)
 			})
 		}
 	}
 
 	// Phase 3: report cycles.
-	reported := make(map[string]bool)
 	for _, e := range lo.graph.cycleEdges() {
 		members := lo.graph.sccMembers(e.from)
 		cycle := strings.Join(members, " ⇄ ")
@@ -259,22 +244,11 @@ func runLockOrder(pass *Pass) {
 			"potential deadlock: %s is acquired while %s is held%s, and elsewhere the order is reversed; lock-order cycle {%s}",
 			e.to, e.from, via, cycle)
 	}
-	for _, se := range lo.selfEdges {
-		key := se.fn + "\x00" + se.from
-		if reported[key] {
-			continue
-		}
-		reported[key] = true
-		pass.Reportf(se.pos,
-			"potential deadlock: two distinct %s instances are locked in sequence with no global order; a concurrent caller with the operands swapped deadlocks",
-			se.from)
-	}
 }
 
 type lockOrder struct {
-	pass      *Pass
-	graph     *lockGraph
-	selfEdges []*lockEdge
+	pass  *Pass
+	graph *lockGraph
 	// direct maps each declared function to the lock classes it
 	// acquires in its own body; cg holds its statically resolved call
 	// edges (goroutine payloads excluded — see summarize); all is the
@@ -353,7 +327,7 @@ func (lo *lockOrder) closeSummaries() {
 
 // analyzeUnit runs the held-set flow over one unit and emits edges
 // while the solution is replayed.
-func (lo *lockOrder) analyzeUnit(pkg *Package, body *ast.BlockStmt, enclosing string) {
+func (lo *lockOrder) analyzeUnit(pkg *Package, body *ast.BlockStmt) {
 	u := newFlowUnit(lo.pass, pkg.Info, body)
 	if u == nil {
 		return
@@ -364,7 +338,7 @@ func (lo *lockOrder) analyzeUnit(pkg *Package, body *ast.BlockStmt, enclosing st
 		case *ast.GoStmt:
 			return false // spawned goroutine: no inherited order
 		case *ast.CallExpr:
-			lo.flowCall(pkg, x, &held, u.replaying, enclosing)
+			lo.flowCall(pkg, x, &held, u.replaying)
 		}
 		return true
 	}}
@@ -379,11 +353,11 @@ func (lo *lockOrder) analyzeUnit(pkg *Package, body *ast.BlockStmt, enclosing st
 	})
 }
 
-// flowCall folds one call into the held set, emitting edges when emit
-// is set: acquisitions add held→acquired edges (and the held element),
-// releases remove their element, and calls to summarized functions add
-// held→callee-acquired edges.
-func (lo *lockOrder) flowCall(pkg *Package, call *ast.CallExpr, held *dataflow.LockSet, emit bool, enclosing string) {
+// flowCall folds one call into the held set of classes, emitting edges
+// when emit is set: acquisitions add held→acquired edges (and the
+// class), releases remove their class, and calls to summarized
+// functions add held→callee-acquired edges.
+func (lo *lockOrder) flowCall(pkg *Package, call *ast.CallExpr, held *dataflow.LockSet, emit bool) {
 	info := pkg.Info
 	callee := calleeFunc(info, call)
 	if op := isMutexMethod(callee); op != opNone {
@@ -395,24 +369,18 @@ func (lo *lockOrder) flowCall(pkg *Package, call *ast.CallExpr, held *dataflow.L
 		if !ok {
 			return
 		}
-		key, _ := receiverPath(info, recv)
-		instance := key.path
 		switch op {
 		case opLock, opRLock:
 			if emit && !held.IsTop() {
-				for _, e := range held.Elems() {
-					hc, hi := splitClassElem(e)
-					switch {
-					case hc == class && hi != instance:
-						lo.selfEdges = append(lo.selfEdges, &lockEdge{from: class, to: class, pos: call.Pos(), fn: enclosing})
-					case hc != class:
-						lo.graph.addEdge(&lockEdge{from: hc, to: class, pos: call.Pos(), fn: enclosing})
+				for _, hc := range held.Elems() {
+					if hc != class {
+						lo.graph.addEdge(&lockEdge{from: hc, to: class, pos: call.Pos()})
 					}
 				}
 			}
-			*held = held.Insert(classElem(class, instance))
+			*held = held.Insert(class)
 		case opUnlock, opRUnlock:
-			*held = held.Remove(classElem(class, instance))
+			*held = held.Remove(class)
 		}
 		return
 	}
@@ -423,10 +391,9 @@ func (lo *lockOrder) flowCall(pkg *Package, call *ast.CallExpr, held *dataflow.L
 		return
 	}
 	for c := range lo.all[callee] {
-		for _, e := range held.Elems() {
-			hc, _ := splitClassElem(e)
+		for _, hc := range held.Elems() {
 			if hc != c {
-				lo.graph.addEdge(&lockEdge{from: hc, to: c, pos: call.Pos(), fn: enclosing, via: callee.Name()})
+				lo.graph.addEdge(&lockEdge{from: hc, to: c, pos: call.Pos(), via: callee.Name()})
 			}
 		}
 	}

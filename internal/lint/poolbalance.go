@@ -52,7 +52,7 @@ func runPoolBalance(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
-		funcUnits(f, func(body *ast.BlockStmt, _ string) {
+		funcUnits(f, func(body *ast.BlockStmt) {
 			checkPoolBalance(pass, body)
 		})
 	}

@@ -147,7 +147,7 @@ func runResBalance(pass *Pass) {
 	})
 	for _, pkg := range pass.Prog.Packages {
 		for _, f := range pkg.Files {
-			funcUnits(f, func(body *ast.BlockStmt, _ string) {
+			funcUnits(f, func(body *ast.BlockStmt) {
 				rb.checkUnit(pkg, body)
 			})
 		}

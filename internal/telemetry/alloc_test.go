@@ -5,7 +5,8 @@ import "testing"
 // The acceptance bar for the whole package: every record path that the
 // training and distillation hot loops touch must be allocation-free —
 // both with telemetry enabled and with it disabled (nil handles). The
-// `telemetry` quickdroplint rule enforces the same property statically.
+// steady-state allocation tests of the fl, distill and nn training
+// steps catch a step that calls anything else that allocates.
 
 func TestRecordPathsDoNotAllocate(t *testing.T) {
 	reg := NewRegistry()

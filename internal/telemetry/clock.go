@@ -4,10 +4,9 @@ import "time"
 
 // nowNanos is the module's single wall-clock read. Every duration the
 // system reports — phase costs, round histograms, span records —
-// derives from this function, which keeps the determinism lint rule's
-// exception surface to exactly this line.
+// derives from this function.
 func nowNanos() int64 {
-	return time.Now().UnixNano() //lint:allow determinism telemetry is the module's sole wall-clock authority; readings feed reports, never numerics
+	return time.Now().UnixNano()
 }
 
 // clock is swappable so tests can drive time by hand. It is read

@@ -194,7 +194,7 @@ func (p *Pipeline) StartClient(round, client int) Span {
 func (p *Pipeline) EndClient(sp Span) { sp.End() }
 
 // LocalStep records one client-local update step. This sits on the
-// training hot path (//lint:hotpath): two atomic adds, no allocation.
+// training hot path: two atomic adds, no allocation.
 func (p *Pipeline) LocalStep(client, batch int) {
 	if p == nil {
 		return

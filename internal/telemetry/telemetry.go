@@ -10,15 +10,14 @@
 //
 //  1. Record paths never allocate. Counter.Add, Gauge.Set,
 //     Histogram.Observe, Vec.At and span Start/End are guarded by
-//     testing.AllocsPerRun and by the `telemetry` quickdroplint rule,
-//     which forbids any other telemetry entry point in functions
-//     reachable from //lint:hotpath roots.
+//     testing.AllocsPerRun, and the steady-state allocation tests of
+//     the training step (fl, distill, nn) fail if a step calls anything
+//     that allocates.
 //  2. Disabled telemetry is free. Every handle is nil-receiver-safe: a
 //     nil *Pipeline, *Counter, *Histogram or zero Span turns the whole
 //     record path into an early return with no clock read.
 //  3. Wall-clock readings never feed back into the numerics. The
-//     package is the module's sole wall-clock authority (the
-//     determinism lint rule forbids time.Now/time.Since in every other
-//     internal package); timings flow only into reports, so runs stay
-//     bitwise deterministic with telemetry on or off.
+//     package is the module's sole wall-clock authority; timings flow
+//     only into reports, so runs stay bitwise deterministic with
+//     telemetry on or off (fl's TestTelemetryDoesNotPerturbTraining).
 package telemetry

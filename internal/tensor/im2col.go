@@ -22,10 +22,10 @@ func (g ConvGeom) OutW() int { return (g.InW+2*g.Pad-g.Kernel)/g.Stride + 1 }
 // Validate checks that the geometry yields a positive output size.
 func (g ConvGeom) Validate() error {
 	if g.Kernel <= 0 || g.Stride <= 0 || g.Pad < 0 || g.InH <= 0 || g.InW <= 0 || g.Channel <= 0 {
-		return fmt.Errorf("tensor: invalid conv geometry %+v", g) //lint:allow hotpathalloc failure path only, like a panic argument
+		return fmt.Errorf("tensor: invalid conv geometry %+v", g)
 	}
 	if g.OutH() <= 0 || g.OutW() <= 0 {
-		return fmt.Errorf("tensor: conv geometry %+v yields empty output", g) //lint:allow hotpathalloc failure path only, like a panic argument
+		return fmt.Errorf("tensor: conv geometry %+v yields empty output", g)
 	}
 	return nil
 }
@@ -40,8 +40,6 @@ func Im2col(x *Tensor, g ConvGeom) *Tensor { return Im2colInto(nil, x, g) }
 // x; a nil dst allocates. Large extractions shard their patch rows across
 // GOMAXPROCS goroutines — each row is written by exactly one worker, so
 // the result is identical to the sequential extraction.
-//
-//lint:hotpath
 func Im2colInto(dst, x *Tensor, g ConvGeom) *Tensor {
 	if err := g.Validate(); err != nil {
 		panic(err.Error())

@@ -555,8 +555,6 @@ func mulSumToShape(dst, a, b *Tensor) {
 // rows are sharded across GOMAXPROCS goroutines; each row is produced by
 // exactly one goroutine running the sequential kernel, so the result is
 // bitwise identical to the sequential product.
-//
-//lint:hotpath
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := matMulDims(a, b, false, false)
 	dst = prepDst(dst, []int{m, n}, "MatMulInto")

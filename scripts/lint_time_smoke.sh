@@ -1,17 +1,16 @@
 #!/usr/bin/env sh
-# lint_time_smoke.sh — lint latency gate: the full fifteen-rule
+# lint_time_smoke.sh — lint latency gate: the full seven-rule
 # quickdroplint self-run over the module must finish inside a 10-second
 # budget. On a 2-core host, 10 alternating runs per side, the self-run
-# measured best 2.76 s, median 3.12 s with fifteen rules, against best
-# 2.99 s, median 3.44 s with the eighteen before shapecheck, vjpshape
-# and statemachine were retired; loading and type-checking take nearly
-# all of it. The budget has ~3x headroom.
-# The whole-program rules (lockorder, atomicmix, snapfreeze) re-analyze
-# every package and the interprocedural summary fixpoints (resbalance,
-# snapfreeze mutation summaries) are the first
-# thing to go superlinear if someone feeds them an unbounded worklist —
-# this smoke catches that as a CI failure instead of a slow developer
-# loop. Writes a small report (timing + findings) to
+# measured best 3.83 s, median 4.19 s with seven rules, against best
+# 4.29 s, median 4.75 s with the fifteen before the second rule ×
+# mutation audit; loading and type-checking take nearly all of it. The
+# budget has ~2x headroom.
+# The whole-program rule (lockorder) re-analyzes every package and the
+# interprocedural summary fixpoints (lockorder, resbalance) are the
+# first thing to go superlinear if someone feeds them an unbounded
+# worklist — this smoke catches that as a CI failure instead of a slow
+# developer loop. Writes a small report (timing + findings) to
 # LINT_REPORT (default lint_self_run.txt) for upload as a CI artifact.
 set -eu
 
