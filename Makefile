@@ -13,12 +13,12 @@ test:
 check:
 	sh scripts/check.sh
 
-# Static-analysis suite, seven rules, each owning a bug no test or
-# run-time check catches: pool and resource balance, silently dropped
-# errors, lock balance and ordering, goroutine leaks and WaitGroup
-# balance. See DESIGN.md "Static analysis" and its "Rule × mutation
-# audit". CI also gates the self-run's latency via
-# scripts/lint_time_smoke.sh (10 s budget).
+# Static-analysis suite, two rules, each owning a bug no test or
+# run-time check catches: lock order (lockorder) and a WaitGroup Done
+# skipped on an early return or an Add inside the spawned goroutine
+# (wgbalance). See DESIGN.md "Static analysis" and its "Rule × mutation
+# audit". CI runs the self-run once, through scripts/lint_time_smoke.sh,
+# which also gates its latency (10 s budget).
 lint:
 	$(GO) run ./cmd/quickdroplint ./...
 

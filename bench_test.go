@@ -1,11 +1,10 @@
-// Package quickdrop's root benchmark suite regenerates every table and
-// figure of the paper's evaluation (one benchmark per artifact) at the
-// "quick" substrate scale, reporting the paper's headline quantities as
-// custom benchmark metrics. Run with:
+// Package quickdrop's root benchmark regenerates paper Table 5 at the
+// "quick" substrate scale and reports QuickDrop's unlearn + recover
+// speed-up over Retrain-Or, which `cmd/experiments -id table5` computes
+// but does not print. Every other table and figure prints all of its
+// quantities: run `cmd/experiments -id <id>`. Run with:
 //
 //	go test -bench=. -benchmem
-//
-// Larger scales are available through cmd/experiments -scale standard.
 package quickdrop
 
 import (
@@ -14,226 +13,23 @@ import (
 	"quickdrop/internal/experiments"
 )
 
-func quick() experiments.Scale { return experiments.Quick() }
-
-// BenchmarkTable1Capabilities regenerates the qualitative comparison
-// matrix (paper Table 1).
-func BenchmarkTable1Capabilities(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1()
-		if len(rows) != 6 {
-			b.Fatalf("expected 6 rows, got %d", len(rows))
-		}
-	}
-}
-
-// BenchmarkTable2SingleClass regenerates the class-level unlearning
-// comparison (paper Table 2): accuracy and cost for all class-capable
-// approaches on the CIFAR-10 stand-in, 10 clients, α=0.1.
-func BenchmarkTable2SingleClass(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, rows)
-	}
-}
-
-// BenchmarkTable3LargeNetwork regenerates the many-client SVHN experiment
-// (paper Table 3) with 10% participation during training and recovery.
-func BenchmarkTable3LargeNetwork(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.Table3(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, rows)
-	}
-}
-
-// BenchmarkTable4ClientLevel regenerates client-level unlearning under
-// non-IID and IID partitioning (paper Table 4).
-func BenchmarkTable4ClientLevel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		nonIID, iid, err := experiments.Table4(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(nonIID) == 0 || len(iid) == 0 {
-			b.Fatal("missing rows")
-		}
-		report(b, nonIID)
-	}
-}
-
 // BenchmarkTable5Relearn regenerates the unlearn+recover and relearn
 // comparison on both datasets (paper Table 5).
 func BenchmarkTable5Relearn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cifar, mnist, err := experiments.Table5(quick())
+		cifar, mnist, err := experiments.Table5(experiments.Quick())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(cifar) == 0 || len(mnist) == 0 {
 			b.Fatal("missing rows")
 		}
-		report(b, cifar)
-	}
-}
-
-// BenchmarkTable6Overhead regenerates the in-situ distillation overhead
-// measurement for all three datasets (paper Table 6).
-func BenchmarkTable6Overhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table6(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*rows[1].Overhead, "cifar-dd-overhead-%")
-	}
-}
-
-// BenchmarkFigure2ClassWise regenerates the class-wise accuracy trace
-// through unlearning and recovery (paper Fig. 2).
-func BenchmarkFigure2ClassWise(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure2(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Acc[len(res.Acc)-1]
-		b.ReportMetric(100*last[res.Target], "target-final-acc-%")
-	}
-}
-
-// BenchmarkFigure3MIA regenerates the membership-inference evaluation of
-// the unlearned models (paper Fig. 3).
-func BenchmarkFigure3MIA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure3(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
+		for _, r := range cifar {
 			if r.Method == "QuickDrop" {
-				b.ReportMetric(100*r.FSetRate, "quickdrop-mia-fset-%")
-				b.ReportMetric(100*r.RSetRate, "quickdrop-mia-rset-%")
+				b.ReportMetric(r.Speedup, "quickdrop-speedup-x")
+				b.ReportMetric(100*r.FinalF, "quickdrop-fset-%")
+				b.ReportMetric(100*r.FinalR, "quickdrop-rset-%")
 			}
-		}
-	}
-}
-
-// BenchmarkFigure4Sequential regenerates the sequential unlearning of all
-// ten classes (paper Fig. 4).
-func BenchmarkFigure4Sequential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure4(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// After the full stream every class must be forgotten.
-		final := res.Acc[len(res.Acc)-1]
-		maxAcc := 0.0
-		for _, a := range final {
-			if a > maxAcc {
-				maxAcc = a
-			}
-		}
-		b.ReportMetric(100*maxAcc, "max-class-acc-after-all-drops-%")
-	}
-}
-
-// BenchmarkFigure5FineTuning regenerates the fine-tuning sweep (paper
-// Fig. 5): R-Set accuracy and gradient budgets vs fine-tune steps.
-func BenchmarkFigure5FineTuning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure5(quick(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*rows[0].RSetAccuracy, "rset-f0-%")
-		b.ReportMetric(100*rows[len(rows)-1].RSetAccuracy, "rset-fmax-%")
-	}
-}
-
-// BenchmarkFigure6Scale regenerates the scale-parameter sweep (paper
-// Fig. 6): accuracy and unlearn/recover time vs s.
-func BenchmarkFigure6Scale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure6(quick(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		first, last := rows[0], rows[len(rows)-1]
-		b.ReportMetric(100*first.RSetAccuracy, "rset-s1-%")
-		b.ReportMetric(100*last.RSetAccuracy, "rset-s100-%")
-		b.ReportMetric(float64(first.SynSamples), "syn-samples-s1")
-		b.ReportMetric(float64(last.SynSamples), "syn-samples-s100")
-	}
-}
-
-// BenchmarkAblationDistance compares the grouped cosine matching distance
-// against plain L2 (DESIGN.md decision 2).
-func BenchmarkAblationDistance(b *testing.B) {
-	benchAblation(b, experiments.AblationDistance)
-}
-
-// BenchmarkAblationInit compares real-sample synthetic initialization
-// against Gaussian noise (DESIGN.md decision 4).
-func BenchmarkAblationInit(b *testing.B) {
-	benchAblation(b, experiments.AblationInit)
-}
-
-// BenchmarkAblationAugment compares recovery with and without original-
-// sample augmentation (DESIGN.md decision 5).
-func BenchmarkAblationAugment(b *testing.B) {
-	benchAblation(b, experiments.AblationAugment)
-}
-
-// BenchmarkAblationObjective compares gradient matching against
-// first-order distribution matching (related-work alternative).
-func BenchmarkAblationObjective(b *testing.B) {
-	benchAblation(b, experiments.AblationObjective)
-}
-
-// BenchmarkExtensionSampleLevel runs the sample-level unlearning
-// extension (paper §5.1) with its MIA audit.
-func BenchmarkExtensionSampleLevel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ExtensionSampleLevel(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Method == "QuickDrop" {
-				b.ReportMetric(100*r.ForgottenMIA, "quickdrop-mia-forgot-%")
-				b.ReportMetric(100*r.TestAcc, "quickdrop-test-acc-%")
-			}
-		}
-	}
-}
-
-func benchAblation(b *testing.B, run func(experiments.Scale) ([]experiments.AblationRow, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rows, err := run(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*rows[0].RSetAccuracy, "rset-default-%")
-		b.ReportMetric(100*rows[1].RSetAccuracy, "rset-variant-%")
-	}
-}
-
-// report surfaces the headline Table-2-style quantities as metrics.
-func report(b *testing.B, rows []experiments.MethodRow) {
-	b.Helper()
-	for _, r := range rows {
-		if r.Method == "QuickDrop" {
-			b.ReportMetric(r.Speedup, "quickdrop-speedup-x")
-			b.ReportMetric(100*r.FinalF, "quickdrop-fset-%")
-			b.ReportMetric(100*r.FinalR, "quickdrop-rset-%")
 		}
 	}
 }

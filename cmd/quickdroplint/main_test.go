@@ -26,23 +26,26 @@ func chdir(t *testing.T, dir string) {
 	})
 }
 
+// fixtureDir is a golden fixture tree with findings and its own go.mod.
+var fixtureDir = filepath.Join("..", "..", "internal", "lint", "testdata", "src", "wgbalance")
+
 func TestRunFlagsNegativeFixture(t *testing.T) {
-	// The errcheck golden fixture doubles as the command's negative
+	// The wgbalance golden fixture doubles as the command's negative
 	// fixture: it carries its own go.mod, so quickdroplint treats it as
 	// a module and must exit 1 with findings.
-	chdir(t, filepath.Join("..", "..", "internal", "lint", "testdata", "src", "errcheck"))
+	chdir(t, fixtureDir)
 	var out, errb bytes.Buffer
-	code := run([]string{"-rules", "errcheck", "./..."}, &out, &errb)
+	code := run([]string{"-rules", "wgbalance", "./..."}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "errcheck: ") {
-		t.Errorf("output has no errcheck findings:\n%s", out.String())
+	if !strings.Contains(out.String(), "wgbalance: ") {
+		t.Errorf("output has no wgbalance findings:\n%s", out.String())
 	}
 }
 
 func TestRunPatternFiltersFindings(t *testing.T) {
-	chdir(t, filepath.Join("..", "..", "internal", "lint", "testdata", "src", "errcheck"))
+	chdir(t, fixtureDir)
 	var out, errb bytes.Buffer
 	if code := run([]string{"./nonexistent/..."}, &out, &errb); code != 0 {
 		t.Fatalf("exit code = %d, want 0 for a pattern matching nothing", code)
@@ -53,14 +56,14 @@ func TestRunPatternFiltersFindings(t *testing.T) {
 }
 
 func TestRunGithubFormat(t *testing.T) {
-	chdir(t, filepath.Join("..", "..", "internal", "lint", "testdata", "src", "errcheck"))
+	chdir(t, fixtureDir)
 	var out, errb bytes.Buffer
-	code := run([]string{"-rules", "errcheck", "-format", "github", "./..."}, &out, &errb)
+	code := run([]string{"-rules", "wgbalance", "-format", "github", "./..."}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, errb.String())
 	}
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
-		if !strings.HasPrefix(line, "::error file=") || !strings.Contains(line, ",line=") || !strings.Contains(line, "::errcheck: ") {
+		if !strings.HasPrefix(line, "::error file=") || !strings.Contains(line, ",line=") || !strings.Contains(line, "::wgbalance: ") {
 			t.Errorf("malformed github annotation: %q", line)
 		}
 	}
@@ -70,18 +73,6 @@ func TestRunUnknownFormat(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-format", "junit"}, &out, &errb); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
-	}
-}
-
-func TestRunResourceRulesCleanOnTree(t *testing.T) {
-	// The real module must stay clean under the resource-lifecycle
-	// rule; in particular every //lint:resource directive in the tree
-	// must parse (a malformed one is a finding).
-	chdir(t, filepath.Join("..", ".."))
-	var out, errb bytes.Buffer
-	code := run([]string{"-rules", "resbalance", "./..."}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0; findings:\n%s%s", code, out.String(), errb.String())
 	}
 }
 
@@ -96,7 +87,7 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		got = append(got, strings.Fields(line)[0])
 	}
-	want := []string{"errcheck", "goroutineleak", "lockbalance", "lockorder", "poolbalance", "resbalance", "wgbalance"}
+	want := []string{"lockorder", "wgbalance"}
 	if !slices.Equal(got, want) {
 		t.Errorf("-list rules = %v, want %v:\n%s", got, want, out.String())
 	}

@@ -59,8 +59,8 @@ func main() {
 		}
 		total += rep.Total.WallTime
 		acc := eval.Accuracy(sys.Model, remainingTest(test, sys))
-		fmt.Printf("request %d (%v): served in %s, accuracy on remaining classes %.1f%%\n",
-			i+1, req, rep.Total.WallTime.Round(time.Millisecond), 100*acc)
+		fmt.Printf("request %d (%v): served in %s, accuracy on remaining classes %.1f%%%s\n",
+			i+1, req, rep.Total.WallTime.Round(time.Millisecond), 100*acc, forgottenAcc(test, sys))
 	}
 	fmt.Printf("served %d requests in %s total — %.1fx the one-time training cost\n",
 		len(stream), total.Round(time.Millisecond), float64(total)/float64(trainTime))
@@ -71,6 +71,21 @@ func remainingTest(test *data.Dataset, sys *core.System) *data.Dataset {
 	out := test
 	for _, c := range sys.RemovedClasses() {
 		out = out.WithoutClass(c)
+	}
+	return out
+}
+
+// forgottenAcc lists the test accuracy of every class forgotten so far,
+// each of which should stay near zero for the rest of the stream.
+func forgottenAcc(test *data.Dataset, sys *core.System) string {
+	classes := sys.RemovedClasses()
+	if len(classes) == 0 {
+		return ""
+	}
+	acc, _ := eval.PerClassAccuracy(sys.Model, test)
+	out := ", on forgotten classes"
+	for _, c := range classes {
+		out += fmt.Sprintf(" %d: %.1f%%", c, 100*acc[c])
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 
 	"quickdrop/internal/data"
@@ -148,5 +150,61 @@ func TestLoadStateErrors(t *testing.T) {
 	}
 	if err := smaller.LoadState(&buf2); err == nil {
 		t.Fatal("expected client-count mismatch error")
+	}
+}
+
+// errWrite is the error a failingWriter's failing Write returns.
+var errWrite = errors.New("write refused")
+
+// failingWriter fails its failAt-th Write (counting from 1) and accepts
+// every other, so an error dropped anywhere lets the save run on and
+// report success.
+type failingWriter struct {
+	writes, failAt int
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes == w.failAt {
+		return 0, errWrite
+	}
+	return len(p), nil
+}
+
+// TestWritersReturnEveryWriteError gives every serializer in the state
+// path a writer that fails at its k-th Write, for each k a successful
+// save reaches, and requires the call to return an error that wraps the
+// writer's.
+func TestWritersReturnEveryWriteError(t *testing.T) {
+	sys, _ := trainedSystem(t)
+	syn := sys.Synthetic(0)
+	if syn == nil {
+		t.Fatal("trained fixture has no synthetic set for client 0")
+	}
+	writeTo := func(wt io.WriterTo) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := wt.WriteTo(w)
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name string
+		save func(io.Writer) error
+	}{
+		{"tensor.Tensor.WriteTo", writeTo(syn.X[0])},
+		{"data.Dataset.WriteTo", writeTo(syn)},
+		{"nn.Model.WriteTo", writeTo(sys.Model)},
+		{"core.System.SaveState", sys.SaveState},
+	} {
+		ok := &failingWriter{}
+		if err := c.save(ok); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for k := 1; k <= ok.writes; k++ {
+			if err := c.save(&failingWriter{failAt: k}); !errors.Is(err, errWrite) {
+				t.Errorf("%s: Write %d of %d failed, but the call returned %v", c.name, k, ok.writes, err)
+				break
+			}
+		}
 	}
 }

@@ -267,14 +267,10 @@ func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, syn
 	}
 	model, arena := ctx.Model, ctx.Model.Arena()
 
-	// The pixel-update buffer comes from the tensor pool and is reused
-	// across all ς_S iterations. Everything else of an iteration — both
-	// gradient graphs and the matching graph — lives in the model's step
-	// arena until the reset that ends the iteration, so the real gradients
-	// are matched in place, without a detaching copy.
+	// Both gradient graphs and the matching graph of an iteration live in
+	// the model's step arena until the reset that ends the iteration, so
+	// the real gradients are matched in place, without a detaching copy.
 	gD := make([]*ad.Value, len(model.Params()))
-	var updated *tensor.Tensor
-	defer func() { tensor.Put(updated) }()
 
 	for step := 0; step < m.Cfg.Steps; step++ {
 		boundD := model.BindStep()
@@ -305,12 +301,10 @@ func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, syn
 			ctx.Health.RecordDistill(float64(ctx.PhaseStep), dist.Item(), gl2, gn+gi)
 		}
 
-		// SGD step on the synthetic pixels, written back per sample.
-		if updated == nil {
-			updated = tensor.GetLike(xS)
-		}
-		tensor.AddScaledInto(updated, xS, -m.Cfg.LR, gradS.Data)
-		writeBack(syn, synIdx, updated)
+		// SGD step on the synthetic pixels, taken in the gathered batch
+		// (its graph is dead) and written back per sample.
+		tensor.AddScaledInto(xS, xS, -m.Cfg.LR, gradS.Data)
+		writeBack(syn, synIdx, xS)
 		arena.Reset() // the iteration's graphs are dead from here on
 	}
 }
@@ -321,8 +315,6 @@ func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, syn
 func (m *Matcher) matchDistribution(ctx fl.StepContext, syn *data.Dataset, synIdx []int, xD *tensor.Tensor, realCount int) {
 	model, arena := ctx.Model, ctx.Model.Arena()
 	embLayer := len(model.Layers()) - 1 // stop before the classifier
-	var updated *tensor.Tensor
-	defer func() { tensor.Put(updated) }()
 	for step := 0; step < m.Cfg.Steps; step++ {
 		// One frozen bind serves both embedding graphs; it and the input
 		// leaves live in the step arena.
@@ -337,11 +329,8 @@ func (m *Matcher) matchDistribution(ctx fl.StepContext, syn *data.Dataset, synId
 
 		dist := distributionDistance(embS, embD)
 		gradS := ad.MustGrad(dist, []*ad.Value{sVar})[0]
-		if updated == nil {
-			updated = tensor.GetLike(xS)
-		}
-		tensor.AddScaledInto(updated, xS, -m.Cfg.LR, gradS.Data)
-		writeBack(syn, synIdx, updated)
+		tensor.AddScaledInto(xS, xS, -m.Cfg.LR, gradS.Data)
+		writeBack(syn, synIdx, xS)
 		arena.Reset() // the iteration's graphs are dead from here on
 	}
 }

@@ -17,10 +17,8 @@ import (
 // order — and everything derived from them — is deterministic.
 //
 // Calls inside nested function literals are attributed to the
-// enclosing declaration: for bottom-up effect summaries this is the
-// optimistic reading (a deferred closure releasing a resource counts
-// as the function releasing it), which matches the suite's
-// no-false-positive bias.
+// enclosing declaration: a callee's locks, taken in a closure, count
+// in the enclosing function's summary.
 func (p *Program) CallGraph() *dataflow.CallGraph[*types.Func] {
 	p.cgOnce.Do(func() {
 		g := dataflow.NewCallGraph[*types.Func]()

@@ -7,10 +7,9 @@ import (
 	"strings"
 )
 
-// Shared helpers of the concurrency rule family (lockbalance, lockorder,
-// goroutineleak, wgbalance): classifying sync primitive
-// calls and giving the receiver of a Lock/Unlock/Add/Done a stable
-// identity that survives CFG joins.
+// Shared helpers of the concurrency rules (lockorder, wgbalance):
+// classifying sync primitive calls and giving the receiver of a
+// Lock/Unlock/Add/Done a stable identity that survives CFG joins.
 
 // syncOp classifies one call on a sync primitive.
 type syncOp int
@@ -147,9 +146,9 @@ func syncCallAt(info *types.Info, n ast.Node, classify func(*types.Func) syncOp)
 }
 
 // syncScan is the balance scan of a sync primitive: a rebound root
-// makes its receivers unknown, and each call classify recognizes on a
-// tracked receiver moves it by ops.
-func syncScan(classify func(*types.Func) syncOp, ops map[syncOp]balanceOp) func(bf *balanceFlow, x ast.Node) bool {
+// makes its receivers unknown, and each call classify maps to op on a
+// tracked receiver steps it.
+func syncScan(classify func(*types.Func) syncOp, op syncOp) func(bf *balanceFlow, x ast.Node) bool {
 	return func(bf *balanceFlow, x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.AssignStmt:
@@ -159,10 +158,8 @@ func syncScan(classify func(*types.Func) syncOp, ops map[syncOp]balanceOp) func(
 				}
 			}
 		case *ast.CallExpr:
-			if key, op, call := syncCallAt(bf.info, x, classify); op != opNone {
-				if bop, ok := ops[op]; ok {
-					bf.apply(key, bop, call.Pos())
-				}
+			if key, got, _ := syncCallAt(bf.info, x, classify); got == op {
+				bf.apply(key)
 			}
 		}
 		return true

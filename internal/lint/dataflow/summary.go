@@ -3,12 +3,10 @@ package dataflow
 // SummaryAnalysis describes one bottom-up interprocedural summary
 // computation over a CallGraph: every node gets a summary fact of type
 // S, computed from its own code plus the summaries of its callees.
-// The same shape serves two very different lattices: lock-set closures
-// (lockorder) and resource acquire/release effects (resbalance).
+// lockorder's transitive lock-set closures are its user.
 type SummaryAnalysis[N comparable, S any] struct {
 	// Bottom returns node n's initial summary — the least element of
-	// n's summary lattice (for example "acquires nothing, releases
-	// nothing", or a contract-declared base effect).
+	// n's summary lattice (for example "acquires no lock").
 	Bottom func(n N) S
 	// Transfer recomputes n's summary from scratch. get yields the
 	// current summary of any node (Bottom for nodes not yet computed,

@@ -25,7 +25,7 @@ func writeTree(t *testing.T, files map[string]string) string {
 
 func TestMalformedAllowIsReported(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"p/p.go": "package p\n\n//lint:allow errcheck\nfunc f() {}\n",
+		"p/p.go": "package p\n\n//lint:allow wgbalance\nfunc f() {}\n",
 	})
 	prog, err := LoadProgram(root, fixtureModPath)
 	if err != nil {
@@ -44,7 +44,7 @@ func TestMalformedAllowIsNotSuppressible(t *testing.T) {
 	// An allow for the "directive" pseudo-rule on the line above must
 	// not silence the malformed-directive report.
 	root := writeTree(t, map[string]string{
-		"p/p.go": "package p\n\n//lint:allow directive trying to hush the checker\n//lint:allow errcheck\nfunc f() {}\n",
+		"p/p.go": "package p\n\n//lint:allow directive trying to hush the checker\n//lint:allow wgbalance\nfunc f() {}\n",
 	})
 	prog, err := LoadProgram(root, fixtureModPath)
 	if err != nil {
@@ -58,27 +58,34 @@ func TestMalformedAllowIsNotSuppressible(t *testing.T) {
 
 func TestAllowOnLineAboveSuppresses(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"p/p.go": "package p\n\nfunc fail() error { return nil }\n\nfunc g() {\n\t//lint:allow errcheck fire-and-forget probe\n\tfail()\n}\n",
+		"p/p.go": addInGo("\t\t//lint:allow wgbalance the probe owns its counter\n\t\twg.Add(1)\n"),
 	})
 	prog, err := LoadProgram(root, fixtureModPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run(prog, []*Analyzer{ErrCheck}); len(diags) != 0 {
+	if diags := Run(prog, []*Analyzer{WGBalance}); len(diags) != 0 {
 		t.Fatalf("suppressed finding still reported: %v", diags)
 	}
 }
 
 func TestAllowWrongRuleDoesNotSuppress(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"p/p.go": "package p\n\nfunc fail() error { return nil }\n\nfunc g() {\n\tfail() //lint:allow determinism wrong rule name\n}\n",
+		"p/p.go": addInGo("\t\twg.Add(1) //lint:allow lockorder wrong rule name\n"),
 	})
 	prog, err := LoadProgram(root, fixtureModPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(prog, []*Analyzer{ErrCheck})
-	if len(diags) != 1 || diags[0].Rule != "errcheck" {
-		t.Fatalf("got %v, want one errcheck diagnostic", diags)
+	diags := Run(prog, []*Analyzer{WGBalance})
+	if len(diags) != 1 || diags[0].Rule != "wgbalance" {
+		t.Fatalf("got %v, want one wgbalance diagnostic", diags)
 	}
+}
+
+// addInGo is a file whose goroutine runs add, a wg.Add that races with
+// the spawner's Wait: one wgbalance finding.
+func addInGo(add string) string {
+	return "package p\n\nimport \"sync\"\n\nfunc g() {\n\tvar wg sync.WaitGroup\n\tgo func() {\n" +
+		add + "\t\twg.Done()\n\t}()\n\twg.Wait()\n}\n"
 }

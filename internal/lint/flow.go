@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -9,12 +8,11 @@ import (
 	"quickdrop/internal/lint/dataflow"
 )
 
-// The flow engine shared by every flow-sensitive rule: how one CFG node
+// The flow engine shared by the flow-sensitive rules: how one CFG node
 // is read (nodeWalker) and how a unit is solved and its findings
-// reported (flowUnit). The four path-balance rules — lockbalance,
-// wgbalance, resbalance and poolbalance — go one step further and are
-// specs on one engine (balanceSpec): a key, a per-key powerset fact
-// (keyFact), an op → transition table and an exit verdict.
+// reported (flowUnit). wgbalance's path check goes one step further and
+// is a spec on the path-balance engine (balanceSpec): a key, a per-key
+// powerset fact (keyFact), a transition table and an exit verdict.
 
 // nodeWalker reads the AST of one CFG node the way every flow rule
 // must:
@@ -32,9 +30,7 @@ type nodeWalker struct {
 	// visit sees every other node; returning false skips its children.
 	visit func(x ast.Node) bool
 	// bind, when set, sees each object a range key or value rebinds.
-	// elemOf is the range expression when obj is the value variable,
-	// and nil for the key.
-	bind     func(obj types.Object, elemOf ast.Expr)
+	bind     func(obj types.Object)
 	deferred bool
 }
 
@@ -65,11 +61,10 @@ func (w *nodeWalker) inspect(x ast.Node) bool {
 	case *ast.RangeStmt:
 		w.walk(x.X)
 		if w.bind != nil {
-			if obj := exprObj(w.info, x.Key); obj != nil {
-				w.bind(obj, nil)
-			}
-			if obj := exprObj(w.info, x.Value); obj != nil {
-				w.bind(obj, x.X)
+			for _, v := range []ast.Expr{x.Key, x.Value} {
+				if obj := exprObj(w.info, v); obj != nil {
+					w.bind(obj)
+				}
 			}
 		}
 		return false
@@ -87,18 +82,6 @@ func exprObj(info *types.Info, expr ast.Expr) types.Object {
 	return identObj(info, id)
 }
 
-// forIdentObjs calls f with the object of every identifier in expr.
-func forIdentObjs(info *types.Info, expr ast.Expr, f func(types.Object)) {
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := identObj(info, id); obj != nil {
-				f(obj)
-			}
-		}
-		return true
-	})
-}
-
 // inspectShallow walks n without descending into function literals.
 func inspectShallow(n ast.Node, fn func(ast.Node)) {
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -112,52 +95,28 @@ func inspectShallow(n ast.Node, fn func(ast.Node)) {
 	})
 }
 
-// flowUnit is one function body under a flow rule: its CFG, and a
-// reporter that is live only while the solved facts are replayed and
-// reports each (position, message) once.
+// flowUnit is one function body under a flow rule: its CFG, and whether
+// the solved facts are being replayed — the one pass in which a rule
+// emits what it found.
 type flowUnit struct {
-	pass      *Pass
 	g         *dataflow.Graph
 	replaying bool
-	seen      map[flowFinding]bool
-}
-
-type flowFinding struct {
-	pos token.Pos
-	msg string
 }
 
 // newFlowUnit builds body's CFG, in which calls to the builtin panic
 // leave the function. It returns nil for a missing body.
-func newFlowUnit(pass *Pass, info *types.Info, body *ast.BlockStmt) *flowUnit {
+func newFlowUnit(info *types.Info, body *ast.BlockStmt) *flowUnit {
 	g := dataflow.NewFromBlock(body, func(call *ast.CallExpr) bool {
 		return isBuiltinPanic(info, call)
 	})
 	if g == nil {
 		return nil
 	}
-	return &flowUnit{pass: pass, g: g}
-}
-
-// reportf reports a finding during the replay, once per position and
-// message.
-func (u *flowUnit) reportf(pos token.Pos, format string, args ...any) {
-	if !u.replaying {
-		return
-	}
-	k := flowFinding{pos: pos, msg: fmt.Sprintf(format, args...)}
-	if u.seen[k] {
-		return
-	}
-	if u.seen == nil {
-		u.seen = make(map[flowFinding]bool)
-	}
-	u.seen[k] = true
-	u.pass.Reportf(pos, "%s", k.msg)
+	return &flowUnit{g: g}
 }
 
 // solveUnit solves an over u's CFG silently, then replays the solution
-// with u reporting.
+// with u.replaying set.
 func solveUnit[F any](u *flowUnit, an dataflow.Analysis[F]) dataflow.Result[F] {
 	res := dataflow.Forward(u.g, an)
 	u.replaying = true
@@ -222,18 +181,6 @@ func (f keyFact) equal(g keyFact) bool {
 // left the modeled domain — and silences every check on it.
 type pathState uint8
 
-// balanceOp is what one call or binding does to a tracked key.
-type balanceOp uint8
-
-const (
-	balAcquire       balanceOp = iota // Lock, pool Get, a contract acquire
-	balAcquireShared                  // RLock
-	balRelease                        // Unlock, Done, Put, a contract release
-	balReleaseShared                  // RUnlock
-	balBindNil                        // the variable is bound to nil
-	balHandOff                        // returned: ownership moves to the caller
-)
-
 // balanceSpec is one path-balance rule on the shared engine.
 type balanceSpec struct {
 	// init is every tracked key's state at function entry (0: unknown).
@@ -241,12 +188,9 @@ type balanceSpec struct {
 	// scan folds the ops one AST node performs into the flow, through
 	// bf.apply and bf.forget; returning false skips x's children.
 	scan func(bf *balanceFlow, x ast.Node) bool
-	// step is the transition table: op on a key in state st moves it to
-	// next, and a non-empty msg is a misuse reported at the op.
-	step func(op balanceOp, st pathState, name string) (next pathState, msg string)
-	// nilState, when set, is the state bit meaning "provably nil":
-	// comparisons against nil refine it along branch edges.
-	nilState pathState
+	// step is the transition table: the spec's op moves a key in state
+	// st to next.
+	step func(st pathState) (next pathState)
 	// verdict judges a key from its states at the function's exits; a
 	// non-empty message is reported at the key's site.
 	verdict func(e exitStates, name string) string
@@ -259,16 +203,13 @@ type balanceSite struct {
 	name string
 }
 
-// exitStates summarizes one key over a unit's exits, after the deferred
-// calls ran.
+// exitStates summarizes one key over a unit's non-panicking exits,
+// after the deferred calls ran.
 type exitStates struct {
-	// normal joins the key's states over the non-panicking exits.
+	// normal joins the key's states over the exits.
 	normal pathState
-	// unknown is set when some non-panicking exit has the key unknown.
+	// unknown is set when some exit has the key unknown.
 	unknown bool
-	// panicInit is set when some panicking exit leaves the key in its
-	// entry state.
-	panicInit bool
 }
 
 // balanceFlow runs one balance spec over one unit. Its transfer
@@ -276,7 +217,6 @@ type exitStates struct {
 // the outgoing fact through set; the incoming fact is copied on the
 // first write.
 type balanceFlow struct {
-	*flowUnit
 	info   *types.Info
 	walker nodeWalker
 	out    keyFact
@@ -290,15 +230,15 @@ func checkBalance(pass *Pass, info *types.Info, body *ast.BlockStmt, spec *balan
 	if len(sites) == 0 {
 		return
 	}
-	u := newFlowUnit(pass, info, body)
+	u := newFlowUnit(info, body)
 	if u == nil {
 		return
 	}
-	bf := &balanceFlow{flowUnit: u, info: info, spec: spec, sites: sites}
+	bf := &balanceFlow{info: info, spec: spec, sites: sites}
 	bf.walker = nodeWalker{
 		info:  info,
 		visit: func(x ast.Node) bool { return spec.scan(bf, x) },
-		bind:  func(obj types.Object, _ ast.Expr) { bf.forget(obj) },
+		bind:  bf.forget,
 	}
 	init := keyFact{}
 	if spec.init != 0 {
@@ -316,23 +256,20 @@ func checkBalance(pass *Pass, info *types.Info, body *ast.BlockStmt, spec *balan
 			return bf.out
 		},
 	}
-	if spec.nilState != 0 {
-		an.Refine = bf.refineNil
-	}
-	res := solveUnit(u, an)
+	res := dataflow.Forward(u.g, an)
 
 	exits := make(map[pathKey]*exitStates, len(sites))
 	for k := range sites {
 		exits[k] = &exitStates{}
 	}
 	res.Exits(u.g, an, func(f keyFact, panics bool) {
+		if panics {
+			return
+		}
 		for k, e := range exits {
-			switch st := f[k]; {
-			case panics:
-				e.panicInit = e.panicInit || st == spec.init
-			case st == 0:
+			if st := f[k]; st == 0 {
 				e.unknown = true
-			default:
+			} else {
 				e.normal |= st
 			}
 		}
@@ -345,17 +282,11 @@ func checkBalance(pass *Pass, info *types.Info, body *ast.BlockStmt, spec *balan
 	}
 }
 
-// apply moves a tracked key through the spec's transition table at pos.
-func (bf *balanceFlow) apply(k pathKey, op balanceOp, pos token.Pos) {
-	site, ok := bf.sites[k]
-	if !ok {
-		return
+// apply moves a tracked key through the spec's transition table.
+func (bf *balanceFlow) apply(k pathKey) {
+	if _, ok := bf.sites[k]; ok {
+		bf.set(k, bf.spec.step(bf.out[k]))
 	}
-	next, msg := bf.spec.step(op, bf.out[k], site.name)
-	if msg != "" {
-		bf.reportf(pos, "%s", msg)
-	}
-	bf.set(k, next)
 }
 
 // set moves k to state s in the outgoing fact; the zero state removes
@@ -381,162 +312,4 @@ func (bf *balanceFlow) forget(obj types.Object) {
 			bf.set(k, 0)
 		}
 	}
-}
-
-// refineNil narrows a variable's state along the edges of a comparison
-// against nil, and prunes the edge the state rules out.
-func (bf *balanceFlow) refineNil(cond ast.Expr, neg bool, in keyFact) (keyFact, bool) {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return in, true
-	}
-	var obj types.Object
-	if isNilIdent(bf.info, be.Y) {
-		obj = exprObj(bf.info, be.X)
-	} else if isNilIdent(bf.info, be.X) {
-		obj = exprObj(bf.info, be.Y)
-	}
-	if obj == nil {
-		return in, true
-	}
-	k := varKey(obj)
-	st := in[k]
-	if st == 0 {
-		return in, true
-	}
-	nilBit := bf.spec.nilState
-	next := st &^ nilBit // the non-nil edge
-	if (be.Op == token.EQL) != neg {
-		next = st & nilBit
-	}
-	if next == 0 {
-		return nil, false // the state rules this edge out
-	}
-	if next == st {
-		return in, true
-	}
-	out := in.clone()
-	out[k] = next
-	return out, true
-}
-
-func isNilIdent(info *types.Info, x ast.Expr) bool {
-	id, ok := ast.Unparen(x).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := info.Uses[id].(*types.Nil)
-	return isNil
-}
-
-// varKey is the key of a tracked variable.
-func varKey(obj types.Object) pathKey {
-	return pathKey{root: obj, path: obj.Name()}
-}
-
-// --- the ownership family: a value the unit must release ---
-
-// The ownership lattice — of a pool buffer (poolbalance) or a
-// contract-declared resource (resbalance) — is the powerset of these
-// states.
-const (
-	ownNil      pathState = 1 << iota // provably nil on this path
-	ownHeld                           // holds an unreleased acquisition
-	ownReleased                       // released, or returned to the caller
-)
-
-// ownership describes one family of owned values.
-type ownership struct {
-	// acquires reports whether call's result is an acquisition that the
-	// tracked variable obj, bound to it, must discharge.
-	acquires func(call *ast.CallExpr, obj types.Object) bool
-	// releases calls release with each variable call discharges.
-	releases func(call *ast.CallExpr, release func(obj types.Object))
-	// acquired is the state an acquire leaves: held, or held-or-nil
-	// when the acquirer may return nil.
-	acquired pathState
-	// overwrite, twice and leak word the findings for an acquire over a
-	// held value, a second release, and a leak, naming the value name.
-	overwrite, twice, leak func(name string) string
-}
-
-// spec is the balance spec of o's variables: acquired by binding an
-// acquire's result, bound to nil or rebound to anything else, released
-// by o's releasing calls, and handed to the caller by a return.
-func (o *ownership) spec() *balanceSpec {
-	return &balanceSpec{
-		scan:     o.scan,
-		step:     o.step,
-		nilState: ownNil,
-		verdict: func(e exitStates, name string) string {
-			if e.normal&ownHeld == 0 {
-				return ""
-			}
-			return o.leak(name)
-		},
-	}
-}
-
-func (o *ownership) scan(bf *balanceFlow, x ast.Node) bool {
-	switch x := x.(type) {
-	case *ast.AssignStmt:
-		if len(x.Lhs) == len(x.Rhs) {
-			for i := range x.Rhs {
-				o.bind(bf, x.Lhs[i], x.Rhs[i])
-			}
-		}
-	case *ast.ValueSpec:
-		for i, name := range x.Names {
-			if i < len(x.Values) {
-				o.bind(bf, name, x.Values[i])
-			} else if obj := exprObj(bf.info, name); obj != nil {
-				bf.apply(varKey(obj), balBindNil, name.Pos()) // var x *T
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, res := range x.Results {
-			if obj := exprObj(bf.info, res); obj != nil {
-				bf.apply(varKey(obj), balHandOff, res.Pos())
-			}
-		}
-	case *ast.CallExpr:
-		o.releases(x, func(obj types.Object) {
-			bf.apply(varKey(obj), balRelease, x.Pos())
-		})
-	}
-	return true
-}
-
-// bind folds one lhs = rhs pair.
-func (o *ownership) bind(bf *balanceFlow, lhs, rhs ast.Expr) {
-	obj := exprObj(bf.info, lhs)
-	if obj == nil {
-		return
-	}
-	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && o.acquires(call, obj) {
-		bf.apply(varKey(obj), balAcquire, call.Pos())
-		return
-	}
-	if isNilIdent(bf.info, rhs) {
-		bf.apply(varKey(obj), balBindNil, rhs.Pos())
-		return
-	}
-	bf.forget(obj) // rebound to something unmodeled
-}
-
-func (o *ownership) step(op balanceOp, st pathState, name string) (pathState, string) {
-	switch op {
-	case balAcquire:
-		if st&ownHeld != 0 {
-			return o.acquired, o.overwrite(name)
-		}
-		return o.acquired, ""
-	case balRelease:
-		if st == ownReleased {
-			return ownReleased, o.twice(name)
-		}
-	case balBindNil:
-		return ownNil, ""
-	}
-	return ownReleased, "" // a release or a hand-off
 }

@@ -2,9 +2,8 @@
 // repository. It parses and type-checks the module with go/parser and
 // go/types (no golang.org/x/tools dependency, preserving the zero-dep
 // rule) and runs the analyzers that catch bugs no test or run-time
-// check does (DESIGN.md "Rule × mutation audit"): pool buffer and
-// resource ownership, lock and WaitGroup balance, lock order, goroutine
-// leaks, and silently discarded errors.
+// check does (DESIGN.md "Rule × mutation audit"): lock order and
+// WaitGroup balance.
 //
 // Diagnostics carry file:line:col positions. A finding can be silenced
 // at its line (or the line below the comment) with a reasoned
@@ -68,12 +67,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns every analyzer in the suite, in report order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ErrCheck,
-		GoroutineLeak,
-		LockBalance,
 		LockOrder,
-		PoolBalance,
-		ResBalance,
 		WGBalance,
 	}
 }
@@ -126,15 +120,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// funcPkgPath returns the import path of the function's package ("" for
-// builtins/universe scope).
-func funcPkgPath(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path()
-}
-
 // namedOf unwraps pointers and returns the named type, or nil.
 func namedOf(t types.Type) *types.Named {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
@@ -142,16 +127,6 @@ func namedOf(t types.Type) *types.Named {
 	}
 	n, _ := t.(*types.Named)
 	return n
-}
-
-// isNamedIn reports whether t (possibly behind a pointer) is the named
-// type name declared in a package whose path ends in pkgSuffix.
-func isNamedIn(t types.Type, name, pkgSuffix string) bool {
-	n := namedOf(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Name() == name && hasPathSuffix(n.Obj().Pkg().Path(), pkgSuffix)
 }
 
 // recvNamed returns the named type of a method's receiver, or nil for
@@ -175,15 +150,6 @@ func isMethodOn(fn *types.Func, name, typeName, pkgSuffix string) bool {
 		return false
 	}
 	return recv.Obj().Name() == typeName && hasPathSuffix(recv.Obj().Pkg().Path(), pkgSuffix)
-}
-
-// isPkgFunc reports whether fn is the package-level function name in a
-// package whose path ends in pkgSuffix.
-func isPkgFunc(fn *types.Func, name, pkgSuffix string) bool {
-	if fn == nil || fn.Name() != name || recvNamed(fn) != nil {
-		return false
-	}
-	return hasPathSuffix(funcPkgPath(fn), pkgSuffix)
 }
 
 // eqSet reports whether two sets hold the same members.

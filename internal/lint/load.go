@@ -154,7 +154,8 @@ func (l *loader) loadDir(dir, path string) (*Package, error) {
 		Importer: l,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tpkg, _ := conf.Check(path, sharedFset, files, info) //lint:allow errcheck errors are gathered via conf.Error to report them all at once
+	// Errors are gathered through conf.Error to report them all at once.
+	tpkg, _ := conf.Check(path, sharedFset, files, info)
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, errors.Join(typeErrs...))
 	}

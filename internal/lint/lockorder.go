@@ -328,7 +328,7 @@ func (lo *lockOrder) closeSummaries() {
 // analyzeUnit runs the held-set flow over one unit and emits edges
 // while the solution is replayed.
 func (lo *lockOrder) analyzeUnit(pkg *Package, body *ast.BlockStmt) {
-	u := newFlowUnit(lo.pass, pkg.Info, body)
+	u := newFlowUnit(pkg.Info, body)
 	if u == nil {
 		return
 	}

@@ -5,67 +5,49 @@ import (
 	"go/token"
 )
 
-// WGBalance enforces sync.WaitGroup discipline on the CFG:
+// WGBalance enforces sync.WaitGroup discipline:
 //
 //   - In a unit that calls Done, the call must be reached on every
 //     non-panicking path — an early return that skips Done leaves the
 //     counter positive and the matching Wait hangs forever.
-//   - A second Done on a path that already ran one drives the counter
-//     negative, which panics at runtime.
-//   - If the unit can panic and its Done is not deferred, the panic
-//     path skips the Done; defer wg.Done() covers every exit.
 //   - wg.Add inside a spawned goroutine races with the spawner's Wait
 //     (Wait can observe the counter at zero before the goroutine runs
 //     Add); Add belongs in the spawner, before the go statement.
 //
 // Receivers are tracked by selector path from a root object. Units
 // that both Add and Done on one WaitGroup are orchestrators balancing
-// the counter deliberately and are exempt from the path checks;
-// rebinding the root degrades to unknown and silences everything.
+// the counter deliberately and are exempt from the path check;
+// rebinding the root degrades to unknown and silences everything. A
+// second Done on one path needs no rule: the counter goes negative and
+// panics on the first run through it.
 var WGBalance = &Analyzer{
 	Name: "wgbalance",
-	Doc:  "WaitGroup Done on every path, no double Done, no Add inside the spawned goroutine",
+	Doc:  "WaitGroup Done on every path, no Add inside the spawned goroutine",
 	Run:  runWGBalance,
 }
 
-// The Done-count lattice is the powerset of these states.
+// The Done lattice is the powerset of these states.
 const (
-	wgD0 pathState = 1 << iota // no Done has run on this path
-	wgD1                       // exactly one Done has run
-	wgD2                       // two or more: the counter may go negative
+	wgD0   pathState = 1 << iota // no Done has run on this path
+	wgDone                       // Done has run
 )
 
-// wgSpec counts Dones; Add and Wait leave the count alone — Add moves
-// the counter up, never below zero, and units that also Add are
-// exempt.
+// wgSpec tracks whether Done ran; Add and Wait leave the state alone —
+// units that also Add are exempt.
 var wgSpec = &balanceSpec{
 	init: wgD0,
-	scan: syncScan(isWaitGroupMethod, map[syncOp]balanceOp{opWGDone: balRelease}),
-	step: func(_ balanceOp, st pathState, name string) (pathState, string) {
-		switch {
-		case st == 0:
-			return 0, "" // unknown stays unknown
-		case st&wgD0 == 0:
-			// Every path here already ran Done once; degrade so the
-			// finding does not cascade.
-			return 0, name + ".Done on a path where it already ran; the counter goes negative and panics"
+	scan: syncScan(isWaitGroupMethod, opWGDone),
+	step: func(st pathState) pathState {
+		if st == 0 {
+			return 0 // unknown stays unknown
 		}
-		next := wgD1
-		if st&(wgD1|wgD2) != 0 {
-			next |= wgD2
-		}
-		return next, ""
+		return wgDone
 	},
 	verdict: func(e exitStates, name string) string {
-		switch {
-		case e.unknown:
+		if e.unknown || e.normal != wgD0|wgDone {
 			return ""
-		case e.normal&wgD0 != 0 && e.normal&(wgD1|wgD2) != 0:
-			return name + ".Done is skipped on some path out of this function; the matching Wait hangs"
-		case e.normal&wgD0 == 0 && e.normal != 0 && e.panicInit:
-			return name + ".Done is skipped when this function panics; defer it so every exit runs it"
 		}
-		return ""
+		return name + ".Done is skipped on some path out of this function; the matching Wait hangs"
 	},
 }
 

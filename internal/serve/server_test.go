@@ -77,8 +77,22 @@ func newTestServer(t testing.TB, cfg core.Config, serveCfg Config) (*Server, *ht
 	t.Cleanup(func() {
 		s.Drain()
 		ts.Close()
+		checkSnapshotsReleased(t, s.store)
 	})
 	return s, ts
+}
+
+// checkSnapshotsReleased fails t unless every Acquire on st was
+// Released: with the worker drained and every handler returned, the
+// store holds one live version, referenced by the store alone.
+func checkSnapshotsReleased(t testing.TB, st *SnapshotStore) {
+	t.Helper()
+	if live := st.Live(); live != 1 {
+		t.Errorf("snapshot store has %d live versions after Drain, want 1: a superseded snapshot was Acquired and never Released", live)
+	}
+	if cur := st.cur.Load(); cur != nil && cur.refs.Load() != 1 {
+		t.Errorf("snapshot version %d has %d references after Drain, want 1 (the store's): an Acquire was never Released", cur.version, cur.refs.Load())
+	}
 }
 
 func postForget(t testing.TB, url string, body string) (int, View) {
@@ -223,6 +237,52 @@ func TestServerCoalescesConcurrentRequests(t *testing.T) {
 	man := telemetry.BuildManifest(pipe, "serve-test", 9, nil)
 	if len(man.Audit) != 3 {
 		t.Fatalf("manifest carries %d audit entries, want 3", len(man.Audit))
+	}
+}
+
+// TestDrainPublishesCoalescedBatchInOrder pins what Drain's return
+// means for a coalesced batch: every ticket is already published, and
+// the audit trail holds the batch in its canonical (sortTickets) order,
+// so nothing of the batch is still running after the worker exits.
+func TestDrainPublishesCoalescedBatchInOrder(t *testing.T) {
+	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 3)
+	s, ts := newTestServer(t, tinyConfig(23), Config{Telemetry: pipe})
+	// Queued before Start, in an order sortTickets changes: one batch.
+	var batch []*Ticket
+	for _, body := range []string{
+		`{"kind":"sample","client":1,"samples":[3]}`,
+		`{"kind":"client","client":2}`,
+		`{"kind":"sample","client":1,"samples":[0]}`,
+		`{"kind":"class","class":3}`,
+		`{"kind":"sample","client":0,"samples":[2]}`,
+		`{"kind":"client","client":0}`,
+		`{"kind":"sample","client":1,"samples":[1]}`,
+		`{"kind":"class","class":1}`,
+	} {
+		code, v := postForget(t, ts.URL, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("post %s: status %d", body, code)
+		}
+		tk, _ := s.ticket(v.ID)
+		batch = append(batch, tk)
+	}
+	s.Start()
+	s.Drain()
+
+	sortTickets(batch)
+	var want []uint64
+	for _, tk := range batch {
+		if v := tk.View(); v.State != "published" || v.Batch != 1 {
+			t.Errorf("Drain returned with ticket %d %s in batch %d (error %q), want published in batch 1", tk.ID, v.State, v.Batch, v.Error)
+		}
+		want = append(want, tk.ID)
+	}
+	var got []uint64
+	for _, e := range pipe.Audit.Entries() {
+		got = append(got, e.ID)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Drain returned with audit entries for tickets %v, want %v (the batch in sortTickets order)", got, want)
 	}
 }
 

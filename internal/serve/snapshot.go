@@ -55,8 +55,6 @@ func (sn *Snapshot) tryRef() bool {
 // would let the refcount go negative, after which a concurrent tryRef
 // CAS could resurrect a reclaimed snapshot. The CAS loop keeps the
 // count truthful even when the extra Release races correct ones.
-//
-//lint:resource release snapshot
 func (sn *Snapshot) Release() {
 	if sn == nil {
 		return
@@ -123,8 +121,6 @@ func (st *SnapshotStore) Publish(params []*tensor.Tensor) uint64 {
 // if nothing has been published. It never blocks: a concurrent
 // Publish at worst costs one retry when the loaded version died
 // between the load and the refcount increment.
-//
-//lint:resource acquire snapshot
 func (st *SnapshotStore) Acquire() *Snapshot {
 	for {
 		sn := st.cur.Load()

@@ -37,8 +37,6 @@ func (p *Pool) classFor(n int) *sync.Pool {
 
 // Get returns a zero-filled tensor of the given shape, reusing pooled
 // storage of matching element count when available.
-//
-//lint:resource acquire poolbuf
 func (p *Pool) Get(shape ...int) *Tensor {
 	n := checkShape(shape)
 	if v := p.classFor(n).Get(); v != nil {
@@ -54,8 +52,6 @@ func (p *Pool) Get(shape ...int) *Tensor {
 // use. Putting a tensor whose storage is still referenced elsewhere (a
 // view, a graph node) corrupts the next borrower; see the ownership rules
 // above. A nil or empty tensor is ignored.
-//
-//lint:resource release poolbuf
 func (p *Pool) Put(t *Tensor) {
 	if t == nil || len(t.data) == 0 {
 		return
@@ -72,24 +68,16 @@ func (p *Pool) Put(t *Tensor) {
 var defaultPool Pool
 
 // Get returns a zero-filled tensor from the package-level pool.
-//
-//lint:resource acquire poolbuf
 func Get(shape ...int) *Tensor { return defaultPool.Get(shape...) }
 
 // Put recycles a tensor into the package-level pool. See Pool.Put for the
 // ownership rules.
-//
-//lint:resource release poolbuf
 func Put(t *Tensor) { defaultPool.Put(t) }
 
 // GetLike returns a zeroed pooled tensor with the same shape as t.
-//
-//lint:resource acquire poolbuf
 func GetLike(t *Tensor) *Tensor { return defaultPool.Get(t.shape...) }
 
 // PutAll recycles every tensor in ts into the package-level pool.
-//
-//lint:resource release poolbuf
 func PutAll(ts []*Tensor) {
 	for _, t := range ts {
 		Put(t)
