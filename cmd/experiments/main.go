@@ -37,8 +37,7 @@ func main() {
 	id := flag.String("id", "all", "experiment id (tableN, figN, ablation-*, ext-sample, all)")
 	scaleName := flag.String("scale", "quick", "scale preset: quick|standard|large")
 	repeats := flag.Int("repeats", 1, "average method tables and ablations over this many seeds (paper: 5)")
-	telAddr := flag.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
-	eventsOut := flag.String("events", "", "append JSONL cost events to this file")
+	telAddr := flag.String("telemetry-addr", "", "serve /metrics and /debug/pprof on this address (\":0\" for ephemeral)")
 	ledgerDir := flag.String("ledger", "", "write a run manifest into this directory (e.g. runs/)")
 	flag.Parse()
 
@@ -51,7 +50,7 @@ func main() {
 	if *telAddr != "" || *ledgerDir != "" {
 		// Pre-register enough per-client series for every harness (they
 		// use at most 10 clients).
-		sc.Telemetry = telemetry.NewPipeline(telemetry.NewRegistry(), telemetry.NewTracer(0), 16)
+		sc.Telemetry = telemetry.NewPipeline(telemetry.NewRegistry(), 16)
 	}
 	if *telAddr != "" {
 		srv, err := telemetry.Serve(*telAddr, sc.Telemetry)
@@ -60,14 +59,6 @@ func main() {
 		}
 		defer func() { _ = srv.Close() }()
 		fmt.Printf("telemetry: serving on http://%s/metrics\n", srv.Addr())
-	}
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() { _ = f.Close() }()
-		sc.Events = telemetry.NewEventLog(f)
 	}
 	ids := []string{*id}
 	if *id == "all" {

@@ -19,9 +19,9 @@
 // Clients train one after another by default; -workers N trains them on
 // a pool of N workers (0 = GOMAXPROCS) with bit-identical results.
 //
-// With -telemetry-addr, fedsim serves Prometheus metrics on /metrics,
-// expvar on /debug/vars and pprof on /debug/pprof while training (use
-// ":0" for an ephemeral port; the bound address is printed).
+// With -telemetry-addr, fedsim serves Prometheus metrics on /metrics
+// and pprof on /debug/pprof while training (use ":0" for an ephemeral
+// port; the bound address is printed).
 // -telemetry-linger keeps the endpoint up after training so scrapers
 // can collect the final state. -ledger writes a run manifest (config,
 // seed, metric summaries) into the given directory for
@@ -64,7 +64,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		every     = flag.Int("eval-every", 5, "evaluate every N rounds")
 		memStats  = flag.Bool("memstats", false, "print heap statistics after training (for scale smoke tests)")
-		telAddr   = flag.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
+		telAddr   = flag.String("telemetry-addr", "", "serve /metrics and /debug/pprof on this address (\":0\" for ephemeral)")
 		telLinger = flag.Duration("telemetry-linger", 0, "keep the telemetry endpoint up this long after training")
 		ledgerDir = flag.String("ledger", "", "write a run manifest into this directory (e.g. runs/)")
 
@@ -105,7 +105,7 @@ func main() {
 	var pipe *telemetry.Pipeline
 	var srv *telemetry.Server
 	if *telAddr != "" || *ledgerDir != "" {
-		pipe = telemetry.NewPipeline(telemetry.NewRegistry(), telemetry.NewTracer(0), *clients)
+		pipe = telemetry.NewPipeline(telemetry.NewRegistry(), *clients)
 	}
 	if *telAddr != "" {
 		srv, err = telemetry.Serve(*telAddr, pipe)
@@ -158,7 +158,6 @@ func main() {
 		fmt.Printf("round %3d: test accuracy %.2f%% (%s elapsed, %d grad evals)\n",
 			done, 100*acc, start.Elapsed().Round(time.Millisecond), counter.GradEvals)
 	}
-	pipe.Close()
 	if *memStats {
 		runtime.GC()
 		var ms runtime.MemStats

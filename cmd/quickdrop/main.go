@@ -46,8 +46,7 @@ func run() error {
 		saveState     = flag.String("save", "", "persist full system state (model + synthetic sets + forget ledger) to this file")
 		loadState     = flag.String("load", "", "restore system state instead of training")
 		seed          = flag.Int64("seed", 1, "random seed")
-		telAddr       = flag.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (\":0\" for ephemeral)")
-		eventsOut     = flag.String("events", "", "append JSONL telemetry events (spans) to this file")
+		telAddr       = flag.String("telemetry-addr", "", "serve /metrics and /debug/pprof on this address (\":0\" for ephemeral)")
 		ledgerDir     = flag.String("ledger", "", "write a run manifest into this directory (e.g. runs/)")
 	)
 	flag.Parse()
@@ -64,10 +63,8 @@ func run() error {
 	cfg := setup.CoreConfig()
 	cfg.Distill.Scale = *distillScale
 
-	var tracer *telemetry.Tracer
-	if *telAddr != "" || *eventsOut != "" || *ledgerDir != "" {
-		tracer = telemetry.NewTracer(0)
-		cfg.Telemetry = telemetry.NewPipeline(telemetry.NewRegistry(), tracer, *clients)
+	if *telAddr != "" || *ledgerDir != "" {
+		cfg.Telemetry = telemetry.NewPipeline(telemetry.NewRegistry(), *clients)
 		if *telAddr != "" {
 			srv, err := telemetry.Serve(*telAddr, cfg.Telemetry)
 			if err != nil {
@@ -179,23 +176,6 @@ func run() error {
 			return err
 		}
 		fmt.Printf("ledger: manifest written to %s\n", path)
-	}
-
-	if *eventsOut != "" {
-		cfg.Telemetry.Close()
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			return err
-		}
-		log := telemetry.NewEventLog(f)
-		log.EmitSpans(tracer)
-		if err := log.Err(); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("telemetry events written to %s\n", *eventsOut)
 	}
 	return nil
 }

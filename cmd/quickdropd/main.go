@@ -20,8 +20,8 @@
 //	POST /v1/predict       {"inputs":[[...H*W*C floats...]]}
 //	GET  /v1/status        queue depth, batches, versions, drain state
 //
-// The telemetry surface (/metrics, /debug/vars, /debug/pprof) is
-// mounted on the same mux. On SIGINT/SIGTERM the daemon drains: queued
+// The telemetry surface (/metrics, /debug/pprof) is mounted on the
+// same mux. On SIGINT/SIGTERM the daemon drains: queued
 // requests finish (still coalesced), then the ledger manifest —
 // including the audit trail — is written.
 package main
@@ -104,9 +104,8 @@ func run() error {
 		cfg.Train.Rounds = *rounds
 	}
 
-	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), telemetry.NewTracer(0), *clients)
+	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), *clients)
 	cfg.Telemetry = pipe
-	defer pipe.Close()
 
 	var mon *health.Monitor
 	if *healthOn {

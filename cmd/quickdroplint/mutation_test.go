@@ -37,8 +37,8 @@ var treeMutations = []treeMutation{
 	{
 		rule: "lockorder", file: "internal/serve/serve.go",
 		anchor: "func (s *Server) submit(",
-		old:    "\tif err := s.q.Enqueue(t); err != nil {\n\t\tt.fail(err, nil)\n\t\treturn t, err\n\t}\n\ts.tmu.Lock()\n",
-		new:    "\ts.tmu.Lock()\n\tif err := s.q.Enqueue(t); err != nil {\n\t\ts.tmu.Unlock()\n\t\tt.fail(err, nil)\n\t\treturn t, err\n\t}\n",
+		old:    "\tif err := s.q.Enqueue(t); err != nil {\n\t\ts.metrics.failed.Inc()\n\t\tt.fail(err, nil)\n\t\treturn t, err\n\t}\n\ts.tmu.Lock()\n",
+		new:    "\ts.tmu.Lock()\n\tif err := s.q.Enqueue(t); err != nil {\n\t\ts.tmu.Unlock()\n\t\ts.metrics.failed.Inc()\n\t\tt.fail(err, nil)\n\t\treturn t, err\n\t}\n",
 		want:   "serve.Queue.mu is acquired while serve.Server.tmu is held",
 	},
 	{

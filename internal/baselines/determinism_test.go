@@ -84,7 +84,7 @@ func TestBaselinesBitwiseDeterministic(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			first := runToParams(t, c.name, c.req, nil)
 			second := runToParams(t, c.name, c.req,
-				telemetry.NewPipeline(telemetry.NewRegistry(), telemetry.NewTracer(0), 2))
+				telemetry.NewPipeline(telemetry.NewRegistry(), 2))
 			if len(first) != len(second) {
 				t.Fatalf("param count differs: %d vs %d", len(first), len(second))
 			}

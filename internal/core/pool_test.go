@@ -102,7 +102,7 @@ func inlineTrain(t *testing.T, cfg Config, clients *data.Cohort, hc health.Confi
 func pooledTrain(t *testing.T, cfg Config, clients *data.Cohort, hc health.Config, workers int) (*System, fl.PhaseResult, error) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-	cfg.Telemetry = telemetry.NewPipeline(telemetry.NewRegistry(), telemetry.NewTracer(0), clients.NumClients())
+	cfg.Telemetry = telemetry.NewPipeline(telemetry.NewRegistry(), clients.NumClients())
 	cfg.Health = health.New(hc, cfg.Telemetry)
 	sys, err := NewSystem(cfg, clients)
 	if err != nil {
@@ -259,7 +259,7 @@ func runPhases(t *testing.T, cfg Config, clients *data.Cohort, state []byte, hc 
 	workers int, script func(*System) error) (*System, error) {
 	t.Helper()
 	cfg.Workers = workers
-	cfg.Telemetry = telemetry.NewPipeline(telemetry.NewRegistry(), telemetry.NewTracer(0), clients.NumClients())
+	cfg.Telemetry = telemetry.NewPipeline(telemetry.NewRegistry(), clients.NumClients())
 	cfg.Health = health.New(hc, cfg.Telemetry)
 	sys, err := NewSystem(cfg, clients)
 	if err != nil {

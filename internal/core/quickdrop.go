@@ -127,8 +127,8 @@ type Config struct {
 	// harnesses can evaluate the model stage-by-stage as the paper's
 	// tables do.
 	Observer func(stage string)
-	// Telemetry, if set, instruments every phase the system runs (metrics,
-	// spans, unlearning-request counts). Nil disables observability at
+	// Telemetry, if set, instruments every phase the system runs (phase,
+	// round and step metrics, unlearning-request counts). Nil disables observability at
 	// zero cost and changes no numerics either way.
 	Telemetry *telemetry.Pipeline
 	// Health, if set, watches every phase for numeric divergence (NaN/Inf
@@ -549,8 +549,8 @@ func (s *System) Unlearn(req Request) (Report, error) {
 	defer s.release()
 	br, err := s.unlearnBatchLocked([]Request{req})
 	// Phase wall time comes from the telemetry phase timer inside
-	// RunPhase, so eval.Cost is populated from the same spans the
-	// exporters see.
+	// RunPhase, so eval.Cost is populated from the same readings as the
+	// phase_seconds histogram.
 	rep := Report{Request: req, Unlearn: br.Unlearn, Recover: br.Recover, Total: br.Total}
 	if err != nil {
 		if len(br.Rejected) == 1 {

@@ -157,8 +157,7 @@ type Matcher struct {
 	DDTime time.Duration
 	// Counter tracks gradient evaluations performed for distillation.
 	Counter optim.Counter
-	// Telemetry, if set, records a distill-step span and the matching-step
-	// metrics for every MatchStep. Nil is free.
+	// Telemetry, if set, counts every MatchStep. Nil is free.
 	Telemetry *telemetry.Pipeline
 
 	mu sync.Mutex // guards DDTime and Counter
@@ -212,15 +211,14 @@ func (m *Matcher) MatchStep(ctx fl.StepContext) {
 		return
 	}
 	// DD-overhead accounting (Table 6) goes through the telemetry clock:
-	// the reading feeds DDTime and the distill metrics, never the numerics.
+	// the reading feeds DDTime, never the numerics.
 	sw := telemetry.StartTimer()
-	sp := m.Telemetry.StartDistill(ctx.Round, ctx.ClientID)
 	defer func() {
 		d := sw.Elapsed()
 		m.mu.Lock()
 		m.DDTime += d
 		m.mu.Unlock()
-		m.Telemetry.EndDistill(sp, d)
+		m.Telemetry.EndDistill()
 	}()
 
 	if grouping := m.Groupings[ctx.ClientID]; grouping != nil {

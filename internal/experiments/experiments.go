@@ -42,8 +42,6 @@ type Scale struct {
 	// Telemetry, if set, instruments every system and baseline the
 	// experiments construct. Nil disables observability at zero cost.
 	Telemetry *telemetry.Pipeline
-	// Events, if set, receives one JSONL cost event per method row.
-	Events *telemetry.EventLog
 }
 
 // EffectiveRepeats returns the run count (≥ 1).

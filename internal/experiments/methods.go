@@ -78,28 +78,7 @@ func RunMethods(setup *Setup, opts MethodRunOpts) ([]MethodRow, error) {
 			rows[i].Speedup = rows[i].Total.Speedup(oracle.Total)
 		}
 	}
-	for _, r := range rows {
-		setup.Scale.Events.Emit(costEvent{
-			Event: "cost", Dataset: setup.Dataset, Method: r.Method,
-			UnlearnRounds: r.Unlearn.Rounds, UnlearnSeconds: r.Unlearn.WallTime.Seconds(),
-			RecoverRounds: r.Recover.Rounds, RecoverSeconds: r.Recover.WallTime.Seconds(),
-			TotalSeconds: r.Total.WallTime.Seconds(), Speedup: r.Speedup,
-		})
-	}
 	return rows, nil
-}
-
-// costEvent is the JSONL record RunMethods emits per method row.
-type costEvent struct {
-	Event          string  `json:"event"`
-	Dataset        string  `json:"dataset"`
-	Method         string  `json:"method"`
-	UnlearnRounds  int     `json:"unlearn_rounds"`
-	UnlearnSeconds float64 `json:"unlearn_seconds"`
-	RecoverRounds  int     `json:"recover_rounds"`
-	RecoverSeconds float64 `json:"recover_seconds"`
-	TotalSeconds   float64 `json:"total_seconds"`
-	Speedup        float64 `json:"speedup"`
 }
 
 func runQuickDrop(setup *Setup, opts MethodRunOpts) (MethodRow, error) {

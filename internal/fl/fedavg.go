@@ -106,9 +106,9 @@ type PhaseConfig struct {
 	// counts its own local steps; the server adds the count in fold
 	// order, dropped clients included, so no worker writes it.
 	Counter *optim.Counter
-	// Telemetry, if set, records round/client metrics and spans for this
-	// phase. A nil pipeline is free: every record call is a nil-receiver
-	// no-op and the hot path reads no clock.
+	// Telemetry, if set, records the phase, round and local-step
+	// metrics of this phase. A nil pipeline is free: every record call
+	// is a nil-receiver no-op and the hot path reads no clock.
 	Telemetry *telemetry.Pipeline
 	// Health, if set, watches the phase's numerics: per-step losses feed
 	// the NaN tripwire and spike detector, the optimizer samples
@@ -229,8 +229,8 @@ type executor func(ph *phase, round int, selected []int) error
 
 // runPhase is the one FedAvg round loop behind every runner; exec only
 // decides where the selected clients train. Every exit after the phase
-// starts closes the phase span, and every exit inside a round closes
-// the round span.
+// starts records the phase time, and every exit inside a round records
+// the round.
 func runPhase(model *nn.Model, reg ClientRegistry, cfg PhaseConfig, rng *rand.Rand, exec executor) (PhaseResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return PhaseResult{}, err
@@ -284,7 +284,7 @@ func runPhase(model *nn.Model, reg ClientRegistry, cfg PhaseConfig, rng *rand.Ra
 			break
 		}
 		ph.res.ClientsPerRnd = append(ph.res.ClientsPerRnd, len(selected))
-		rs := cfg.Telemetry.StartRound(round)
+		rs := cfg.Telemetry.StartRound()
 		for i, p := range model.ParamTensors() {
 			ph.global[i].CopyFrom(p)
 		}
@@ -302,7 +302,7 @@ func runPhase(model *nn.Model, reg ClientRegistry, cfg PhaseConfig, rng *rand.Ra
 				err = fmt.Errorf("fl: round %d aggregated zero weight", round)
 			}
 		}
-		cfg.Telemetry.EndRound(rs, len(selected))
+		cfg.Telemetry.EndRound(rs)
 		if aggregated {
 			err = healthRound(cfg, round, model)
 		}
@@ -341,12 +341,10 @@ func (ph *phase) train(m *nn.Model, round, id int) clientUpdate {
 	// server joins in fold order whatever the schedule.
 	cfg := ph.cfg
 	cfg.Health = ph.cfg.Health.Fork()
-	cs := ph.cfg.Telemetry.StartClient(round, id)
 	sw := telemetry.StartTimer()
 	u := clientUpdate{clientID: id, samples: shard.Len(), health: cfg.Health}
 	u.cost = runLocalSteps(m, shard, cfg, round, id, crng)
 	u.elapsed = sw.Elapsed()
-	ph.cfg.Telemetry.EndClient(cs)
 	return u
 }
 
@@ -367,7 +365,6 @@ func (ph *phase) fold(round int, u clientUpdate) {
 	ph.res.ClientTime += u.elapsed
 	if cfg.DropoutProb > 0 && ph.rng.Float64() < cfg.DropoutProb {
 		ph.res.Dropped++
-		cfg.Telemetry.DropUpdate()
 		return // the client crashed; its update is lost
 	}
 	if cfg.UpdateHook != nil {

@@ -13,14 +13,14 @@ import (
 )
 
 func testPipeline(clients int) *telemetry.Pipeline {
-	return telemetry.NewPipeline(telemetry.NewRegistry(), telemetry.NewTracer(0), clients)
+	return telemetry.NewPipeline(telemetry.NewRegistry(), clients)
 }
 
 // TestConcurrentHookCancelsMidRound cancels the phase from inside a
 // local-step hook — mid-round, with client workers in flight — and
-// checks the server unwinds cleanly with the context error, closing the
-// phase span on the way out: the phase is counted and timed. A phase
-// that ignored its context would finish its three rounds and return nil.
+// checks the server unwinds cleanly with the context error, timing the
+// phase on the way out. A phase that ignored its context would finish
+// its three rounds and return nil.
 func TestConcurrentHookCancelsMidRound(t *testing.T) {
 	_, parts, _ := testSetup(t, 3, 0)
 	factory, model := testFactory()
@@ -44,9 +44,6 @@ func TestConcurrentHookCancelsMidRound(t *testing.T) {
 	if steps.Load() < 4 {
 		t.Fatalf("hook ran %d steps before cancellation, want ≥4", steps.Load())
 	}
-	if got := pipe.Phases.Value(); got != 1 {
-		t.Fatalf("Phases counter = %d, want 1", got)
-	}
 	if got := pipe.PhaseSeconds.At(slices.Index(telemetry.PhaseNames, "fedavg")).Count(); got != 1 {
 		t.Fatalf("PhaseSeconds count = %d, want 1", got)
 	}
@@ -56,9 +53,8 @@ func TestConcurrentHookCancelsMidRound(t *testing.T) {
 }
 
 // TestConcurrentDropoutRecordsDrops drives the dropout edge path with a
-// pipeline attached: every lost update shows up both in the phase
-// result and in the dropped-updates counter, and rounds where all
-// participants fail still close their round span and counter.
+// pipeline attached: lost updates show up in the phase result, and
+// rounds where all participants fail are still counted and timed.
 func TestConcurrentDropoutRecordsDrops(t *testing.T) {
 	_, parts, _ := testSetup(t, 4, 0)
 	factory, model := testFactory()
@@ -74,9 +70,6 @@ func TestConcurrentDropoutRecordsDrops(t *testing.T) {
 	}
 	if res.Dropped == 0 {
 		t.Fatal("dropout 0.5 over 8 rounds × 4 clients dropped nothing")
-	}
-	if got := pipe.Dropped.Value(); got != int64(res.Dropped) {
-		t.Fatalf("Dropped counter = %d, result says %d", got, res.Dropped)
 	}
 	if got := pipe.Rounds.Value(); got != int64(rounds) {
 		t.Fatalf("Rounds counter = %d, want %d (all-dropout rounds must still close)", got, rounds)
@@ -116,8 +109,8 @@ func TestConcurrentTelemetryCounts(t *testing.T) {
 	if pipe.Samples.Value() == 0 {
 		t.Fatal("no samples recorded")
 	}
-	if got := pipe.Phases.Value(); got != 1 {
-		t.Fatalf("Phases counter = %d, want 1", got)
+	if got := pipe.PhaseSeconds.At(slices.Index(telemetry.PhaseNames, "fedavg")).Count(); got != 1 {
+		t.Fatalf("PhaseSeconds count = %d, want 1", got)
 	}
 }
 

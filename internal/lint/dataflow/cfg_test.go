@@ -272,51 +272,3 @@ func TestCFGSwitch(t *testing.T) {
 		t.Errorf("no switch head with three case successors")
 	}
 }
-
-func TestForwardRefinePrunesEdge(t *testing.T) {
-	// A tiny constant-propagation analysis over bool facts: the fact is
-	// "x might be zero". Refine prunes the x != 0 edge when x is zero.
-	g := buildGraph(t, "x := 0\nif x != 0 {\n x = 1\n}\n_ = x")
-	type fact struct{ mightBeNonZero bool }
-	an := Analysis[fact]{
-		Init:  fact{},
-		Join:  func(a, b fact) fact { return fact{a.mightBeNonZero || b.mightBeNonZero} },
-		Equal: func(a, b fact) bool { return a == b },
-		Stmt: func(n ast.Node, in fact) fact {
-			if as, ok := n.(*ast.AssignStmt); ok {
-				if lit, ok := as.Rhs[0].(*ast.BasicLit); ok && lit.Value != "0" {
-					return fact{true}
-				}
-				if _, ok := as.Rhs[0].(*ast.BasicLit); ok {
-					return fact{false}
-				}
-			}
-			return in
-		},
-		Refine: func(cond ast.Expr, neg bool, in fact) (fact, bool) {
-			// cond is x != 0; its positive edge is infeasible when x is
-			// provably zero.
-			if !neg && !in.mightBeNonZero {
-				return in, false
-			}
-			return in, true
-		},
-	}
-	res := Forward(g, an)
-	// The then block (x = 1) must be unreached: its edge was pruned.
-	for _, b := range g.Blocks {
-		for _, n := range b.Stmts {
-			if as, ok := n.(*ast.AssignStmt); ok {
-				if lit, ok := as.Rhs[0].(*ast.BasicLit); ok && lit.Value == "1" {
-					if _, reached := res.In[b]; reached {
-						t.Errorf("pruned then-branch was reached")
-					}
-				}
-			}
-		}
-	}
-	// The after block is still reached via the negative edge.
-	if _, ok := res.In[g.Exit]; !ok {
-		t.Errorf("exit unreached")
-	}
-}

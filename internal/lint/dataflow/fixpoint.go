@@ -3,9 +3,9 @@ package dataflow
 import "go/ast"
 
 // Analysis describes one forward dataflow problem over a Graph. The
-// fact type F must behave as an immutable value: Stmt and Refine return
-// new facts rather than mutating their input, so facts can be shared
-// between blocks.
+// fact type F must behave as an immutable value: Stmt returns new
+// facts rather than mutating its input, so facts can be shared between
+// blocks.
 type Analysis[F any] struct {
 	// Init is the fact at function entry.
 	Init F
@@ -16,11 +16,6 @@ type Analysis[F any] struct {
 	Equal func(a, b F) bool
 	// Stmt is the transfer function of one statement.
 	Stmt func(n ast.Node, in F) F
-	// Refine narrows a fact along a conditional edge (cond, with neg
-	// reporting the false edge). Returning ok=false marks the edge
-	// infeasible under the fact, and nothing is propagated along it.
-	// A nil Refine propagates facts unchanged.
-	Refine func(cond ast.Expr, neg bool, in F) (out F, ok bool)
 }
 
 // Result holds the solver's fixpoint: the fact reaching each block's
@@ -30,7 +25,7 @@ type Result[F any] struct {
 }
 
 // Forward runs a's transfer functions over g to fixpoint, propagating
-// facts along control-flow edges with condition refinement, and returns
+// facts along control-flow edges, and returns
 // the fact at each reachable block's entry. The iteration order is the
 // block construction order (roughly source order), which converges
 // quickly for reducible graphs; correctness does not depend on it.
@@ -53,22 +48,14 @@ func Forward[F any](g *Graph, a Analysis[F]) Result[F] {
 			}
 			out := a.flowBlock(blk, fact)
 			for _, e := range blk.Succs {
-				f := out
-				if e.Cond != nil && a.Refine != nil {
-					var feasible bool
-					f, feasible = a.Refine(e.Cond, e.Neg, out)
-					if !feasible {
-						continue
-					}
-				}
 				old, seen := in[e.To]
 				if !seen {
-					in[e.To] = f
+					in[e.To] = out
 					dirty[e.To] = true
 					changed = true
 					continue
 				}
-				merged := a.Join(old, f)
+				merged := a.Join(old, out)
 				if !a.Equal(merged, old) {
 					in[e.To] = merged
 					dirty[e.To] = true

@@ -13,7 +13,7 @@ import (
 
 // LockOrder builds a whole-program lock-acquisition graph and reports
 // cycles as potential deadlocks. Locks are grouped into classes — a
-// mutex field of a named struct type ("telemetry.Tracer.mu") or a
+// mutex field of a named struct type ("telemetry.Registry.mu") or a
 // package-level mutex variable ("lint.stdImporter") — because two
 // goroutines deadlock by taking instances of two classes in opposite
 // orders just as surely as two globals.

@@ -40,7 +40,7 @@ func (e countingEval) Score(m *nn.Model) eval.Scores {
 // /v1/predict readers run throughout; scripts/check.sh runs it ten times
 // under -race.
 func TestWorkerScoresMatchFreshEvaluation(t *testing.T) {
-	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 3)
+	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), 3)
 	cfg := tinyConfig(61)
 	cfg.Health = health.New(health.Config{}, pipe)
 	sys, test := tinySystem(t, cfg)

@@ -16,7 +16,7 @@ import (
 // the verdicts — and after the monitor re-arms, a clean resubmission
 // publishes normally.
 func TestServerWatchdogRefusesPublish(t *testing.T) {
-	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 3)
+	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), 3)
 	mon := health.New(health.Config{}, pipe)
 	cfg := tinyConfig(123)
 	cfg.Health = mon
@@ -45,8 +45,8 @@ func TestServerWatchdogRefusesPublish(t *testing.T) {
 		t.Fatalf("published=%d failed=%d version=%d, want 0/2/1 (watchdog must refuse the publish)",
 			st.Published, st.Failed, st.ModelVersion)
 	}
-	if got := pipe.Registry.Summaries()["quickdropd_watchdog_trips_total"].Count; got != 1 {
-		t.Fatalf("quickdropd_watchdog_trips_total = %v, want 1", got)
+	if got := pipe.Registry.Summaries()["quickdrop_health_watchdog_trips_total"].Count; got != 1 {
+		t.Fatalf("quickdrop_health_watchdog_trips_total = %v, want 1", got)
 	}
 
 	// The worker rewound its model to the served snapshot bitwise — in
@@ -101,7 +101,7 @@ func TestServerWatchdogRefusesPublish(t *testing.T) {
 func TestHealthTripRewindPooledMatchesInline(t *testing.T) {
 	run := func(workers int) (rewound, published []float64, audit []telemetry.AuditEntry) {
 		t.Helper()
-		pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 3)
+		pipe := telemetry.NewPipeline(telemetry.NewRegistry(), 3)
 		cfg := tinyConfig(123)
 		cfg.Workers = workers
 		cfg.Health = health.New(health.Config{}, pipe)

@@ -81,12 +81,7 @@ type Server struct {
 	tickets map[uint64]*Ticket
 	order   []uint64
 
-	nextID   atomic.Uint64
-	batchSeq atomic.Uint64
-	// published/failed are the daemon's own totals, alive whether or
-	// not a telemetry pipeline (whose counters mirror them) is attached.
-	published atomic.Int64
-	failed    atomic.Int64
+	nextID atomic.Uint64
 
 	// scores are the test-set scores of the last published version,
 	// nil until the worker first asks after a publish. Only the worker
@@ -128,7 +123,7 @@ func New(cfg Config) *Server {
 }
 
 // Handler returns the server's HTTP handler: the /v1 API plus the
-// telemetry surface (/metrics, /debug/vars, /debug/pprof).
+// telemetry surface (/metrics, /debug/pprof).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Store exposes the snapshot store (tests and embedding callers).
@@ -173,13 +168,14 @@ type Stats struct {
 	Draining      bool   `json:"draining"`
 }
 
-// Stats snapshots the server's counters.
+// Stats snapshots the server's counters: the same ones /metrics
+// exposes.
 func (s *Server) Stats() Stats {
 	return Stats{
 		QueueDepth:    s.q.Len(),
-		Batches:       s.batchSeq.Load(),
-		Published:     s.published.Load(),
-		Failed:        s.failed.Load(),
+		Batches:       uint64(s.metrics.batches.Value()),
+		Published:     s.metrics.published.Value(),
+		Failed:        s.metrics.failed.Value(),
 		ModelVersion:  s.store.Version(),
 		LiveSnapshots: s.store.Live(),
 		Draining:      s.draining.Load(),
@@ -187,13 +183,14 @@ func (s *Server) Stats() Stats {
 }
 
 // submit enqueues a ticket and, once accepted, registers it in the
-// ticket index. A rejected ticket (queue full or closed) is failed and
-// returned to the caller for the error response but never retained —
-// otherwise an untrusted client hammering a saturated queue would grow
-// the never-pruned index without bound.
+// ticket index. A rejected ticket (queue full or closed) is counted as
+// failed and returned to the caller for the error response but never
+// retained — otherwise an untrusted client hammering a saturated queue
+// would grow the never-pruned index without bound.
 func (s *Server) submit(req core.Request) (*Ticket, error) {
 	t := newTicket(s.nextID.Add(1), req)
 	if err := s.q.Enqueue(t); err != nil {
+		s.metrics.failed.Inc()
 		t.fail(err, nil)
 		return t, err
 	}
@@ -201,7 +198,6 @@ func (s *Server) submit(req core.Request) (*Ticket, error) {
 	s.tickets[t.ID] = t
 	s.order = append(s.order, t.ID)
 	s.tmu.Unlock()
-	s.metrics.queueDepth.Set(float64(s.q.Len()))
 	return t, nil
 }
 

@@ -156,7 +156,7 @@ func waitTerminal(t testing.TB, s *Server, ids ...uint64) {
 // result publishes as a single new snapshot version, and every request
 // carries its own audit entry with before/after accuracies.
 func TestServerCoalescesConcurrentRequests(t *testing.T) {
-	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 3)
+	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), 3)
 	s, ts := newTestServer(t, tinyConfig(9), Config{Telemetry: pipe})
 
 	// Concurrent submissions while the worker is not yet running: they
@@ -245,7 +245,7 @@ func TestServerCoalescesConcurrentRequests(t *testing.T) {
 // the audit trail holds the batch in its canonical (sortTickets) order,
 // so nothing of the batch is still running after the worker exits.
 func TestDrainPublishesCoalescedBatchInOrder(t *testing.T) {
-	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 3)
+	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), 3)
 	s, ts := newTestServer(t, tinyConfig(23), Config{Telemetry: pipe})
 	// Queued before Start, in an order sortTickets changes: one batch.
 	var batch []*Ticket
@@ -410,7 +410,7 @@ func TestServerRejectedAndFailedRequests(t *testing.T) {
 // published snapshot, and — because core rolls the forget ledger back
 // — the same requests succeed once the fault is fixed.
 func TestServerPhaseFailureFailsTicketsAndRestoresModel(t *testing.T) {
-	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 3)
+	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), 3)
 	cfg := tinyConfig(99)
 	cfg.Recover.LR = -1 // SGA succeeds, then the recovery phase fails
 	s, ts := newTestServer(t, cfg, Config{Telemetry: pipe})
@@ -477,11 +477,12 @@ func TestServerPhaseFailureFailsTicketsAndRestoresModel(t *testing.T) {
 }
 
 // TestServerQueueFullTicketsNotRetained pins the memory bound on the
-// ticket index: submissions bounced at the door (429) are failed and
-// returned to the caller but never registered, so a client hammering
-// a saturated queue cannot grow the daemon without bound.
+// ticket index: submissions bounced at the door (429) are failed,
+// counted and returned to the caller but never registered, so a client
+// hammering a saturated queue cannot grow the daemon without bound.
 func TestServerQueueFullTicketsNotRetained(t *testing.T) {
-	s, ts := newTestServer(t, tinyConfig(44), Config{QueueCap: 1})
+	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), 3)
+	s, ts := newTestServer(t, tinyConfig(44), Config{QueueCap: 1, Telemetry: pipe})
 	// Worker not started: the first post fills the queue, the rest bounce.
 	code, v := postForget(t, ts.URL, `{"kind":"class","class":1}`)
 	if code != http.StatusAccepted {
@@ -498,6 +499,12 @@ func TestServerQueueFullTicketsNotRetained(t *testing.T) {
 	}
 	if _, ok := s.ticket(v.ID + 1); ok {
 		t.Fatal("a 429-rejected ticket was retained in the index")
+	}
+	if st := s.Stats(); st.Failed != 5 {
+		t.Fatalf("Stats().Failed = %d after five 429s, want 5", st.Failed)
+	}
+	if got := pipe.Registry.Summaries()["quickdropd_requests_failed_total"].Count; got != 5 {
+		t.Fatalf("quickdropd_requests_failed_total = %d after five 429s, want 5", got)
 	}
 }
 
@@ -706,7 +713,7 @@ func requirePoolInvisible(t *testing.T, what string, inline, pooled []float64, i
 func TestServerPooledWorkerPublishesSameModel(t *testing.T) {
 	run := func(workers int) ([]float64, []telemetry.AuditEntry) {
 		t.Helper()
-		pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 3)
+		pipe := telemetry.NewPipeline(telemetry.NewRegistry(), 3)
 		cfg := tinyConfig(33)
 		cfg.Workers = workers
 		s, ts := newTestServer(t, cfg, Config{Telemetry: pipe})

@@ -24,7 +24,6 @@ func (s *Server) run() {
 			s.linger()
 			batch = append(batch, s.q.TakeAll()...)
 		}
-		s.metrics.queueDepth.Set(float64(s.q.Len()))
 		s.runBatch(batch)
 	}
 }
@@ -46,7 +45,10 @@ func (s *Server) linger() {
 // runBatch executes one coalesced unlearning pass and publishes the
 // resulting model as a new snapshot version.
 func (s *Server) runBatch(tickets []*Ticket) {
-	seq := s.batchSeq.Add(1)
+	// Only the worker adds batches, so the count it reads back is this
+	// batch's sequence number.
+	s.metrics.batches.Inc()
+	seq := uint64(s.metrics.batches.Value())
 	// Canonical order makes the published parameters a function of the
 	// request set: K requests coalesce to the same model no matter how
 	// their HTTP posts interleaved.
@@ -87,12 +89,10 @@ func (s *Server) runBatch(tickets []*Ticket) {
 		var uh *health.UnhealthyError
 		if errors.As(err, &uh) {
 			verdict = uh.Verdict.String()
-			s.metrics.watchdogTrips.Inc()
 			s.sys.Cfg.Health.Reset()
 		}
 		// Totals and audit entry before the ticket's waiters wake: whoever
 		// sees a ticket done must find it counted and audited.
-		s.failed.Add(int64(len(tickets)))
 		s.metrics.failed.Add(int64(len(tickets)))
 		for i, t := range tickets {
 			audit := func() { s.audit(t) }
@@ -120,17 +120,14 @@ func (s *Server) runBatch(tickets []*Ticket) {
 	s.scores = nil
 	s.metrics.publishSeconds.Observe(sw.Elapsed().Seconds())
 	s.metrics.modelVersion.Set(float64(version))
-	s.metrics.batches.Inc()
 
 	for i, t := range tickets {
 		audit := func() { s.audit(t) }
 		if rErr := rejected[i]; rErr != nil {
-			s.failed.Add(1)
 			s.metrics.failed.Inc()
 			t.fail(rErr, audit)
 		} else {
 			fset, rset := s.eval(t.Req)
-			s.published.Add(1)
 			s.metrics.published.Inc()
 			t.finish(StatePublished, version, fset, rset, nil, audit)
 		}

@@ -10,8 +10,7 @@ import "testing"
 
 func TestRecordPathsDoNotAllocate(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(16)
-	p := NewPipeline(reg, tr, 8)
+	p := NewPipeline(reg, 8)
 	h := reg.Histogram("alloc_test_seconds", "", nil)
 	c := reg.Counter("alloc_test_total", "")
 	g := reg.Gauge("alloc_test_gauge", "")
@@ -27,15 +26,14 @@ func TestRecordPathsDoNotAllocate(t *testing.T) {
 		{"Histogram.Observe", func() { h.Observe(0.01) }},
 		{"CounterVec.At.Inc", func() { p.LocalSteps.At(3).Inc() }},
 		{"Pipeline.LocalStep", func() { p.LocalStep(3, 32) }},
-		{"Pipeline.DropUpdate", func() { p.DropUpdate() }},
-		{"Span.StartEnd", func() { tr.Start(SpanClientStep, "client", 1, 0, 3).End() }},
-		{"Pipeline.ClientSpan", func() { p.EndClient(p.StartClient(0, 3)) }},
+		{"Pipeline.Round", func() { p.EndRound(p.StartRound()) }},
+		{"Pipeline.EndDistill", func() { p.EndDistill() }},
 		{"Stopwatch", func() { _ = StartTimer().Elapsed() }},
 		{"Pipeline.RecordAccuracy", func() { p.RecordAccuracy(0.9) }},
 		{"Pipeline.RecordSplitAccuracy", func() { p.RecordSplitAccuracy(0.1, 0.8) }},
 	}
 	for _, tc := range cases {
-		tc.fn() // warm up (first ring append etc.)
+		tc.fn() // warm up
 		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
 		}
@@ -46,7 +44,6 @@ func TestDisabledRecordPathsDoNotAllocate(t *testing.T) {
 	var p *Pipeline
 	var c *Counter
 	var h *Histogram
-	var tr *Tracer
 
 	cases := []struct {
 		name string
@@ -55,9 +52,8 @@ func TestDisabledRecordPathsDoNotAllocate(t *testing.T) {
 		{"nil Counter.Inc", func() { c.Inc() }},
 		{"nil Histogram.Observe", func() { h.Observe(1) }},
 		{"nil Pipeline.LocalStep", func() { p.LocalStep(0, 32) }},
-		{"nil Tracer span", func() { tr.Start(SpanClientStep, "client", 0, 0, 0).End() }},
-		{"nil Pipeline client span", func() { p.EndClient(p.StartClient(0, 0)) }},
-		{"nil Pipeline distill span", func() { p.EndDistill(p.StartDistill(0, 0), 0) }},
+		{"nil Pipeline round", func() { p.EndRound(p.StartRound()) }},
+		{"nil Pipeline.EndDistill", func() { p.EndDistill() }},
 		{"nil Pipeline.RecordAccuracy", func() { p.RecordAccuracy(1) }},
 		{"nil Pipeline.RecordSplitAccuracy", func() { p.RecordSplitAccuracy(0, 1) }},
 	}

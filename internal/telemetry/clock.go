@@ -3,7 +3,7 @@ package telemetry
 import "time"
 
 // nowNanos is the module's single wall-clock read. Every duration the
-// system reports — phase costs, round histograms, span records —
+// system reports — phase costs, round histograms, distillation time —
 // derives from this function.
 func nowNanos() int64 {
 	return time.Now().UnixNano()
@@ -14,7 +14,7 @@ func nowNanos() int64 {
 var clock = nowNanos
 
 // SetClockForTesting replaces the clock and returns a restore
-// function. Test-only; never call while spans or timers are live.
+// function. Test-only; never call while timers are live.
 func SetClockForTesting(fn func() int64) (restore func()) {
 	prev := clock
 	clock = fn
@@ -27,7 +27,7 @@ func Now() int64 { return clock() }
 // Stopwatch marks a clock reading; Elapsed measures from it. It is the
 // replacement for the ad-hoc `start := time.Now()` accounting sites:
 // cost measurement works identically whether or not a metrics registry
-// or tracer is attached.
+// is attached.
 type Stopwatch int64
 
 // StartTimer reads the clock and returns a running stopwatch.

@@ -148,10 +148,9 @@ type Monitor struct {
 	cfg Config
 
 	// Instruments (nil-safe handles when the pipeline has no registry).
-	gHealth  *telemetry.Gauge   // quickdrop_health (1 healthy, 0 tripped)
-	cNaN     *telemetry.Counter // quickdrop_health_nan_events_total
-	cTrips   *telemetry.Counter // quickdrop_health_watchdog_trips_total
-	gMaxGrad *telemetry.Gauge   // quickdrop_health_max_grad_norm
+	gHealth *telemetry.Gauge   // quickdrop_health (1 healthy, 0 tripped)
+	cNaN    *telemetry.Counter // quickdrop_health_nan_events_total
+	cTrips  *telemetry.Counter // quickdrop_health_watchdog_trips_total
 
 	layers []string // verdict layer names, after BindLayers
 
@@ -207,7 +206,6 @@ func New(cfg Config, pipe *telemetry.Pipeline) *Monitor {
 		m.gHealth = reg.Gauge("quickdrop_health", "Numerics health: 1 healthy, 0 watchdog tripped.")
 		m.cNaN = reg.Counter("quickdrop_health_nan_events_total", "Non-finite (NaN/Inf) observations.")
 		m.cTrips = reg.Counter("quickdrop_health_watchdog_trips_total", "Divergence watchdog trips.")
-		m.gMaxGrad = reg.Gauge("quickdrop_health_max_grad_norm", "Largest sampled per-layer gradient L2 norm.")
 	}
 	m.gHealth.Set(1)
 	return m
@@ -390,7 +388,6 @@ func (m *Monitor) RecordLayer(layer int, x, gradNorm float64, gradNonFinite int,
 	}
 	if gradNorm > m.maxGrad {
 		m.maxGrad = gradNorm
-		m.gMaxGrad.Set(gradNorm)
 	}
 	if ratio > m.maxRatio {
 		m.maxRatio = ratio
@@ -426,7 +423,6 @@ func (m *Monitor) RecordDistill(x, dist, gradNorm float64, nonFinite int) {
 	}
 	if gradNorm > m.maxGrad {
 		m.maxGrad = gradNorm
-		m.gMaxGrad.Set(gradNorm)
 	}
 	m.mu.Unlock()
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func testMonitor(cfg Config) (*Monitor, *telemetry.Pipeline) {
-	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), nil, 2)
+	pipe := telemetry.NewPipeline(telemetry.NewRegistry(), 2)
 	return New(cfg, pipe), pipe
 }
 

@@ -45,21 +45,6 @@ func (l *EventLog) Emit(v any) {
 	}
 }
 
-// EmitSpans appends every retained span record from tr.
-func (l *EventLog) EmitSpans(tr *Tracer) {
-	if l == nil {
-		return
-	}
-	for _, rec := range tr.Snapshot() {
-		l.Emit(struct {
-			Event string `json:"event"`
-			Kind  string `json:"kind"`
-			SpanRecord
-			DurNS int64 `json:"dur_ns"`
-		}{"span", rec.Kind.String(), rec, int64(rec.Duration())})
-	}
-}
-
 // Err returns the first error encountered, if any.
 func (l *EventLog) Err() error {
 	if l == nil {

@@ -36,29 +36,6 @@ func TestEventLogEmit(t *testing.T) {
 	}
 }
 
-func TestEventLogEmitSpans(t *testing.T) {
-	fakeClock(t)
-	tr := NewTracer(4)
-	tr.Start(SpanRound, "round", 1, 2, -1).End()
-	var sb strings.Builder
-	l := NewEventLog(&sb)
-	l.EmitSpans(tr)
-	line := strings.TrimSpace(sb.String())
-	var rec struct {
-		Event  string `json:"event"`
-		Kind   string `json:"kind"`
-		Name   string `json:"name"`
-		Round  int    `json:"round"`
-		Parent uint64 `json:"parent"`
-	}
-	if err := json.Unmarshal([]byte(line), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Event != "span" || rec.Kind != "round" || rec.Round != 2 || rec.Parent != 1 {
-		t.Errorf("span event wrong: %+v from %s", rec, line)
-	}
-}
-
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
@@ -78,7 +55,6 @@ func TestEventLogStickyError(t *testing.T) {
 func TestNilEventLog(t *testing.T) {
 	var l *EventLog
 	l.Emit(struct{}{})
-	l.EmitSpans(NewTracer(1))
 	if l.Err() != nil {
 		t.Fatal("nil log should be a silent discard sink")
 	}

@@ -11,7 +11,7 @@ func testManifest(t *testing.T, accuracy, fset float64, roundSum float64) *Manif
 	t.Helper()
 	restore := SetClockForTesting(func() int64 { return 1754400000e9 })
 	defer restore()
-	p := NewPipeline(NewRegistry(), NewTracer(0), 2)
+	p := NewPipeline(NewRegistry(), 2)
 	p.RecordAccuracy(accuracy)
 	p.RecordSplitAccuracy(fset, accuracy)
 	p.RoundSeconds.Observe(roundSum)

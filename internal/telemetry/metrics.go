@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter. All methods
@@ -107,9 +106,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 	h.count.Add(1)
 }
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {

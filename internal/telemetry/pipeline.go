@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // MaxClientSeries caps the client label space of the per-client
 // LocalSteps counter vector: cohorts up to this size get one series per
@@ -30,14 +27,13 @@ func phaseIndex(name string) int {
 	return len(PhaseNames) - 1
 }
 
-// Pipeline bundles the pre-registered instruments and span plumbing
-// for the FL / distillation / unlearning pipelines. One Pipeline is
+// Pipeline bundles the pre-registered instruments for the FL /
+// distillation / unlearning pipelines. One Pipeline is
 // shared by every phase of a run; all record methods are safe for
 // concurrent use (RunPhaseConcurrentRegistry's client workers record
 // through the same handles) and are no-ops on a nil receiver.
 type Pipeline struct {
 	Registry *Registry
-	Tracer   *Tracer
 	// Audit is the deletion-request audit trail; the serving layer
 	// appends one entry per forget request and BuildManifest folds the
 	// log into the run ledger.
@@ -46,17 +42,12 @@ type Pipeline struct {
 	// FL substrate.
 	Rounds       *Counter      // quickdrop_fl_rounds_total
 	RoundSeconds *Histogram    // quickdrop_fl_round_seconds
-	Participants *Gauge        // quickdrop_fl_round_participants
 	LocalSteps   *CounterVec   // quickdrop_fl_local_steps_total{client}
 	Samples      *Counter      // quickdrop_fl_samples_total
-	Dropped      *Counter      // quickdrop_fl_dropped_updates_total
-	Phases       *Counter      // quickdrop_phases_total
 	PhaseSeconds *HistogramVec // quickdrop_phase_seconds{phase}
 
 	// In-situ distillation.
-	DistillSteps       *Counter   // quickdrop_distill_steps_total
-	DistillStepSeconds *Histogram // quickdrop_distill_step_seconds
-	DistillSecondsSum  *Gauge     // quickdrop_distill_seconds_sum
+	DistillSteps *Counter // quickdrop_distill_steps_total
 
 	// Unlearning workflow.
 	UnlearnRequests *CounterVec // quickdrop_unlearn_requests_total{kind}
@@ -65,47 +56,35 @@ type Pipeline struct {
 	evalAccuracy *Gauge // quickdrop_eval_accuracy
 	fsetAccuracy *Gauge // quickdrop_fset_accuracy
 	rsetAccuracy *Gauge // quickdrop_rset_accuracy
-
-	exp      Span
-	curPhase atomic.Uint64
-	curRound atomic.Uint64
 }
 
 // RequestKindNames are the label values of UnlearnRequests, aligned
 // with core.RequestKind (index kind-1).
 var RequestKindNames = []string{"class", "client", "sample"}
 
-// NewPipeline registers the instrument catalogue on reg, opens the
-// experiment root span on tr, and pre-registers the LocalSteps series
-// of client IDs [0, min(clients, MaxClientSeries)). Either argument may
-// be nil (metrics-only or spans-only operation); NewPipeline(nil, nil,
-// …) returns a pipeline that still provides working phase stopwatches.
-func NewPipeline(reg *Registry, tr *Tracer, clients int) *Pipeline {
+// NewPipeline registers the instrument catalogue on reg and
+// pre-registers the LocalSteps series of client IDs
+// [0, min(clients, MaxClientSeries)). reg may be nil: NewPipeline(nil,
+// …) returns a pipeline that records nothing but still provides working
+// phase stopwatches and the audit log.
+func NewPipeline(reg *Registry, clients int) *Pipeline {
 	vecClients := clients
 	if vecClients > MaxClientSeries {
 		vecClients = MaxClientSeries
 	}
-	p := &Pipeline{
+	return &Pipeline{
 		Registry: reg,
-		Tracer:   tr,
 		Audit:    &AuditLog{},
 
 		Rounds:       reg.Counter("quickdrop_fl_rounds_total", "Completed FedAvg rounds across all phases."),
 		RoundSeconds: reg.Histogram("quickdrop_fl_round_seconds", "FedAvg round wall time in seconds.", nil),
-		Participants: reg.Gauge("quickdrop_fl_round_participants", "Clients selected in the most recent round."),
 		LocalSteps: reg.CounterVec("quickdrop_fl_local_steps_total",
 			"Client-local SGD/SGA steps.", "client", IndexValues(vecClients)),
 		Samples: reg.Counter("quickdrop_fl_samples_total", "Training samples consumed by local steps."),
-		Dropped: reg.Counter("quickdrop_fl_dropped_updates_total", "Client updates lost to injected failures."),
-		Phases:  reg.Counter("quickdrop_phases_total", "Completed pipeline phases."),
 		PhaseSeconds: reg.HistogramVec("quickdrop_phase_seconds",
 			"Phase wall time in seconds.", "phase", PhaseNames, []float64{.01, .05, .1, .5, 1, 5, 15, 60, 300}),
 
 		DistillSteps: reg.Counter("quickdrop_distill_steps_total", "In-situ gradient-matching updates."),
-		DistillStepSeconds: reg.Histogram("quickdrop_distill_step_seconds",
-			"Gradient-matching update wall time in seconds.", nil),
-		DistillSecondsSum: reg.Gauge("quickdrop_distill_seconds_sum",
-			"Accumulated distillation wall time in seconds (the paper's DD overhead)."),
 
 		UnlearnRequests: reg.CounterVec("quickdrop_unlearn_requests_total",
 			"Unlearning requests served.", "kind", RequestKindNames),
@@ -114,24 +93,13 @@ func NewPipeline(reg *Registry, tr *Tracer, clients int) *Pipeline {
 		fsetAccuracy: reg.Gauge("quickdrop_fset_accuracy", "Forget-set accuracy at the latest split evaluation."),
 		rsetAccuracy: reg.Gauge("quickdrop_rset_accuracy", "Retain-set accuracy at the latest split evaluation."),
 	}
-	p.exp = tr.Start(SpanExperiment, "experiment", 0, -1, -1)
-	return p
-}
-
-// Close ends the experiment root span.
-func (p *Pipeline) Close() {
-	if p == nil {
-		return
-	}
-	p.exp.End()
 }
 
 // PhaseTimer measures one pipeline phase. The stopwatch always runs —
 // phase costs feed eval.Cost whether or not telemetry is enabled — but
-// the span and metrics record only when a pipeline is attached.
+// the histogram records only when a pipeline is attached.
 type PhaseTimer struct {
 	sw   Stopwatch
-	span Span
 	p    *Pipeline
 	name string
 }
@@ -140,58 +108,35 @@ type PhaseTimer struct {
 // returned timer still measures wall time (replacing the scattered
 // `start := time.Now()` accounting sites) but records nothing.
 func (p *Pipeline) StartPhase(name string) PhaseTimer {
-	t := PhaseTimer{sw: StartTimer(), p: p, name: name}
-	if p != nil {
-		t.span = p.Tracer.Start(SpanPhase, name, p.exp.ID(), -1, -1)
-		p.curPhase.Store(t.span.ID())
-	}
-	return t
+	return PhaseTimer{sw: StartTimer(), p: p, name: name}
 }
 
-// Stop ends the phase, records its span and histogram, and returns
-// the measured wall time.
+// Stop ends the phase, records its histogram, and returns the measured
+// wall time.
 func (t PhaseTimer) Stop() time.Duration {
 	d := t.sw.Elapsed()
 	if t.p != nil {
-		t.span.End()
-		t.p.Phases.Inc()
 		t.p.PhaseSeconds.At(phaseIndex(t.name)).Observe(d.Seconds())
 	}
 	return d
 }
 
-// StartRound opens a round span under the current phase.
-func (p *Pipeline) StartRound(round int) Span {
+// StartRound starts the round stopwatch. A nil pipeline reads no clock.
+func (p *Pipeline) StartRound() Stopwatch {
 	if p == nil {
-		return Span{}
+		return 0
 	}
-	sp := p.Tracer.Start(SpanRound, "round", p.curPhase.Load(), round, -1)
-	p.curRound.Store(sp.ID())
-	return sp
+	return StartTimer()
 }
 
-// EndRound closes a round span and records the round metrics.
-func (p *Pipeline) EndRound(sp Span, participants int) {
+// EndRound records the round metrics, timing the round from sw.
+func (p *Pipeline) EndRound(sw Stopwatch) {
 	if p == nil {
 		return
 	}
-	d := sp.End()
 	p.Rounds.Inc()
-	p.RoundSeconds.Observe(d.Seconds())
-	p.Participants.Set(float64(participants))
+	p.RoundSeconds.Observe(sw.Elapsed().Seconds())
 }
-
-// StartClient opens a client-step span under the current round. Safe
-// to call concurrently from per-client workers.
-func (p *Pipeline) StartClient(round, client int) Span {
-	if p == nil {
-		return Span{}
-	}
-	return p.Tracer.Start(SpanClientStep, "client", p.curRound.Load(), round, client)
-}
-
-// EndClient closes a client-step span.
-func (p *Pipeline) EndClient(sp Span) { sp.End() }
 
 // LocalStep records one client-local update step. This sits on the
 // training hot path: two atomic adds, no allocation.
@@ -203,33 +148,13 @@ func (p *Pipeline) LocalStep(client, batch int) {
 	p.Samples.Add(int64(batch))
 }
 
-// DropUpdate records a client update lost to an injected failure.
-func (p *Pipeline) DropUpdate() {
+// EndDistill records one finished gradient-matching step. Its wall
+// time goes to Matcher.DDTime, which the Table 6 overhead column reads.
+func (p *Pipeline) EndDistill() {
 	if p == nil {
 		return
 	}
-	p.Dropped.Inc()
-}
-
-// StartDistill opens a distill-step span under the current round.
-func (p *Pipeline) StartDistill(round, client int) Span {
-	if p == nil {
-		return Span{}
-	}
-	return p.Tracer.Start(SpanDistillStep, "distill", p.curRound.Load(), round, client)
-}
-
-// EndDistill closes a distill-step span and records the matching-step
-// metrics; d is the caller's stopwatch measurement (the same value it
-// accumulates into Matcher.DDTime).
-func (p *Pipeline) EndDistill(sp Span, d time.Duration) {
-	if p == nil {
-		return
-	}
-	sp.End()
 	p.DistillSteps.Inc()
-	p.DistillStepSeconds.Observe(d.Seconds())
-	p.DistillSecondsSum.Add(d.Seconds())
 }
 
 // Request records one unlearning request of the given kind index

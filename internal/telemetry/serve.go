@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -16,7 +15,6 @@ type Server struct {
 // Register mounts the telemetry endpoints on an existing mux:
 //
 //	/metrics     Prometheus text exposition of the pipeline's registry
-//	/debug/vars  expvar (the standard library's memstats and cmdline)
 //	/debug/pprof net/http/pprof profiles
 //
 // Serve uses it on a fresh mux; servers with routes of their own (the
@@ -34,7 +32,6 @@ func Register(mux *http.ServeMux, p *Pipeline) {
 		// A write error means the scraper hung up; nothing to report to.
 		_ = reg.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -8,13 +8,10 @@ import (
 )
 
 func TestServeEndpoints(t *testing.T) {
-	p := NewPipeline(NewRegistry(), NewTracer(64), 2)
+	p := NewPipeline(NewRegistry(), 2)
 	p.Registry.Counter("quickdrop_serve_test_total", "Serve test.").Add(7)
-	p.Tracer.Start(SpanPhase, "train", 0, -1, -1).End()
 	pt := p.StartPhase("train")
-	rs := p.StartRound(0)
-	p.EndClient(p.StartClient(0, 0))
-	p.EndRound(rs, 1)
+	p.EndRound(p.StartRound())
 	pt.Stop()
 	p.RecordAccuracy(0.5)
 
@@ -55,13 +52,6 @@ func TestServeEndpoints(t *testing.T) {
 		t.Errorf("/metrics carries summary quantiles inside a histogram family:\n%s", metrics)
 	}
 
-	vars := get("/debug/vars")
-	for _, want := range []string{`"cmdline"`, `"memstats"`} {
-		if !strings.Contains(vars, want) {
-			t.Errorf("/debug/vars missing %s:\n%s", want, vars)
-		}
-	}
-
 	if pprofIdx := get("/debug/pprof/"); !strings.Contains(pprofIdx, "profile") {
 		t.Error("/debug/pprof/ index missing profiles")
 	}
@@ -75,7 +65,7 @@ func TestServeNilPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, path := range []string{"/metrics", "/debug/vars"} {
+	for _, path := range []string{"/metrics", "/debug/pprof/"} {
 		resp, err := http.Get("http://" + s.Addr() + path)
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,8 @@
 # requests, and asserts the serving contract — the requests coalesce
 # into ONE batched SGA+recovery pass, a single new model version is
 # published, /v1/predict serves from the snapshot store, the daemon
-# metrics are exposed, and a graceful SIGTERM drain
+# metrics are exposed and equal the /v1/status totals, and a graceful
+# SIGTERM drain
 # writes the run-ledger manifest with one audit entry per request
 # carrying before/after forget-set accuracy. Run standalone or via the
 # CI serve-smoke job. RUNS_DIR overrides where the ledger manifest
@@ -133,6 +134,26 @@ if ! grep -q '^quickdropd_model_version 2$' "$work/metrics"; then
 	grep '^quickdropd_model_version ' "$work/metrics" >&2 || true
 	status=1
 fi
+
+echo "==> /v1/status and /metrics report the same totals"
+curl -fsS "http://$addr/v1/status" >"$work/status_now.json"
+curl -fsS "http://$addr/metrics" >"$work/metrics_now"
+python3 - "$work/status_now.json" "$work/metrics_now" <<'EOF' || status=1
+import json, sys
+st = json.load(open(sys.argv[1]))
+series = {}
+for line in open(sys.argv[2]):
+    if line.strip() and not line.startswith("#"):
+        name, value = line.split()
+        series[name] = float(value)
+for field, metric in (("batches_total", "quickdropd_batches_total"),
+                      ("requests_published_total", "quickdropd_requests_published_total"),
+                      ("requests_failed_total", "quickdropd_requests_failed_total"),
+                      ("model_version", "quickdropd_model_version")):
+    assert metric in series, f"/metrics has no {metric}"
+    assert st[field] == series[metric], f"/v1/status {field}={st[field]} but /metrics {metric}={series[metric]}"
+print("/v1/status totals equal their /metrics series")
+EOF
 
 echo "==> SIGTERM: graceful drain writes the ledger audit trail"
 kill -TERM "$pid"
