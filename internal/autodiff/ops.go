@@ -364,6 +364,29 @@ func Col2im(cols *Value, batch int, g tensor.ConvGeom) *Value {
 	return v
 }
 
+// AvgPool averages NHWC maps over the geometry's Kernel×Kernel windows
+// (see tensor.AvgPoolInto). It is Reshape(Scale(SumAxes(Reshape(Im2col(a),
+// rows, K², C), 1), 1/K²), B, OH, OW, C) computed in one pass, and its VJP
+// is that composition's backward, Col2im(Reshape(BroadcastTo(Scale(g)))),
+// so first- and higher-order graphs through it hold the same nodes and
+// bits as through the composition. Only a differentiable a pays for the
+// VJP's closure.
+func AvgPool(a *Value, g tensor.ConvGeom) *Value {
+	var vjp func(n, gr *Value) *Value
+	if a.requiresGrad {
+		vjp = func(n, gr *Value) *Value {
+			batch, k2 := n.inputsArr[0].Data.Dim(0), g.Kernel*g.Kernel
+			rows := batch * g.OutH() * g.OutW()
+			sums := Scale(Reshape(gr, rows, 1, g.Channel), 1/float64(k2))
+			cols := Reshape(BroadcastTo(sums, rows, k2, g.Channel), rows, k2*g.Channel)
+			return Col2im(cols, batch, g)
+		}
+	}
+	v := newNode1("avgpool", nil, a, vjp)
+	v.Data = tensor.AvgPoolInto(v.scratch(), a.Data, g)
+	return v
+}
+
 // Dot returns ⟨a, b⟩ as a scalar node of shape [1].
 func Dot(a, b *Value) *Value {
 	n := a.Data.Len()

@@ -215,6 +215,14 @@ func TestGradientNumericAgreement(t *testing.T) {
 			g := tensor.ConvGeom{Kernel: 2, Stride: 1, Pad: 0, InH: 3, InW: 3, Channel: 1}
 			return SumAll(PowConst(Col2im(xs[0], 1, g), 2))
 		}, 18},
+		{"avgpool", [][]int{{2, 4, 4, 2}}, func(xs []*Value) *Value {
+			g := tensor.ConvGeom{Kernel: 2, Stride: 2, Pad: 0, InH: 4, InW: 4, Channel: 2}
+			return SumAll(PowConst(AvgPool(xs[0], g), 2))
+		}, 68},
+		{"avgpool-padded-overlapping", [][]int{{1, 4, 4, 2}}, func(xs []*Value) *Value {
+			g := tensor.ConvGeom{Kernel: 3, Stride: 1, Pad: 1, InH: 4, InW: 4, Channel: 2}
+			return SumAll(PowConst(AvgPool(xs[0], g), 2))
+		}, 69},
 		{"relu", [][]int{{6}}, func(xs []*Value) *Value {
 			// Offset keeps values away from the kink where FD is invalid.
 			return SumAll(PowConst(ReLU(AddConst(xs[0], 0.3)), 2))
@@ -337,6 +345,14 @@ func TestSecondOrderNumeric(t *testing.T) {
 			g := tensor.ConvGeom{Kernel: 2, Stride: 1, Pad: 0, InH: 3, InW: 3, Channel: 1}
 			return SumAll(PowConst(Col2im(xs[0], 1, g), 3))
 		}, 60},
+		{"avgpool", [][]int{{2, 4, 4, 2}}, func(xs []*Value) *Value {
+			g := tensor.ConvGeom{Kernel: 2, Stride: 2, Pad: 0, InH: 4, InW: 4, Channel: 2}
+			return SumAll(PowConst(AvgPool(xs[0], g), 3))
+		}, 70},
+		{"avgpool-padded-overlapping", [][]int{{1, 4, 4, 2}}, func(xs []*Value) *Value {
+			g := tensor.ConvGeom{Kernel: 3, Stride: 1, Pad: 1, InH: 4, InW: 4, Channel: 2}
+			return SumAll(PowConst(AvgPool(xs[0], g), 3))
+		}, 71},
 		{"rowmax-softmax", [][]int{{3, 4}, {3, 4}}, func(xs []*Value) *Value { return sq(Mul(softmax(xs[0]), xs[1])) }, 61},
 		{"detach", [][]int{{4}}, func(xs []*Value) *Value { return SumAll(PowConst(detachCancel(xs[0]), 3)) }, 62},
 		{"concatrows", [][]int{{2, 3}, {1, 3}}, func(xs []*Value) *Value {

@@ -12,17 +12,6 @@ import (
 	"go/token"
 )
 
-// Edge is one control-flow successor. Cond carries the branch condition
-// guarding the edge (nil for unconditional edges); Neg reports that the
-// edge is taken when Cond evaluates to false. Analyses may use the
-// condition to refine facts (for example, "x == nil" rules out the
-// borrowed state on its true edge).
-type Edge struct {
-	To   *Block
-	Cond ast.Expr
-	Neg  bool
-}
-
 // BlockKind classifies the special blocks of a graph.
 type BlockKind int
 
@@ -47,7 +36,7 @@ type Block struct {
 	// block repeats the function's defer statements, wrapped in DeferRun
 	// nodes, in reverse registration order — the order they run at exit.
 	Stmts []ast.Node
-	Succs []Edge
+	Succs []*Block
 	Preds []*Block
 }
 
@@ -147,7 +136,7 @@ func build(body *ast.BlockStmt, isPanic func(*ast.CallExpr) bool) *Graph {
 			d.Stmts = append(d.Stmts, &DeferRun{D: b.defers[i]})
 		}
 		b.g.Defers = d
-		b.edge(d, exit, nil, false)
+		b.edge(d, exit)
 	}
 	// Fall off the end of the body.
 	b.leaves = append(b.leaves, leave{from: b.cur})
@@ -157,7 +146,7 @@ func build(body *ast.BlockStmt, isPanic func(*ast.CallExpr) bool) *Graph {
 		if b.g.Defers != nil {
 			target = b.g.Defers
 		}
-		b.edge(lv.from, target, nil, false)
+		b.edge(lv.from, target)
 		if lv.panics {
 			b.g.PanicExits = append(b.g.PanicExits, lv.from)
 		}
@@ -165,7 +154,7 @@ func build(body *ast.BlockStmt, isPanic func(*ast.CallExpr) bool) *Graph {
 	// Resolve forward gotos.
 	for _, pg := range b.gotos {
 		if lf, ok := b.labels[pg.label]; ok && lf.block != nil {
-			b.edge(pg.from, lf.block, nil, false)
+			b.edge(pg.from, lf.block)
 		}
 	}
 	return b.g
@@ -199,8 +188,8 @@ func (b *builder) newBlock(kind BlockKind) *Block {
 	return blk
 }
 
-func (b *builder) edge(from, to *Block, cond ast.Expr, neg bool) {
-	from.Succs = append(from.Succs, Edge{To: to, Cond: cond, Neg: neg})
+func (b *builder) edge(from, to *Block) {
+	from.Succs = append(from.Succs, to)
 	to.Preds = append(to.Preds, from)
 }
 
@@ -268,18 +257,18 @@ func (b *builder) ifStmt(s *ast.IfStmt) {
 	head := b.cur
 	then := b.newBlock(KindBody)
 	after := b.newBlock(KindBody)
-	b.edge(head, then, s.Cond, false)
+	b.edge(head, then)
 	b.cur = then
 	b.stmtList(s.Body.List)
-	b.edge(b.cur, after, nil, false)
+	b.edge(b.cur, after)
 	if s.Else != nil {
 		els := b.newBlock(KindBody)
-		b.edge(head, els, s.Cond, true)
+		b.edge(head, els)
 		b.cur = els
 		b.stmt(s.Else)
-		b.edge(b.cur, after, nil, false)
+		b.edge(b.cur, after)
 	} else {
-		b.edge(head, after, s.Cond, true)
+		b.edge(head, after)
 	}
 	b.cur = after
 }
@@ -292,22 +281,20 @@ func (b *builder) forStmt(s *ast.ForStmt, label string) {
 	body := b.newBlock(KindBody)
 	after := b.newBlock(KindBody)
 	post := b.newBlock(KindBody)
-	b.edge(b.cur, head, nil, false)
+	b.edge(b.cur, head)
+	b.edge(head, body)
 	if s.Cond != nil {
-		b.edge(head, body, s.Cond, false)
-		b.edge(head, after, s.Cond, true)
-	} else {
-		b.edge(head, body, nil, false)
+		b.edge(head, after)
 	}
 	b.loops = append(b.loops, loopFrame{label: label, breakTarget: after, continueBlock: post})
 	b.cur = body
 	b.stmtList(s.Body.List)
 	b.loops = b.loops[:len(b.loops)-1]
-	b.edge(b.cur, post, nil, false)
+	b.edge(b.cur, post)
 	if s.Post != nil {
 		post.Stmts = append(post.Stmts, s.Post)
 	}
-	b.edge(post, head, nil, false)
+	b.edge(post, head)
 	b.cur = after
 }
 
@@ -315,17 +302,17 @@ func (b *builder) rangeStmt(s *ast.RangeStmt, label string) {
 	head := b.newBlock(KindBody)
 	body := b.newBlock(KindBody)
 	after := b.newBlock(KindBody)
-	b.edge(b.cur, head, nil, false)
+	b.edge(b.cur, head)
 	// The range statement itself (key/value binding) executes at the
 	// head of each iteration.
 	head.Stmts = append(head.Stmts, s)
-	b.edge(head, body, nil, false)
-	b.edge(head, after, nil, false)
+	b.edge(head, body)
+	b.edge(head, after)
 	b.loops = append(b.loops, loopFrame{label: label, breakTarget: after, continueBlock: head})
 	b.cur = body
 	b.stmtList(s.Body.List)
 	b.loops = b.loops[:len(b.loops)-1]
-	b.edge(b.cur, head, nil, false)
+	b.edge(b.cur, head)
 	b.cur = after
 }
 
@@ -349,7 +336,7 @@ func (b *builder) switchStmt(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt, l
 			continue
 		}
 		cb := b.newBlock(KindBody)
-		b.edge(head, cb, nil, false)
+		b.edge(head, cb)
 		caseBlocks = append(caseBlocks, cb)
 		clauses = append(clauses, cc)
 		if cc.List == nil {
@@ -357,7 +344,7 @@ func (b *builder) switchStmt(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt, l
 		}
 	}
 	if !hasDefault {
-		b.edge(head, after, nil, false)
+		b.edge(head, after)
 	}
 	for i, cc := range clauses {
 		b.cur = caseBlocks[i]
@@ -366,7 +353,7 @@ func (b *builder) switchStmt(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt, l
 			b.fallNext = caseBlocks[i+1]
 		}
 		b.stmtList(cc.Body)
-		b.edge(b.cur, after, nil, false)
+		b.edge(b.cur, after)
 	}
 	b.fallNext = nil
 	b.loops = b.loops[:len(b.loops)-1]
@@ -383,13 +370,13 @@ func (b *builder) selectStmt(s *ast.SelectStmt, label string) {
 			continue
 		}
 		cb := b.newBlock(KindBody)
-		b.edge(head, cb, nil, false)
+		b.edge(head, cb)
 		b.cur = cb
 		if cc.Comm != nil {
 			b.append(cc.Comm)
 		}
 		b.stmtList(cc.Body)
-		b.edge(b.cur, after, nil, false)
+		b.edge(b.cur, after)
 	}
 	b.loops = b.loops[:len(b.loops)-1]
 	b.cur = after
@@ -405,7 +392,7 @@ func (b *builder) branchStmt(s *ast.BranchStmt) {
 		for i := len(b.loops) - 1; i >= 0; i-- {
 			f := b.loops[i]
 			if label == "" || f.label == label {
-				b.edge(b.cur, f.breakTarget, nil, false)
+				b.edge(b.cur, f.breakTarget)
 				break
 			}
 		}
@@ -416,19 +403,19 @@ func (b *builder) branchStmt(s *ast.BranchStmt) {
 				continue
 			}
 			if label == "" || f.label == label {
-				b.edge(b.cur, f.continueBlock, nil, false)
+				b.edge(b.cur, f.continueBlock)
 				break
 			}
 		}
 	case token.GOTO:
 		if lf, ok := b.labels[label]; ok && lf.block != nil {
-			b.edge(b.cur, lf.block, nil, false)
+			b.edge(b.cur, lf.block)
 		} else {
 			b.gotos = append(b.gotos, pendingGoto{from: b.cur, label: label})
 		}
 	case token.FALLTHROUGH:
 		if b.fallNext != nil {
-			b.edge(b.cur, b.fallNext, nil, false)
+			b.edge(b.cur, b.fallNext)
 		}
 	}
 	b.dead()
@@ -436,7 +423,7 @@ func (b *builder) branchStmt(s *ast.BranchStmt) {
 
 func (b *builder) labeledStmt(s *ast.LabeledStmt) {
 	target := b.newBlock(KindBody)
-	b.edge(b.cur, target, nil, false)
+	b.edge(b.cur, target)
 	b.cur = target
 	b.labels[s.Label.Name] = &labelFrame{block: target}
 	switch inner := s.Stmt.(type) {

@@ -39,8 +39,8 @@ func reachable(g *Graph) map[*Block]bool {
 			return
 		}
 		seen[b] = true
-		for _, e := range b.Succs {
-			visit(e.To)
+		for _, succ := range b.Succs {
+			visit(succ)
 		}
 	}
 	visit(g.Entry)
@@ -49,28 +49,11 @@ func reachable(g *Graph) map[*Block]bool {
 
 func TestCFGBranchEdges(t *testing.T) {
 	g := buildGraph(t, "x := 1\nif x > 0 {\n x = 2\n} else {\n x = 3\n}\n_ = x")
-	// The entry block must end with two condition-guarded edges: the
-	// then edge (Neg=false) and the else edge (Neg=true), sharing the
-	// same condition expression.
-	var pos, neg *Edge
-	for i := range g.Entry.Succs {
-		e := &g.Entry.Succs[i]
-		if e.Cond == nil {
-			t.Fatalf("entry has an unconditional successor; want only cond edges")
-		}
-		if e.Neg {
-			neg = e
-		} else {
-			pos = e
-		}
+	// The entry block ends in the branch: a then and an else successor.
+	if len(g.Entry.Succs) != 2 {
+		t.Fatalf("entry has %d successors, want 2 (then and else)", len(g.Entry.Succs))
 	}
-	if pos == nil || neg == nil {
-		t.Fatalf("want one positive and one negative cond edge, got %+v", g.Entry.Succs)
-	}
-	if pos.Cond != neg.Cond {
-		t.Errorf("then/else edges carry different condition expressions")
-	}
-	if pos.To == neg.To {
+	if g.Entry.Succs[0] == g.Entry.Succs[1] {
 		t.Errorf("then and else edges lead to the same block")
 	}
 	if !reachable(g)[g.Exit] {
@@ -80,25 +63,15 @@ func TestCFGBranchEdges(t *testing.T) {
 
 func TestCFGIfWithoutElse(t *testing.T) {
 	g := buildGraph(t, "x := 1\nif x > 0 {\n x = 2\n}\n_ = x")
-	// Without an else, the negative edge jumps straight to the after
+	// Without an else, the false edge jumps straight to the after
 	// block, which the then block also reaches.
-	var pos, neg *Edge
-	for i := range g.Entry.Succs {
-		e := &g.Entry.Succs[i]
-		if e.Neg {
-			neg = e
-		} else {
-			pos = e
-		}
+	if len(g.Entry.Succs) != 2 {
+		t.Fatalf("entry has %d successors, want 2 (then and after)", len(g.Entry.Succs))
 	}
-	if pos == nil || neg == nil {
-		t.Fatalf("want cond edge pair, got %+v", g.Entry.Succs)
-	}
-	then := pos.To
-	after := neg.To
+	then, after := g.Entry.Succs[0], g.Entry.Succs[1]
 	found := false
-	for _, e := range then.Succs {
-		if e.To == after {
+	for _, succ := range then.Succs {
+		if succ == after {
 			found = true
 		}
 	}
@@ -109,29 +82,26 @@ func TestCFGIfWithoutElse(t *testing.T) {
 
 func TestCFGLoopBackEdge(t *testing.T) {
 	g := buildGraph(t, "s := 0\nfor i := 0; i < 3; i++ {\n s += i\n}\n_ = s")
-	// Find the loop head: the block with a cond-guarded body edge and a
-	// cond-guarded exit edge.
-	var head *Block
-	for _, b := range g.Blocks {
-		if len(b.Succs) == 2 && b.Succs[0].Cond != nil && b.Succs[1].Cond != nil {
-			head = b
-			break
-		}
+	// The loop head is the entry's one successor; with a condition it
+	// branches to the body and the after block.
+	if len(g.Entry.Succs) != 1 {
+		t.Fatalf("entry has %d successors, want 1 (the loop head)", len(g.Entry.Succs))
 	}
-	if head == nil {
-		t.Fatal("no loop head with a cond edge pair")
+	head := g.Entry.Succs[0]
+	if len(head.Succs) != 2 {
+		t.Fatalf("loop head has %d successors, want 2 (body and after)", len(head.Succs))
 	}
 	// The head must be its own transitive successor (a back edge exists).
 	seen := make(map[*Block]bool)
 	var visit func(b *Block) bool
 	visit = func(b *Block) bool {
-		for _, e := range b.Succs {
-			if e.To == head {
+		for _, succ := range b.Succs {
+			if succ == head {
 				return true
 			}
-			if !seen[e.To] {
-				seen[e.To] = true
-				if visit(e.To) {
+			if !seen[succ] {
+				seen[succ] = true
+				if visit(succ) {
 					return true
 				}
 			}
@@ -162,10 +132,10 @@ func TestCFGRangeHead(t *testing.T) {
 		t.Fatalf("range head has %d successors, want 2 (body and after)", len(head.Succs))
 	}
 	// One successor must loop back to the head.
-	body := head.Succs[0].To
+	body := head.Succs[0]
 	back := false
-	for _, e := range body.Succs {
-		if e.To == head {
+	for _, succ := range body.Succs {
+		if succ == head {
 			back = true
 		}
 	}
@@ -215,8 +185,8 @@ func TestCFGPanicExit(t *testing.T) {
 	// The panicking block leaves the function directly (its successor is
 	// the exit, since there are no defers).
 	leavesToExit := false
-	for _, e := range pb.Succs {
-		if e.To == g.Exit {
+	for _, succ := range pb.Succs {
+		if succ == g.Exit {
 			leavesToExit = true
 		}
 	}

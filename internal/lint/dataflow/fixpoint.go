@@ -47,18 +47,18 @@ func Forward[F any](g *Graph, a Analysis[F]) Result[F] {
 				continue
 			}
 			out := a.flowBlock(blk, fact)
-			for _, e := range blk.Succs {
-				old, seen := in[e.To]
+			for _, succ := range blk.Succs {
+				old, seen := in[succ]
 				if !seen {
-					in[e.To] = out
-					dirty[e.To] = true
+					in[succ] = out
+					dirty[succ] = true
 					changed = true
 					continue
 				}
 				merged := a.Join(old, out)
 				if !a.Equal(merged, old) {
-					in[e.To] = merged
-					dirty[e.To] = true
+					in[succ] = merged
+					dirty[succ] = true
 					changed = true
 				}
 			}

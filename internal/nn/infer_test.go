@@ -46,7 +46,7 @@ func requireSameBits(t *testing.T, what string, want, got *tensor.Tensor) {
 	}
 	for i, w := range want.Data() {
 		if g := got.Data()[i]; math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("%s: element %d is %v on the arena, %v on the heap", what, i, g, w)
+			t.Fatalf("%s: element %d is %v, want %v", what, i, g, w)
 		}
 	}
 }

@@ -103,9 +103,10 @@ func (ReLULayer) Params() []*Param { return nil }
 // Forward implements Layer.
 func (ReLULayer) Forward(x *ad.Value, _ []*ad.Value) *ad.Value { return ad.ReLU(x) }
 
-// AvgPool downsamples NHWC maps by averaging over Kernel×Kernel windows.
-// It is composed from im2col + reduction, so its gradient (and gradient of
-// gradient) come for free from the linear primitives.
+// AvgPool downsamples NHWC maps by averaging over Kernel×Kernel windows,
+// through the autodiff.AvgPool primitive: one pass with no patch matrix,
+// whose gradients (of any order) are those of the im2col + reduction it
+// computes.
 type AvgPool struct {
 	Geom tensor.ConvGeom
 }
@@ -126,16 +127,7 @@ func (p *AvgPool) Name() string { return "avgpool" }
 func (p *AvgPool) Params() []*Param { return nil }
 
 // Forward implements Layer.
-func (p *AvgPool) Forward(x *ad.Value, _ []*ad.Value) *ad.Value {
-	b := x.Data.Dim(0)
-	g := p.Geom
-	k2 := g.Kernel * g.Kernel
-	cols := ad.Im2col(x, g) // [B*OH*OW, K*K*C]
-	rows := cols.Data.Dim(0)
-	grouped := ad.Reshape(cols, rows, k2, g.Channel)       // window-major rows
-	avg := ad.Scale(ad.SumAxes(grouped, 1), 1/float64(k2)) // [rows,1,C]
-	return ad.Reshape(avg, b, g.OutH(), g.OutW(), g.Channel)
-}
+func (p *AvgPool) Forward(x *ad.Value, _ []*ad.Value) *ad.Value { return ad.AvgPool(x, p.Geom) }
 
 // Flatten reshapes [B, H, W, C] (or any rank ≥ 2) to [B, rest].
 type Flatten struct{}

@@ -99,7 +99,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/model", s.handleModel)
 	s.mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
-	telemetry.Register(s.mux, s.cfg.Telemetry)
+	telemetry.Register(s.mux, s.metrics.reg)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

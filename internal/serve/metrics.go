@@ -6,6 +6,7 @@ import "quickdrop/internal/telemetry"
 // only totals: Stats reads them too, so /v1/status and /metrics report
 // the same counters.
 type serveMetrics struct {
+	reg            *telemetry.Registry  // what /metrics serves
 	batches        *telemetry.Counter   // quickdropd_batches_total
 	batchRequests  *telemetry.Histogram // quickdropd_batch_requests
 	publishSeconds *telemetry.Histogram // quickdropd_publish_seconds
@@ -16,7 +17,8 @@ type serveMetrics struct {
 
 // newServeMetrics registers the daemon's instrument catalogue on the
 // pipeline's registry, or on a private one when no pipeline (or one
-// without a registry) is attached.
+// without a registry) is attached; /metrics serves that registry either
+// way.
 func newServeMetrics(p *telemetry.Pipeline) *serveMetrics {
 	var reg *telemetry.Registry
 	if p != nil {
@@ -26,6 +28,7 @@ func newServeMetrics(p *telemetry.Pipeline) *serveMetrics {
 		reg = telemetry.NewRegistry()
 	}
 	return &serveMetrics{
+		reg: reg,
 		batches: reg.Counter("quickdropd_batches_total",
 			"Coalesced unlearning batches the worker ran, refused ones included."),
 		batchRequests: reg.Histogram("quickdropd_batch_requests",

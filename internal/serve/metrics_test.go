@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"io"
+	"net/http"
 	"os"
 	"regexp"
 	"strings"
@@ -74,4 +76,33 @@ func readerRows(t *testing.T, path string) map[string]bool {
 		t.Fatalf("no metric rows found in %s \"Who reads each signal\"", path)
 	}
 	return rows
+}
+
+// TestMetricsServedWithoutPipeline scrapes a daemon embedded with no
+// telemetry pipeline after one batch: its quickdropd_* counters live on
+// a private registry, and /metrics must serve that registry, so the
+// totals /v1/status reports have matching series.
+func TestMetricsServedWithoutPipeline(t *testing.T) {
+	s, ts := newTestServer(t, tinyConfig(61), Config{})
+	code, v := postForget(t, ts.URL, `{"kind":"class","class":1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("post: status %d, want 202", code)
+	}
+	s.Start()
+	waitTerminal(t, s, v.ID)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"quickdropd_batches_total 1", "quickdropd_requests_published_total 1", "quickdropd_model_version 2"} {
+		if !strings.Contains(string(body), "\n"+series+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", series, body)
+		}
+	}
 }

@@ -14,19 +14,14 @@ type Server struct {
 
 // Register mounts the telemetry endpoints on an existing mux:
 //
-//	/metrics     Prometheus text exposition of the pipeline's registry
+//	/metrics     Prometheus text exposition of reg
 //	/debug/pprof net/http/pprof profiles
 //
-// Serve uses it on a fresh mux; servers with routes of their own (the
-// quickdropd ops console) mount the same handlers next to theirs. The
-// pipeline may be nil or partially populated — /metrics then serves an
-// empty exposition.
-func Register(mux *http.ServeMux, p *Pipeline) {
-	var reg *Registry
-	if p != nil {
-		reg = p.Registry
-	}
-
+// Serve uses it on a fresh mux with a pipeline's registry; servers with
+// routes of their own (the quickdropd ops console) mount the same handlers
+// next to theirs, on the registry their instruments live on. A nil reg
+// serves an empty exposition.
+func Register(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		// A write error means the scraper hung up; nothing to report to.
@@ -44,7 +39,11 @@ func Register(mux *http.ServeMux, p *Pipeline) {
 // bound; requests are served on a background goroutine until Close.
 func Serve(addr string, p *Pipeline) (*Server, error) {
 	mux := http.NewServeMux()
-	Register(mux, p)
+	var reg *Registry
+	if p != nil {
+		reg = p.Registry
+	}
+	Register(mux, reg)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

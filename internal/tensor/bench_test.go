@@ -225,3 +225,50 @@ func BenchmarkStatsInto(b *testing.B) {
 
 // sink defeats dead-code elimination of the benchmarked kernels.
 var sink float64
+
+// BenchmarkBcast times the fused broadcast kernels and their reductions at
+// the span shapes the substrate ConvNet's instance norm and losses take, one
+// row per loop shape: a same-shape pair ([16,8,8,8] twice), a per-row scalar
+// (inner 1: [16,10]·[16,1]), per-sample channel statistics (outer > 1:
+// [8,8,8,8]·[8,1,1,8]) and the affine parameters (outer 1:
+// [8,8,8,8]·[1,1,1,8]). The elementwise row is the same-shape kernel
+// without broadcasting, for comparison with the first.
+func BenchmarkBcast(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	shapes := []struct {
+		name        string
+		full, small []int
+	}{
+		{"same", []int{16, 8, 8, 8}, []int{16, 8, 8, 8}},
+		{"inner1", []int{16, 10}, []int{16, 1}},
+		{"outer8", []int{8, 8, 8, 8}, []int{8, 1, 1, 8}},
+		{"outer1", []int{8, 8, 8, 8}, []int{1, 1, 1, 8}},
+	}
+	for _, s := range shapes {
+		x, y := tensor.Randn(rng, 1, s.full...), tensor.Randn(rng, 1, s.full...)
+		small := tensor.Randn(rng, 1, s.small...)
+		dst, red := tensor.New(s.full...), tensor.New(s.small...)
+		b.Run("MulBcast/"+s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.MulBcastInto(dst, x, small)
+			}
+		})
+		b.Run("SumLike/"+s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.SumLikeInto(red, x, small)
+			}
+		})
+		b.Run("MulSumLike/"+s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.MulSumLikeInto(red, x, y, small)
+			}
+		})
+	}
+	x, y := tensor.Randn(rng, 1, 16, 8, 8, 8), tensor.Randn(rng, 1, 16, 8, 8, 8)
+	dst := tensor.New(16, 8, 8, 8)
+	b.Run("Mul/same", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.MulInto(dst, x, y)
+		}
+	})
+}

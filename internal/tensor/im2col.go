@@ -30,6 +30,17 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
+// mustFit panics unless g is valid and x is a [B, InH, InW, Channel]
+// batch of its input maps.
+func (g ConvGeom) mustFit(x *Tensor, op string) {
+	if err := g.Validate(); err != nil {
+		panic(err.Error())
+	}
+	if x.Dims() != 4 || x.Dim(1) != g.InH || x.Dim(2) != g.InW || x.Dim(3) != g.Channel {
+		panic(fmt.Sprintf("tensor: %s input %v does not match geometry %+v", op, x.shape, g))
+	}
+}
+
 // Im2col extracts sliding kernel patches from x (shape [B, H, W, C]) and
 // lays them out as a matrix of shape [B*OH*OW, K*K*C]. Row r corresponds to
 // output position (b, oh, ow) in row-major order; within a row, elements are
@@ -41,12 +52,7 @@ func Im2col(x *Tensor, g ConvGeom) *Tensor { return Im2colInto(nil, x, g) }
 // GOMAXPROCS goroutines — each row is written by exactly one worker, so
 // the result is identical to the sequential extraction.
 func Im2colInto(dst, x *Tensor, g ConvGeom) *Tensor {
-	if err := g.Validate(); err != nil {
-		panic(err.Error())
-	}
-	if x.Dims() != 4 || x.Dim(1) != g.InH || x.Dim(2) != g.InW || x.Dim(3) != g.Channel {
-		panic(fmt.Sprintf("tensor: Im2col input %v does not match geometry %+v", x.shape, g))
-	}
+	g.mustFit(x, "Im2col")
 	b, oh, ow := x.Dim(0), g.OutH(), g.OutW()
 	cols := g.Kernel * g.Kernel * g.Channel
 	rows := b * oh * ow
@@ -164,6 +170,60 @@ func col2imImages(od, cd []float64, g ConvGeom, bLo, bHi int) {
 					}
 				}
 				row++
+			}
+		}
+	}
+}
+
+// AvgPoolInto averages x (shape [B, H, W, C]) over the geometry's
+// Kernel×Kernel windows into dst, shape [B, OH, OW, C]: the same floats as
+// summing the rows of Im2col(x, g), grouped per channel, and scaling the
+// sums by 1/K², without building the patch matrix. Each sum starts from +0
+// and adds its window's taps in (kh, kw) order, the patch row's order;
+// an out-of-range tap would add the patch matrix's +0, which leaves an
+// accumulator that starts at +0 unchanged, so it is skipped. dst must not
+// alias x; a nil dst allocates. Large poolings shard their output rows like
+// Im2colInto.
+func AvgPoolInto(dst, x *Tensor, g ConvGeom) *Tensor {
+	g.mustFit(x, "AvgPool")
+	b, oh, ow := x.Dim(0), g.OutH(), g.OutW()
+	rows := b * oh * ow
+	dst = prepDst(dst, []int{b, oh, ow, g.Channel}, "AvgPoolInto")
+	mustNoAlias(dst, "AvgPoolInto", x)
+	xd, od := x.Data(), dst.Data()
+	shardRows(rows, rows*g.Kernel*g.Kernel*g.Channel, func(lo, hi int) { avgPoolRows(od, xd, g, lo, hi) })
+	return dst
+}
+
+// avgPoolRows writes output positions [lo, hi) of the pooling of xd into
+// od, walking them like im2colRows walks its patch rows. Every value of
+// those positions is written: od may be a recycled buffer.
+func avgPoolRows(od, xd []float64, g ConvGeom, lo, hi int) {
+	oh, ow, c := g.OutH(), g.OutW(), g.Channel
+	scale := 1 / float64(g.Kernel*g.Kernel)
+	bi, oy, ox := lo/(oh*ow), (lo/ow)%oh, lo%ow
+	for row := lo; row < hi; row++ {
+		out := od[row*c : (row+1)*c]
+		clear(out)
+		x0, y0 := ox*g.Stride-g.Pad, oy*g.Stride-g.Pad
+		kwLo, kwHi := g.inRange(x0, g.InW)
+		khLo, khHi := g.inRange(y0, g.InH)
+		for kh := khLo; kh < khHi; kh++ {
+			src := ((bi*g.InH+y0+kh)*g.InW + x0) * c
+			for kw := kwLo; kw < kwHi; kw++ {
+				for i, v := range xd[src+kw*c : src+(kw+1)*c] {
+					out[i] += v
+				}
+			}
+		}
+		for i, v := range out {
+			out[i] = scale * v
+		}
+		if ox++; ox == ow {
+			ox = 0
+			if oy++; oy == oh {
+				oy = 0
+				bi++
 			}
 		}
 	}

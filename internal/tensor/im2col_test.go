@@ -255,7 +255,6 @@ func naiveCol2im(cols *Tensor, batch int, g ConvGeom) *Tensor {
 // Into form into a NaN-filled destination and sharded through shardRows.
 func TestIm2colCol2imMatchNaiveLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	nanFilled := func(shape ...int) *Tensor { return FullInto(nil, math.NaN(), shape...) }
 	type kp struct{ kernel, pad int }
 	for _, k := range []kp{{2, 0}, {2, 1}, {3, 0}, {3, 1}, {2, 3}} {
 		for _, stride := range []int{1, 2} {
@@ -279,6 +278,46 @@ func TestIm2colCol2imMatchNaiveLoops(t *testing.T) {
 					shardRows(b, parallelWork, func(lo, hi int) { col2imImages(got.data, cols.data, g, lo, hi) })
 					sameBits(t, name+" sharded Col2im", got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestAvgPoolMatchesPatchSums pins AvgPoolInto to the patch-matrix
+// pooling it replaces bit for bit: each output is 1/K² times the sum, from
+// +0 in (kh, kw) order, of its window's column of Im2col — padding taps
+// included as the patch matrix's zeros. The geometries are those of
+// TestIm2colCol2imMatchNaiveLoops (overlapping windows at stride 1, and
+// windows wholly in the padding); x holds −0s. Each runs into a
+// NaN-filled destination and sharded through shardRows.
+func TestAvgPoolMatchesPatchSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	type kp struct{ kernel, pad int }
+	for _, k := range []kp{{2, 0}, {2, 1}, {3, 0}, {3, 1}, {2, 3}} {
+		for _, stride := range []int{1, 2} {
+			for _, c := range []int{1, 3, 8} {
+				g := ConvGeom{Kernel: k.kernel, Stride: stride, Pad: k.pad, InH: 5, InW: 6, Channel: c}
+				name := fmt.Sprintf("K=%d stride=%d pad=%d C=%d", k.kernel, stride, k.pad, c)
+				x := randT(rng, 3, g.InH, g.InW, c)
+				for i := 0; i < len(x.data); i += 5 {
+					x.data[i] = math.Copysign(0, -1)
+				}
+				cols := naiveIm2col(x, g)
+				k2 := k.kernel * k.kernel
+				want := New(3, g.OutH(), g.OutW(), c)
+				for r := 0; r < cols.Dim(0); r++ {
+					for ch := 0; ch < c; ch++ {
+						s := 0.0
+						for tap := 0; tap < k2; tap++ {
+							s += cols.At(r, tap*c+ch)
+						}
+						want.data[r*c+ch] = 1 / float64(k2) * s
+					}
+				}
+				sameBits(t, name+" AvgPoolInto", AvgPoolInto(nanFilled(want.shape...), x, g), want)
+				got := nanFilled(want.shape...)
+				shardRows(cols.Dim(0), parallelWork, func(lo, hi int) { avgPoolRows(got.data, x.data, g, lo, hi) })
+				sameBits(t, name+" sharded AvgPool", got, want)
 			}
 		}
 	}

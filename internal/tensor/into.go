@@ -81,9 +81,9 @@ func mustNoAlias(dst *Tensor, op string, inputs ...*Tensor) {
 func AddInto(dst, a, b *Tensor) *Tensor {
 	a.mustSameShape(b, "AddInto")
 	dst = prepDst(dst, a.shape, "AddInto")
-	bd := b.data
+	dd, bd := dst.data[:len(a.data)], b.data[:len(a.data)]
 	for i, v := range a.data {
-		dst.data[i] = v + bd[i]
+		dd[i] = v + bd[i]
 	}
 	return dst
 }
@@ -92,9 +92,9 @@ func AddInto(dst, a, b *Tensor) *Tensor {
 func SubInto(dst, a, b *Tensor) *Tensor {
 	a.mustSameShape(b, "SubInto")
 	dst = prepDst(dst, a.shape, "SubInto")
-	bd := b.data
+	dd, bd := dst.data[:len(a.data)], b.data[:len(a.data)]
 	for i, v := range a.data {
-		dst.data[i] = v - bd[i]
+		dd[i] = v - bd[i]
 	}
 	return dst
 }
@@ -103,9 +103,9 @@ func SubInto(dst, a, b *Tensor) *Tensor {
 func MulInto(dst, a, b *Tensor) *Tensor {
 	a.mustSameShape(b, "MulInto")
 	dst = prepDst(dst, a.shape, "MulInto")
-	bd := b.data
+	dd, bd := dst.data[:len(a.data)], b.data[:len(a.data)]
 	for i, v := range a.data {
-		dst.data[i] = v * bd[i]
+		dd[i] = v * bd[i]
 	}
 	return dst
 }
@@ -113,8 +113,9 @@ func MulInto(dst, a, b *Tensor) *Tensor {
 // ScaleInto computes dst = c * a. dst may alias a.
 func ScaleInto(dst, a *Tensor, c float64) *Tensor {
 	dst = prepDst(dst, a.shape, "ScaleInto")
+	dd := dst.data[:len(a.data)]
 	for i, v := range a.data {
-		dst.data[i] = c * v
+		dd[i] = c * v
 	}
 	return dst
 }
@@ -123,9 +124,9 @@ func ScaleInto(dst, a *Tensor, c float64) *Tensor {
 func AddScaledInto(dst, a *Tensor, alpha float64, b *Tensor) *Tensor {
 	a.mustSameShape(b, "AddScaledInto")
 	dst = prepDst(dst, a.shape, "AddScaledInto")
-	bd := b.data
+	dd, bd := dst.data[:len(a.data)], b.data[:len(a.data)]
 	for i, v := range a.data {
-		dst.data[i] = v + alpha*bd[i]
+		dd[i] = v + alpha*bd[i]
 	}
 	return dst
 }
@@ -378,23 +379,44 @@ func SumLikeInto(dst, a, ref *Tensor) *Tensor {
 	return dst
 }
 
-// sumToShape accumulates a into an already-shaped, not-yet-zeroed dst.
+// sumToShape accumulates a into an already-shaped dst, overwriting it.
+// Each element of dst is the sum, from +0 in ascending order of the
+// collapsed axes, of the elements of a it reduces, whichever loop runs:
+// bcastSpans picks one by the span shape alone (see bcastBinary).
 func sumToShape(dst, a *Tensor) {
-	dst.Zero()
 	dd, ad := dst.data, a.data
-	if outer, mid, inner, ok := bcastSpans(a.shape, dst.shape); ok {
-		for o := 0; o < outer; o++ {
-			do := dd[o*inner : (o+1)*inner]
-			for m := 0; m < mid; m++ {
-				ao := ad[(o*mid+m)*inner : (o*mid+m+1)*inner]
-				for i, v := range ao {
-					do[i] += v
-				}
+	outer, mid, inner, ok := bcastSpans(a.shape, dst.shape)
+	switch {
+	case !ok:
+		dst.Zero()
+		forEachBcast(a.shape, dst.shape, func(i, j int) { dd[j] += ad[i] })
+	case mid == 1:
+		// Same shape: each sum has one term.
+		for i, v := range ad {
+			dd[i] = 0 + v
+		}
+	case outer == 1 && inner > 1:
+		// One row of sums, added to in turn by every row of a.
+		clear(dd)
+		do := dd[:inner]
+		for base := 0; base < len(ad); base += inner {
+			for i, v := range ad[base : base+inner] {
+				do[i] += v
 			}
 		}
-		return
+	default:
+		// Each sum in a register, over its strided run of a.
+		for o := 0; o < outer; o++ {
+			ao := ad[o*mid*inner : (o+1)*mid*inner]
+			for i := 0; i < inner; i++ {
+				s := 0.0
+				for p := i; p < len(ao); p += inner {
+					s += ao[p]
+				}
+				dd[o*inner+i] = s
+			}
+		}
 	}
-	forEachBcast(a.shape, dst.shape, func(i, j int) { dd[j] += ad[i] })
 }
 
 // BroadcastToInto expands size-1 dimensions of a to shape. dst must not
@@ -442,40 +464,79 @@ func SubBcastInto(dst, a, b *Tensor) *Tensor { return bcastBinary(dst, a, b, '-'
 // must not alias b.
 func MulBcastInto(dst, a, b *Tensor) *Tensor { return bcastBinary(dst, a, b, '*', "MulBcastInto") }
 
-// bcastBinary computes dst = a op broadcast(b) for op '+', '-' or '*'. On
-// contiguous spans each op runs its own direct loop — the op is chosen
-// once per outer span, never per element.
+// bcastBinary computes dst = a op broadcast(b) for op '+', '-' or '*'.
+// The loop is chosen by the span shape alone, and each op runs its own
+// direct loop, chosen once per call, never per element:
+//
+//   - same shape (mid 1): the elementwise kernel;
+//   - outer 1, inner > 1 (a [1,…,1,C] operand): a row walk over a, with
+//     b's one row hoisted;
+//   - otherwise (per-sample statistics, per-row scalars): a strided walk
+//     holding one element of b in a register across its run of a.
+//
+// Every element is the same a[i] op b[j] whichever loop computes it.
 func bcastBinary(dst, a, b *Tensor, op byte, name string) *Tensor {
-	dst = prepDst(dst, a.shape, name)
-	mustNoAlias(dst, name, b)
-	dd, ad, bd := dst.data, a.data, b.data
 	outer, mid, inner, ok := bcastSpans(a.shape, b.shape)
-	if !ok {
-		forEachBcast(a.shape, b.shape, func(i, j int) { dd[i] = bcastOp(op, ad[i], bd[j]) })
-		return dst
-	}
-	for o := 0; o < outer; o++ {
-		bo := bd[o*inner : (o+1)*inner]
+	if ok && mid == 1 {
+		mustNoAlias(dst, name, b)
 		switch op {
 		case '+':
-			for base := o * mid * inner; base < (o+1)*mid*inner; base += inner {
-				do := dd[base : base+inner]
-				for i, v := range ad[base : base+inner] {
-					do[i] = v + bo[i]
+			return AddInto(dst, a, b)
+		case '-':
+			return SubInto(dst, a, b)
+		}
+		return MulInto(dst, a, b)
+	}
+	dst = prepDst(dst, a.shape, name)
+	mustNoAlias(dst, name, b)
+	dd, ad, bd := dst.data[:len(a.data)], a.data, b.data
+	switch {
+	case !ok:
+		forEachBcast(a.shape, b.shape, func(i, j int) { dd[i] = bcastOp(op, ad[i], bd[j]) })
+	case outer == 1 && inner > 1:
+		bo := bd[:inner]
+		switch op {
+		case '+':
+			for base := 0; base < len(ad); base += inner {
+				do, ao := dd[base:base+inner], ad[base:base+inner]
+				for i, v := range bo {
+					do[i] = ao[i] + v
 				}
 			}
 		case '-':
-			for base := o * mid * inner; base < (o+1)*mid*inner; base += inner {
-				do := dd[base : base+inner]
-				for i, v := range ad[base : base+inner] {
-					do[i] = v - bo[i]
+			for base := 0; base < len(ad); base += inner {
+				do, ao := dd[base:base+inner], ad[base:base+inner]
+				for i, v := range bo {
+					do[i] = ao[i] - v
 				}
 			}
 		default:
-			for base := o * mid * inner; base < (o+1)*mid*inner; base += inner {
-				do := dd[base : base+inner]
-				for i, v := range ad[base : base+inner] {
-					do[i] = v * bo[i]
+			for base := 0; base < len(ad); base += inner {
+				do, ao := dd[base:base+inner], ad[base:base+inner]
+				for i, v := range bo {
+					do[i] = ao[i] * v
+				}
+			}
+		}
+	default:
+		for o := 0; o < outer; o++ {
+			lo, hi := o*mid*inner, (o+1)*mid*inner
+			ao := ad[lo:hi]
+			do := dd[lo:hi][:len(ao)]
+			for i, v := range bd[o*inner : (o+1)*inner] {
+				switch op {
+				case '+':
+					for p := i; p < len(ao); p += inner {
+						do[p] = ao[p] + v
+					}
+				case '-':
+					for p := i; p < len(ao); p += inner {
+						do[p] = ao[p] - v
+					}
+				default:
+					for p := i; p < len(ao); p += inner {
+						do[p] = ao[p] * v
+					}
 				}
 			}
 		}
@@ -530,24 +591,40 @@ func MulSumLikeInto(dst, a, b, ref *Tensor) *Tensor {
 	return dst
 }
 
+// mulSumToShape is sumToShape of a ⊙ b, with the same loops and sums.
 func mulSumToShape(dst, a, b *Tensor) {
-	dst.Zero()
-	dd, ad, bd := dst.data, a.data, b.data
-	if outer, mid, inner, ok := bcastSpans(a.shape, dst.shape); ok {
-		for o := 0; o < outer; o++ {
-			do := dd[o*inner : (o+1)*inner]
-			for m := 0; m < mid; m++ {
-				base := (o*mid + m) * inner
-				ao := ad[base : base+inner]
-				bo := bd[base : base+inner]
-				for i, v := range ao {
-					do[i] += v * bo[i]
-				}
+	dd, ad, bd := dst.data, a.data, b.data[:len(a.data)]
+	outer, mid, inner, ok := bcastSpans(a.shape, dst.shape)
+	switch {
+	case !ok:
+		dst.Zero()
+		forEachBcast(a.shape, dst.shape, func(i, j int) { dd[j] += ad[i] * bd[i] })
+	case mid == 1:
+		for i, v := range ad {
+			dd[i] = 0 + v*bd[i]
+		}
+	case outer == 1 && inner > 1:
+		clear(dd)
+		do := dd[:inner]
+		for base := 0; base < len(ad); base += inner {
+			bo := bd[base : base+inner]
+			for i, v := range ad[base : base+inner] {
+				do[i] += v * bo[i]
 			}
 		}
-		return
+	default:
+		for o := 0; o < outer; o++ {
+			lo, hi := o*mid*inner, (o+1)*mid*inner
+			ao, bo := ad[lo:hi], bd[lo:hi]
+			for i := 0; i < inner; i++ {
+				s := 0.0
+				for p := i; p < len(ao); p += inner {
+					s += ao[p] * bo[p]
+				}
+				dd[o*inner+i] = s
+			}
+		}
 	}
-	forEachBcast(a.shape, dst.shape, func(i, j int) { dd[j] += ad[i] * bd[i] })
 }
 
 // MatMulInto computes the matrix product dst = a·b for a [M,K] and b [K,N].

@@ -419,6 +419,10 @@ func naiveMatMulTN(dst, a, b *Tensor) {
 	}
 }
 
+// nanFilled returns a destination whose every element a kernel must
+// overwrite to pass a sameBits check.
+func nanFilled(shape ...int) *Tensor { return FullInto(nil, math.NaN(), shape...) }
+
 // sameBits compares two results bit for bit, so −0 ≠ +0 and a value one ulp
 // off fails. Two NaNs count as equal whatever their payload: which operand's
 // payload a NaN·NaN or NaN+NaN keeps depends on the operand order the
@@ -438,10 +442,14 @@ func sameBits(t *testing.T, name string, got, want *Tensor) {
 }
 
 // TestBcastKernelsMatchGenericWalk pins the direct span loops of
-// AddBcastInto, SubBcastInto and MulBcastInto to the generic forEachBcast
-// walk bit for bit, over the broadcast patterns the span decomposition
-// takes (and two it hands to the walk), both into a fresh destination and
-// with dst aliased to a.
+// AddBcastInto, SubBcastInto and MulBcastInto, and of the reductions
+// SumLikeInto and MulSumLikeInto, to the generic forEachBcast walk bit for
+// bit. The patterns reach every loop: same shape (the elementwise kernels
+// and one-term sums), inner 1 ([2,3,4,1], [2,1,1,1], [1,1,1,1]), outer > 1
+// ([2,1,1,5]), outer 1 ([1,3,4,5], [1,1,1,5]) and two non-contiguous ones
+// the spans hand to the walk. a holds −0s, and sums of −0 alone must be
+// +0, as the walk's zeroed accumulator makes them. The binary kernels also run with dst
+// aliased to a, and every kernel writes into a NaN-filled destination.
 func TestBcastKernelsMatchGenericWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	full := []int{2, 3, 4, 5}
@@ -454,19 +462,36 @@ func TestBcastKernelsMatchGenericWalk(t *testing.T) {
 		{"SubBcastInto", SubBcastInto, func(x, y float64) float64 { return x - y }},
 		{"MulBcastInto", MulBcastInto, func(x, y float64) float64 { return x * y }},
 	}
+	negZero := math.Copysign(0, -1)
 	for _, small := range [][]int{
 		{2, 3, 4, 5}, {2, 1, 1, 5}, {2, 3, 4, 1}, {1, 3, 4, 5}, {1, 1, 1, 5},
 		{2, 1, 1, 1}, {1, 1, 1, 1}, {2, 1, 4, 1}, {1, 3, 1, 5},
 	} {
 		a, b := randT(rng, full...), randT(rng, small...)
+		for i := 0; i < len(a.data); i += 7 {
+			a.data[i] = negZero
+		}
 		for _, k := range kernels {
 			name := fmt.Sprintf("%s %v", k.name, small)
 			want := New(full...)
 			forEachBcast(full, small, func(i, j int) { want.data[i] = k.op(a.data[i], b.data[j]) })
-			sameBits(t, name, k.into(nil, a, b), want)
+			sameBits(t, name, k.into(nanFilled(full...), a, b), want)
 			aliased := a.Clone()
 			sameBits(t, name+" dst aliasing a", k.into(aliased, aliased, b), want)
 		}
+
+		c := randT(rng, full...)
+		want := New(small...)
+		forEachBcast(full, small, func(i, j int) { want.data[j] += a.data[i] })
+		sameBits(t, fmt.Sprintf("SumLikeInto %v", small), SumLikeInto(nanFilled(small...), a, b), want)
+		want.Zero()
+		forEachBcast(full, small, func(i, j int) { want.data[j] += a.data[i] * c.data[i] })
+		sameBits(t, fmt.Sprintf("MulSumLikeInto %v", small), MulSumLikeInto(nanFilled(small...), a, c, b), want)
+
+		// Sums of −0 alone are +0: every loop starts from +0, as the walk.
+		zeros, ones := FullInto(nil, negZero, full...), Ones(full...)
+		sameBits(t, fmt.Sprintf("SumLikeInto of −0 %v", small), SumLikeInto(nanFilled(small...), zeros, b), New(small...))
+		sameBits(t, fmt.Sprintf("MulSumLikeInto of −0 %v", small), MulSumLikeInto(nanFilled(small...), zeros, ones, b), New(small...))
 	}
 }
 
@@ -486,8 +511,6 @@ func TestMatMulKernelsMatchNaiveLoops(t *testing.T) {
 	poison := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	negZero := math.Copysign(0, -1)
 	zeros := [2]float64{0, negZero}
-	nanFilled := func(shape ...int) *Tensor { return FullInto(nil, math.NaN(), shape...) }
-
 	for n := 1; n <= 17; n++ {
 		for _, m := range []int{1, 3, 5} {
 			for _, k := range []int{1, 2, 9} {

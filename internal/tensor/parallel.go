@@ -12,11 +12,16 @@ import (
 const parallelWork = 1 << 16
 
 // shardRows splits [0, rows) into at most GOMAXPROCS contiguous chunks and
-// runs fn on each chunk concurrently. work is the total scalar-op estimate
-// for the whole kernel; below parallelWork fn runs inline on the full
-// range. Each output row is processed by exactly one worker running the
-// same sequential code path, so results are bitwise identical to a single
-// fn(0, rows) call — parallelism never reorders floating-point reductions.
+// runs fn on each chunk concurrently: one goroutine per chunk but the last,
+// which the caller runs itself before waiting for the others. work is the
+// total scalar-op estimate for the whole kernel; below parallelWork fn runs
+// inline on the full range. Each output row is processed by exactly one
+// worker running the same sequential code path, so results are bitwise
+// identical to a single fn(0, rows) call — parallelism never reorders
+// floating-point reductions. A goroutine just started waits in its P's
+// run-next slot, which idle Ps steal from only after backing off, so on
+// two cores a small kernel's chunks mostly run in turn on the caller's P
+// (DESIGN.md, "The caller takes a share").
 func shardRows(rows, work int, fn func(lo, hi int)) {
 	procs := runtime.GOMAXPROCS(0)
 	if work < parallelWork || rows < 2 || procs < 2 {
@@ -28,13 +33,14 @@ func shardRows(rows, work int, fn func(lo, hi int)) {
 	}
 	chunk := (rows + procs - 1) / procs
 	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := min(lo+chunk, rows)
+	lo := 0
+	for ; lo+chunk < rows; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(lo, lo+chunk)
 	}
+	fn(lo, rows)
 	wg.Wait()
 }

@@ -103,13 +103,18 @@ fi
 
 echo "==> scrape the health metrics"
 curl -fsS "http://$addr/metrics" >"$work/metrics"
-for series in quickdrop_health quickdrop_health_nan_events_total \
-	quickdrop_health_watchdog_trips_total; do
+for series in quickdrop_health quickdrop_health_watchdog_trips_total; do
 	if ! grep -qF "$series" "$work/metrics"; then
 		echo "missing metric: $series" >&2
 		status=1
 	fi
 done
+# The injected NaN reached the monitor's observations.
+nan=$(awk '$1 == "quickdrop_health_nan_events_total" { print $2 }' "$work/metrics")
+if ! awk -v v="$nan" 'BEGIN { exit !(v + 0 > 0) }'; then
+	echo "quickdrop_health_nan_events_total is ${nan:-missing}, want > 0 (a NaN was injected)" >&2
+	status=1
+fi
 # The monitor tripped exactly once, refusing the one batch; the server
 # then rewound the model and re-armed the monitor, so the health gauge
 # reads healthy again.

@@ -117,10 +117,27 @@ done
 echo "==> scrape the daemon metrics"
 curl -fsS "http://$addr/metrics" >"$work/metrics"
 for series in quickdropd_batches_total quickdropd_requests_published_total \
-	quickdropd_model_version quickdropd_batch_requests_count \
-	quickdropd_publish_seconds_count quickdrop_unlearn_requests_total; do
+	quickdropd_model_version quickdropd_publish_seconds_count; do
 	if ! grep -qF "$series" "$work/metrics"; then
 		echo "missing metric: $series" >&2
+		status=1
+	fi
+done
+# Training at boot distilled in situ, so its step counter moved.
+distill=$(awk '$1 == "quickdrop_distill_steps_total" { print $2 }' "$work/metrics")
+if ! awk -v v="$distill" 'BEGIN { exit !(v + 0 > 0) }'; then
+	echo "quickdrop_distill_steps_total is ${distill:-missing}, want > 0" >&2
+	status=1
+fi
+# One batch coalesced all three requests: two class-level, one
+# client-level.
+for want in 'quickdropd_batch_requests_count 1' 'quickdropd_batch_requests_sum 3' \
+	'quickdrop_unlearn_requests_total{kind="class"} 2' \
+	'quickdrop_unlearn_requests_total{kind="client"} 1' \
+	'quickdrop_unlearn_requests_total{kind="sample"} 0'; do
+	if ! grep -qxF "$want" "$work/metrics"; then
+		echo "metric line missing: $want" >&2
+		grep "^${want%% *}" "$work/metrics" >&2 || true
 		status=1
 	fi
 done

@@ -54,19 +54,28 @@ addr=$(grep -om1 '127\.0\.0\.1:[0-9]*' "$work/log")
 echo "==> scrape http://$addr/metrics"
 curl -fsS "http://$addr/metrics" >"$work/metrics"
 
+# value prints the sample of one series, named with its labels exactly.
+value() { awk -v s="$1" '$1 == s { print $2 }' "$work/metrics"; }
+
 status=0
 for series in \
 	quickdrop_fl_rounds_total \
 	quickdrop_fl_round_seconds_count \
 	'quickdrop_fl_local_steps_total{client="0"}' \
-	quickdrop_fl_samples_total \
-	'quickdrop_phase_seconds_count{phase="train"}' \
-	quickdrop_distill_steps_total; do
+	'quickdrop_phase_seconds_count{phase="train"}'; do
 	if ! grep -qF "$series" "$work/metrics"; then
 		echo "missing series: $series" >&2
 		status=1
 	fi
 done
+# Local steps consumed samples, so the counter must have moved, not
+# merely be registered. (fedsim trains without in-situ distillation:
+# serve_smoke.sh checks quickdrop_distill_steps_total.)
+samples=$(value quickdrop_fl_samples_total)
+if ! awk -v v="$samples" 'BEGIN { exit !(v + 0 > 0) }'; then
+	echo "quickdrop_fl_samples_total is ${samples:-missing}, want > 0" >&2
+	status=1
+fi
 if [ "$(grep -c '^# TYPE ' "$work/metrics")" -lt 10 ]; then
 	echo "suspiciously few metric families:" >&2
 	cat "$work/metrics" >&2
