@@ -161,13 +161,59 @@ func TestGradSubsetMatchesAllVars(t *testing.T) {
 		}
 		sameGrads(t, name+" second order via all Vars", vars, b, all2, MustGrad(sumSquares(ga), b))
 
-		// Grad leaves no traversal mark behind on any node.
-		for i := 0; ar != nil && i < ar.next; i++ {
-			if n := &ar.slab[i/slabChunk][i%slabChunk]; n.mark != 0 {
-				t.Fatalf("%s: node %d (%s) keeps mark %#x after Grad", name, i, n.op, n.mark)
-			}
+		// Grad leaves no traversal mark or gradient behind on any node.
+		if ar != nil {
+			noGradState(t, name, ar)
 		}
 	}
+}
+
+// noGradState fails if a node of the arena keeps a traversal mark or a
+// running gradient once Grad has returned.
+func noGradState(t *testing.T, name string, ar *Arena) {
+	t.Helper()
+	for i := 0; i < ar.next; i++ {
+		if n := &ar.slab[i/slabChunk][i%slabChunk]; n.mark != 0 || n.grad != nil {
+			t.Fatalf("%s: node %d (%s) keeps mark %#x, gradient %v after Grad", name, i, n.op, n.mark, n.grad != nil)
+		}
+	}
+}
+
+// TestGradLeavesNoGradientOnTheNodes checks that Grad clears the running
+// gradients it keeps on the nodes (Value.grad) before it returns, also
+// when it fails: a gradient left behind would be added to by the next
+// Grad over the same nodes. The same graph differentiated twice, at first
+// and at second order, and again after a Grad that fails on a gradient
+// shape error midway through its sweep, gives bitwise the first result.
+// z is a wrt that out does not depend on: its mark is cleared only
+// through the wrt list.
+func TestGradLeavesNoGradientOnTheNodes(t *testing.T) {
+	ar := NewArena()
+	x := ar.Var(tensor.FromSlice([]float64{0.5, -1.5, 2}, 3))
+	w := ar.Var(tensor.FromSlice([]float64{1.25, 0.75, -0.5}, 3))
+	z := ar.Var(tensor.FromSlice([]float64{3}, 1))
+	wrt := []*Value{x, w, z}
+	// x fans out, so its gradient is the sum of two VJPs.
+	out := SumAll(Tanh(Mul(Mul(x, w), x)))
+
+	first := MustGrad(out, wrt)
+	noGradState(t, "first order", ar)
+	sameGrads(t, "first order again", wrt, wrt, first, MustGrad(out, wrt))
+
+	s := sumSquares(first[:2])
+	second := MustGrad(s, wrt)
+	noGradState(t, "second order", ar)
+	sameGrads(t, "second order again", wrt, wrt, second, MustGrad(s, wrt))
+
+	// bad's VJP hands x a gradient of out's shape, [1]. The sweep reaches
+	// bad after out's whole subgraph has received gradients.
+	bad := newNode1("bad", tensor.FromSlice([]float64{0}, 1), x, func(n, g *Value) *Value { return g })
+	if _, err := Grad(Add(bad, out), wrt); err == nil {
+		t.Fatal("Grad through a VJP of the wrong shape did not fail")
+	}
+	noGradState(t, "failed Grad", ar)
+	sameGrads(t, "first order after a failed Grad", wrt, wrt, first, MustGrad(out, wrt))
+	sameGrads(t, "second order after a failed Grad", wrt, wrt, second, MustGrad(s, wrt))
 }
 
 // opsSince counts the nodes named op that the arena handed out from node

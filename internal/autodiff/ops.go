@@ -345,21 +345,28 @@ func Expand(scalar *Value, shape ...int) *Value {
 }
 
 // Im2col extracts convolution patches (see tensor.Im2col) as a
-// differentiable operation; the VJP is the adjoint scatter Col2im.
+// differentiable operation; the VJP is the adjoint scatter Col2im. Only a
+// differentiable a pays for the VJP's closure, as in AvgPool.
 func Im2col(a *Value, g tensor.ConvGeom) *Value {
-	batch := a.Data.Dim(0)
-	v := newNode1("im2col", nil, a, func(n, gr *Value) *Value {
-		return Col2im(gr, batch, g)
-	})
+	var vjp func(n, gr *Value) *Value
+	if a.requiresGrad {
+		vjp = func(n, gr *Value) *Value {
+			return Col2im(gr, n.inputsArr[0].Data.Dim(0), g)
+		}
+	}
+	v := newNode1("im2col", nil, a, vjp)
 	v.Data = tensor.Im2colInto(v.scratch(), a.Data, g)
 	return v
 }
 
-// Col2im scatter-adds patches back into an NHWC tensor (adjoint of Im2col).
+// Col2im scatter-adds patches back into an NHWC tensor (adjoint of
+// Im2col); only differentiable cols pay for the VJP's closure.
 func Col2im(cols *Value, batch int, g tensor.ConvGeom) *Value {
-	v := newNode1("col2im", nil, cols, func(n, gr *Value) *Value {
-		return Im2col(gr, g)
-	})
+	var vjp func(n, gr *Value) *Value
+	if cols.requiresGrad {
+		vjp = func(n, gr *Value) *Value { return Im2col(gr, g) }
+	}
+	v := newNode1("col2im", nil, cols, vjp)
 	v.Data = tensor.Col2imInto(v.scratch(), cols.Data, batch, g)
 	return v
 }

@@ -43,8 +43,10 @@ type Value struct {
 	c            float64
 	requiresGrad bool
 	// mark holds the running Grad call's traversal bits (seen, wrtNode,
-	// live) for this node; it is zero outside a Grad call.
+	// live) and grad its running gradient; both are zero outside a Grad
+	// call.
 	mark uint8
+	grad *Value
 	// arena is where this node and its result storage came from, and where
 	// the nodes computed from it go; nil means the heap.
 	arena     *Arena
@@ -182,15 +184,14 @@ func Grad(out *Value, wrt []*Value) ([]*Value, error) {
 	defer sc.clear(wrt)
 	order := sc.topoOrder(out, wrt)
 
-	grads := sc.grads
-	grads[out] = out.arena.full(1, 1)
+	out.grad = out.arena.full(1, 1)
 
 	// Traverse in reverse topological order, accumulating VJPs. Only live
 	// nodes ever receive a gradient.
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
-		g, ok := grads[n]
-		if !ok {
+		g := n.grad
+		if g == nil {
 			continue
 		}
 		for j, in := range n.inputs {
@@ -203,7 +204,7 @@ func Grad(out *Value, wrt []*Value) ([]*Value, error) {
 			} else {
 				ig = n.vjp[j](n, g)
 			}
-			if err := accumulate(grads, n, in, ig); err != nil {
+			if err := accumulate(n, in, ig); err != nil {
 				return nil, err
 			}
 		}
@@ -211,8 +212,8 @@ func Grad(out *Value, wrt []*Value) ([]*Value, error) {
 
 	res := make([]*Value, len(wrt))
 	for i, w := range wrt {
-		if g, ok := grads[w]; ok {
-			res[i] = g
+		if w.grad != nil {
+			res[i] = w.grad
 		} else {
 			res[i] = Const(tensor.NewLike(w.Data))
 		}
@@ -220,16 +221,16 @@ func Grad(out *Value, wrt []*Value) ([]*Value, error) {
 	return res, nil
 }
 
-// accumulate folds one input gradient into the running per-node gradient
-// map, validating its shape against the input.
-func accumulate(grads map[*Value]*Value, n, in *Value, ig *Value) error {
+// accumulate folds one input gradient into the input's running gradient,
+// validating its shape against the input.
+func accumulate(n, in, ig *Value) error {
 	if !ig.Data.SameShape(in.Data) {
 		return fmt.Errorf("autodiff: op %q produced gradient shape %s for input shape %s", n.op, ig.Data.ShapeString(), in.Data.ShapeString())
 	}
-	if acc, ok := grads[in]; ok {
-		grads[in] = Add(acc, ig)
+	if in.grad != nil {
+		in.grad = Add(in.grad, ig)
 	} else {
-		grads[in] = ig
+		in.grad = ig
 	}
 	return nil
 }
@@ -244,15 +245,14 @@ func MustGrad(out *Value, wrt []*Value) []*Value {
 	return gs
 }
 
-// gradScratch is the working state of one Grad call: the per-node gradient
-// map and the topological sort's order and DFS stack. A graph built in an
-// arena borrows the arena's, so a step's Grad calls share one map and two
-// slices instead of allocating them per call. The per-node traversal bits
-// live on the nodes (Value.mark), and clear resets them; a graph is
+// gradScratch is the working state of one Grad call: the topological
+// sort's order and DFS stack. A graph built in an arena borrows the
+// arena's, so a step's Grad calls share two slices instead of allocating
+// them per call. The per-node traversal bits and running gradients live on
+// the nodes (Value.mark, Value.grad), and clear resets them; a graph is
 // therefore differentiated by one goroutine at a time, as an arena is used
 // by one.
 type gradScratch struct {
-	grads map[*Value]*Value
 	order []*Value
 	stack []dfsFrame
 }
@@ -274,26 +274,23 @@ type dfsFrame struct {
 // when done.
 func (a *Arena) gradScratch() *gradScratch {
 	if a == nil {
-		return &gradScratch{grads: make(map[*Value]*Value)}
-	}
-	if a.grad.grads == nil {
-		a.grad.grads = make(map[*Value]*Value)
+		return &gradScratch{}
 	}
 	return &a.grad
 }
 
-// clear empties the scratch and zeroes the marks of the call's nodes:
-// every node the traversal marked is in order, or one of wrt.
+// clear empties the scratch and zeroes the marks and gradients of the
+// call's nodes: every node the traversal marked or gave a gradient is in
+// order, or one of wrt.
 func (s *gradScratch) clear(wrt []*Value) {
 	for _, n := range s.order {
-		n.mark = 0
+		n.mark, n.grad = 0, nil
 	}
 	for _, w := range wrt {
 		if w.requiresGrad {
-			w.mark = 0
+			w.mark, w.grad = 0, nil
 		}
 	}
-	clear(s.grads)
 	s.order, s.stack = s.order[:0], s.stack[:0]
 }
 

@@ -5,7 +5,10 @@ import (
 	"testing"
 )
 
-func TestArenaRecyclesStorageBySize(t *testing.T) {
+// Each request takes the next slot: after a Reset the same requests get
+// the same buffers back in the same order, a smaller request reuses the
+// slot's buffer, and a larger one replaces it, which the slot then keeps.
+func TestArenaRecyclesStorageBySlot(t *testing.T) {
 	var a Arena
 	x, y := Ones(2, 3), Ones(2, 3)
 
@@ -18,9 +21,9 @@ func TestArenaRecyclesStorageBySize(t *testing.T) {
 	first, second := &h1.data[0], &h2.data[0]
 	a.Reset()
 
-	// Same sizes after the reset: the step's buffers come back and no new
-	// storage is made.
-	var h3, h4, h5 Tensor
+	// Same requests after the reset: the step's buffers come back and no
+	// new storage is made.
+	var h3, h4 Tensor
 	allocs := testing.AllocsPerRun(1, func() {
 		h3, h4 = Tensor{}, Tensor{}
 		MulInto(a.Header(&h3), x, y)
@@ -30,14 +33,83 @@ func TestArenaRecyclesStorageBySize(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a warm arena step allocated %v objects", allocs)
 	}
-	got3, got4 := &h3.data[0], &h4.data[0]
-	if !(got3 == first && got4 == second) && !(got3 == second && got4 == first) {
-		t.Fatal("reset buffers were not reused")
+	if &h3.data[0] != first || &h4.data[0] != second {
+		t.Fatal("reset buffers were not reused slot by slot")
 	}
-	// A different element count is a different size class.
-	ScaleInto(a.Header(&h5), Ones(4), 2)
-	if &h5.data[0] == first || &h5.data[0] == second || len(h5.data) != 4 {
-		t.Fatal("size classes are mixed up")
+
+	// A smaller request reuses the slot's buffer without allocating.
+	v4 := Ones(4)
+	var small Tensor
+	allocs = testing.AllocsPerRun(1, func() {
+		small = Tensor{}
+		ScaleInto(a.Header(&small), v4, 2)
+		a.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("a smaller request allocated %v objects", allocs)
+	}
+	if &small.data[0] != first || len(small.data) != 4 {
+		t.Fatal("a smaller request did not reuse its slot's buffer")
+	}
+
+	// A larger request replaces the buffer, and the slot keeps the larger
+	// one for the requests after it.
+	var large, again Tensor
+	ScaleInto(a.Header(&large), Ones(3, 3), 2)
+	grown := &large.data[0]
+	if grown == first || grown == second || len(large.data) != 9 {
+		t.Fatal("a larger request did not get a buffer of its own size")
+	}
+	a.Reset()
+	AddInto(a.Header(&again), x, y)
+	if &again.data[0] != grown {
+		t.Fatal("the slot did not keep the larger buffer")
+	}
+}
+
+// Two graphs of different shapes, alternated from the same mark (a step's
+// forward and an inference pass of another batch size), leave each slot
+// with the larger of their requests: after one pass of each, neither
+// allocates and the slot count stays fixed.
+func TestArenaAlternatingShapesShareSlots(t *testing.T) {
+	var a Arena
+	var keep Tensor
+	AddInto(a.Header(&keep), Ones(2), Ones(2))
+	m := a.Mark()
+
+	p, q := Ones(2, 3), Ones(4, 4)
+	var hs [3]Tensor
+	graphA := func() { // requests of 6, 16 and 6 elements
+		hs = [3]Tensor{}
+		AddInto(a.Header(&hs[0]), p, p)
+		MulInto(a.Header(&hs[1]), q, q)
+		ScaleInto(a.Header(&hs[2]), p, 2)
+		a.Rewind(m)
+	}
+	graphB := func() { // requests of 16, 6 and 16 elements
+		hs = [3]Tensor{}
+		MulInto(a.Header(&hs[0]), q, q)
+		AddInto(a.Header(&hs[1]), p, p)
+		ScaleInto(a.Header(&hs[2]), q, 2)
+		a.Rewind(m)
+	}
+	graphA()
+	graphB()
+	slots := len(a.slots)
+	allocs := testing.AllocsPerRun(5, func() {
+		graphA()
+		graphB()
+	})
+	if allocs != 0 {
+		t.Fatalf("alternating two warm graph shapes allocated %v objects", allocs)
+	}
+	if len(a.slots) != slots {
+		t.Fatalf("the arena grew from %d to %d slots", slots, len(a.slots))
+	}
+	for _, v := range keep.data {
+		if v != 2 {
+			t.Fatalf("a buffer handed out before the mark was reused: %v", keep.data)
+		}
 	}
 }
 
@@ -84,7 +156,7 @@ func TestArenaUntaggedHeaderStaysOnHeap(t *testing.T) {
 	var a Arena
 	var h Tensor
 	AddInto(&h, Ones(3), Ones(3))
-	if len(a.used) != 0 {
+	if a.next != 0 || len(a.slots) != 0 {
 		t.Fatal("an untagged header drew from the arena")
 	}
 }
@@ -135,10 +207,10 @@ func TestKernelsDoNotRelyOnClearedDestination(t *testing.T) {
 		var a Arena
 		a.PoisonOnReset(true)
 		want := k(nil)
-		k(a.Header(&Tensor{})) // warm the size class
-		a.Reset()              // ... and poison it
+		warm := &k(a.Header(&Tensor{})).data[0] // warm the slot
+		a.Reset()                               // ... and poison it
 		got := k(a.Header(&Tensor{}))
-		if len(a.used) != 1 || len(a.free[len(got.data)]) != 0 {
+		if a.next != 1 || len(a.slots) != 1 || &got.data[0] != warm {
 			t.Fatalf("%s: the poisoned buffer was not the one reused", name)
 		}
 		if !got.SameShape(want) {

@@ -28,11 +28,12 @@ go run ./cmd/quickdroplint ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# Every micro-benchmark of the kernel and model layers, once each: a
-# benchmark that no longer compiles or panics fails here, not at the next
-# profile.
-echo "==> go test -bench . -benchtime 1x (tensor, nn)"
-go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn
+# Every micro-benchmark of the kernel and model layers, once each, and the
+# FL round and unlearn benchmarks, which reuse warm step arenas across
+# steps: a benchmark that no longer compiles or panics fails here, not at
+# the next profile.
+echo "==> go test -bench . -benchtime 1x (tensor, nn, fl, core)"
+go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/fl ./internal/core
 
 # The matmul and im2col kernels shard their rows only when GOMAXPROCS >= 2
 # and the product clears tensor.parallelWork, so on a multi-core runner the
