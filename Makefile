@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench bench-check fmt
+.PHONY: build test check bench bench-check fmt
 
 build:
 	$(GO) build ./...
@@ -8,19 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Hygiene gate: gofmt, vet, quickdroplint, and race-enabled tests on
-# every package (see check.sh).
+# Hygiene gate: gofmt, vet, and race-enabled tests on every package
+# (see check.sh).
 check:
 	sh scripts/check.sh
-
-# Static-analysis suite, two rules, each owning a bug no test or
-# run-time check catches: lock order (lockorder) and a WaitGroup Done
-# skipped on an early return or an Add inside the spawned goroutine
-# (wgbalance). See DESIGN.md "Static analysis" and its "Rule × mutation
-# audit". CI runs the self-run once, through scripts/lint_time_smoke.sh,
-# which also gates its latency (10 s budget).
-lint:
-	$(GO) run ./cmd/quickdroplint ./...
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): every
 # workload's end-to-end metrics, untraced, ~30 s each. The per-layer

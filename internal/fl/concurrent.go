@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"quickdrop/internal/nn"
 	"quickdrop/internal/optim"
+	"quickdrop/internal/par"
 	"quickdrop/internal/telemetry/health"
 	"quickdrop/internal/tensor"
 )
@@ -66,19 +66,15 @@ func runPooled(cancel <-chan struct{}, cause func() error, model *nn.Model,
 	workers := poolSize(reg, cfg)
 	// The workers are stopped and waited for on every exit, so no client
 	// trains, and no hook or telemetry call fires, after the phase returns.
-	var wg sync.WaitGroup
-	defer wg.Wait()
+	var g par.Group
+	defer g.Wait()
 	stop := make(chan struct{})
 	defer close(stop)
 	tasks := make(chan clientTask)
 	// One slot per worker: a finished worker never waits on the server.
 	updates := make(chan clientUpdate, workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			poolWorker(stop, cfg.Factory, tasks, updates)
-		}()
+		g.Go(func() { poolWorker(stop, cfg.Factory, tasks, updates) })
 	}
 	return runPhase(model, reg, cfg, rng, func(ph *phase, round int, selected []int) error {
 		return trainPooled(cancel, cause, tasks, updates, ph, round, selected)

@@ -21,10 +21,10 @@ func TestMain(m *testing.M) {
 	os.Exit(leakcheck.Main(m, probes))
 }
 
-// lockProbes drives every method that locks one of the package's four
-// mutexes (Queue.mu, Ticket.mu, Server.life and Server.tmu), down each
-// path that returns. Its servers sit on an untrained system: no probe
-// runs a batch.
+// lockProbes drives every method that locks one of the package's three
+// mutexes (Queue.mu, which also guards the ticket index, Ticket.mu and
+// Server.life), down each path that returns. Its servers sit on an
+// untrained system: no probe runs a batch.
 func lockProbes() ([]leakcheck.Lock, error) {
 	spec := data.Spec{Name: "tiny", H: 6, W: 6, C: 1, Classes: 4, TrainPerClass: 2, TestPerClass: 1}
 	train, _ := data.Generate(spec, 1)
@@ -57,8 +57,8 @@ func lockProbes() ([]leakcheck.Lock, error) {
 	life := func(method string, call func()) leakcheck.Lock {
 		return leakcheck.Lock{Method: "Server." + method, Mutex: "Server.life", Mu: &worker.life, Call: call}
 	}
-	tmu := func(method string, call func()) leakcheck.Lock {
-		return leakcheck.Lock{Method: "Server." + method, Mutex: "Server.tmu", Mu: &idle.tmu, Call: call}
+	index := func(method string, call func()) leakcheck.Lock {
+		return leakcheck.Lock{Method: method, Mutex: "Queue.mu", Mu: &idle.q.mu, Call: call}
 	}
 	return []leakcheck.Lock{
 		queue("TakeAll (empty)", func() { _ = q.TakeAll() }),
@@ -84,10 +84,11 @@ func lockProbes() ([]leakcheck.Lock, error) {
 		ticket(failed, "View (failed)", func() { _ = failed.View() }),
 		ticket(failed, "audit", func() { _ = failed.audit() }),
 
-		tmu("submit", func() { _, _ = idle.submit(req) }),
-		tmu("submit (queue full)", func() { _, _ = idle.submit(req) }),
-		tmu("ticket", func() { _, _ = idle.ticket(1) }),
-		tmu("views", func() { _ = idle.views() }),
+		index("Server.submit", func() { _, _ = idle.submit(req) }),
+		index("Server.submit (queue full)", func() { _, _ = idle.submit(req) }),
+		index("Queue.lookup", func() { _, _ = idle.q.lookup(1) }),
+		index("Queue.lookup (unknown)", func() { _, _ = idle.q.lookup(2) }),
+		index("Queue.accepted", func() { _ = idle.q.accepted() }),
 
 		life("Start", worker.Start),
 		life("Start (started)", worker.Start),

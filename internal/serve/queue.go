@@ -19,12 +19,20 @@ var ErrQueueClosed = errors.New("serve: request queue is closed")
 // the coalescing primitive. After Close the queue rejects producers
 // but keeps handing out the backlog, so a graceful drain is simply
 // "Close, then consume until Wait reports done".
+//
+// The queue also indexes every ticket it ever accepted, under the same
+// mutex, so accepting a ticket and registering it are one step. Tickets
+// are never dropped from the index: the audit surface (/v1/requests)
+// covers the server's whole life.
 type Queue struct {
 	mu       sync.Mutex
 	nonEmpty *sync.Cond
 	items    []*Ticket
 	capacity int
 	closed   bool
+
+	tickets map[uint64]*Ticket
+	order   []*Ticket // accepted tickets, in submission order
 }
 
 // NewQueue returns a queue bounded at capacity items (minimum 1).
@@ -32,12 +40,12 @@ func NewQueue(capacity int) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
-	q := &Queue{capacity: capacity}
+	q := &Queue{capacity: capacity, tickets: make(map[uint64]*Ticket)}
 	q.nonEmpty = sync.NewCond(&q.mu)
 	return q
 }
 
-// Enqueue appends a ticket, or reports why it cannot.
+// Enqueue appends a ticket and indexes it, or reports why it cannot.
 func (q *Queue) Enqueue(t *Ticket) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -48,8 +56,25 @@ func (q *Queue) Enqueue(t *Ticket) error {
 		return ErrQueueFull
 	}
 	q.items = append(q.items, t)
+	q.tickets[t.ID] = t
+	q.order = append(q.order, t)
 	q.nonEmpty.Signal()
 	return nil
+}
+
+// lookup returns the accepted ticket with the given ID.
+func (q *Queue) lookup(id uint64) (*Ticket, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	t, ok := q.tickets[id]
+	return t, ok
+}
+
+// accepted returns every accepted ticket, in submission order.
+func (q *Queue) accepted() []*Ticket {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return append([]*Ticket(nil), q.order...)
 }
 
 // Wait blocks until an item is available and returns it, or returns

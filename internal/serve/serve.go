@@ -21,6 +21,7 @@ import (
 	"quickdrop/internal/core"
 	"quickdrop/internal/eval"
 	"quickdrop/internal/nn"
+	"quickdrop/internal/par"
 	"quickdrop/internal/telemetry"
 )
 
@@ -67,19 +68,14 @@ type Server struct {
 	mux     *http.ServeMux
 	metrics *serveMetrics
 
-	wg   sync.WaitGroup
-	stop chan struct{}
+	workers par.Group
+	stop    chan struct{}
 	// life serializes Start and Drain so a Start racing a Drain either
-	// launches the worker before Drain waits, or not at all.
+	// launches the worker before Drain waits, or not at all. It is held
+	// alone: Drain closes the queue before taking it.
 	life     sync.Mutex
 	started  atomic.Bool
 	draining atomic.Bool
-
-	// tmu guards the ticket index; tickets are never deleted, so the
-	// audit surface (/v1/requests) covers the server's whole life.
-	tmu     sync.Mutex
-	tickets map[uint64]*Ticket
-	order   []uint64
 
 	nextID atomic.Uint64
 
@@ -111,7 +107,6 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		metrics: newServeMetrics(cfg.Telemetry),
 		stop:    make(chan struct{}),
-		tickets: make(map[uint64]*Ticket),
 	}
 	if cfg.ModelFactory != nil {
 		s.evalPool.New = func() any { return cfg.ModelFactory() }
@@ -140,21 +135,22 @@ func (s *Server) Start() {
 	if s.draining.Load() || !s.started.CompareAndSwap(false, true) {
 		return
 	}
-	s.wg.Add(1)
-	go s.run()
+	s.workers.Go(s.run)
 }
 
 // Drain stops accepting new requests, lets the worker finish the
 // backlog (still coalesced), and blocks until it exits. Idempotent;
-// concurrent callers all block until the worker is done.
+// concurrent callers all block until the worker is done. Every caller
+// closes the queue first, so once any Drain returns the queue refuses
+// new requests and no worker can start.
 func (s *Server) Drain() {
+	s.q.Close()
 	s.life.Lock()
 	if s.draining.CompareAndSwap(false, true) {
-		s.q.Close()
 		close(s.stop)
 	}
 	s.life.Unlock()
-	s.wg.Wait()
+	s.workers.Wait()
 }
 
 // Stats is the /v1/status payload.
@@ -182,8 +178,8 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// submit enqueues a ticket and, once accepted, registers it in the
-// ticket index. A rejected ticket (queue full or closed) is counted as
+// submit enqueues a ticket, which the queue's index retains once
+// accepted. A rejected ticket (queue full or closed) is counted as
 // failed and returned to the caller for the error response but never
 // retained — otherwise an untrusted client hammering a saturated queue
 // would grow the never-pruned index without bound.
@@ -194,30 +190,15 @@ func (s *Server) submit(req core.Request) (*Ticket, error) {
 		t.fail(err, nil)
 		return t, err
 	}
-	s.tmu.Lock()
-	s.tickets[t.ID] = t
-	s.order = append(s.order, t.ID)
-	s.tmu.Unlock()
 	return t, nil
 }
 
-// ticket looks up a ticket by ID.
-func (s *Server) ticket(id uint64) (*Ticket, bool) {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	t, ok := s.tickets[id]
-	return t, ok
-}
+// ticket looks up an accepted ticket by ID.
+func (s *Server) ticket(id uint64) (*Ticket, bool) { return s.q.lookup(id) }
 
-// views snapshots every ticket in submission order.
+// views snapshots every accepted ticket in submission order.
 func (s *Server) views() []View {
-	s.tmu.Lock()
-	ids := append([]uint64(nil), s.order...)
-	index := make([]*Ticket, len(ids))
-	for i, id := range ids {
-		index[i] = s.tickets[id]
-	}
-	s.tmu.Unlock()
+	index := s.q.accepted()
 	out := make([]View, len(index))
 	for i, t := range index {
 		out[i] = t.View()

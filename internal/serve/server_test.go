@@ -520,6 +520,73 @@ func TestServerStartAfterDrainRefuses(t *testing.T) {
 	}
 }
 
+// TestConcurrentDrainsCloseQueueBeforeReturning races two Drains and a
+// Start on a server that was never started. Whichever Drain returns,
+// and in whatever order, the queue must already refuse new requests and
+// no worker may be running: a Drain that returned before another Drain
+// closed the queue would let a request in that no worker will ever
+// take. The test holds the queue's lock while the three race, so no
+// Drain can close the queue, and none may return, until it lets go.
+func TestConcurrentDrainsCloseQueueBeforeReturning(t *testing.T) {
+	spec := data.Spec{Name: "tiny", H: 6, W: 6, C: 1, Classes: 4, TrainPerClass: 2, TestPerClass: 1}
+	train, _ := data.Generate(spec, 1)
+	cohort := data.NewCohort(data.PartitionIID(train, 2, rand.New(rand.NewSource(2))))
+	req := core.Request{Kind: core.ClassLevel, Class: 1}
+	for iter := 0; iter < 20; iter++ {
+		sys, err := core.NewSystem(tinyConfig(1), cohort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{System: sys})
+		begin := make(chan struct{})
+		returned := make(chan string, 2)
+		errs := make(chan error, 3)
+		drain := func(name string) {
+			<-begin
+			s.Drain()
+			returned <- name
+			if _, err := s.submit(req); !errors.Is(err, ErrQueueClosed) {
+				errs <- fmt.Errorf("iteration %d: after the %s Drain returned, submit gave %v, want ErrQueueClosed", iter, name, err)
+				return
+			}
+			if workerRunning() {
+				errs <- fmt.Errorf("iteration %d: a worker is still running after the %s Drain returned", iter, name)
+				return
+			}
+			errs <- nil
+		}
+		s.q.mu.Lock()
+		go drain("first")
+		go drain("second")
+		go func() {
+			<-begin
+			s.Start()
+			errs <- nil
+		}()
+		close(begin)
+		select {
+		case name := <-returned:
+			s.q.mu.Unlock()
+			t.Fatalf("iteration %d: the %s Drain returned before the queue was closed", iter, name)
+		case <-time.After(20 * time.Millisecond):
+		}
+		s.q.mu.Unlock()
+		for range 3 {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// workerRunning reports whether any goroutine is in a server's worker
+// loop. The package's tests do not run in parallel, so it sees only the
+// server of the test that calls it.
+func workerRunning() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("quickdrop/internal/serve.(*Server).run("))
+}
+
 // TestServerWaitAndSequential exercises wait=true through a sequential
 // (non-coalescing) server: each request runs in its own batch.
 func TestServerWaitAndSequential(t *testing.T) {

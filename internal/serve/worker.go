@@ -13,7 +13,6 @@ import (
 // concurrent submitters pile up, drain the whole backlog, and execute
 // it as one coalesced batch. Exits when the queue is closed and empty.
 func (s *Server) run() {
-	defer s.wg.Done()
 	for {
 		t, ok := s.q.Wait()
 		if !ok {

@@ -8,8 +8,8 @@
 //
 //   - Record* methods run on training/unlearning hot paths. They are
 //     nil-receiver-safe, allocation-free on the monitor itself (proven
-//     by AllocsPerRun tests and the quickdroplint telemetry rule; a
-//     Fork's buffer grows by amortized appends), and only LATCH a
+//     by AllocsPerRun tests; a Fork's buffer grows by amortized
+//     appends), and only LATCH a
 //     verdict — they never format, emit, or construct errors.
 //   - Check runs on warm per-round paths. It surfaces the latched
 //     verdict as an *UnhealthyError (unwrapping to ErrUnhealthy), emits

@@ -2,7 +2,8 @@ package tensor
 
 import (
 	"runtime"
-	"sync"
+
+	"quickdrop/internal/par"
 )
 
 // parallelWork is the approximate number of scalar operations below which
@@ -32,15 +33,12 @@ func shardRows(rows, work int, fn func(lo, hi int)) {
 		procs = rows
 	}
 	chunk := (rows + procs - 1) / procs
-	var wg sync.WaitGroup
+	var g par.Group
 	lo := 0
 	for ; lo+chunk < rows; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, lo+chunk)
+		lo, hi := lo, lo+chunk
+		g.Go(func() { fn(lo, hi) })
 	}
 	fn(lo, rows)
-	wg.Wait()
+	g.Wait()
 }

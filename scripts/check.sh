@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# check.sh — repository hygiene gate: formatting, vet, the quickdroplint
-# static-analysis suite, and race-enabled tests. Run via `make check`.
+# check.sh — repository hygiene gate: formatting, vet, and race-enabled
+# tests. Run via `make check`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,9 +15,6 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
-
-echo "==> quickdroplint ./..."
-go run ./cmd/quickdroplint ./...
 
 # Race gate over every package. internal/core's end-to-end cycles share
 # two trained fixtures, so the package passes under -race in 171 s alone
