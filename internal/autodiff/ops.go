@@ -394,6 +394,65 @@ func AvgPool(a *Value, g tensor.ConvGeom) *Value {
 	return v
 }
 
+// Conv convolves NHWC maps x with the weight matrix w [K·K·C, F] and adds
+// the bias b [F], giving [B, OH, OW, F]. When any input requires a
+// gradient it is the composite Reshape(AddRowVec(MatMul(Im2col(x, g), w),
+// b)), whose VJPs give gradients of every order. Otherwise nothing will
+// differentiate it, and it is one constant node computed by
+// tensor.ConvInto: the same floats without the patch matrix.
+func Conv(x, w, b *Value, g tensor.ConvGeom) *Value {
+	if x.requiresGrad || w.requiresGrad || b.requiresGrad {
+		y := AddRowVec(MatMul(Im2col(x, g), w), b)
+		return Reshape(y, x.Data.Dim(0), g.OutH(), g.OutW(), w.Data.Dim(1))
+	}
+	v := frozenNode("conv", x, w, b)
+	v.Data = tensor.ConvInto(v.scratch(), x.Data, w.Data, b.Data, g)
+	return v
+}
+
+// InstanceNorm normalizes each channel of each sample of the NHWC maps x
+// over its spatial extent, then scales by gamma and shifts by beta (length
+// C each). When any input requires a gradient it is a composite whose
+// per-sample statistics stay at their reduced shape [B,1,1,C] and combine
+// through the fused broadcast primitives, so neither the forward nor its
+// arbitrarily nested backward graphs materialize a broadcast feature map.
+// Otherwise it is one constant node computed by tensor.InstanceNormInto,
+// the composite's floats in one kernel.
+func InstanceNorm(x, gamma, beta *Value, eps float64) *Value {
+	if x.Data.Dims() != 4 || gamma.Data.Len() != x.Data.Dim(3) || beta.Data.Len() != x.Data.Dim(3) {
+		panic(fmt.Sprintf("autodiff: InstanceNorm of %s with gamma %s and beta %s",
+			x.Data.ShapeString(), gamma.Data.ShapeString(), beta.Data.ShapeString()))
+	}
+	if !x.requiresGrad && !gamma.requiresGrad && !beta.requiresGrad {
+		v := frozenNode("instancenorm", x, gamma, beta)
+		v.Data = tensor.InstanceNormInto(v.scratch(), x.Data, gamma.Data, beta.Data, eps)
+		return v
+	}
+	c := x.Data.Dim(3)
+	area := float64(x.Data.Dim(1) * x.Data.Dim(2))
+	mean := Scale(SumAxes(x, 1, 2), 1/area) // [B,1,1,C]
+	centered := SubBcast(x, mean)           // [B,H,W,C]
+	variance := Scale(MulSum(centered, centered, 1, 2), 1/area)
+	inv := PowConst(AddConst(variance, eps), -0.5) // [B,1,1,C]
+	xhat := MulBcast(centered, inv)
+	return AddBcast(MulBcast(xhat, Reshape(gamma, 1, 1, 1, c)), Reshape(beta, 1, 1, 1, c))
+}
+
+// frozenNode returns a constant node for the result of op on inputs none
+// of which requires a gradient, in the first of their arenas.
+func frozenNode(op string, a, b, c *Value) *Value {
+	ar := a.arena
+	if ar == nil {
+		ar = b.arena
+	}
+	if ar == nil {
+		ar = c.arena
+	}
+	v := ar.constNode()
+	v.op = op
+	return v
+}
+
 // Dot returns ⟨a, b⟩ as a scalar node of shape [1].
 func Dot(a, b *Value) *Value {
 	n := a.Data.Len()

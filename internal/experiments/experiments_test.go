@@ -143,8 +143,8 @@ func TestRunMethodsClientLevelWithRelearn(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	PrintRelearnRows(&buf, rows)
-	if buf.Len() == 0 {
-		t.Fatal("relearn printer produced nothing")
+	if !strings.Contains(buf.String(), "Speedup") {
+		t.Fatalf("relearn printer has no Speedup column:\n%s", buf.String())
 	}
 }
 

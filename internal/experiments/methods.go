@@ -291,17 +291,17 @@ func PrintMethodRows(w io.Writer, rows []MethodRow) {
 	}
 }
 
-// PrintRelearnRows renders the relearning columns of Table 5.
+// PrintRelearnRows renders the relearning columns of Table 5, with each
+// method's unlearn + recover speed-up over Retrain-Or.
 func PrintRelearnRows(w io.Writer, rows []MethodRow) {
-	fmt.Fprintf(w, "%-11s | %12s %12s | %12s %12s\n",
-		"Approach", "U+R F-Set", "U+R R-Set", "Relearn F", "Relearn R")
+	fmt.Fprintf(w, "%-11s | %12s %12s | %12s %12s | %8s\n",
+		"Approach", "U+R F-Set", "U+R R-Set", "Relearn F", "Relearn R", "Speedup")
 	for _, r := range rows {
-		if !r.RelearnRan {
-			fmt.Fprintf(w, "%-11s | %11.2f%% %11.2f%% | %12s %12s\n",
-				r.Method, 100*r.FinalF, 100*r.FinalR, "—", "—")
-			continue
+		relearnF, relearnR := "—", "—"
+		if r.RelearnRan {
+			relearnF, relearnR = fmt.Sprintf("%.2f%%", 100*r.RelearnF), fmt.Sprintf("%.2f%%", 100*r.RelearnR)
 		}
-		fmt.Fprintf(w, "%-11s | %11.2f%% %11.2f%% | %11.2f%% %11.2f%%\n",
-			r.Method, 100*r.FinalF, 100*r.FinalR, 100*r.RelearnF, 100*r.RelearnR)
+		fmt.Fprintf(w, "%-11s | %11.2f%% %11.2f%% | %12s %12s | %7.1fx\n",
+			r.Method, 100*r.FinalF, 100*r.FinalR, relearnF, relearnR, r.Speedup)
 	}
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
 
 	ad "quickdrop/internal/autodiff"
@@ -11,7 +10,8 @@ import (
 // Conv2D is a 2-D convolution on NHWC feature maps, implemented as
 // im2col followed by a matrix multiply so every derivative — including the
 // second-order ones used by gradient matching — reduces to verified linear
-// primitives.
+// primitives. A forward that nothing differentiates computes the same
+// floats in one direct kernel (autodiff.Conv).
 type Conv2D struct {
 	Geom    tensor.ConvGeom
 	Filters int
@@ -42,10 +42,7 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.weight, c.bias} }
 // Forward implements Layer. x has shape [B, H, W, C]; the output has shape
 // [B, OH, OW, F].
 func (c *Conv2D) Forward(x *ad.Value, ps []*ad.Value) *ad.Value {
-	b := x.Data.Dim(0)
-	cols := ad.Im2col(x, c.Geom)                     // [B*OH*OW, K*K*C]
-	y := ad.AddRowVec(ad.MatMul(cols, ps[0]), ps[1]) // [B*OH*OW, F]
-	return ad.Reshape(y, b, c.Geom.OutH(), c.Geom.OutW(), c.Filters)
+	return ad.Conv(x, ps[0], ps[1], c.Geom)
 }
 
 // InstanceNorm normalizes each channel of each sample over its spatial
@@ -73,22 +70,9 @@ func (n *InstanceNorm) Name() string { return "instancenorm" }
 // Params implements Layer.
 func (n *InstanceNorm) Params() []*Param { return []*Param{n.gamma, n.beta} }
 
-// Forward implements Layer. x has shape [B, H, W, C]. Every per-sample
-// statistic stays at its reduced shape [B,1,1,C] and is combined through
-// the fused broadcast primitives, so the forward (and its arbitrarily
-// nested backward graphs) never materialize a broadcast feature map.
+// Forward implements Layer. x has shape [B, H, W, C].
 func (n *InstanceNorm) Forward(x *ad.Value, ps []*ad.Value) *ad.Value {
-	if x.Data.Dims() != 4 || x.Data.Dim(3) != n.Channels {
-		panic(fmt.Sprintf("nn: InstanceNorm expects [B,H,W,%d], got %s", n.Channels, x.Data.ShapeString()))
-	}
-	area := float64(x.Data.Dim(1) * x.Data.Dim(2))
-	mean := ad.Scale(ad.SumAxes(x, 1, 2), 1/area) // [B,1,1,C]
-	centered := ad.SubBcast(x, mean)              // [B,H,W,C]
-	variance := ad.Scale(ad.MulSum(centered, centered, 1, 2), 1/area)
-	inv := ad.PowConst(ad.AddConst(variance, n.Eps), -0.5) // [B,1,1,C]
-	xhat := ad.MulBcast(centered, inv)
-	scaled := ad.MulBcast(xhat, ad.Reshape(ps[0], 1, 1, 1, n.Channels))
-	return ad.AddBcast(scaled, ad.Reshape(ps[1], 1, 1, 1, n.Channels))
+	return ad.InstanceNorm(x, ps[0], ps[1], n.Eps)
 }
 
 // ReLULayer applies the rectifier elementwise.

@@ -39,6 +39,10 @@ type Layer interface {
 type Model struct {
 	layers []Layer
 	params []*Param
+	// ends[i] is where layer i's parameters end in params, so a forward
+	// pass slices its bound variables without asking a layer for its
+	// Params, which builds a slice.
+	ends []int
 	// arena recycles the graph of every training step bound from this
 	// model; see Arena.
 	arena *ad.Arena
@@ -53,6 +57,7 @@ func NewModel(inputShape []int, classes int, layers ...Layer) *Model {
 	m := &Model{layers: layers, arena: ad.NewArena(), InputShape: append([]int(nil), inputShape...), Classes: classes}
 	for _, l := range layers {
 		m.params = append(m.params, l.Params()...)
+		m.ends = append(m.ends, len(m.params))
 	}
 	return m
 }
@@ -200,13 +205,10 @@ func (b *Bound) ForwardUpTo(x *ad.Value, n int) *ad.Value {
 		panic(fmt.Sprintf("nn: ForwardUpTo n=%d out of range [0,%d]", n, len(b.model.layers)))
 	}
 	off := 0
-	for i, l := range b.model.layers {
-		np := len(l.Params())
-		if i >= n {
-			break
-		}
-		x = l.Forward(x, b.vars[off:off+np])
-		off += np
+	for i, l := range b.model.layers[:n] {
+		end := b.model.ends[i]
+		x = l.Forward(x, b.vars[off:end])
+		off = end
 	}
 	return x
 }

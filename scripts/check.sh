@@ -25,16 +25,17 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# Every micro-benchmark of the kernel and model layers, once each, and the
-# FL round and unlearn benchmarks, which reuse warm step arenas across
-# steps: a benchmark that no longer compiles or panics fails here, not at
-# the next profile.
-echo "==> go test -bench . -benchtime 1x (tensor, nn, fl, core)"
-go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/fl ./internal/core
+# Every micro-benchmark of the kernel and model layers, once each, the
+# test-set scoring benchmark, and the FL round and unlearn benchmarks,
+# which reuse warm step arenas across steps: a benchmark that no longer
+# compiles or panics fails here, not at the next profile.
+echo "==> go test -bench . -benchtime 1x (tensor, nn, eval, fl, core)"
+go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/eval ./internal/fl ./internal/core
 
-# The matmul and im2col kernels shard their rows only when GOMAXPROCS >= 2
-# and the product clears tensor.parallelWork, so on a multi-core runner the
-# runs above gate the sharded branch and this one the inline branch.
+# The matmul, im2col, direct-convolution and instance-norm kernels shard
+# their rows only when GOMAXPROCS >= 2 and the work clears
+# tensor.parallelWork, so on a multi-core runner the runs above gate the
+# sharded branch and this one the inline branch.
 echo "==> GOMAXPROCS=1 go test (tensor, autodiff, nn, eval)"
 GOMAXPROCS=1 go test -count=1 ./internal/tensor ./internal/autodiff ./internal/nn ./internal/eval
 
