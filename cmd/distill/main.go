@@ -22,6 +22,7 @@ import (
 	"quickdrop/internal/experiments"
 	"quickdrop/internal/fl"
 	"quickdrop/internal/nn"
+	"quickdrop/internal/tensor"
 )
 
 func main() {
@@ -124,12 +125,11 @@ func gradientDistance(model *nn.Model, real, syn *data.Dataset, eps float64) flo
 // of the model's step arena.
 func classGrads(model *nn.Model, ds *data.Dataset) []*ad.Value {
 	x, labels := ds.All()
-	arena := model.Arena()
-	bound := model.BindStep()
-	loss := nn.CrossEntropy(bound.Forward(arena.Const(x)), nn.OneHot(labels, model.Classes))
-	gs := ad.MustGrad(loss, bound.ParamVars())
-	for i, g := range gs {
-		gs[i] = arena.Const(g.Data)
+	grads := make([]*tensor.Tensor, len(model.Params()))
+	model.LossGrads(grads, x, labels)
+	gs := make([]*ad.Value, len(grads))
+	for i, g := range grads {
+		gs[i] = model.Arena().Const(g)
 	}
 	return gs
 }

@@ -27,6 +27,12 @@ type Arena struct {
 	slab [][]Value
 	next int // nodes handed out since the last Reset
 	grad gradScratch
+	// firstOrder is set while FirstOrderGrad builds and differentiates a
+	// graph: Conv, InstanceNorm and AvgPool then build first-order nodes.
+	firstOrder bool
+	// res holds FirstOrderGrad's gradient nodes between Grad and the copy
+	// out of their tensors.
+	res []*Value
 }
 
 // NewArena returns an empty arena.
@@ -47,6 +53,58 @@ func (a *Arena) Var(t *tensor.Tensor) *Value {
 	v.Data, v.op, v.requiresGrad = t, "var", true
 	return v
 }
+
+// Tensor returns an empty tensor header whose storage, taken when a
+// destination-passing kernel first fills it, comes from the arena and
+// dies with the step: a step's gathered input batch or one-hot targets.
+// On a nil arena the storage comes from the heap.
+func (a *Arena) Tensor() *tensor.Tensor { return a.constNode().scratch() }
+
+// FirstOrderGrad builds a scalar graph in the arena with build,
+// differentiates it once with respect to wrt, stores ∂out/∂wrt[i]'s
+// tensor in grads[i] and returns out's value. It panics where MustGrad
+// would.
+//
+// While it runs, the arena is in the first-order scope: Conv,
+// InstanceNorm and AvgPool on differentiable inputs each build one node
+// whose forward and VJPs are direct kernels (tensor.ConvInto,
+// ConvWeightGradInto, ConvInputGradInto, InstanceNormInto with saved
+// statistics, InstanceNormGradInto, AvgPoolBackInto), where outside it
+// they build the composite of primitives whose VJPs are themselves
+// differentiable. The floats are the composite's: in a graph
+// differentiated once, each patch matrix the composite builds has one
+// consumer, so receives one contribution, and the kernels sum every other
+// gradient in the order Grad would (DESIGN.md, "First-order training
+// graph"). The VJPs of those nodes return constants, so none of their
+// gradients may be differentiated again: build must not call Grad, and no
+// value built inside may reach a later Grad — which the call enforces by
+// returning tensors, not values. The scope closes when the call returns
+// or panics. A nil arena builds a heap graph, which never enters the
+// scope.
+func (a *Arena) FirstOrderGrad(grads []*tensor.Tensor, wrt []*Value, build func() *Value) float64 {
+	var res []*Value
+	if a != nil {
+		defer func(was bool) { a.firstOrder = was }(a.firstOrder)
+		a.firstOrder = true
+		res = append(a.res[:0], make([]*Value, len(wrt))...)
+		a.res = res
+	} else {
+		res = make([]*Value, len(wrt))
+	}
+	out := build()
+	if err := gradInto(res, out, wrt); err != nil {
+		panic(err)
+	}
+	for i, g := range res {
+		grads[i] = g.Data
+	}
+	clear(res)
+	return out.Item()
+}
+
+// inScope reports whether a graph built in the arena is in the
+// first-order scope; a nil arena never is.
+func (a *Arena) inScope() bool { return a != nil && a.firstOrder }
 
 // Mark is a position in an arena: the nodes and tensor storage handed out
 // before it. The zero Mark is the empty arena, and the only position of a

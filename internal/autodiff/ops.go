@@ -373,12 +373,20 @@ func Col2im(cols *Value, batch int, g tensor.ConvGeom) *Value {
 
 // AvgPool averages NHWC maps over the geometry's Kernel×Kernel windows
 // (see tensor.AvgPoolInto). It is Reshape(Scale(SumAxes(Reshape(Im2col(a),
-// rows, K², C), 1), 1/K²), B, OH, OW, C) computed in one pass, and its VJP
-// is that composition's backward, Col2im(Reshape(BroadcastTo(Scale(g)))),
-// so first- and higher-order graphs through it hold the same nodes and
-// bits as through the composition. Only a differentiable a pays for the
-// VJP's closure.
+// rows, K², C), 1), 1/K²), B, OH, OW, C) computed in one pass. Its VJP is
+// that composition's backward, Col2im(Reshape(BroadcastTo(Scale(g)))),
+// so graphs of any order through it hold the same nodes and bits as
+// through the composition; only a differentiable a pays for the VJP's
+// closure. In the first-order scope (Arena.FirstOrderGrad) the VJP is
+// instead one constant computed by tensor.AvgPoolBackInto, the same
+// floats.
 func AvgPool(a *Value, g tensor.ConvGeom) *Value {
+	if a.requiresGrad && a.arena.inScope() && fitsWindow(g) {
+		v := newNode1("avgpool", nil, a, avgPoolVJP)
+		v.setWindow(g)
+		v.Data = tensor.AvgPoolInto(v.scratch(), a.Data, g)
+		return v
+	}
 	var vjp func(n, gr *Value) *Value
 	if a.requiresGrad {
 		vjp = func(n, gr *Value) *Value {
@@ -394,38 +402,115 @@ func AvgPool(a *Value, g tensor.ConvGeom) *Value {
 	return v
 }
 
-// Conv convolves NHWC maps x with the weight matrix w [K·K·C, F] and adds
-// the bias b [F], giving [B, OH, OW, F]. When any input requires a
-// gradient it is the composite Reshape(AddRowVec(MatMul(Im2col(x, g), w),
-// b)), whose VJPs give gradients of every order. Otherwise nothing will
-// differentiate it, and it is one constant node computed by
-// tensor.ConvInto: the same floats without the patch matrix.
-func Conv(x, w, b *Value, g tensor.ConvGeom) *Value {
-	if x.requiresGrad || w.requiresGrad || b.requiresGrad {
-		y := AddRowVec(MatMul(Im2col(x, g), w), b)
-		return Reshape(y, x.Data.Dim(0), g.OutH(), g.OutW(), w.Data.Dim(1))
-	}
-	v := frozenNode("conv", x, w, b)
-	v.Data = tensor.ConvInto(v.scratch(), x.Data, w.Data, b.Data, g)
+// avgPoolVJP is a first-order pooling node's VJP.
+func avgPoolVJP(n, g *Value) *Value {
+	v := n.arena.constNode()
+	v.Data = tensor.AvgPoolBackInto(v.scratch(), g.Data, n.window())
 	return v
+}
+
+// Conv convolves NHWC maps x with the weight matrix w [K·K·C, F] and adds
+// the bias b [F], giving [B, OH, OW, F]. It builds one of three graphs:
+//
+//   - no input requires a gradient: nothing will differentiate it, and it
+//     is one constant node computed by tensor.ConvInto, the composite's
+//     floats without the patch matrix;
+//   - in the first-order scope (Arena.FirstOrderGrad): one node computed
+//     by tensor.ConvInto, whose VJPs are constants computed by
+//     tensor.ConvInputGradInto, ConvWeightGradInto and a column sum — the
+//     composite's gradients, valid for one differentiation;
+//   - otherwise the composite Reshape(AddRowVec(MatMul(Im2col(x, g), w),
+//     b)), whose VJPs give gradients of every order.
+func Conv(x, w, b *Value, g tensor.ConvGeom) *Value {
+	ar := firstArena(x, w, b)
+	switch {
+	case !x.requiresGrad && !w.requiresGrad && !b.requiresGrad:
+		v := ar.constNode()
+		v.op = "conv"
+		v.Data = tensor.ConvInto(v.scratch(), x.Data, w.Data, b.Data, g)
+		return v
+	case ar.inScope() && fitsWindow(g):
+		v := newNode3("conv", x, w, b, convVJP)
+		v.setWindow(g)
+		v.Data = tensor.ConvInto(v.scratch(), x.Data, w.Data, b.Data, g)
+		return v
+	}
+	y := AddRowVec(MatMul(Im2col(x, g), w), b)
+	return Reshape(y, x.Data.Dim(0), g.OutH(), g.OutW(), w.Data.Dim(1))
+}
+
+// convVJP is a first-order convolution node's VJP for input i: x, w or b.
+// The bias gradient is the composite's Reshape(SumAxes(g, 0)): the
+// column sums of g from +0 in row order, viewed with b's shape.
+func convVJP(n, g *Value, i int) *Value {
+	v := n.arena.constNode()
+	x, w := n.inputsArr[0].Data, n.inputsArr[1].Data
+	switch i {
+	case 0:
+		v.Data = tensor.ConvInputGradInto(v.scratch(), g.Data, w, n.window())
+	case 1:
+		v.Data = tensor.ConvWeightGradInto(v.scratch(), x, g.Data, n.window())
+	default:
+		sums := n.arena.constNode()
+		sums.Data = tensor.SumAxesInto(sums.scratch(), g.Data, 0, 1, 2)
+		v.Data = tensor.ViewLikeInto(v.scratch(), sums.Data, n.inputsArr[2].Data)
+	}
+	return v
+}
+
+// fitsWindow reports whether g's kernel, stride and pad fit a node's
+// window fields; a geometry that does not builds the composite.
+func fitsWindow(g tensor.ConvGeom) bool {
+	return max(g.Kernel, g.Stride, g.Pad) <= math.MaxUint16
+}
+
+// setWindow records g's kernel, stride and pad on the node.
+func (v *Value) setWindow(g tensor.ConvGeom) {
+	v.kernel, v.stride, v.pad = uint16(g.Kernel), uint16(g.Stride), uint16(g.Pad)
+}
+
+// window returns the geometry of a first-order conv or pool node: its
+// recorded window over its input's maps.
+func (v *Value) window() tensor.ConvGeom {
+	x := v.inputsArr[0].Data
+	return tensor.ConvGeom{
+		Kernel: int(v.kernel), Stride: int(v.stride), Pad: int(v.pad),
+		InH: x.Dim(1), InW: x.Dim(2), Channel: x.Dim(3),
+	}
 }
 
 // InstanceNorm normalizes each channel of each sample of the NHWC maps x
 // over its spatial extent, then scales by gamma and shifts by beta (length
-// C each). When any input requires a gradient it is a composite whose
-// per-sample statistics stay at their reduced shape [B,1,1,C] and combine
-// through the fused broadcast primitives, so neither the forward nor its
-// arbitrarily nested backward graphs materialize a broadcast feature map.
-// Otherwise it is one constant node computed by tensor.InstanceNormInto,
-// the composite's floats in one kernel.
+// C each). It builds one of three graphs, as Conv does:
+//
+//   - no input requires a gradient: one constant node computed by
+//     tensor.InstanceNormInto, the composite's floats in one kernel;
+//   - in the first-order scope, with gamma and beta of one shape: one node
+//     computed by tensor.InstanceNormInto, which saves each (sample,
+//     channel)'s statistics for its VJPs, constants computed by
+//     tensor.InstanceNormGradInto;
+//   - otherwise a composite whose per-sample statistics stay at their
+//     reduced shape [B,1,1,C] and combine through the fused broadcast
+//     primitives, so neither the forward nor its arbitrarily nested
+//     backward graphs materialize a broadcast feature map.
 func InstanceNorm(x, gamma, beta *Value, eps float64) *Value {
 	if x.Data.Dims() != 4 || gamma.Data.Len() != x.Data.Dim(3) || beta.Data.Len() != x.Data.Dim(3) {
 		panic(fmt.Sprintf("autodiff: InstanceNorm of %s with gamma %s and beta %s",
 			x.Data.ShapeString(), gamma.Data.ShapeString(), beta.Data.ShapeString()))
 	}
-	if !x.requiresGrad && !gamma.requiresGrad && !beta.requiresGrad {
-		v := frozenNode("instancenorm", x, gamma, beta)
-		v.Data = tensor.InstanceNormInto(v.scratch(), x.Data, gamma.Data, beta.Data, eps)
+	ar := firstArena(x, gamma, beta)
+	switch {
+	case !x.requiresGrad && !gamma.requiresGrad && !beta.requiresGrad:
+		v := ar.constNode()
+		v.op = "instancenorm"
+		v.Data = tensor.InstanceNormInto(v.scratch(), nil, x.Data, gamma.Data, beta.Data, eps)
+		return v
+	case ar.inScope() && gamma.Data.SameShape(beta.Data):
+		v := newNode3("instancenorm", x, gamma, beta, instanceNormVJP)
+		st := ar.constNode()
+		stats := st.scratch()
+		v.Data = tensor.InstanceNormInto(v.scratch(), stats, x.Data, gamma.Data, beta.Data, eps)
+		st.Data, v.inputsArr[3] = stats, st
 		return v
 	}
 	c := x.Data.Dim(3)
@@ -438,18 +523,16 @@ func InstanceNorm(x, gamma, beta *Value, eps float64) *Value {
 	return AddBcast(MulBcast(xhat, Reshape(gamma, 1, 1, 1, c)), Reshape(beta, 1, 1, 1, c))
 }
 
-// frozenNode returns a constant node for the result of op on inputs none
-// of which requires a gradient, in the first of their arenas.
-func frozenNode(op string, a, b, c *Value) *Value {
-	ar := a.arena
-	if ar == nil {
-		ar = b.arena
-	}
-	if ar == nil {
-		ar = c.arena
-	}
-	v := ar.constNode()
-	v.op = op
+// instanceNormVJP is a first-order instance-norm node's VJP for input i:
+// x, gamma or beta. It reads the statistics the forward pass saved in the
+// node's fourth input slot.
+func instanceNormVJP(n, g *Value, i int) *Value {
+	v := n.arena.constNode()
+	d := v.scratch()
+	var dst [3]*tensor.Tensor
+	dst[i] = d
+	tensor.InstanceNormGradInto(dst[0], dst[1], dst[2], g.Data, n.inputsArr[0].Data, n.inputsArr[1].Data, n.inputsArr[3].Data)
+	v.Data = d
 	return v
 }
 

@@ -18,9 +18,11 @@ import (
 // Value is a node in the computation graph: an eagerly computed tensor plus
 // the recipe to backpropagate through the operation that produced it.
 //
-// Nodes with one or two inputs — every primitive except ConcatRows — store
-// them in the inline inputsArr and carry one VJP per input, so Grad asks
-// only for the input gradients it needs. VJP functions receive the node
+// Nodes with one or two inputs store them in the inline inputsArr and
+// carry one VJP per input, so Grad asks only for the input gradients it
+// needs; the three-input first-order nodes (conv, instance norm) keep
+// theirs inline too and share one VJP indexed by input, as ConcatRows's
+// variadic inputs do. VJP functions receive the node
 // itself, so they read their operands from it instead of capturing them:
 // almost every primitive's VJP is a non-capturing func literal, which Go
 // places in static storage. Building and backpropagating a node therefore
@@ -46,11 +48,19 @@ type Value struct {
 	// live) and grad its running gradient; both are zero outside a Grad
 	// call.
 	mark uint8
-	grad *Value
+	// kernel, stride and pad are a first-order conv or pool node's window:
+	// the part of its geometry that its input's shape does not give (see
+	// window). They fill what would be padding after mark.
+	kernel, stride, pad uint16
+	grad                *Value
 	// arena is where this node and its result storage came from, and where
 	// the nodes computed from it go; nil means the heap.
-	arena     *Arena
-	inputsArr [2]*Value
+	arena *Arena
+	// inputsArr holds up to three inputs. An op may keep a constant its
+	// VJP reads past the end of inputs — ReLU its mask in slot 1, the
+	// first-order instance norm its statistics in slot 3 — where the
+	// traversal never mistakes it for a differentiable input.
+	inputsArr [4]*Value
 	// dataInline is the storage for Data on interior nodes: ops pass
 	// &dataInline as the destination header to the Into kernels (or the
 	// view constructors), so node + tensor header are one allocation.
@@ -136,6 +146,27 @@ func newNode2(op string, data *tensor.Tensor, a, b *Value, vjpA, vjpB func(n, g 
 	return v
 }
 
+// newNode3 constructs a three-input interior node whose vjp serves every
+// input by index; at least one input must require a gradient.
+func newNode3(op string, a, b, c *Value, vjp func(n, g *Value, i int) *Value) *Value {
+	v := firstArena(a, b, c).node()
+	v.op = op
+	v.inputsArr[0], v.inputsArr[1], v.inputsArr[2] = a, b, c
+	v.inputs, v.vjpN, v.requiresGrad = v.inputsArr[:3], vjp, true
+	return v
+}
+
+// firstArena returns the first of the inputs' arenas; nil means the heap.
+func firstArena(a, b, c *Value) *Arena {
+	switch {
+	case a.arena != nil:
+		return a.arena
+	case b.arena != nil:
+		return b.arena
+	}
+	return c.arena
+}
+
 // newNodeN constructs a variadic-input interior node (ConcatRows).
 func newNodeN(op string, data *tensor.Tensor, inputs []*Value, vjp func(n, g *Value, i int) *Value) *Value {
 	var ar *Arena
@@ -166,15 +197,23 @@ func newNodeN(op string, data *tensor.Tensor, inputs []*Value, vjp func(n, g *Va
 // same order as in a sweep that differentiates everything — the results
 // are bit-identical, minus the gradients no caller reads.
 func Grad(out *Value, wrt []*Value) ([]*Value, error) {
+	res := make([]*Value, len(wrt))
+	if err := gradInto(res, out, wrt); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// gradInto is Grad writing ∂out/∂wrt[i] into res[i].
+func gradInto(res []*Value, out *Value, wrt []*Value) error {
 	if out.Data.Len() != 1 {
-		return nil, fmt.Errorf("autodiff: Grad requires a scalar output, got shape %s", out.Data.ShapeString())
+		return fmt.Errorf("autodiff: Grad requires a scalar output, got shape %s", out.Data.ShapeString())
 	}
 	if !out.requiresGrad {
-		zs := make([]*Value, len(wrt))
 		for i, w := range wrt {
-			zs[i] = Const(tensor.NewLike(w.Data))
+			res[i] = Const(tensor.NewLike(w.Data))
 		}
-		return zs, nil
+		return nil
 	}
 
 	// Topological order of the subgraph reachable from out that requires
@@ -205,12 +244,11 @@ func Grad(out *Value, wrt []*Value) ([]*Value, error) {
 				ig = n.vjp[j](n, g)
 			}
 			if err := accumulate(n, in, ig); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 
-	res := make([]*Value, len(wrt))
 	for i, w := range wrt {
 		if w.grad != nil {
 			res[i] = w.grad
@@ -218,7 +256,7 @@ func Grad(out *Value, wrt []*Value) ([]*Value, error) {
 			res[i] = Const(tensor.NewLike(w.Data))
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // accumulate folds one input gradient into the input's running gradient,

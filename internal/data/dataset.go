@@ -120,17 +120,23 @@ func Merge(parts ...*Dataset) *Dataset {
 // Batch assembles the samples at idx into an input tensor [B, H, W, C] and
 // a label slice.
 func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
+	return d.BatchInto(nil, make([]int, 0, len(idx)), idx)
+}
+
+// BatchInto is Batch into caller-provided storage: the samples go into x,
+// prepared like an Into kernel's destination, and the labels are
+// appended to labels[:0]. A training step passes its arena's header
+// (autodiff.Arena.Tensor) and a label buffer it keeps across steps, so
+// gathering its input allocates nothing.
+func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, idx []int) (*tensor.Tensor, []int) {
 	if len(idx) == 0 {
 		panic("data: empty batch")
 	}
-	x := tensor.New(len(idx), d.H, d.W, d.C)
-	labels := make([]int, len(idx))
-	per := d.H * d.W * d.C
-	for bi, i := range idx {
-		copy(x.Data()[bi*per:(bi+1)*per], d.X[i].Data())
-		labels[bi] = d.Y[i]
+	labels = labels[:0]
+	for _, i := range idx {
+		labels = append(labels, d.Y[i])
 	}
-	return x, labels
+	return tensor.StackInto(x, d.X, idx), labels
 }
 
 // All returns the whole dataset as one batch.

@@ -249,7 +249,7 @@ func (m *Matcher) MatchStep(ctx fl.StepContext) {
 // matchClass runs the per-class matching update: realIdx and synIdx index
 // the same class in the client's real and synthetic datasets.
 func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, synIdx []int) {
-	// Real gradient for this class, detached.
+	// The real batch: at most RealBatch of the class's samples.
 	batch := realIdx
 	if len(batch) > m.Cfg.RealBatch {
 		perm := ctx.Rng.Perm(len(realIdx))[:m.Cfg.RealBatch]
@@ -258,31 +258,37 @@ func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, syn
 			batch[i] = realIdx[p]
 		}
 	}
-	xD, yD := ctx.Client.Batch(batch)
 	if m.Cfg.Objective == DistributionMatching {
-		m.matchDistribution(ctx, syn, synIdx, xD, len(batch))
+		m.matchDistribution(ctx, syn, batch, synIdx)
 		return
 	}
 	model, arena := ctx.Model, ctx.Model.Arena()
 
-	// Both gradient graphs and the matching graph of an iteration live in
-	// the model's step arena until the reset that ends the iteration, so
-	// the real gradients are matched in place, without a detaching copy.
+	// Both passes' inputs, both gradient graphs and the matching graph of
+	// an iteration live in the model's step arena until the reset that
+	// ends the iteration, so the real gradients are matched in place,
+	// without a detaching copy.
 	gD := make([]*ad.Value, len(model.Params()))
+	gt := make([]*tensor.Tensor, len(gD))
+	// One label buffer serves both passes in turn: the real labels are
+	// consumed before the synthetic batch is gathered.
+	labels := make([]int, 0, max(len(batch), len(synIdx)))
 
 	for step := 0; step < m.Cfg.Steps; step++ {
-		boundD := model.BindStep()
-		lossD := nn.CrossEntropy(boundD.Forward(arena.Const(xD)), nn.OneHot(yD, model.Classes))
-		for i, g := range ad.MustGrad(lossD, boundD.ParamVars()) {
-			gD[i] = arena.Const(g.Data)
+		// Real gradient for this class: a first-order graph, whose
+		// gradients enter the matching graph as constants.
+		xD, yD := ctx.Client.BatchInto(arena.Tensor(), labels, batch)
+		model.LossGrads(gt, xD, yD)
+		for i, g := range gt {
+			gD[i] = arena.Const(g)
 		}
 		m.addBatch(len(batch))
 
 		// Synthetic gradient, graph-connected to the synthetic pixels.
-		xS, yS := syn.Batch(synIdx)
+		xS, yS := syn.BatchInto(arena.Tensor(), labels, synIdx)
 		sVar := arena.Var(xS)
 		boundS := model.BindStep()
-		lossS := nn.CrossEntropy(boundS.Forward(sVar), nn.OneHot(yS, model.Classes))
+		lossS := nn.CrossEntropy(boundS.Forward(sVar), nn.OneHotInto(arena.Tensor(), yS, model.Classes))
 		gS := ad.MustGrad(lossS, boundS.ParamVars())
 		m.addBatch(len(synIdx))
 
@@ -303,24 +309,28 @@ func (m *Matcher) matchClass(ctx fl.StepContext, syn *data.Dataset, realIdx, syn
 		// (its graph is dead) and written back per sample.
 		tensor.AddScaledInto(xS, xS, -m.Cfg.LR, gradS.Data)
 		writeBack(syn, synIdx, xS)
-		arena.Reset() // the iteration's graphs are dead from here on
+		arena.Reset() // the iteration's inputs and graphs are dead from here on
 	}
 }
 
 // matchDistribution performs the first-order distribution-matching
 // update: the synthetic pixels descend on the squared distance between
 // the mean penultimate-layer embeddings of synthetic and real samples.
-func (m *Matcher) matchDistribution(ctx fl.StepContext, syn *data.Dataset, synIdx []int, xD *tensor.Tensor, realCount int) {
+// realIdx and synIdx index one class of the client's real and synthetic
+// datasets.
+func (m *Matcher) matchDistribution(ctx fl.StepContext, syn *data.Dataset, realIdx, synIdx []int) {
 	model, arena := ctx.Model, ctx.Model.Arena()
 	embLayer := len(model.Layers()) - 1 // stop before the classifier
+	labels := make([]int, 0, max(len(realIdx), len(synIdx)))
 	for step := 0; step < m.Cfg.Steps; step++ {
 		// One frozen bind serves both embedding graphs; it and the input
 		// leaves live in the step arena.
 		bound := model.BindFrozen()
+		xD, _ := ctx.Client.BatchInto(arena.Tensor(), labels, realIdx)
 		embD := flatten2D(bound.ForwardUpTo(arena.Const(xD), embLayer))
-		m.addBatch(realCount)
+		m.addBatch(len(realIdx))
 
-		xS, _ := syn.Batch(synIdx)
+		xS, _ := syn.BatchInto(arena.Tensor(), labels, synIdx)
 		sVar := arena.Var(xS)
 		embS := flatten2D(bound.ForwardUpTo(sVar, embLayer))
 		m.addBatch(len(synIdx))
@@ -329,7 +339,7 @@ func (m *Matcher) matchDistribution(ctx fl.StepContext, syn *data.Dataset, synId
 		gradS := ad.MustGrad(dist, []*ad.Value{sVar})[0]
 		tensor.AddScaledInto(xS, xS, -m.Cfg.LR, gradS.Data)
 		writeBack(syn, synIdx, xS)
-		arena.Reset() // the iteration's graphs are dead from here on
+		arena.Reset() // the iteration's inputs and graphs are dead from here on
 	}
 }
 

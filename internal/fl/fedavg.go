@@ -382,18 +382,19 @@ func (ph *phase) fold(round int, u clientUpdate) {
 
 // runLocalSteps performs cfg.LocalSteps SGD/SGA updates on the client's
 // local model and returns their gradient-evaluation cost. Each step's
-// graph lives in the model's step arena and is recycled as soon as the
-// optimizer has consumed its gradients.
+// input batch and graph live in the model's step arena and are recycled
+// as soon as the optimizer has consumed its gradients.
 func runLocalSteps(model *nn.Model, client *data.Dataset, cfg PhaseConfig, round, clientID int, rng *rand.Rand) (cost optim.Counter) {
 	opt := &optim.SGD{LR: cfg.LR, Dir: cfg.Dir, Health: cfg.Health}
 	arena, params := model.Arena(), model.ParamTensors()
 	gt := make([]*tensor.Tensor, len(params))
+	labels := make([]int, 0, cfg.BatchSize)
 	for step := 0; step < cfg.LocalSteps; step++ {
 		idx := sampleIndices(rng, client.Len(), cfg.BatchSize)
-		x, labels := client.Batch(idx)
-		loss := model.LossGrads(gt, x, labels)
+		x, y := client.BatchInto(arena.Tensor(), labels, idx)
+		loss := model.LossGrads(gt, x, y)
 		opt.Step(params, gt)
-		arena.Reset() // the step's graph, gt's tensors included, is dead from here on
+		arena.Reset() // the step's input and graph, gt's tensors included, are dead from here on
 		cost.AddBatch(len(idx))
 		cfg.Telemetry.LocalStep(clientID, len(idx))
 		at := round*cfg.LocalSteps + step

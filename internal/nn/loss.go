@@ -9,13 +9,18 @@ import (
 )
 
 // OneHot encodes integer labels as a [B, classes] matrix.
-func OneHot(labels []int, classes int) *tensor.Tensor {
-	t := tensor.New(len(labels), classes)
+func OneHot(labels []int, classes int) *tensor.Tensor { return OneHotInto(nil, labels, classes) }
+
+// OneHotInto is the destination-passing form of OneHot: dst is prepared
+// like an Into kernel's (a nil dst allocates, an arena's header takes its
+// storage there), so a step's targets can live in its arena.
+func OneHotInto(dst *tensor.Tensor, labels []int, classes int) *tensor.Tensor {
+	t := tensor.FullInto(dst, 0, len(labels), classes)
 	for i, y := range labels {
 		if y < 0 || y >= classes {
 			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, classes))
 		}
-		t.Set(1, i, y)
+		t.Data()[i*classes+y] = 1
 	}
 	return t
 }
@@ -45,15 +50,18 @@ func CrossEntropy(logits *ad.Value, oneHot *tensor.Tensor) *ad.Value {
 // LossGrads runs one supervised forward and backward pass in the model's
 // step arena: it binds the parameters, takes the mean cross-entropy of the
 // batch x against labels, stores ∂loss/∂θ in grads (aligned with Params)
-// and returns the loss. The gradient tensors belong to the step: apply
-// them, then call Arena().Reset().
+// and returns the loss. The graph is differentiated once, so it is built
+// in the arena's first-order scope (autodiff.Arena.FirstOrderGrad): each
+// conv, norm and pooling layer is one node with direct-kernel gradients,
+// the floats of the graph Bind builds. The gradient tensors, and the
+// one-hot targets, belong to the step: apply them, then call
+// Arena().Reset().
 func (m *Model) LossGrads(grads []*tensor.Tensor, x *tensor.Tensor, labels []int) float64 {
 	bound := m.BindStep()
-	loss := CrossEntropy(bound.Forward(m.arena.Const(x)), OneHot(labels, m.Classes))
-	for i, g := range ad.MustGrad(loss, bound.ParamVars()) {
-		grads[i] = g.Data
-	}
-	return loss.Item()
+	targets := OneHotInto(m.arena.Tensor(), labels, m.Classes)
+	return m.arena.FirstOrderGrad(grads, bound.ParamVars(), func() *ad.Value {
+		return CrossEntropy(bound.Forward(m.arena.Const(x)), targets)
+	})
 }
 
 // Softmax returns row-wise softmax probabilities for a logits tensor.

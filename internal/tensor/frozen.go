@@ -5,12 +5,13 @@ import (
 	"math"
 )
 
-// This file holds the frozen-forward kernels: a convolution and an
+// This file holds the direct forward kernels: a convolution and an
 // instance normalization that each compute, in one kernel, the floats of
-// the composite their layer builds when something differentiates it.
-// autodiff.Conv and autodiff.InstanceNorm call them when no input needs a
-// gradient, so inference builds no patch matrix and no per-statistic
-// intermediates.
+// the composite their layer builds for a graph that may be differentiated
+// twice. autodiff.Conv and autodiff.InstanceNorm call them when no input
+// needs a gradient, so inference builds no patch matrix and no
+// per-statistic intermediates, and for the first-order nodes of a
+// training step, whose gradients are backward.go's.
 
 // ConvInto computes the convolution of x (shape [B, H, W, C]) with the
 // weight matrix w (shape [K·K·C, F], rows in the patch order (kh, kw, c))
@@ -116,13 +117,18 @@ func convRows(od, xd, wd, bd []float64, g ConvGeom, f, lo, hi int) {
 // variance (1/area)·Σ(x − mean)², inv = (variance + eps)^−½ by math.Pow,
 // and each output ((x − mean)·inv)·gamma + beta. The explicit conversions
 // keep a compiler from fusing a product and a sum the composite rounds
-// apart. dst must not alias x, gamma or beta; a nil dst allocates. Large
-// batches shard their samples.
-func InstanceNormInto(dst, x, gamma, beta *Tensor, eps float64) *Tensor {
+// apart. dst must not alias x, gamma or beta; a nil dst allocates.
+//
+// A non-nil stats, prepared like dst, receives each (sample, channel)'s
+// mean, variance + eps and inv, shape [B, C, 3]: what InstanceNormGradInto
+// reads back. Such a pass is a training step's, and runs on the calling
+// goroutine like the composite it stands for; an inference pass (nil
+// stats) shards its samples when the batch is large.
+func InstanceNormInto(dst, stats, x, gamma, beta *Tensor, eps float64) *Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: InstanceNorm requires [B, H, W, C] maps, got %v", x.shape))
 	}
-	c := x.Dim(3)
+	b, c := x.Dim(0), x.Dim(3)
 	if gamma.Len() != c || beta.Len() != c {
 		panic(fmt.Sprintf("tensor: InstanceNorm gamma %v and beta %v do not match %d channels", gamma.shape, beta.shape, c))
 	}
@@ -130,17 +136,24 @@ func InstanceNormInto(dst, x, gamma, beta *Tensor, eps float64) *Tensor {
 	mustNoAlias(dst, "InstanceNormInto", x, gamma, beta)
 	n := x.Dim(1) * x.Dim(2) * c
 	od, xd, gd, bd := dst.data, x.data, gamma.data, beta.data
-	shardRows(x.Dim(0), 3*len(xd), func(lo, hi int) {
-		instanceNormSamples(od[lo*n:hi*n], xd[lo*n:hi*n], gd, bd, n, c, eps)
+	if stats != nil {
+		stats = prepDst(stats, []int{b, c, 3}, "InstanceNormInto")
+		mustNoAlias(stats, "InstanceNormInto", dst, x, gamma, beta)
+		instanceNormSamples(od, stats.data, xd, gd, bd, n, c, eps)
+		return dst
+	}
+	shardRows(b, 3*len(xd), func(lo, hi int) {
+		instanceNormSamples(od[lo*n:hi*n], nil, xd[lo*n:hi*n], gd, bd, n, c, eps)
 	})
 	return dst
 }
 
 // instanceNormSamples normalizes the samples of xd, n values of c
-// channels each, into od.
-func instanceNormSamples(od, xd, gd, bd []float64, n, c int, eps float64) {
+// channels each, into od, and writes their statistics into st unless it
+// is nil.
+func instanceNormSamples(od, st, xd, gd, bd []float64, n, c int, eps float64) {
 	scale := 1 / float64(n/c)
-	for lo := 0; lo < len(xd); lo += n {
+	for lo, bi := 0, 0; lo < len(xd); lo, bi = lo+n, bi+1 {
 		xs, ds := xd[lo:lo+n], od[lo:lo+n]
 		for ch, g := range gd[:c] {
 			s := 0.0
@@ -153,7 +166,12 @@ func instanceNormSamples(od, xd, gd, bd []float64, n, c int, eps float64) {
 				d := xs[p] - mean
 				s += d * d
 			}
-			inv := math.Pow(float64(scale*s)+eps, -0.5)
+			ve := float64(scale*s) + eps
+			inv := math.Pow(ve, -0.5)
+			if st != nil {
+				at := 3 * (bi*c + ch)
+				st[at], st[at+1], st[at+2] = mean, ve, inv
+			}
 			b := bd[ch]
 			for p := ch; p < n; p += c {
 				ds[p] = float64(float64((xs[p]-mean)*inv)*g) + b

@@ -113,11 +113,11 @@ func TestInstanceNormIntoMatchesComposite(t *testing.T) {
 					for kind, gamma := range poisoned(randT(rng, c), rng.Intn(c)) {
 						name := fmt.Sprintf("GOMAXPROCS=%d %dx%d C=%d batch=%d gamma %s", procs, hw[0], hw[1], c, batch, kind)
 						want := instanceNormComposite(x, gamma, beta, eps)
-						sameBits(t, name+": InstanceNormInto", InstanceNormInto(nanFilled(want.shape...), x, gamma, beta, eps), want)
+						sameBits(t, name+": InstanceNormInto", InstanceNormInto(nanFilled(want.shape...), nil, x, gamma, beta, eps), want)
 						got := nanFilled(want.shape...)
 						n := hw[0] * hw[1] * c
 						shardRows(batch, parallelWork, func(lo, hi int) {
-							instanceNormSamples(got.data[lo*n:hi*n], x.data[lo*n:hi*n], gamma.data, beta.data, n, c, eps)
+							instanceNormSamples(got.data[lo*n:hi*n], nil, x.data[lo*n:hi*n], gamma.data, beta.data, n, c, eps)
 						})
 						sameBits(t, name+": sharded instanceNormSamples", got, want)
 					}
@@ -140,11 +140,11 @@ func TestFrozenKernelsRejectBadOperands(t *testing.T) {
 		"conv bias":          func() { ConvInto(nil, x, w, New(4), g) },
 		"conv dst size":      func() { ConvInto(New(3), x, w, bias, g) },
 		"conv dst aliases":   func() { ConvInto(x.View(2, 4, 4, 2), x, New(18, 2), New(2), g) },
-		"norm rank":          func() { InstanceNormInto(nil, New(2, 16, 2), gamma, beta, 1e-5) },
-		"norm gamma":         func() { InstanceNormInto(nil, x, New(3), beta, 1e-5) },
-		"norm beta":          func() { InstanceNormInto(nil, x, gamma, New(1), 1e-5) },
-		"norm dst size":      func() { InstanceNormInto(New(3), x, gamma, beta, 1e-5) },
-		"norm dst aliases x": func() { InstanceNormInto(x, x, gamma, beta, 1e-5) },
+		"norm rank":          func() { InstanceNormInto(nil, nil, New(2, 16, 2), gamma, beta, 1e-5) },
+		"norm gamma":         func() { InstanceNormInto(nil, nil, x, New(3), beta, 1e-5) },
+		"norm beta":          func() { InstanceNormInto(nil, nil, x, gamma, New(1), 1e-5) },
+		"norm dst size":      func() { InstanceNormInto(New(3), nil, x, gamma, beta, 1e-5) },
+		"norm dst aliases x": func() { InstanceNormInto(x, nil, x, gamma, beta, 1e-5) },
 	} {
 		func() {
 			defer func() {

@@ -199,6 +199,29 @@ func (t *Tensor) RowsView(lo, hi int) *Tensor {
 	return v
 }
 
+// StackInto copies src[idx[0]], src[idx[1]], … — tensors of one shape
+// s — into dst of shape [len(idx), s...], in that order: a batch gathered
+// from per-sample tensors. dst is prepared like an Into kernel's
+// destination (a nil dst allocates) and must not alias any of them.
+func StackInto(dst *Tensor, src []*Tensor, idx []int) *Tensor {
+	if len(idx) == 0 {
+		panic("tensor: StackInto of no tensors")
+	}
+	first := src[idx[0]]
+	var arr [maxInlineRank]int
+	dst = prepDst(dst, append(append(arr[:0], len(idx)), first.shape...), "StackInto")
+	per := len(first.data)
+	for bi, i := range idx {
+		s := src[i]
+		if !s.SameShape(first) {
+			panic(fmt.Sprintf("tensor: StackInto of %v and %v", first.shape, s.shape))
+		}
+		mustNoAlias(dst, "StackInto", s)
+		copy(dst.data[bi*per:(bi+1)*per], s.data)
+	}
+	return dst
+}
+
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
 

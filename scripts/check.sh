@@ -32,10 +32,11 @@ go test -race ./...
 echo "==> go test -bench . -benchtime 1x (tensor, nn, eval, fl, core)"
 go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/eval ./internal/fl ./internal/core
 
-# The matmul, im2col, direct-convolution and instance-norm kernels shard
-# their rows only when GOMAXPROCS >= 2 and the work clears
-# tensor.parallelWork, so on a multi-core runner the runs above gate the
-# sharded branch and this one the inline branch.
+# The matmul, im2col, direct-convolution and instance-norm kernels, and
+# the first-order backward kernels (ConvWeightGradInto, ConvInputGradInto,
+# AvgPoolBackInto), shard their rows only when GOMAXPROCS >= 2 and the
+# work clears tensor.parallelWork, so on a multi-core runner the runs
+# above gate the sharded branch and this one the inline branch.
 echo "==> GOMAXPROCS=1 go test (tensor, autodiff, nn, eval)"
 GOMAXPROCS=1 go test -count=1 ./internal/tensor ./internal/autodiff ./internal/nn ./internal/eval
 
