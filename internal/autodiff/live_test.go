@@ -62,10 +62,10 @@ func randomGraph(rng *rand.Rand, ar *Arena) (out *Value, vars []*Value) {
 		case 10:
 			m = ReLU(a)
 		case 11:
-			cols = append(cols, Tanh(MulSum(a, b, 1)))
+			cols = append(cols, tanh(MulSum(a, b, 1)))
 			continue
 		}
-		mats = append(mats, Tanh(m))
+		mats = append(mats, tanh(m))
 	}
 	last := mats[len(mats)-1]
 	out = Add(SumAll(Mul(last, last)), SumAll(cols[len(cols)-1]))
@@ -194,7 +194,7 @@ func TestGradLeavesNoGradientOnTheNodes(t *testing.T) {
 	z := ar.Var(tensor.FromSlice([]float64{3}, 1))
 	wrt := []*Value{x, w, z}
 	// x fans out, so its gradient is the sum of two VJPs.
-	out := SumAll(Tanh(Mul(Mul(x, w), x)))
+	out := SumAll(tanh(Mul(Mul(x, w), x)))
 
 	first := MustGrad(out, wrt)
 	noGradState(t, "first order", ar)

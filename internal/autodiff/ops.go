@@ -21,8 +21,8 @@ import (
 //     they read their operands from the node — inputsArr, the c constant,
 //     or the node itself — rather than closing over locals, so Go places
 //     them in static storage instead of allocating a closure per op call.
-//     Only ops whose backward needs non-node state (Im2col's geometry,
-//     SliceRows' bounds) pay for a closure.
+//     Only ops whose backward needs non-node state (Im2col's geometry)
+//     pay for a closure.
 
 // Add returns a + b (same shape).
 func Add(a, b *Value) *Value {
@@ -141,9 +141,6 @@ func RowMax(a *Value) *Value {
 	return v
 }
 
-// Detach returns a's tensor as a constant, cutting the gradient flow.
-func Detach(a *Value) *Value { return Const(a.Data.Clone()) }
-
 // MatMul returns the matrix product a·b for a [M,K] and b [K,N]. Its VJP
 // uses the transpose-fused kernels, so no backward pass materializes a
 // transposed matrix.
@@ -173,15 +170,6 @@ func MatMulTN(a, b *Value) *Value {
 		func(n, g *Value) *Value { return MatMulNT(n.inputsArr[1], g) }, // ∂/∂a = b·gᵀ
 		func(n, g *Value) *Value { return MatMul(n.inputsArr[0], g) })   // ∂/∂b = a·g
 	v.Data = tensor.MatMulTNInto(v.scratch(), a.Data, b.Data)
-	return v
-}
-
-// Transpose returns the matrix transpose.
-func Transpose(a *Value) *Value {
-	v := newNode1("transpose", nil, a, func(n, g *Value) *Value {
-		return Transpose(g)
-	})
-	v.Data = tensor.TransposeInto(v.scratch(), a.Data)
 	return v
 }
 
@@ -325,23 +313,6 @@ func SumAll(a *Value) *Value {
 		axes = append(axes, i)
 	}
 	return Reshape(SumAxes(a, axes...), 1)
-}
-
-// Mean reduces a to its scalar mean, shape [1].
-func Mean(a *Value) *Value {
-	return Scale(SumAll(a), 1/float64(a.Data.Len()))
-}
-
-// Expand broadcasts a scalar node of shape [1] to an arbitrary shape.
-func Expand(scalar *Value, shape ...int) *Value {
-	if scalar.Data.Len() != 1 {
-		panic(fmt.Sprintf("autodiff: Expand requires a scalar, got %s", scalar.Data.ShapeString()))
-	}
-	ones := make([]int, len(shape))
-	for i := range ones {
-		ones[i] = 1
-	}
-	return BroadcastTo(Reshape(scalar, ones...), shape...)
 }
 
 // Im2col extracts convolution patches (see tensor.Im2col) as a
@@ -534,10 +505,4 @@ func instanceNormVJP(n, g *Value, i int) *Value {
 	tensor.InstanceNormGradInto(dst[0], dst[1], dst[2], g.Data, n.inputsArr[0].Data, n.inputsArr[1].Data, n.inputsArr[3].Data)
 	v.Data = d
 	return v
-}
-
-// Dot returns ⟨a, b⟩ as a scalar node of shape [1].
-func Dot(a, b *Value) *Value {
-	n := a.Data.Len()
-	return Reshape(MulSum(Reshape(a, 1, n), Reshape(b, 1, n), 1), 1)
 }

@@ -21,8 +21,8 @@ import (
 // Nodes with one or two inputs store them in the inline inputsArr and
 // carry one VJP per input, so Grad asks only for the input gradients it
 // needs; the three-input first-order nodes (conv, instance norm) keep
-// theirs inline too and share one VJP indexed by input, as ConcatRows's
-// variadic inputs do. VJP functions receive the node
+// theirs inline too and share one VJP indexed by input. VJP functions
+// receive the node
 // itself, so they read their operands from it instead of capturing them:
 // almost every primitive's VJP is a non-capturing func literal, which Go
 // places in static storage. Building and backpropagating a node therefore
@@ -37,7 +37,7 @@ type Value struct {
 	op     string
 	inputs []*Value
 	// vjp[i] maps the output gradient g to the gradient of inputs[i];
-	// vjpN serves every input of a variadic node, by index.
+	// vjpN serves every input of a three-input node, by index.
 	vjp  [2]func(n, g *Value) *Value
 	vjpN func(n, g *Value, i int) *Value
 	// c holds the scalar constant of constant-parameterized ops (Scale,
@@ -165,24 +165,6 @@ func firstArena(a, b, c *Value) *Arena {
 		return b.arena
 	}
 	return c.arena
-}
-
-// newNodeN constructs a variadic-input interior node (ConcatRows).
-func newNodeN(op string, data *tensor.Tensor, inputs []*Value, vjp func(n, g *Value, i int) *Value) *Value {
-	var ar *Arena
-	rg := false
-	for _, in := range inputs {
-		if ar == nil {
-			ar = in.arena
-		}
-		rg = rg || in.requiresGrad
-	}
-	v := ar.node()
-	v.Data, v.op = data, op
-	if rg {
-		v.inputs, v.vjpN, v.requiresGrad = inputs, vjp, true
-	}
-	return v
 }
 
 // Grad computes ∂out/∂wrt[i] for a scalar-valued out. The returned values

@@ -237,7 +237,3 @@ func (f *FedEraser) localCalibration(ds *data.Dataset) {
 
 // Relearn implements Method.
 func (f *FedEraser) Relearn(req core.Request) (Result, error) { return f.relearnOriginal(req) }
-
-// StorageBytes returns the storage cost of the recorded history in bytes
-// (float64 parameters).
-func (f *FedEraser) StorageBytes() int { return 8 * f.StoredFloats }

@@ -204,30 +204,3 @@ func (s *System) rollbackMarks(reqs []Request) {
 		_ = s.markRemoved(reqs[i], false)
 	}
 }
-
-// ValidateRequest reports whether a request could execute right now:
-// kind and indices in range, target not already unlearned. It does not
-// resolve synthetic data (a valid request can still be rejected by
-// UnlearnBatch when it matches none).
-func (s *System) ValidateRequest(req Request) error {
-	switch req.Kind {
-	case ClassLevel:
-		if req.Class < 0 || req.Class >= s.Model.Classes {
-			return fmt.Errorf("core: class %d out of range", req.Class)
-		}
-	case ClientLevel:
-		if req.Client < 0 || req.Client >= s.Clients.NumClients() {
-			return fmt.Errorf("core: client %d out of range", req.Client)
-		}
-	case SampleLevel:
-		if req.Client < 0 || req.Client >= s.Clients.NumClients() {
-			return fmt.Errorf("core: client %d out of range", req.Client)
-		}
-		if len(req.Samples) == 0 {
-			return fmt.Errorf("core: sample-level request with no samples")
-		}
-	default:
-		return fmt.Errorf("core: invalid request kind %v", req.Kind)
-	}
-	return s.checkNotRemoved(req)
-}

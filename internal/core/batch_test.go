@@ -49,36 +49,6 @@ func TestUnlearnBatchValidation(t *testing.T) {
 	}
 }
 
-func TestValidateRequest(t *testing.T) {
-	clients, _ := testClients(t, 3, 4, 4)
-	sys, err := NewSystem(DefaultConfig(testArch()), clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid := []Request{
-		{Kind: ClassLevel, Class: 0},
-		{Kind: ClientLevel, Client: 2},
-		{Kind: SampleLevel, Client: 1, Samples: []int{0}},
-	}
-	for _, req := range valid {
-		if err := sys.ValidateRequest(req); err != nil {
-			t.Errorf("ValidateRequest(%v) = %v, want nil", req, err)
-		}
-	}
-	invalid := []Request{
-		{Kind: ClassLevel, Class: -1},
-		{Kind: ClassLevel, Class: 10},
-		{Kind: ClientLevel, Client: 3},
-		{Kind: SampleLevel, Client: 0},
-		{Kind: RequestKind(99)},
-	}
-	for _, req := range invalid {
-		if err := sys.ValidateRequest(req); err == nil {
-			t.Errorf("ValidateRequest(%v) = nil, want error", req)
-		}
-	}
-}
-
 // TestUnlearnBatchSingleIsUnlearn pins the serving layer's numerical
 // contract: a batch of one request produces bit-for-bit the same model
 // as Unlearn on that request, because Unlearn IS a batch of one.

@@ -41,13 +41,3 @@ func (c *Cohort) Shard(id int) *Dataset {
 	}
 	return c.parts[id]
 }
-
-// Parts exposes the wrapped slice (shared, not copied) for call sites
-// that still need eager access — evaluation pooling, heterogeneity
-// statistics — and accept O(clients) cost by construction.
-func (c *Cohort) Parts() []*Dataset {
-	if c == nil {
-		return nil
-	}
-	return c.parts
-}

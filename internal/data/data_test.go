@@ -126,15 +126,6 @@ func TestSampleBatchBounds(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	ds := tinySet(t, 2)
-	c := ds.Clone()
-	c.X[0].Data()[0] = 999
-	if ds.X[0].Data()[0] == 999 {
-		t.Fatal("Clone must copy sample storage")
-	}
-}
-
 func TestGenerateDeterministicAndShaped(t *testing.T) {
 	spec := MNISTLike(8, 6)
 	tr1, te1 := Generate(spec, 42)
@@ -170,9 +161,9 @@ func TestGenerateClassesAreSeparable(t *testing.T) {
 		sub := train.OfClass(c)
 		mean := tensor.New(spec.H, spec.W, spec.C)
 		for _, x := range sub.X {
-			mean.AddInPlace(x)
+			mean.AxpyInPlace(1, x)
 		}
-		protos[c] = mean.Scale(1 / float64(sub.Len()))
+		protos[c] = mean.ScaleInPlace(1 / float64(sub.Len()))
 	}
 	correct := 0
 	for i, x := range test.X {
@@ -320,45 +311,6 @@ func TestGammaSampleMoments(t *testing.T) {
 			t.Fatalf("Gamma(%g) sample mean %.3f", k, mean)
 		}
 	}
-}
-
-func TestPartitionByShardsSkewAndConservation(t *testing.T) {
-	spec := MNISTLike(8, 30)
-	ds, _ := Generate(spec, 9)
-	rng := rand.New(rand.NewSource(10))
-	parts := PartitionByShards(ds, 10, 2, rng)
-	total := 0
-	for _, p := range parts {
-		total += p.Len()
-		// With 2 shards each, clients should see few classes.
-		classes := 0
-		for _, n := range p.ClassCounts() {
-			if n > 0 {
-				classes++
-			}
-		}
-		if classes > 4 {
-			t.Fatalf("shard client sees %d classes — not pathological", classes)
-		}
-	}
-	if total != ds.Len() {
-		t.Fatalf("conservation violated: %d vs %d", total, ds.Len())
-	}
-	// Shard partitioning must be more skewed than IID.
-	iid := PartitionIID(ds, 10, rand.New(rand.NewSource(11)))
-	if HeterogeneityStat(parts) <= HeterogeneityStat(iid) {
-		t.Fatal("shards must be more heterogeneous than IID")
-	}
-}
-
-func TestPartitionByShardsValidation(t *testing.T) {
-	ds := tinySet(t, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	PartitionByShards(ds, 10, 5, rand.New(rand.NewSource(12)))
 }
 
 func TestWithoutIndices(t *testing.T) {

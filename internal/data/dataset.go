@@ -166,13 +166,3 @@ func (d *Dataset) SampleBatch(rng *rand.Rand, n int) (*tensor.Tensor, []int) {
 func (d *Dataset) Shuffled(rng *rand.Rand) *Dataset {
 	return d.Subset(rng.Perm(d.Len()))
 }
-
-// Clone deep-copies the dataset including sample storage.
-func (d *Dataset) Clone() *Dataset {
-	c := NewDataset(d.H, d.W, d.C, d.Classes)
-	for i, x := range d.X {
-		c.X = append(c.X, x.Clone())
-		c.Y = append(c.Y, d.Y[i])
-	}
-	return c
-}

@@ -33,20 +33,6 @@ func (s PartitionScheme) String() string {
 	}
 }
 
-// SchemeByName resolves a scheme from its flag spelling.
-func SchemeByName(name string) (PartitionScheme, error) {
-	switch name {
-	case "iid":
-		return SchemeIID, nil
-	case "dirichlet":
-		return SchemeDirichlet, nil
-	case "shards":
-		return SchemeShards, nil
-	default:
-		return 0, fmt.Errorf("data: unknown partition scheme %q", name)
-	}
-}
-
 // PartitionSpec describes a cohort entirely by recipe: a synthetic data
 // spec, a client count, and a label-assignment scheme. Any client's
 // shard is derivable from (Seed, client ID) alone, so a cohort of a
@@ -108,9 +94,6 @@ func NewLazyCohort(spec PartitionSpec) (*LazyCohort, error) {
 	}
 	return &LazyCohort{spec: spec}, nil
 }
-
-// Spec returns the wrapped recipe.
-func (c *LazyCohort) Spec() PartitionSpec { return c.spec }
 
 // NumClients returns the registered cohort size.
 func (c *LazyCohort) NumClients() int { return c.spec.Clients }

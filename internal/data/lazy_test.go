@@ -139,18 +139,6 @@ func TestPartitionSpecValidate(t *testing.T) {
 	}
 }
 
-func TestSchemeByNameRoundTrip(t *testing.T) {
-	for _, sc := range []PartitionScheme{SchemeIID, SchemeDirichlet, SchemeShards} {
-		got, err := SchemeByName(sc.String())
-		if err != nil || got != sc {
-			t.Fatalf("SchemeByName(%q) = %v, %v", sc.String(), got, err)
-		}
-	}
-	if _, err := SchemeByName("pathological"); err == nil {
-		t.Fatal("unknown scheme name should error")
-	}
-}
-
 func TestDeriveSeed(t *testing.T) {
 	if DeriveSeed(1, 2, 3) != DeriveSeed(1, 2, 3) {
 		t.Fatal("DeriveSeed not stable")

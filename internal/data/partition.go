@@ -152,40 +152,6 @@ func gammaSample(rng *rand.Rand, shape float64) float64 {
 	}
 }
 
-// PartitionByShards implements the pathological non-IID split of McMahan
-// et al. (2017): the dataset is sorted by label, cut into
-// n×shardsPerClient contiguous shards, and each client receives
-// shardsPerClient random shards — so most clients see only a couple of
-// classes. It complements the Dirichlet partitioner with a harsher skew.
-func PartitionByShards(ds *Dataset, n, shardsPerClient int, rng *rand.Rand) []*Dataset {
-	if n <= 0 || shardsPerClient <= 0 {
-		panic("data: PartitionByShards needs positive n and shardsPerClient")
-	}
-	totalShards := n * shardsPerClient
-	if ds.Len() < totalShards {
-		panic(fmt.Sprintf("data: cannot cut %d samples into %d shards", ds.Len(), totalShards))
-	}
-	// Sort indices by label (stable within a label by original order).
-	byClass := ds.ByClass()
-	var sorted []int
-	for c := 0; c < ds.Classes; c++ {
-		sorted = append(sorted, byClass[c]...)
-	}
-	perm := rng.Perm(totalShards)
-	out := make([]*Dataset, n)
-	for i := 0; i < n; i++ {
-		var idx []int
-		for s := 0; s < shardsPerClient; s++ {
-			shard := perm[i*shardsPerClient+s]
-			lo := shard * len(sorted) / totalShards
-			hi := (shard + 1) * len(sorted) / totalShards
-			idx = append(idx, sorted[lo:hi]...)
-		}
-		out[i] = ds.Subset(idx)
-	}
-	return out
-}
-
 // HeterogeneityStat summarizes how non-IID a partition is: the mean over
 // clients of the total-variation distance between the client's label
 // distribution and the global one. 0 means perfectly IID.

@@ -91,12 +91,13 @@ func InitSynthetic(client *data.Dataset, cfg Config, rng *rand.Rand) *data.Datas
 // d(∇L^S, ∇L^D) of Zhao et al.: for every parameter, gradients are grouped
 // per output unit (matrix columns; vectors form one group) and the
 // distance is Σ_groups (1 − cosθ). gS must be graph-connected values
-// (gradients with create-graph); gD are detached.
+// (gradients with create-graph); gD are detached. Both hold at least one
+// gradient.
 func MatchDistance(gS, gD []*ad.Value, eps float64) *ad.Value {
 	if len(gS) != len(gD) {
 		panic(fmt.Sprintf("distill: %d synthetic grads vs %d real grads", len(gS), len(gD)))
 	}
-	total := ad.Scalar(0)
+	var total *ad.Value
 	for i := range gS {
 		s, d := gS[i], gD[i]
 		if !s.Data.SameShape(d.Data) {
@@ -119,7 +120,14 @@ func MatchDistance(gS, gD []*ad.Value, eps float64) *ad.Value {
 		cos := ad.Div(dot, den)
 		// cols − Σcos, as (−Σcos) + cols: the same float, without a heap
 		// constant per parameter.
-		total = ad.Add(total, ad.AddConst(ad.Neg(ad.SumAll(cos)), float64(cols)))
+		term := ad.AddConst(ad.Neg(ad.SumAll(cos)), float64(cols))
+		if total == nil {
+			// The first term seeds the sum: a zero constant would cost a
+			// heap tensor and node per call.
+			total = term
+		} else {
+			total = ad.Add(total, term)
+		}
 	}
 	return total
 }
@@ -363,27 +371,6 @@ func writeBack(syn *data.Dataset, synIdx []int, updated *tensor.Tensor) {
 func flatten2D(v *ad.Value) *ad.Value {
 	batch := v.Data.Dim(0)
 	return ad.Reshape(v, batch, v.Data.Len()/batch)
-}
-
-// StorageOverhead returns the synthetic-to-original volume ratio across
-// all clients (paper: ≈ 1/s). Only ShardLen is consulted, so this is
-// cheap even for lazy registries.
-func (m *Matcher) StorageOverhead(clients fl.ClientRegistry) float64 {
-	synTotal, realTotal := 0, 0
-	n := 0
-	if clients != nil {
-		n = clients.NumClients()
-	}
-	for i := 0; i < n; i++ {
-		if s, ok := m.Sets[i]; ok {
-			synTotal += s.Len()
-		}
-		realTotal += clients.ShardLen(i)
-	}
-	if realTotal == 0 {
-		return 0
-	}
-	return float64(synTotal) / float64(realTotal)
 }
 
 func sortedKeys(m map[int][]int) []int {

@@ -125,7 +125,7 @@ func TestMatchDistanceOppositeGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := tensor.Randn(rng, 1, 5, 3)
 	gS := []*ad.Value{ad.Const(a)}
-	gD := []*ad.Value{ad.Const(a.Neg())}
+	gD := []*ad.Value{ad.Const(tensor.ScaleInto(nil, a, -1))}
 	d := MatchDistance(gS, gD, 1e-6).Item()
 	// Each of the 3 column groups contributes 1 − (−1) = 2.
 	if math.Abs(d-6) > 1e-3 {
@@ -136,7 +136,7 @@ func TestMatchDistanceOppositeGrads(t *testing.T) {
 func TestMatchDistanceScaleInvariantPerGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := tensor.Randn(rng, 1, 5, 2)
-	d1 := MatchDistance([]*ad.Value{ad.Const(a)}, []*ad.Value{ad.Const(a.Scale(7))}, 1e-9).Item()
+	d1 := MatchDistance([]*ad.Value{ad.Const(a)}, []*ad.Value{ad.Const(tensor.ScaleInto(nil, a, 7))}, 1e-9).Item()
 	if d1 > 1e-6 {
 		t.Fatalf("cosine distance must be scale invariant, got %g", d1)
 	}
@@ -222,7 +222,7 @@ func classGrads(model *nn.Model, ds *data.Dataset) []*ad.Value {
 	gs := ad.MustGrad(loss, bound.ParamVars())
 	out := make([]*ad.Value, len(gs))
 	for i, g := range gs {
-		out[i] = ad.Detach(g)
+		out[i] = ad.Const(g.Data.Clone())
 	}
 	return out
 }
@@ -236,18 +236,6 @@ func TestMatcherSkipsEmptyClients(t *testing.T) {
 	}
 	// Hook on a client without a set must be a no-op.
 	matcher.Hook()(fl.StepContext{ClientID: 5, Client: client, Rng: rng})
-}
-
-func TestStorageOverhead(t *testing.T) {
-	client := clientSet(t, 20, 14) // 200 samples
-	cfg := DefaultConfig()
-	cfg.Scale = 10
-	matcher := NewMatcher(cfg, data.NewCohort([]*data.Dataset{client}), rand.New(rand.NewSource(15)))
-	// 2 synthetic per class × 10 classes = 20 → overhead 0.1.
-	got := matcher.StorageOverhead(data.NewCohort([]*data.Dataset{client}))
-	if math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("storage overhead = %g, want 0.1", got)
-	}
 }
 
 func TestAugmentDoublesPerClass(t *testing.T) {
@@ -340,7 +328,7 @@ func TestDistributionMatchingReducesEmbeddingDistance(t *testing.T) {
 	embDist := func() float64 {
 		syn := matcher.Sets[0]
 		total := 0.0
-		embLayer := model.BindFrozen().NumLayers() - 1
+		embLayer := len(model.Layers()) - 1
 		for c := 0; c < 10; c++ {
 			realSub, synSub := client.OfClass(c), syn.OfClass(c)
 			if realSub.Len() == 0 || synSub.Len() == 0 {

@@ -116,20 +116,6 @@ func SubsetSplit(m *nn.Model, fset, rset *data.Dataset) (f, r float64) {
 	return Accuracy(m, fset), Accuracy(m, rset)
 }
 
-// ConfusionMatrix returns counts[true][predicted] over ds.
-func ConfusionMatrix(m *nn.Model, ds *data.Dataset) [][]int {
-	cm := make([][]int, ds.Classes)
-	for i := range cm {
-		cm[i] = make([]int, ds.Classes)
-	}
-	predictBatches(m, ds, func(pred, labels []int) {
-		for i, p := range pred {
-			cm[labels[i]][p]++
-		}
-	})
-	return cm
-}
-
 // Cost aggregates the efficiency measures of one unlearning pipeline run.
 type Cost struct {
 	Rounds   int

@@ -105,24 +105,6 @@ func TestEvalLargeBatchPath(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	m := constantModel(t, 1, 3)
-	ds := flatSet(9, 3)
-	cm := ConfusionMatrix(m, ds)
-	// Everything is predicted as class 1.
-	for true_ := 0; true_ < 3; true_++ {
-		for pred := 0; pred < 3; pred++ {
-			want := 0
-			if pred == 1 {
-				want = 3
-			}
-			if cm[true_][pred] != want {
-				t.Fatalf("cm[%d][%d] = %d, want %d", true_, pred, cm[true_][pred], want)
-			}
-		}
-	}
-}
-
 // ClassSplit answers from one pass over the whole set what accuracy on
 // the class's own subset and on the rest computes, bit for bit: each
 // sample's prediction does not depend on the batch it is predicted in.

@@ -52,9 +52,6 @@ func (a *StreamAggregator) Fold(params []*tensor.Tensor, w float64) {
 // TotalWeight returns the accumulated Σw for the current round.
 func (a *StreamAggregator) TotalWeight() float64 { return a.total }
 
-// Folds returns how many updates were folded since the last Reset.
-func (a *StreamAggregator) Folds() int { return a.folds }
-
 // Finish scales the accumulator by 1/Σw and returns it — the weighted
 // mean of the folded updates. The returned tensors are the accumulator
 // itself (valid until the next Reset), so callers copy them out via

@@ -51,8 +51,8 @@ func TestStreamAggregatorMatchesCollectThenAverage(t *testing.T) {
 		for i, u := range updates {
 			agg.Fold(u, weights[i])
 		}
-		if agg.Folds() != k || agg.TotalWeight() != total {
-			t.Fatalf("trial %d: folds=%d total=%v, want %d, %v", trial, agg.Folds(), agg.TotalWeight(), k, total)
+		if agg.folds != k || agg.TotalWeight() != total {
+			t.Fatalf("trial %d: folds=%d total=%v, want %d, %v", trial, agg.folds, agg.TotalWeight(), k, total)
 		}
 		got := agg.Finish()
 		for j := range ref {
@@ -73,7 +73,7 @@ func TestStreamAggregatorResetReuses(t *testing.T) {
 	agg.Fold(u[0], 2)
 	first := agg.Finish()
 	agg.Reset()
-	if agg.TotalWeight() != 0 || agg.Folds() != 0 {
+	if agg.TotalWeight() != 0 || agg.folds != 0 {
 		t.Fatal("Reset did not clear totals")
 	}
 	agg.Fold(u[1], 3)

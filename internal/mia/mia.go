@@ -113,74 +113,6 @@ func (a *ThresholdAttack) MemberRate(m *nn.Model, ds *data.Dataset) float64 {
 	return float64(members) / float64(len(fs))
 }
 
-// LogisticAttack is a learned attack model over all three features,
-// standing in for the shadow-model attack of Golatkar et al. used by the
-// paper: the attacker fits a classifier on member/non-member feature
-// vectors instead of a single threshold.
-type LogisticAttack struct {
-	// W holds weights for (loss, confidence, entropy) and Bias the offset.
-	W    [3]float64
-	Bias float64
-}
-
-// TrainLogistic fits the attack by gradient descent on logistic loss.
-func TrainLogistic(m *nn.Model, members, nonMembers *data.Dataset, epochs int, lr float64) (*LogisticAttack, error) {
-	if members.Len() == 0 || nonMembers.Len() == 0 {
-		return nil, fmt.Errorf("mia: need non-empty member and non-member sets")
-	}
-	if epochs < 1 || lr <= 0 {
-		return nil, fmt.Errorf("mia: invalid training settings epochs=%d lr=%g", epochs, lr)
-	}
-	type example struct {
-		x [3]float64
-		y float64
-	}
-	var examples []example
-	for _, f := range Extract(m, members) {
-		examples = append(examples, example{x: featVec(f), y: 1})
-	}
-	for _, f := range Extract(m, nonMembers) {
-		examples = append(examples, example{x: featVec(f), y: 0})
-	}
-	a := &LogisticAttack{}
-	for e := 0; e < epochs; e++ {
-		for _, ex := range examples {
-			p := a.prob(ex.x)
-			g := p - ex.y
-			for i := range a.W {
-				a.W[i] -= lr * g * ex.x[i]
-			}
-			a.Bias -= lr * g
-		}
-	}
-	return a, nil
-}
-
-func featVec(f Features) [3]float64 { return [3]float64{f.Loss, f.Confidence, f.Entropy} }
-
-func (a *LogisticAttack) prob(x [3]float64) float64 {
-	z := a.Bias
-	for i := range a.W {
-		z += a.W[i] * x[i]
-	}
-	return 1 / (1 + math.Exp(-z))
-}
-
-// MemberRate returns the fraction of ds's samples classified as members.
-func (a *LogisticAttack) MemberRate(m *nn.Model, ds *data.Dataset) float64 {
-	fs := Extract(m, ds)
-	if len(fs) == 0 {
-		return 0
-	}
-	members := 0
-	for _, f := range fs {
-		if a.prob(featVec(f)) >= 0.5 {
-			members++
-		}
-	}
-	return float64(members) / float64(len(fs))
-}
-
 // AUC returns the area under the ROC curve of the loss-based membership
 // score separating members from non-members (Mann–Whitney U statistic):
 // the probability that a random member has lower loss than a random
@@ -203,13 +135,3 @@ func AUC(m *nn.Model, members, nonMembers *data.Dataset) (float64, error) {
 	}
 	return wins / float64(len(mf)*len(nf)), nil
 }
-
-// Attack abstracts over the two attack models.
-type Attack interface {
-	MemberRate(m *nn.Model, ds *data.Dataset) float64
-}
-
-var (
-	_ Attack = (*ThresholdAttack)(nil)
-	_ Attack = (*LogisticAttack)(nil)
-)

@@ -76,33 +76,6 @@ func TestThresholdAttackValidates(t *testing.T) {
 	}
 }
 
-func TestLogisticAttackSeparatesMembers(t *testing.T) {
-	model, train, test := overfitModel(t)
-	attack, err := TrainLogistic(model, train, test, 50, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memberRate := attack.MemberRate(model, train)
-	nonMemberRate := attack.MemberRate(model, test)
-	if memberRate <= nonMemberRate {
-		t.Fatalf("logistic attack no better than chance: %.2f vs %.2f", memberRate, nonMemberRate)
-	}
-}
-
-func TestLogisticAttackValidates(t *testing.T) {
-	model, train, test := overfitModel(t)
-	if _, err := TrainLogistic(model, train, test, 0, 0.1); err == nil {
-		t.Fatal("expected error for zero epochs")
-	}
-	if _, err := TrainLogistic(model, train, test, 10, 0); err == nil {
-		t.Fatal("expected error for zero lr")
-	}
-	empty := data.NewDataset(8, 8, 1, 10)
-	if _, err := TrainLogistic(model, empty, test, 10, 0.1); err == nil {
-		t.Fatal("expected error for empty members")
-	}
-}
-
 func TestMemberRateEmptyDataset(t *testing.T) {
 	model, train, test := overfitModel(t)
 	attack, err := TrainThreshold(model, train, test)

@@ -13,8 +13,7 @@ import (
 
 // inferenceArchs are the stacks the inference tests run, all on 8×8×1
 // inputs: the paper's ConvNet with and without InstanceNorm (at width 10,
-// one eight-filter register tile and a tail of two), a
-// max-pooling stack, and MLPs with saturating activations.
+// one eight-filter register tile and a tail of two).
 var inferenceArchs = []struct {
 	name  string
 	build func(rng *rand.Rand) *Model
@@ -27,17 +26,6 @@ var inferenceArchs = []struct {
 	}},
 	{"convnet-nonorm", func(rng *rand.Rand) *Model {
 		return NewConvNet(ConvNetConfig{InputH: 8, InputW: 8, InputC: 1, Classes: 4, Width: 4, Depth: 2, NoNorm: true}, rng)
-	}},
-	{"maxpool", func(rng *rand.Rand) *Model {
-		conv := NewConv2D("c", rng, tensor.ConvGeom{Kernel: 3, Stride: 1, Pad: 1, InH: 8, InW: 8, Channel: 1}, 4)
-		pool := NewMaxPool(tensor.ConvGeom{Kernel: 2, Stride: 2, Pad: 0, InH: 8, InW: 8, Channel: 4})
-		return NewModel([]int{8, 8, 1}, 4, conv, ReLULayer{}, pool, Flatten{}, NewDense("d", rng, 4*4*4, 4))
-	}},
-	{"mlp-sigmoid", func(rng *rand.Rand) *Model {
-		return NewMLP(MLPConfig{InputShape: []int{8, 8, 1}, Hidden: []int{16, 8}, Classes: 4, Activation: "sigmoid"}, rng)
-	}},
-	{"mlp-tanh", func(rng *rand.Rand) *Model {
-		return NewMLP(MLPConfig{InputShape: []int{8, 8, 1}, Hidden: []int{16, 8}, Classes: 4, Activation: "tanh"}, rng)
 	}},
 }
 
@@ -213,7 +201,8 @@ func TestInferenceIsPerSample(t *testing.T) {
 					}
 					logits, pred := m.Logits(xb), m.Predict(xb)
 					for r, i := range idx {
-						row := logits.RowsView(r, r+1)
+						cls := logits.Dim(1)
+						row := tensor.FromSlice(logits.Data()[r*cls:(r+1)*cls], 1, cls)
 						for j, w := range alone[i] {
 							if g := row.Data()[j]; math.Float64bits(g) != math.Float64bits(w) {
 								t.Fatalf("%s, GOMAXPROCS %d, batch %d: sample %d logit %d is %v, %v alone",

@@ -33,9 +33,6 @@ func NewConv2D(name string, rng *rand.Rand, g tensor.ConvGeom, filters int) *Con
 	}
 }
 
-// Name implements Layer.
-func (c *Conv2D) Name() string { return "conv2d" }
-
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
@@ -64,9 +61,6 @@ func NewInstanceNorm(name string, channels int) *InstanceNorm {
 	}
 }
 
-// Name implements Layer.
-func (n *InstanceNorm) Name() string { return "instancenorm" }
-
 // Params implements Layer.
 func (n *InstanceNorm) Params() []*Param { return []*Param{n.gamma, n.beta} }
 
@@ -77,9 +71,6 @@ func (n *InstanceNorm) Forward(x *ad.Value, ps []*ad.Value) *ad.Value {
 
 // ReLULayer applies the rectifier elementwise.
 type ReLULayer struct{}
-
-// Name implements Layer.
-func (ReLULayer) Name() string { return "relu" }
 
 // Params implements Layer.
 func (ReLULayer) Params() []*Param { return nil }
@@ -104,9 +95,6 @@ func NewAvgPool(g tensor.ConvGeom) *AvgPool {
 	return &AvgPool{Geom: g}
 }
 
-// Name implements Layer.
-func (p *AvgPool) Name() string { return "avgpool" }
-
 // Params implements Layer.
 func (p *AvgPool) Params() []*Param { return nil }
 
@@ -115,9 +103,6 @@ func (p *AvgPool) Forward(x *ad.Value, _ []*ad.Value) *ad.Value { return ad.AvgP
 
 // Flatten reshapes [B, H, W, C] (or any rank ≥ 2) to [B, rest].
 type Flatten struct{}
-
-// Name implements Layer.
-func (Flatten) Name() string { return "flatten" }
 
 // Params implements Layer.
 func (Flatten) Params() []*Param { return nil }
@@ -147,9 +132,6 @@ func NewDense(name string, rng *rand.Rand, in, out int) *Dense {
 		bias:   &Param{Name: name + ".bias", Data: tensor.New(out)},
 	}
 }
-
-// Name implements Layer.
-func (d *Dense) Name() string { return "dense" }
 
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.weight, d.bias} }

@@ -100,19 +100,3 @@ func expStable(x float64) float64 {
 	}
 	return math.Exp(x)
 }
-
-// Accuracy returns the fraction of samples whose argmax logit matches the
-// integer label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	if len(labels) == 0 {
-		return 0
-	}
-	pred := logits.ArgMaxRows()
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
-}

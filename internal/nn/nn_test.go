@@ -57,7 +57,7 @@ func TestCrossEntropyShiftInvariance(t *testing.T) {
 	logits := tensor.Randn(rng, 3, 2, 4)
 	oh := OneHot([]int{1, 3}, 4)
 	l1 := CrossEntropy(ad.Const(logits), oh).Item()
-	l2 := CrossEntropy(ad.Const(logits.Apply(func(v float64) float64 { return v + 100 })), oh).Item()
+	l2 := CrossEntropy(ad.Const(tensor.ApplyInto(nil, logits, func(v float64) float64 { return v + 100 })), oh).Item()
 	if math.Abs(l1-l2) > 1e-8 {
 		t.Fatalf("loss not shift invariant: %g vs %g", l1, l2)
 	}
@@ -109,20 +109,6 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 		if math.Abs(sum-1) > 1e-12 {
 			t.Fatalf("row %d sums to %g", i, sum)
 		}
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float64{
-		1, 5, 0,
-		9, 0, 0,
-		0, 0, 2,
-	}, 3, 3)
-	if got := Accuracy(logits, []int{1, 0, 0}); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("accuracy = %g", got)
-	}
-	if Accuracy(tensor.New(1, 2), nil) != 0 {
-		t.Fatal("empty labels must give 0")
 	}
 }
 

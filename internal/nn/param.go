@@ -26,8 +26,6 @@ type Param struct {
 // Layer is one stage of a feed-forward network. Forward consumes the
 // layer's bound parameter variables in the order returned by Params.
 type Layer interface {
-	// Name identifies the layer for debugging and serialization.
-	Name() string
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
 	// Forward applies the layer. ps holds one bound variable per Param,
@@ -212,9 +210,6 @@ func (b *Bound) ForwardUpTo(x *ad.Value, n int) *ad.Value {
 	}
 	return x
 }
-
-// NumLayers returns the layer count (for partial forwards).
-func (b *Bound) NumLayers() int { return len(b.model.layers) }
 
 // Logits runs the model on the raw batch x with frozen parameters and
 // returns a copy of the [B, classes] logits.

@@ -13,7 +13,6 @@ import (
 // the autodiff.AvgPool primitive computes in one pass.
 type patchPool struct{ geom tensor.ConvGeom }
 
-func (patchPool) Name() string     { return "avgpool" }
 func (patchPool) Params() []*Param { return nil }
 
 func (p patchPool) Forward(x *ad.Value, _ []*ad.Value) *ad.Value {
@@ -67,7 +66,7 @@ func TestAvgPoolMatchesPatchComposition(t *testing.T) {
 		var dist *ad.Value
 		for i, g := range s.syn {
 			d := ad.Sub(g, ad.Const(s.real[i].Data))
-			if term := ad.Dot(d, d); dist == nil {
+			if term := ad.SumAll(ad.Mul(d, d)); dist == nil {
 				dist = term
 			} else {
 				dist = ad.Add(dist, term)

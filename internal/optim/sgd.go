@@ -52,9 +52,6 @@ type SGD struct {
 // NewSGD returns a descending SGD optimizer.
 func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 
-// NewSGA returns an ascending SGD optimizer (gradient ascent).
-func NewSGA(lr float64) *SGD { return &SGD{LR: lr, Dir: Ascend} }
-
 // Step applies one update to params given aligned gradients, in place.
 func (s *SGD) Step(params, grads []*tensor.Tensor) {
 	if len(params) != len(grads) {

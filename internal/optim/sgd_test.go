@@ -25,7 +25,7 @@ func TestSGDDescends(t *testing.T) {
 func TestSGAAscends(t *testing.T) {
 	p := tensor.FromSlice([]float64{1}, 1)
 	g := tensor.FromSlice([]float64{5}, 1)
-	NewSGA(0.1).Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
+	(&SGD{LR: 0.1, Dir: Ascend}).Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
 	if math.Abs(p.Data()[0]-1.5) > 1e-12 {
 		t.Fatalf("param = %g, want 1.5", p.Data()[0])
 	}
@@ -39,7 +39,7 @@ func TestAscentIsNegatedDescent(t *testing.T) {
 		p1 := tensor.Randn(r, 1, 4)
 		p2 := p1.Clone()
 		g := tensor.Randn(r, 1, 4)
-		NewSGA(0.05).Step([]*tensor.Tensor{p1}, []*tensor.Tensor{g})
+		(&SGD{LR: 0.05, Dir: Ascend}).Step([]*tensor.Tensor{p1}, []*tensor.Tensor{g})
 		(&SGD{LR: -0.05}).Step([]*tensor.Tensor{p2}, []*tensor.Tensor{g})
 		for i := range p1.Data() {
 			if math.Abs(p1.Data()[i]-p2.Data()[i]) > 1e-12 {

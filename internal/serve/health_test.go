@@ -78,7 +78,7 @@ func TestServerWatchdogRefusesPublish(t *testing.T) {
 
 	// The worker re-armed the monitor after the rewind; with the fault
 	// injection cleared, the same request executes and publishes.
-	if mon.Tripped() {
+	if !mon.Summary().Healthy {
 		t.Fatal("worker must Reset the monitor after restoring the model")
 	}
 	s.sys.Cfg.PoisonPhase = ""

@@ -493,16 +493,6 @@ func (m *Monitor) Check() error {
 	return &UnhealthyError{Verdict: v}
 }
 
-// Tripped reports whether the watchdog is currently tripped.
-func (m *Monitor) Tripped() bool {
-	if m == nil {
-		return false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tripped
-}
-
 // Reset clears the current trip so the monitor can watch the next
 // batch after the caller has restored a known-good model. Cumulative
 // counters (trips, non-finite events, extremes) survive — the run's

@@ -16,6 +16,10 @@ func testMonitor(cfg Config) (*Monitor, *telemetry.Pipeline) {
 	return New(cfg, pipe), pipe
 }
 
+// tripped reports the monitor's current trip state, which Summary
+// exports as !Healthy.
+func tripped(m *Monitor) bool { return !m.Summary().Healthy }
+
 func TestNilMonitorIsInert(t *testing.T) {
 	var m *Monitor
 	m.BeginPhase("train")
@@ -31,9 +35,6 @@ func TestNilMonitorIsInert(t *testing.T) {
 	if err := m.Check(); err != nil {
 		t.Errorf("nil Check = %v, want nil", err)
 	}
-	if m.Tripped() {
-		t.Error("nil Tripped should be false")
-	}
 	if m.Summary() != nil {
 		t.Error("nil Summary should be nil")
 	}
@@ -44,7 +45,7 @@ func TestNaNLossTrips(t *testing.T) {
 	m, _ := testMonitor(Config{Events: telemetry.NewEventLog(&buf)})
 	m.BeginPhase("unlearn")
 	m.RecordLoss(7, math.NaN())
-	if !m.Tripped() {
+	if !tripped(m) {
 		t.Fatal("NaN loss must trip the watchdog")
 	}
 	err := m.Check()
@@ -86,7 +87,7 @@ func TestLossSpikeDetectorRebaselinesPerPhase(t *testing.T) {
 		m.RecordLoss(float64(i), 1.0)
 	}
 	m.RecordLoss(100, 2.0) // 2× is fine
-	if m.Tripped() {
+	if tripped(m) {
 		t.Fatal("2x loss should not trip a 10x detector")
 	}
 
@@ -96,12 +97,12 @@ func TestLossSpikeDetectorRebaselinesPerPhase(t *testing.T) {
 	for i := 0; i < ewmaWarmup; i++ {
 		m.RecordLoss(float64(200+i), 50.0)
 	}
-	if m.Tripped() {
+	if tripped(m) {
 		t.Fatal("phase-initial loss jump must not trip after BeginPhase")
 	}
 	// But a genuine 10x explosion relative to the new baseline trips.
 	m.RecordLoss(300, 50.0*10+1)
-	if !m.Tripped() {
+	if !tripped(m) {
 		t.Fatal("10x spike over the phase baseline must trip")
 	}
 	var uh *UnhealthyError
@@ -148,7 +149,7 @@ func TestRecordLayerThresholds(t *testing.T) {
 func TestRecordRoundAndDistillTripwires(t *testing.T) {
 	m, _ := testMonitor(Config{})
 	m.RecordRound(1, 0)
-	if m.Tripped() {
+	if tripped(m) {
 		t.Fatal("finite round norm should not trip")
 	}
 	m.RecordRound(2, 4)
@@ -182,7 +183,7 @@ func TestResetClearsTripButSummaryIsSticky(t *testing.T) {
 		t.Fatal("want trip")
 	}
 	m.Reset()
-	if m.Tripped() {
+	if tripped(m) {
 		t.Fatal("Reset must clear the current trip")
 	}
 	if err := m.Check(); err != nil {
@@ -300,7 +301,7 @@ func TestForkJoinReplaysInOrder(t *testing.T) {
 			forks[c] = m.Fork()
 			record(forks[c], c)
 		}
-		if m.Tripped() || forks[2].Tripped() {
+		if tripped(m) || tripped(forks[2]) {
 			t.Fatal("recording on a fork latched a verdict")
 		}
 		for _, fork := range forks {

@@ -36,7 +36,6 @@ func lockProbes() []leakcheck.Lock {
 		probe("RecordDistill", func() { mon.RecordDistill(1, math.NaN(), 1e9, 1) }),
 		probe("RecordRound", func() { mon.RecordRound(1, 1) }),
 		probe("Check (tripped)", func() { _ = mon.Check() }),
-		probe("Tripped", func() { _ = mon.Tripped() }),
 		probe("Summary", func() { _ = mon.Summary() }),
 		probe("Reset", mon.Reset),
 		probe("Join", func() {

@@ -190,7 +190,6 @@ func TestKernelsDoNotRelyOnClearedDestination(t *testing.T) {
 		"ReLUMask":    reluMask,
 		"Full":        func(d *Tensor) *Tensor { return FullInto(d, 2, 3, 3) },
 		"MaxRows":     func(d *Tensor) *Tensor { return MaxRowsInto(d, m) },
-		"Transpose":   func(d *Tensor) *Tensor { return TransposeInto(d, m) },
 		"SumAxes":     func(d *Tensor) *Tensor { return SumAxesInto(d, x, 1, 2) },
 		"BroadcastTo": func(d *Tensor) *Tensor { return BroadcastToInto(d, small, 2, 4, 4, 2) },
 		"MulBcast":    func(d *Tensor) *Tensor { return MulBcastInto(d, x, small) },

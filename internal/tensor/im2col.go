@@ -108,19 +108,14 @@ func (g ConvGeom) inRange(x0, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// Col2im is the adjoint of Im2col: it scatter-adds a patch matrix of shape
-// [B*OH*OW, K*K*C] back into an NHWC tensor [B, H, W, C]. Positions covered
-// by multiple patches accumulate, making Col2im the exact transpose of the
-// linear map Im2col.
-func Col2im(cols *Tensor, batch int, g ConvGeom) *Tensor {
-	return Col2imInto(nil, cols, batch, g)
-}
-
-// Col2imInto is the destination-passing form of Col2im. dst must not alias
-// cols; a nil dst allocates. Because patches of the same image overlap, the
-// scatter-add is sharded per batch image (disjoint output regions), which
-// keeps the per-position accumulation order — and therefore the floating-
-// point result — identical to the sequential scatter.
+// Col2imInto is the adjoint of Im2col: it scatter-adds a patch matrix of
+// shape [B*OH*OW, K*K*C] back into an NHWC tensor [B, H, W, C]. Positions
+// covered by multiple patches accumulate, making it the exact transpose of
+// the linear map Im2col. dst must not alias cols; a nil dst allocates.
+// Because patches of the same image overlap, the scatter-add is sharded
+// per batch image (disjoint output regions), which keeps the per-position
+// accumulation order — and therefore the floating-point result —
+// identical to the sequential scatter.
 func Col2imInto(dst, cols *Tensor, batch int, g ConvGeom) *Tensor {
 	if err := g.Validate(); err != nil {
 		panic(err.Error())

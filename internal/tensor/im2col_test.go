@@ -112,7 +112,7 @@ func TestIm2colCol2imAdjoint(t *testing.T) {
 		cols := Im2col(x, g)
 		y := Randn(r, 1, cols.Dim(0), cols.Dim(1))
 		lhs := cols.Dot(y)
-		rhs := x.Dot(Col2im(y, b, g))
+		rhs := x.Dot(Col2imInto(nil, y, b, g))
 		return almostEqual(lhs, rhs, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -125,7 +125,7 @@ func TestCol2imAccumulatesOverlaps(t *testing.T) {
 	// all 4 patches; setting all cols to 1 counts patch coverage.
 	g := ConvGeom{Kernel: 2, Stride: 1, Pad: 0, InH: 3, InW: 3, Channel: 1}
 	cols := Ones(4, 4)
-	got := Col2im(cols, 1, g)
+	got := Col2imInto(nil, cols, 1, g)
 	want := FromSlice([]float64{
 		1, 2, 1,
 		2, 4, 2,
@@ -178,7 +178,7 @@ func TestIm2colPartitionRoundTrip(t *testing.T) {
 		g := ConvGeom{Kernel: k, Stride: k, Pad: 0, InH: k * tiles, InW: k * tiles, Channel: 1 + r.Intn(2)}
 		b := 1 + r.Intn(2)
 		x := Randn(r, 1, b, g.InH, g.InW, g.Channel)
-		back := Col2im(Im2col(x, g), b, g)
+		back := Col2imInto(nil, Im2col(x, g), b, g)
 		for i := range x.Data() {
 			if x.Data()[i] != back.Data()[i] {
 				return false

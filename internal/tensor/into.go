@@ -8,7 +8,7 @@ import (
 // This file implements the destination-passing ("Into") forms of the hot
 // kernels. Every function takes an explicit destination tensor and returns
 // it; passing a nil destination allocates a fresh tensor of the result
-// shape, so the allocating methods on Tensor are thin wrappers over these.
+// shape.
 //
 // Aliasing rules:
 //
@@ -17,7 +17,7 @@ import (
 //     of their inputs only, so dst may alias either input exactly (same
 //     backing array).
 //   - Gather/scatter and contraction kernels (MatMulInto, MatMulNTInto,
-//     MatMulTNInto, TransposeInto, SumAxesInto, BroadcastToInto,
+//     MatMulTNInto, SumAxesInto, BroadcastToInto,
 //     Im2colInto, Col2imInto) read inputs after writing dst; dst must not
 //     alias any input. They panic when they detect sharing.
 //
@@ -252,22 +252,6 @@ func MaxRowsInto(dst, a *Tensor) *Tensor {
 			}
 		}
 		dst.data[r] = m
-	}
-	return dst
-}
-
-// TransposeInto computes the matrix transpose dst = aᵀ. dst must not alias a.
-func TransposeInto(dst, a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic(fmt.Sprintf("tensor: TransposeInto requires a matrix, got %v", a.shape))
-	}
-	m, n := a.shape[0], a.shape[1]
-	dst = prepDst(dst, []int{n, m}, "TransposeInto")
-	mustNoAlias(dst, "TransposeInto", a)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			dst.data[j*m+i] = a.data[i*n+j]
-		}
 	}
 	return dst
 }

@@ -106,7 +106,6 @@ func TestIntoKernels(t *testing.T) {
 	a := randT(rng, 4, 6)
 	b := randT(rng, 4, 6)
 	row := randT(rng, 6)
-	sq := randT(rng, 5, 5)
 	full := randT(rng, 3, 4, 4, 2)  // [B,H,W,C]
 	chans := randT(rng, 1, 1, 1, 2) // broadcast over all but channels
 	batch := randT(rng, 3, 1, 1, 1) // broadcast over all but batch
@@ -174,12 +173,6 @@ func TestIntoKernels(t *testing.T) {
 			inputs:  []*Tensor{a, row},
 			run:     func(d *Tensor, in []*Tensor) *Tensor { return AddRowInto(d, in[0], in[1]) },
 			aliasOK: []int{0},
-		},
-		{
-			name:     "TransposeInto",
-			inputs:   []*Tensor{sq},
-			run:      func(d *Tensor, in []*Tensor) *Tensor { return TransposeInto(d, in[0]) },
-			aliasBad: []int{0},
 		},
 		{
 			name:     "SumAxesInto",
@@ -276,8 +269,9 @@ func TestIntoKernels(t *testing.T) {
 	runIntoCases(t, cases)
 }
 
-// TestIntoMatchesAllocating cross-checks the Into kernels against the
-// allocating Tensor methods they back, on independently generated inputs.
+// TestIntoMatchesAllocating cross-checks each Into kernel writing a pooled
+// destination against the same kernel with a nil (freshly allocated) one,
+// and the fused kernels against their unfused compositions.
 func TestIntoMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randT(rng, 3, 7)
@@ -287,23 +281,26 @@ func TestIntoMatchesAllocating(t *testing.T) {
 
 	equalTensors(t, "Add", AddInto(Get(21), a, b), a.Add(b))
 	equalTensors(t, "Sub", SubInto(Get(21), a, b), a.Sub(b))
-	equalTensors(t, "Mul", MulInto(Get(21), a, b), a.Mul(b))
-	equalTensors(t, "Scale", ScaleInto(Get(21), a, 1.5), a.Scale(1.5))
-	equalTensors(t, "Apply", ApplyInto(Get(21), a, math.Tanh), a.Apply(math.Tanh))
-	equalTensors(t, "Pow", PowInto(Get(21), ApplyInto(nil, a, math.Abs), 2), ApplyInto(nil, a, math.Abs).Pow(2))
-	equalTensors(t, "MatMul", MatMulInto(Get(12), m, n), m.MatMul(n))
-	equalTensors(t, "MatMulNT", MatMulNTInto(nil, m, n.Transpose()), m.MatMul(n))
-	equalTensors(t, "MatMulTN", MatMulTNInto(nil, m.Transpose(), n), m.MatMul(n))
-	equalTensors(t, "Transpose", TransposeInto(Get(21), a), a.Transpose())
-	equalTensors(t, "SumAxes", SumAxesInto(Get(3), a, 1), a.SumAxes(1))
+	equalTensors(t, "Mul", MulInto(Get(21), a, b), MulInto(nil, a, b))
+	equalTensors(t, "Scale", ScaleInto(Get(21), a, 1.5), ScaleInto(nil, a, 1.5))
+	equalTensors(t, "Apply", ApplyInto(Get(21), a, math.Tanh), ApplyInto(nil, a, math.Tanh))
+	abs := ApplyInto(nil, a, math.Abs)
+	equalTensors(t, "Pow", PowInto(Get(21), abs, 2), PowInto(nil, abs, 2))
+	mn := MatMulInto(nil, m, n)
+	equalTensors(t, "MatMul", MatMulInto(Get(12), m, n), mn)
+	equalTensors(t, "MatMulNT", MatMulNTInto(nil, m, transposed(n)), mn)
+	equalTensors(t, "MatMulTN", MatMulTNInto(nil, transposed(m), n), mn)
+	equalTensors(t, "SumAxes", SumAxesInto(Get(3), a, 1), SumAxesInto(nil, a, 1))
 
 	small := randT(rng, 1, 7)
-	equalTensors(t, "BroadcastTo", BroadcastToInto(Get(21), small, 3, 7), small.BroadcastTo(3, 7))
-	equalTensors(t, "AddBcast", AddBcastInto(nil, a, small), a.Add(small.BroadcastTo(3, 7)))
-	equalTensors(t, "SubBcast", SubBcastInto(nil, a, small), a.Sub(small.BroadcastTo(3, 7)))
-	equalTensors(t, "MulBcast", MulBcastInto(nil, a, small), a.Mul(small.BroadcastTo(3, 7)))
-	equalTensors(t, "MulSum", MulSumInto(nil, a, b, 0), a.Mul(b).SumAxes(0))
-	equalTensors(t, "MulSumLike", MulSumLikeInto(nil, a, b, small), a.Mul(b).SumAxes(0))
+	big := BroadcastToInto(nil, small, 3, 7)
+	equalTensors(t, "BroadcastTo", BroadcastToInto(Get(21), small, 3, 7), big)
+	equalTensors(t, "AddBcast", AddBcastInto(nil, a, small), a.Add(big))
+	equalTensors(t, "SubBcast", SubBcastInto(nil, a, small), a.Sub(big))
+	equalTensors(t, "MulBcast", MulBcastInto(nil, a, small), MulInto(nil, a, big))
+	ab := SumAxesInto(nil, MulInto(nil, a, b), 0)
+	equalTensors(t, "MulSum", MulSumInto(nil, a, b, 0), ab)
+	equalTensors(t, "MulSumLike", MulSumLikeInto(nil, a, b, small), ab)
 }
 
 // TestBcastSpansFallback exercises the generic forEachBcast walk with a
@@ -318,10 +315,10 @@ func TestBcastSpansFallback(t *testing.T) {
 	small := randT(rng, 2, 1, 3, 1)
 	equalTensors(t, "non-contiguous MulBcast",
 		MulBcastInto(nil, full, small),
-		full.Mul(small.BroadcastTo(2, 4, 3, 5)))
+		MulInto(nil, full, BroadcastToInto(nil, small, 2, 4, 3, 5)))
 	equalTensors(t, "non-contiguous SumLike",
 		SumLikeInto(nil, full, small),
-		full.SumAxes(1, 3))
+		SumAxesInto(nil, full, 1, 3))
 }
 
 // TestReLUIntoMatchesComparison pins ReLUInto's bit-pattern test to the
@@ -347,8 +344,6 @@ func TestReLUIntoMatchesComparison(t *testing.T) {
 	mask := FullInto(nil, math.NaN(), len(vals))
 	sameBits(t, "ReLUInto", ReLUInto(FullInto(nil, math.NaN(), len(vals)), mask, a), want)
 	sameBits(t, "ReLUInto mask", mask, wantMask)
-	sameBits(t, "ReLU", a.ReLU(), want)
-	sameBits(t, "ReLUMask", a.ReLUMask(), wantMask)
 
 	in := a.Clone()
 	sameBits(t, "ReLUInto, mask aliasing a", ReLUInto(nil, in, in), want)
@@ -536,7 +531,7 @@ func TestMatMulKernelsMatchNaiveLoops(t *testing.T) {
 					if skip != salted {
 						t.Fatalf("hasNonFinite(b) = %v for the %s variant", skip, variant)
 					}
-					at, bt := a.Transpose(), b.Transpose()
+					at, bt := transposed(a), transposed(b)
 					name := fmt.Sprintf("m=%d k=%d n=%d %s", m, k, n, variant)
 
 					want := New(m, n)
@@ -578,7 +573,7 @@ func TestParallelMatMulDeterminism(t *testing.T) {
 	m := parallelWork/(k*n) + 3
 	rng := rand.New(rand.NewSource(11))
 	a, b := randT(rng, m, k), randT(rng, k, n)
-	at, bt := a.Transpose(), b.Transpose()
+	at, bt := transposed(a), transposed(b)
 
 	want := New(m, n)
 	naiveMatMul(want, a, b)
@@ -598,12 +593,12 @@ func TestParallelIm2colDeterminism(t *testing.T) {
 
 	prev := runtime.GOMAXPROCS(1)
 	seqCols := Im2col(x, g)
-	seqBack := Col2im(seqCols, 8, g)
+	seqBack := Col2imInto(nil, seqCols, 8, g)
 	runtime.GOMAXPROCS(prev)
 
 	cols := Im2col(x, g)
 	equalTensors(t, "parallel vs sequential Im2col", cols, seqCols)
-	equalTensors(t, "parallel vs sequential Col2im", Col2im(cols, 8, g), seqBack)
+	equalTensors(t, "parallel vs sequential Col2im", Col2imInto(nil, cols, 8, g), seqBack)
 }
 
 // TestPrepDstRejectsWrongSize verifies destinations of mismatched element

@@ -74,16 +74,6 @@ func Get(shape ...int) *Tensor { return defaultPool.Get(shape...) }
 // ownership rules.
 func Put(t *Tensor) { defaultPool.Put(t) }
 
-// GetLike returns a zeroed pooled tensor with the same shape as t.
-func GetLike(t *Tensor) *Tensor { return defaultPool.Get(t.shape...) }
-
-// PutAll recycles every tensor in ts into the package-level pool.
-func PutAll(ts []*Tensor) {
-	for _, t := range ts {
-		Put(t)
-	}
-}
-
 // mustLive panics if t has been poisoned by Put. It is used by methods
 // whose misuse after Put would otherwise fail with a confusing index
 // panic far from the cause.

@@ -70,16 +70,3 @@ func TestPoolRecycledShapeIndependence(t *testing.T) {
 		t.Fatalf("recycled tensor shape = %v, want [4]", got)
 	}
 }
-
-func TestGetLikeAndPutAll(t *testing.T) {
-	ref := Ones(3, 2)
-	a := GetLike(ref)
-	if !a.SameShape(ref) {
-		t.Fatalf("GetLike shape = %v, want %v", a.Shape(), ref.Shape())
-	}
-	b := Get(5)
-	PutAll([]*Tensor{a, b})
-	if a.Len() != 0 || b.Len() != 0 {
-		t.Fatal("PutAll did not poison all tensors")
-	}
-}

@@ -34,9 +34,9 @@ func TestMustSameShapePanicMessage(t *testing.T) {
 		if r == nil {
 			t.Fatal("no panic")
 		}
-		if r != "tensor: AddInPlace shape mismatch [2 3] vs [3 2]" {
+		if r != "tensor: AxpyInPlace shape mismatch [2 3] vs [3 2]" {
 			t.Errorf("panic = %v", r)
 		}
 	}()
-	New(2, 3).AddInPlace(New(3, 2))
+	New(2, 3).AxpyInPlace(1, New(3, 2))
 }

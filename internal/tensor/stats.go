@@ -2,141 +2,9 @@ package tensor
 
 import "math"
 
-// This file implements the streaming-statistics kernels behind the
-// numerics health monitor (internal/telemetry/health). One blocked pass
-// over a tensor yields min/max/mean/variance (Welford-style moments),
-// the L2 norm, and NaN/Inf counts — everything the divergence watchdog
-// needs — without allocating, so the kernels are safe on hot paths.
-//
-// Blocking: the data is processed in fixed-size blocks. Within a block
-// the mean is computed first and the second moment accumulated against
-// it on a second cache-resident pass, then the block is merged into the
-// running moments with the parallel-Welford combination of Chan et al.
-// This keeps the update O(1) per block instead of O(1) per element for
-// the numerically-sensitive part, and matches the blocked structure of
-// the other kernels in this package.
-
-// statsBlock is the number of elements folded per moment merge. Chosen
-// so a block of float64s stays L1-resident on every target we build for.
-const statsBlock = 512
-
-// Stats holds single-pass summary statistics of a tensor. Min, Max,
-// Mean, and M2 describe the FINITE values only; NaNs and Infs count the
-// non-finite elements separately so a poisoned tensor still yields a
-// meaningful norm of its finite part plus an exact poison count.
-// The zero value is an empty accumulator.
-type Stats struct {
-	Count int // finite elements observed
-	NaNs  int // NaN elements
-	Infs  int // ±Inf elements
-	Min   float64
-	Max   float64
-	Mean  float64
-	M2    float64 // sum of squared deviations from Mean (Welford)
-	SumSq float64 // sum of squares of finite elements
-}
-
-// Var returns the population variance of the finite elements (0 with
-// fewer than two observations).
-func (s *Stats) Var() float64 {
-	if s.Count < 2 {
-		return 0
-	}
-	return s.M2 / float64(s.Count)
-}
-
-// L2 returns the Euclidean norm of the finite elements.
-func (s *Stats) L2() float64 { return math.Sqrt(s.SumSq) }
-
-// Finite reports whether every observed element was finite.
-func (s *Stats) Finite() bool { return s.NaNs == 0 && s.Infs == 0 }
-
-// NonFinite returns the number of NaN or ±Inf elements observed.
-func (s *Stats) NonFinite() int { return s.NaNs + s.Infs }
-
-// reset returns the accumulator to its empty state.
-func (s *Stats) reset() {
-	*s = Stats{Min: math.Inf(1), Max: math.Inf(-1)}
-}
-
-// merge folds one block's moments (count n, mean m, second moment m2)
-// into the running statistics using the Chan et al. pairwise update.
-func (s *Stats) merge(n int, m, m2 float64) {
-	if n == 0 {
-		return
-	}
-	if s.Count == 0 {
-		s.Count, s.Mean, s.M2 = n, m, m2
-		return
-	}
-	na, nb := float64(s.Count), float64(n)
-	delta := m - s.Mean
-	tot := na + nb
-	s.Mean += delta * nb / tot
-	s.M2 += m2 + delta*delta*na*nb/tot
-	s.Count += n
-}
-
-// StatsInto computes summary statistics of t in one blocked pass and
-// stores them in dst, which must be non-nil; any prior contents are
-// overwritten. It performs no allocation. For an empty tensor the
-// result has Count 0, Min +Inf, and Max -Inf.
-func StatsInto(dst *Stats, t *Tensor) {
-	dst.reset()
-	data := t.data
-	for base := 0; base < len(data); base += statsBlock {
-		end := base + statsBlock
-		if end > len(data) {
-			end = len(data)
-		}
-		blk := data[base:end]
-
-		// First pass: classify elements, accumulate the block sum of the
-		// finite ones (and their squares) and the running min/max.
-		sum, sumsq := 0.0, 0.0
-		n := 0
-		for _, v := range blk {
-			if v != v { // NaN
-				dst.NaNs++
-				continue
-			}
-			if math.IsInf(v, 0) {
-				dst.Infs++
-				continue
-			}
-			n++
-			sum += v
-			sumsq += v * v
-			if v < dst.Min {
-				dst.Min = v
-			}
-			if v > dst.Max {
-				dst.Max = v
-			}
-		}
-		dst.SumSq += sumsq
-		if n == 0 {
-			continue
-		}
-
-		// Second, cache-resident pass: second moment about the block mean.
-		mean := sum / float64(n)
-		m2 := 0.0
-		for _, v := range blk {
-			if v != v || math.IsInf(v, 0) {
-				continue
-			}
-			d := v - mean
-			m2 += d * d
-		}
-		dst.merge(n, mean, m2)
-	}
-}
-
-// NormStats is the cheap form of StatsInto for callers that only need
-// the L2 norm and the poison count: one blocked pass returning the
-// Euclidean norm of the finite elements plus NaN and ±Inf counts.
-// It performs no allocation.
+// NormStats is the numerics health monitor's (internal/telemetry/health)
+// kernel: one pass returning the Euclidean norm of t's finite elements
+// plus its NaN and ±Inf counts. It performs no allocation.
 func NormStats(t *Tensor) (l2 float64, nans, infs int) {
 	sumsq := 0.0
 	for _, v := range t.data {

@@ -2,103 +2,11 @@ package tensor
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
-// naiveStats is the obvious two-pass reference implementation the
-// blocked kernel is checked against.
-func naiveStats(data []float64) Stats {
-	s := Stats{Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for _, v := range data {
-		if v != v {
-			s.NaNs++
-			continue
-		}
-		if math.IsInf(v, 0) {
-			s.Infs++
-			continue
-		}
-		s.Count++
-		sum += v
-		s.SumSq += v * v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	if s.Count > 0 {
-		s.Mean = sum / float64(s.Count)
-		for _, v := range data {
-			if v != v || math.IsInf(v, 0) {
-				continue
-			}
-			d := v - s.Mean
-			s.M2 += d * d
-		}
-	}
-	return s
-}
-
-func approxEq(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*math.Max(scale, 1)
-}
-
-// Sizes straddle the block boundary so the merge path, the tail block,
-// and the single-block fast case are all exercised.
-var statsSizes = []int{0, 1, 2, 5, 100, 511, 512, 513, 1024, 1025, 4096}
-
-func TestStatsIntoMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range statsSizes {
-		tt := New(maxInt(n, 1))
-		if n == 0 {
-			tt = &Tensor{shape: []int{0}, data: []float64{}}
-		}
-		for i := 0; i < n; i++ {
-			tt.data[i] = rng.NormFloat64() * 100
-		}
-		var got Stats
-		StatsInto(&got, tt)
-		want := naiveStats(tt.data)
-
-		if got.Count != want.Count || got.NaNs != want.NaNs || got.Infs != want.Infs {
-			t.Fatalf("n=%d counts: got %+v want %+v", n, got, want)
-		}
-		if got.Min != want.Min || got.Max != want.Max {
-			t.Fatalf("n=%d min/max: got [%g,%g] want [%g,%g]", n, got.Min, got.Max, want.Min, want.Max)
-		}
-		if !approxEq(got.Mean, want.Mean, 1e-12) {
-			t.Fatalf("n=%d mean: got %g want %g", n, got.Mean, want.Mean)
-		}
-		if !approxEq(got.M2, want.M2, 1e-9) {
-			t.Fatalf("n=%d M2: got %g want %g", n, got.M2, want.M2)
-		}
-		if !approxEq(got.SumSq, want.SumSq, 1e-12) {
-			t.Fatalf("n=%d sumsq: got %g want %g", n, got.SumSq, want.SumSq)
-		}
-		if !approxEq(got.L2(), math.Sqrt(want.SumSq), 1e-12) {
-			t.Fatalf("n=%d L2: got %g want %g", n, got.L2(), math.Sqrt(want.SumSq))
-		}
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func TestStatsIntoNonFinite(t *testing.T) {
-	tt := New(1030) // spans two blocks with poison in each
+func TestNormStatsNonFinite(t *testing.T) {
+	tt := New(1030)
 	for i := range tt.data {
 		tt.data[i] = float64(i%7) - 3
 	}
@@ -106,66 +14,19 @@ func TestStatsIntoNonFinite(t *testing.T) {
 	tt.data[600] = math.Inf(1)
 	tt.data[601] = math.Inf(-1)
 	tt.data[1029] = math.NaN()
-
-	var s Stats
-	StatsInto(&s, tt)
-	if s.NaNs != 2 || s.Infs != 2 {
-		t.Fatalf("poison counts: got NaNs=%d Infs=%d, want 2/2", s.NaNs, s.Infs)
-	}
-	if s.Count != 1030-4 {
-		t.Fatalf("finite count: got %d want %d", s.Count, 1030-4)
-	}
-	if s.Finite() {
-		t.Fatal("Finite() should be false with poisoned elements")
-	}
-	if s.NonFinite() != 4 {
-		t.Fatalf("NonFinite: got %d want 4", s.NonFinite())
-	}
-	if s.Min != -3 || s.Max != 3 {
-		t.Fatalf("min/max over finite values: got [%g,%g] want [-3,3]", s.Min, s.Max)
-	}
-	if math.IsNaN(s.Mean) || math.IsInf(s.Mean, 0) {
-		t.Fatalf("mean must stay finite, got %g", s.Mean)
+	sumsq := 0.0
+	for _, v := range tt.data {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			sumsq += v * v
+		}
 	}
 
 	l2, nans, infs := NormStats(tt)
 	if nans != 2 || infs != 2 {
 		t.Fatalf("NormStats poison counts: got %d/%d want 2/2", nans, infs)
 	}
-	if !approxEq(l2, s.L2(), 1e-12) {
-		t.Fatalf("NormStats L2 %g != StatsInto L2 %g", l2, s.L2())
-	}
-}
-
-func TestStatsIntoEmptyAndReuse(t *testing.T) {
-	empty := &Tensor{shape: []int{0}, data: []float64{}}
-	var s Stats
-	// Pre-dirty the accumulator: StatsInto must fully overwrite it.
-	s = Stats{Count: 99, NaNs: 9, Mean: 1, M2: 1, SumSq: 1}
-	StatsInto(&s, empty)
-	if s.Count != 0 || s.NaNs != 0 || s.Infs != 0 || s.Mean != 0 || s.M2 != 0 || s.SumSq != 0 {
-		t.Fatalf("empty tensor stats not reset: %+v", s)
-	}
-	if !math.IsInf(s.Min, 1) || !math.IsInf(s.Max, -1) {
-		t.Fatalf("empty min/max: got [%g,%g] want [+Inf,-Inf]", s.Min, s.Max)
-	}
-	if s.Var() != 0 || s.L2() != 0 {
-		t.Fatalf("empty Var/L2: got %g/%g", s.Var(), s.L2())
-	}
-
-	one := FromSlice([]float64{4}, 1)
-	StatsInto(&s, one)
-	if s.Count != 1 || s.Min != 4 || s.Max != 4 || s.Mean != 4 || s.Var() != 0 || s.L2() != 4 {
-		t.Fatalf("single-element stats: %+v", s)
-	}
-}
-
-func TestStatsVariance(t *testing.T) {
-	tt := FromSlice([]float64{2, 4, 4, 4, 5, 5, 7, 9}, 8)
-	var s Stats
-	StatsInto(&s, tt)
-	if !approxEq(s.Mean, 5, 1e-15) || !approxEq(s.Var(), 4, 1e-12) {
-		t.Fatalf("textbook variance: mean=%g var=%g, want 5/4", s.Mean, s.Var())
+	if l2 != math.Sqrt(sumsq) {
+		t.Fatalf("NormStats L2 %g, want the finite elements' norm %g", l2, math.Sqrt(sumsq))
 	}
 }
 
@@ -173,10 +34,6 @@ func TestStatsKernelsDoNotAllocate(t *testing.T) {
 	tt := New(1025)
 	for i := range tt.data {
 		tt.data[i] = float64(i)
-	}
-	var s Stats
-	if n := testing.AllocsPerRun(100, func() { StatsInto(&s, tt) }); n != 0 {
-		t.Fatalf("StatsInto allocates %v times per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { NormStats(tt) }); n != 0 {
 		t.Fatalf("NormStats allocates %v times per run, want 0", n)

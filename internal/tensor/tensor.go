@@ -78,15 +78,6 @@ func Randn(rng *rand.Rand, stddev float64, shape ...int) *Tensor {
 	return t
 }
 
-// Uniform returns a tensor with elements drawn uniformly from [lo, hi).
-func Uniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return t
-}
-
 // Shape returns a copy of the tensor's shape.
 func (t *Tensor) Shape() []int { return cloneInts(t.shape) }
 
@@ -137,18 +128,6 @@ func (t *Tensor) CopyFrom(o *Tensor) *Tensor {
 	return t
 }
 
-// Reshape returns a copy of t with a new shape holding the same elements
-// in row-major order. It panics if the element counts differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := checkShape(shape)
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %s (%d elems)", t.shape, len(t.data), shapeStr(shape), n))
-	}
-	c := t.Clone()
-	c.setShape(shape)
-	return c
-}
-
 // View returns a tensor with a new shape sharing t's storage (no copy).
 // Mutating either tensor mutates both; callers relying on views — the
 // autodiff graph in particular — must treat the storage as immutable.
@@ -185,19 +164,6 @@ func ViewInto(dst, t *Tensor, shape ...int) *Tensor {
 // ViewLikeInto is ViewInto with the shape taken from ref; like ViewInto
 // the result deliberately aliases t's storage.
 func ViewLikeInto(dst, t, ref *Tensor) *Tensor { return ViewInto(dst, t, ref.shape...) }
-
-// RowsView returns rows [lo, hi) of a matrix as a view sharing t's
-// storage (row-major rows are contiguous, so no copy is needed).
-func (t *Tensor) RowsView(lo, hi int) *Tensor {
-	if len(t.shape) != 2 || lo < 0 || hi > t.shape[0] || lo >= hi {
-		panic(fmt.Sprintf("tensor: RowsView [%d,%d) of %v", lo, hi, t.shape))
-	}
-	cols := t.shape[1]
-	v := &Tensor{data: t.data[lo*cols : hi*cols]}
-	v.shape = v.shapeArr[:2]
-	v.shape[0], v.shape[1] = hi-lo, cols
-	return v
-}
 
 // StackInto copies src[idx[0]], src[idx[1]], … — tensors of one shape
 // s — into dst of shape [len(idx), s...], in that order: a batch gathered
@@ -271,23 +237,8 @@ func (t *Tensor) mustSameShape(o *Tensor, op string) {
 // Add returns t + o elementwise.
 func (t *Tensor) Add(o *Tensor) *Tensor { return AddInto(nil, t, o) }
 
-// AddInPlace accumulates o into t and returns t.
-func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
-	t.mustSameShape(o, "AddInPlace")
-	for i, v := range o.data {
-		t.data[i] += v
-	}
-	return t
-}
-
 // Sub returns t - o elementwise.
 func (t *Tensor) Sub(o *Tensor) *Tensor { return SubInto(nil, t, o) }
-
-// Mul returns the elementwise (Hadamard) product.
-func (t *Tensor) Mul(o *Tensor) *Tensor { return MulInto(nil, t, o) }
-
-// Scale returns c * t.
-func (t *Tensor) Scale(c float64) *Tensor { return ScaleInto(nil, t, c) }
 
 // ScaleInPlace multiplies every element by c and returns t.
 func (t *Tensor) ScaleInPlace(c float64) *Tensor {
@@ -304,44 +255,6 @@ func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) *Tensor {
 		t.data[i] += alpha * v
 	}
 	return t
-}
-
-// ScaleAddInPlace computes t = c*t + o in a single pass — the momentum
-// update v ← μv + g — and returns t.
-func (t *Tensor) ScaleAddInPlace(c float64, o *Tensor) *Tensor {
-	t.mustSameShape(o, "ScaleAddInPlace")
-	for i, v := range o.data {
-		t.data[i] = c*t.data[i] + v
-	}
-	return t
-}
-
-// Neg returns -t.
-func (t *Tensor) Neg() *Tensor { return t.Scale(-1) }
-
-// Apply returns a new tensor with f applied to every element.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	return ApplyInto(nil, t, f)
-}
-
-// Pow returns t with every element raised to p. Negative bases with
-// non-integer exponents yield NaN, as in math.Pow.
-func (t *Tensor) Pow(p float64) *Tensor { return PowInto(nil, t, p) }
-
-// Exp returns elementwise e^t.
-func (t *Tensor) Exp() *Tensor { return t.Apply(math.Exp) }
-
-// Log returns elementwise natural log.
-func (t *Tensor) Log() *Tensor { return t.Apply(math.Log) }
-
-// ReLU returns elementwise max(t, 0).
-func (t *Tensor) ReLU() *Tensor { return ReLUInto(nil, nil, t) }
-
-// ReLUMask returns a tensor of 1s where t > 0 and 0s elsewhere.
-func (t *Tensor) ReLUMask() *Tensor {
-	mask := NewLike(t)
-	ReLUInto(nil, mask, t)
-	return mask
 }
 
 // --- reductions and broadcasting ---
@@ -368,17 +281,6 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 // Norm returns the Euclidean norm of all elements.
 func (t *Tensor) Norm() float64 { return math.Sqrt(t.Dot(t)) }
 
-// Max returns the maximum element. It panics on an empty tensor.
-func (t *Tensor) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range t.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // ArgMaxRows treats t as [R, C] and returns the argmax column per row.
 func (t *Tensor) ArgMaxRows() []int {
 	if len(t.shape) != 2 {
@@ -398,18 +300,6 @@ func (t *Tensor) ArgMaxRows() []int {
 	return out
 }
 
-// SumAxes sums over the given axes, keeping them as size-1 dimensions.
-// Axes must be sorted, unique and in range.
-func (t *Tensor) SumAxes(axes ...int) *Tensor {
-	return SumAxesInto(nil, t, axes...)
-}
-
-// BroadcastTo expands size-1 dimensions of t to match shape. The ranks
-// must be equal and every non-1 dimension must already match.
-func (t *Tensor) BroadcastTo(shape ...int) *Tensor {
-	return BroadcastToInto(nil, t, shape...)
-}
-
 // incIndex advances a row-major multi-index by one position.
 func incIndex(idx, shape []int) {
 	for i := len(idx) - 1; i >= 0; i-- {
@@ -420,15 +310,6 @@ func incIndex(idx, shape []int) {
 		idx[i] = 0
 	}
 }
-
-// --- linear algebra ---
-
-// MatMul returns the matrix product of t [M,K] and o [K,N]. Large
-// products run row-parallel; see MatMulInto.
-func (t *Tensor) MatMul(o *Tensor) *Tensor { return MatMulInto(nil, t, o) }
-
-// Transpose returns the transpose of a matrix.
-func (t *Tensor) Transpose() *Tensor { return TransposeInto(nil, t) }
 
 // --- helpers ---
 

@@ -16,6 +16,11 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+# bench/ is its own module, so the vet above does not compile it: a
+# deleted export that it imports would otherwise fail only CI's bench job.
+echo "==> go vet ./... (bench)"
+(cd bench && go vet ./...)
+
 # Race gate over every package. internal/core's end-to-end cycles share
 # two trained fixtures, so the package passes under -race in 171 s alone
 # (`go test -race -count=1 ./internal/core`, 2 min 54 s with
