@@ -95,9 +95,6 @@ func (v *Value) RequiresGrad() bool { return v.requiresGrad }
 // Op returns the name of the operation that produced this node.
 func (v *Value) Op() string { return v.op }
 
-// Shape returns the shape of the node's tensor.
-func (v *Value) Shape() []int { return v.Data.Shape() }
-
 // Item returns the single element of a scalar node.
 func (v *Value) Item() float64 {
 	if v.Data.Len() != 1 {

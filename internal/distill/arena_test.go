@@ -73,8 +73,9 @@ func TestMatchIterationSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// On arena-backed gradients the distance builds every node and tensor in
-// the arena: a warm call allocates nothing on the heap.
+// On arena-backed gradients each distance (MatchDistance and the
+// ablation's L2Distance) builds every node and tensor in the arena: a
+// warm call allocates nothing on the heap.
 func TestMatchDistanceOnArenaAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ar := ad.NewArena()
@@ -84,13 +85,18 @@ func TestMatchDistanceOnArenaAllocatesNothing(t *testing.T) {
 		sT[i], dT[i] = tensor.Randn(rng, 1, sh...), tensor.Randn(rng, 1, sh...)
 	}
 	gS, gD := make([]*ad.Value, len(shapes)), make([]*ad.Value, len(shapes))
-	if n := testing.AllocsPerRun(10, func() {
-		for i := range shapes {
-			gS[i], gD[i] = ar.Var(sT[i]), ar.Const(dT[i])
+	for _, tc := range []struct {
+		name string
+		dist DistanceFunc
+	}{{"MatchDistance", MatchDistance}, {"L2Distance", L2Distance}} {
+		if n := testing.AllocsPerRun(10, func() {
+			for i := range shapes {
+				gS[i], gD[i] = ar.Var(sT[i]), ar.Const(dT[i])
+			}
+			tc.dist(gS, gD, 1e-6)
+			ar.Reset()
+		}); n != 0 {
+			t.Errorf("%s on arena gradients allocates %v objects per call, want 0", tc.name, n)
 		}
-		MatchDistance(gS, gD, 1e-6)
-		ar.Reset()
-	}); n != 0 {
-		t.Fatalf("MatchDistance on arena gradients allocates %v objects per call, want 0", n)
 	}
 }

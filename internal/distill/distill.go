@@ -134,10 +134,17 @@ func MatchDistance(gS, gD []*ad.Value, eps float64) *ad.Value {
 
 // L2Distance is the plain squared-L2 alternative distance (ablation).
 func L2Distance(gS, gD []*ad.Value, _ float64) *ad.Value {
-	total := ad.Scalar(0)
+	var total *ad.Value
 	for i := range gS {
 		diff := ad.Sub(gS[i], gD[i])
-		total = ad.Add(total, ad.SumAll(ad.Mul(diff, diff)))
+		term := ad.SumAll(ad.Mul(diff, diff))
+		if total == nil {
+			// The first term seeds the sum, as in MatchDistance: a sum of
+			// squares is never −0, so 0 + term would be term bitwise.
+			total = term
+		} else {
+			total = ad.Add(total, term)
+		}
 	}
 	return total
 }

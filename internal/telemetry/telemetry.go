@@ -10,7 +10,7 @@
 // Three contracts govern the package (see DESIGN.md "Observability"):
 //
 //  1. Record paths never allocate. Counter.Add, Gauge.Set,
-//     Histogram.Observe and Vec.At are guarded by
+//     Histogram.Observe, CounterVec.At and HistogramVec.At are guarded by
 //     testing.AllocsPerRun, and the steady-state allocation tests of
 //     the training step (fl, distill, nn) fail if a step calls anything
 //     that allocates.

@@ -10,7 +10,7 @@ import (
 // which otherwise dominate allocation in the gradient-matching hot path —
 // without any global free list or locking beyond sync.Pool's own.
 //
-// Ownership rules (see DESIGN.md, "Compute backbone"):
+// Ownership rules (see DESIGN.md, "Pool ownership"):
 //
 //   - Only the caller that obtained a tensor from Get may Put it back, and
 //     only once, after every reference to it (including views and autodiff

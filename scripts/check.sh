@@ -21,12 +21,10 @@ go vet ./...
 echo "==> go vet ./... (bench)"
 (cd bench && go vet ./...)
 
-# Race gate over every package. internal/core's end-to-end cycles share
-# two trained fixtures, so the package passes under -race in 171 s alone
-# (`go test -race -count=1 ./internal/core`, 2 min 54 s with
-# compilation) and in 219 s beside the other packages below, on a 2-core
-# host, against ~13 s without the detector. This whole script took
-# 4 min 56 s there.
+# Race gate over every package. internal/core's end-to-end cycles train
+# real models (two fixtures, shared so each trains once per run), so under
+# the race detector core is the slowest package here by far, and most of
+# this script's wall time.
 echo "==> go test -race ./..."
 go test -race ./...
 
