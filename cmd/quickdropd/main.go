@@ -17,7 +17,8 @@
 //	GET  /v1/requests      every request's lifecycle state
 //	GET  /v1/requests/{id} one request
 //	GET  /v1/model         current snapshot version
-//	POST /v1/predict       {"inputs":[[...H*W*C floats...]]}
+//	POST /v1/predict       {"inputs":[[...H*W*C numbers...], ...]}, nothing else
+//	                       (other keys, null and trailing bytes are a 400)
 //	GET  /v1/status        queue depth, batches, versions, drain state
 //
 // The telemetry surface (/metrics, /debug/pprof) is mounted on the

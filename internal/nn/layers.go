@@ -7,11 +7,12 @@ import (
 	"quickdrop/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution on NHWC feature maps, implemented as
-// im2col followed by a matrix multiply so every derivative — including the
-// second-order ones used by gradient matching — reduces to verified linear
-// primitives. A forward that nothing differentiates computes the same
-// floats in one direct kernel (autodiff.Conv).
+// Conv2D is a 2-D convolution on NHWC feature maps. autodiff.Conv picks
+// its graph: one direct kernel for a forward that nothing differentiates,
+// one node with direct-kernel gradients inside a first-order training
+// graph (LossGrads), and otherwise im2col followed by a matrix multiply,
+// so the second-order derivatives of gradient matching reduce to verified
+// linear primitives. All three compute the same floats.
 type Conv2D struct {
 	Geom    tensor.ConvGeom
 	Filters int

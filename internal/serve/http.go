@@ -10,7 +10,6 @@ import (
 	"quickdrop/internal/core"
 	"quickdrop/internal/nn"
 	"quickdrop/internal/telemetry"
-	"quickdrop/internal/tensor"
 )
 
 // RequestBody is the wire form of a core.Request, used both in ticket
@@ -193,37 +192,21 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// predictBody is the POST /v1/predict payload: each input is a flat
-// row-major [H*W*C] sample.
-type predictBody struct {
-	Inputs [][]float64 `json:"inputs"`
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.evalPool.New == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("prediction disabled: no model factory configured"))
 		return
 	}
-	var body predictBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
-		return
-	}
-	if len(body.Inputs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New(`"inputs" must be non-empty`))
+	body, err := readBody(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return
 	}
 	shape := s.sys.Model.InputShape
-	want := shape[0] * shape[1] * shape[2]
-	x := tensor.New(len(body.Inputs), shape[0], shape[1], shape[2])
-	flat := x.Data()
-	for i, in := range body.Inputs {
-		if len(in) != want {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("input %d has %d values, want %d (%dx%dx%d)", i, len(in), want, shape[0], shape[1], shape[2]))
-			return
-		}
-		copy(flat[i*want:(i+1)*want], in)
+	x, err := decodeInputs(body, shape[0], shape[1], shape[2])
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
+		return
 	}
 
 	// Readers never block on the worker: Acquire pins the current
@@ -245,10 +228,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	m.SetParams(snap.Params())
 	pred := m.Predict(x)
 
-	writeJSON(w, http.StatusOK, map[string]any{
-		"version":     snap.Version(),
-		"predictions": pred,
-	})
+	writePredictions(w, snap.Version(), pred)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {

@@ -29,11 +29,12 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 # Every micro-benchmark of the kernel and model layers, once each, the
-# test-set scoring benchmark, and the FL round and unlearn benchmarks,
-# which reuse warm step arenas across steps: a benchmark that no longer
-# compiles or panics fails here, not at the next profile.
-echo "==> go test -bench . -benchtime 1x (tensor, nn, eval, fl, core)"
-go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/eval ./internal/fl ./internal/core
+# test-set scoring benchmark, the FL round and unlearn benchmarks, which
+# reuse warm step arenas across steps, and the /v1/predict handler: a
+# benchmark that no longer compiles or panics fails here, not at the next
+# profile.
+echo "==> go test -bench . -benchtime 1x (tensor, nn, eval, fl, core, serve)"
+go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/eval ./internal/fl ./internal/core ./internal/serve
 
 # The matmul, im2col, direct-convolution and instance-norm kernels, and
 # the first-order backward kernels (ConvWeightGradInto, ConvInputGradInto,
@@ -56,6 +57,13 @@ GOMAXPROCS=1 go test -count=1 -run '^TestTrajectoryPin$' ./internal/core
 # to hit.
 echo "==> go test -race -count=10 (predict beside the worker)"
 go test -race -count=10 -run '^(TestPredictBesideWorkerMatchesHeapPath|TestWorkerScoresMatchFreshEvaluation)$' ./internal/serve
+
+# The /v1/predict body scanner against encoding/json, on inputs the
+# fuzzer grows from the seeds. Minimizing an input grown from the 10 KB
+# benchmark body takes the default 60 s, which would stall the whole run
+# at 0 execs/s, so minimization is capped.
+echo "==> go test -fuzz FuzzPredictBody (20s)"
+go test -run '^$' -fuzz '^FuzzPredictBody$' -fuzztime 20s -fuzzminimizetime 100x ./internal/serve
 
 # Every phase trains its clients side by side on the worker pool —
 # Train's clients distill there too, sharing the matcher's counters —
