@@ -68,11 +68,7 @@ func main() {
 		telLinger = flag.Duration("telemetry-linger", 0, "keep the telemetry endpoint up this long after training")
 		ledgerDir = flag.String("ledger", "", "write a run manifest into this directory (e.g. runs/)")
 
-		healthOn    = flag.Bool("health", false, "enable the numerics health monitor and divergence watchdog")
-		healthEvery = flag.Int("health-sample-every", 0, "sample per-layer gradient statistics every N optimizer steps (0 = default 16)")
-		healthGrad  = flag.Float64("health-grad-max", 0, "watchdog trip threshold on a layer's gradient L2 norm (0 = default 1e3)")
-		healthSpike = flag.Float64("health-loss-spike", 0, "watchdog trip factor on loss vs its per-phase EWMA (0 = default 20)")
-		healthRatio = flag.Float64("health-ratio-max", 0, "watchdog trip threshold on the update/parameter norm ratio (0 = default 50)")
+		healthOn = flag.Bool("health", false, "enable the numerics health monitor and divergence watchdog")
 	)
 	flag.Parse()
 
@@ -118,13 +114,7 @@ func main() {
 
 	var mon *health.Monitor
 	if *healthOn {
-		mon = health.New(health.Config{
-			SampleEvery:     *healthEvery,
-			GradNormMax:     *healthGrad,
-			LossSpikeFactor: *healthSpike,
-			UpdateRatioMax:  *healthRatio,
-			Events:          telemetry.NewEventLog(os.Stderr),
-		}, pipe)
+		mon = health.New(health.Config{Events: telemetry.NewEventLog(os.Stderr)}, pipe)
 		mon.BindLayers(model.ParamNames())
 	}
 

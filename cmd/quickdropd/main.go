@@ -73,12 +73,8 @@ func run() error {
 		sequential   = flag.Bool("sequential", false, "disable coalescing: one request per batch, in order")
 		ledgerDir    = flag.String("ledger", "", "write a run manifest (with the audit trail) into this directory on shutdown")
 
-		healthOn    = flag.Bool("health", false, "enable the numerics health monitor and SGA divergence watchdog")
-		healthEvery = flag.Int("health-sample-every", 0, "sample per-layer gradient statistics every N optimizer steps (0 = default 16)")
-		healthGrad  = flag.Float64("health-grad-max", 0, "watchdog trip threshold on a layer's gradient L2 norm (0 = default 1e3)")
-		healthSpike = flag.Float64("health-loss-spike", 0, "watchdog trip factor on loss vs its per-phase EWMA (0 = default 20)")
-		healthRatio = flag.Float64("health-ratio-max", 0, "watchdog trip threshold on the update/parameter norm ratio (0 = default 50)")
-		injectNaN   = flag.String("inject-nan", "", "fault injection: plant a NaN in the model before this phase runs (e.g. \"unlearn\"; testing only)")
+		healthOn  = flag.Bool("health", false, "enable the numerics health monitor and SGA divergence watchdog")
+		injectNaN = flag.String("inject-nan", "", "fault injection: plant a NaN in the model before this phase runs (e.g. \"unlearn\"; testing only)")
 	)
 	flag.Parse()
 
@@ -110,13 +106,7 @@ func run() error {
 
 	var mon *health.Monitor
 	if *healthOn {
-		mon = health.New(health.Config{
-			SampleEvery:     *healthEvery,
-			GradNormMax:     *healthGrad,
-			LossSpikeFactor: *healthSpike,
-			UpdateRatioMax:  *healthRatio,
-			Events:          telemetry.NewEventLog(os.Stderr),
-		}, pipe)
+		mon = health.New(health.Config{Events: telemetry.NewEventLog(os.Stderr)}, pipe)
 		cfg.Health = mon
 		cfg.PoisonPhase = *injectNaN
 	}

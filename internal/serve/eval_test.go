@@ -66,7 +66,6 @@ func TestWorkerScoresMatchFreshEvaluation(t *testing.T) {
 	// published loads the served snapshot into a model of its own.
 	published := func() *nn.Model {
 		snap := s.Store().Acquire()
-		defer snap.Release()
 		m := nn.NewConvNet(tinyArch(), rand.New(rand.NewSource(1)))
 		m.SetParams(snap.Params())
 		return m

@@ -57,13 +57,11 @@ func TestServerWatchdogRefusesPublish(t *testing.T) {
 		want, got := p.Data(), cur[i].Data()
 		for j := range want {
 			if want[j] != got[j] {
-				snap.Release()
 				t.Fatalf("param %d[%d]: model %v != snapshot %v — model not restored after watchdog trip",
 					i, j, got[j], want[j])
 			}
 		}
 	}
-	snap.Release()
 
 	// Audit entries carry the watchdog verdict.
 	entries := pipe.Audit.Entries()

@@ -120,10 +120,11 @@ const retryAfter = "1"
 
 func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {
 	var body ForgetRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
+		writeError(w, bodyStatus(err), fmt.Errorf("decode body: %w", err))
 		return
 	}
 	req, err := body.toCore(s.sys.Model.Classes, s.sys.Clients.NumClients())
@@ -180,15 +181,9 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 	snap := s.store.Acquire()
-	if snap == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("no model published"))
-		return
-	}
-	defer snap.Release()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"version":          snap.Version(),
 		"stamp_unix_nanos": snap.Stamp(),
-		"live_snapshots":   s.store.Live(),
 	})
 }
 
@@ -197,9 +192,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, errors.New("prediction disabled: no model factory configured"))
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	body, err := readBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		writeError(w, bodyStatus(err), fmt.Errorf("read body: %w", err))
 		return
 	}
 	shape := s.sys.Model.InputShape
@@ -209,15 +205,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Readers never block on the worker: Acquire pins the current
-	// version's refcount, the worker publishes the next version
-	// concurrently, and Release reclaims ours once we are done.
+	// Readers never block on the worker: the worker publishes the next
+	// version concurrently, and the one loaded here stays valid until
+	// this handler drops it.
 	snap := s.store.Acquire()
-	if snap == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("no model published"))
-		return
-	}
-	defer snap.Release()
 
 	m := s.evalPool.Get().(*nn.Model)
 	// Deferred so a panicking SetParams/Predict (e.g. a misconfigured

@@ -10,14 +10,26 @@ import (
 	"quickdrop/internal/tensor"
 )
 
-// maxPresize caps the buffer a request's declared Content-Length sizes
-// up front; a larger body still reads whole, growing as it arrives.
-const maxPresize = 1 << 20
+// maxBody is the largest POST body the API reads, in bytes. A longer
+// body is refused with 413 before the rest of it is read, so a client
+// cannot make a handler buffer, or the ticket index keep, an unbounded
+// payload.
+const maxBody = 1 << 20
+
+// bodyStatus is the reply status for an error reading or decoding a
+// request body: 413 when the body passed maxBody, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // readBody reads a request body whole, in one allocation when the
-// request declares its length.
+// request declares a length of at most maxBody.
 func readBody(r *http.Request) ([]byte, error) {
-	n := min(max(r.ContentLength, 0), maxPresize)
+	n := min(max(r.ContentLength, 0), maxBody)
 	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
 	_, err := buf.ReadFrom(r.Body)
 	return buf.Bytes(), err

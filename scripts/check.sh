@@ -52,11 +52,12 @@ GOMAXPROCS=1 go test -count=1 -run '^TestTrajectoryPin$' ./internal/core
 
 # The predict path beside the worker: pooled /v1/predict models and the
 # worker's model each run inference on their own arena, while the worker
-# scores each published version and answers tickets from those scores.
-# Repeated, because a race shows only in the interleavings a run happens
-# to hit.
-echo "==> go test -race -count=10 (predict beside the worker)"
-go test -race -count=10 -run '^(TestPredictBesideWorkerMatchesHeapPath|TestWorkerScoresMatchFreshEvaluation)$' ./internal/serve
+# scores each published version and answers tickets from those scores;
+# and the snapshot store, whose only concurrency guarantee is its atomic
+# pointer's publication. Repeated, because a race shows only in the
+# interleavings a run happens to hit.
+echo "==> go test -race -count=10 (predict beside the worker, snapshot readers)"
+go test -race -count=10 -run '^(TestPredictBesideWorkerMatchesHeapPath|TestWorkerScoresMatchFreshEvaluation|TestSnapshotConcurrentReaders)$' ./internal/serve
 
 # The /v1/predict body scanner against encoding/json, on inputs the
 # fuzzer grows from the seeds. Minimizing an input grown from the 10 KB
